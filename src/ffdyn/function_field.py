@@ -146,16 +146,16 @@ def poly_ord(p: Poly, pi: Poly) -> int:
     """Multiplicity of the irreducible pi in nonzero p (by trial division)."""
     if p.is_zero:
         raise DomainError("valuation of zero undefined")
-    # pi = t: the multiplicity is the run of trailing zero coefficients
-    if pi.coeffs == (Fraction(0), Fraction(1)):
+    # pi = t: the multiplicity is the run of low zero coefficients
+    if pi == Poly.t():
         e = 0
-        while p.coeffs[e] == 0:
+        while p.coeff(e) == 0:
             e += 1
         return e
     e = 0
     while True:
-        q, r = p.divmod(pi)
-        if not r.is_zero:
+        q = p.exact_quotient(pi)
+        if q is None:
             return e
         p = q
         e += 1
@@ -262,10 +262,3 @@ def quasi_integral(x: FieldElement, S: PlaceSet, eps: Fraction) -> bool:
         return True
     s_part = sum(max(log_abs(x, v), 0) for v in S)
     return s_part >= eps * height_elem(x)
-
-
-def factor_poly(p: Poly):
-    """Factor nonzero p in Q[t]: (unit, ((monic irreducible, multiplicity), ...))."""
-    if p.is_zero:
-        raise DomainError("cannot factor zero")
-    return factor_tpoly(p)

@@ -16,7 +16,14 @@ from typing import Optional
 
 from .errors import DomainError
 from .function_field import FieldElement, Place, PlaceSet
-from .polynomials import Poly, ZPoly, poly_gcd
+from .polynomials import (
+    BinaryMonomials,
+    Poly,
+    ZPoly,
+    clear_denominators,
+    poly_gcd,
+    rational_content,
+)
 from .sympybridge import (
     factor_tpoly,
     factor_zpoly_over_k,
@@ -96,10 +103,6 @@ class ProjectivePoint:
         return point_text(self)
 
 
-def height_point(P: ProjectivePoint) -> int:
-    return P.height
-
-
 # ---------------------------------------------------------------------------
 # Maps
 # ---------------------------------------------------------------------------
@@ -176,14 +179,7 @@ def normalize_map(Fraw: ZPoly, Graw: ZPoly) -> RationalMap:
         F = F.exact_div_poly(cp)
         G = G.exact_div_poly(cp)
     # joint rational content with positive leading constant
-    from math import gcd as _igcd
-
-    num = 0
-    den = 1
-    for c in (F.rational_content(), G.rational_content()):
-        num = _igcd(num, c.numerator)
-        den = den * c.denominator // _igcd(den, c.denominator)
-    content = Fraction(num, den)
+    content = rational_content(F.coeffs + G.coeffs)
     lead = (F if not F.is_zero else G).leading.leading
     if lead < 0:
         content = -content
@@ -201,47 +197,6 @@ def require_dynamical(phi: RationalMap) -> None:
 # ---------------------------------------------------------------------------
 # Resultant and reduction
 # ---------------------------------------------------------------------------
-
-
-def _bareiss_det(M: list[list[Poly]]) -> Poly:
-    n = len(M)
-    if n == 0:
-        return Poly.one()
-    M = [row[:] for row in M]
-    sign = 1
-    prev = Poly.one()
-    for k in range(n - 1):
-        if M[k][k].is_zero:
-            pivot = next((i for i in range(k + 1, n) if not M[i][k].is_zero), None)
-            if pivot is None:
-                return Poly.zero()
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]).exact_div(prev)
-            M[i][k] = Poly.zero()
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def resultant_sylvester(phi: RationalMap) -> Poly:
-    """Resultant of the degree-d homogenizations via a fraction-free Sylvester
-    determinant; independent slow route kept as a cross-check for the main
-    subresultant-based computation."""
-    d = phi.d
-    f = [phi.F.coeff(d - i) for i in range(d + 1)]  # descending
-    g = [phi.G.coeff(d - i) for i in range(d + 1)]
-    n = 2 * d
-    M = [[Poly.zero()] * n for _ in range(n)]
-    for r in range(d):
-        for j, c in enumerate(f):
-            M[r][r + j] = c
-    for r in range(d):
-        for j, c in enumerate(g):
-            M[d + r][r + j] = c
-    return _bareiss_det(M)
 
 
 @lru_cache(maxsize=512)
@@ -283,23 +238,29 @@ def bad_reduction_places(phi: RationalMap) -> PlaceSet:
 def apply_map(phi: RationalMap, P: ProjectivePoint) -> ProjectivePoint:
     """Evaluate phi at P with projective re-normalization.
 
+    The coordinates are first scaled by the lcm of their denominators. The
+    forms F, G are homogeneous of degree d, so both values pick up the same
+    factor and the image point is unchanged, while every product runs on
+    integers. F and G share one table of monomials x0^i * x1^(d-i).
+
     Any common factor of the evaluated pair divides the resultant, so the
     coprime reduction is done by trial division against its factorization
     (much cheaper than a generic gcd at large orbit heights).
     """
-    A = phi.F.homogeneous_eval(P.x0, P.x1, phi.d)
-    B = phi.G.homogeneous_eval(P.x0, P.x1, phi.d)
+    mons = BinaryMonomials(*clear_denominators((P.x0, P.x1)), phi.d)
+    A = phi.F.homogeneous_eval(mons)
+    B = phi.G.homogeneous_eval(mons)
     if B.is_zero:
         return ProjectivePoint.infinity()
     if A.is_zero:
         return ProjectivePoint.zero()
     for pi, _ in resultant_factors(phi):
         while True:
-            qa, ra = A.divmod(pi)
-            if not ra.is_zero:
+            qa = A.exact_quotient(pi)
+            if qa is None:
                 break
-            qb, rb = B.divmod(pi)
-            if not rb.is_zero:
+            qb = B.exact_quotient(pi)
+            if qb is None:
                 break
             A, B = qa, qb
     return ProjectivePoint._scaled(A, B)
@@ -318,8 +279,9 @@ def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:
     """phi o psi; degrees multiply."""
     if phi.d < 1 or psi.d < 1:
         raise DomainError("composition requires degrees >= 1")
-    F = phi.F.homogeneous_eval(psi.F, psi.G, phi.d)
-    G = phi.G.homogeneous_eval(psi.F, psi.G, phi.d)
+    mons = BinaryMonomials(psi.F, psi.G, phi.d)
+    F = phi.F.homogeneous_eval(mons)
+    G = phi.G.homogeneous_eval(mons)
     out = normalize_map(F, G)
     if out.d != phi.d * psi.d:
         raise DomainError("degenerate composition: degree dropped")

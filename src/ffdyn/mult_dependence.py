@@ -125,16 +125,26 @@ class DependenceSearchReport:
     wandering_certified: bool
 
 
-def _zero_is_periodic(phi: RationalMap, probe: int = 12) -> bool:
-    zero = ProjectivePoint.zero()
-    current = zero
-    for _ in range(probe):
-        current = apply_map(phi, current)
-        if current == zero:
-            return True
-        if current.height > 64:
-            return False  # heights only grow from here at this scale
-    return False
+def _zero_is_periodic(
+    phi: RationalMap, height_budget: int = DEFAULT_HEIGHT_BUDGET
+) -> bool:
+    """True iff classify_preperiodic certifies phi^n(0) = 0 for some n >= 1,
+    i.e. returns Preperiodic with tail 0. Strictly preperiodic and certified
+    wandering both mean "not periodic".
+
+    An orbit still undecided after 12 iterates, or past the height
+    budget, also counts as not periodic. This happens when the orbit of 0
+    keeps a canonical height too small to certify, as for a map with
+    constant coefficients, whose orbit of 0 stays at height 0 while its
+    rational coefficients grow.
+    """
+    try:
+        verdict = classify_preperiodic(
+            phi, ProjectivePoint.zero(), max_iter=12, height_budget=height_budget
+        )
+    except OrbitBudgetError:
+        return False
+    return isinstance(verdict, Preperiodic) and verdict.tail == 0
 
 
 def _coprime_pairs(r_max: int, s_max: int):
@@ -185,7 +195,7 @@ def dependence_search(
     return DependenceSearchReport(
         solutions=tuple(solutions),
         skipped=tuple(skipped),
-        zero_not_periodic=not _zero_is_periodic(phi),
+        zero_not_periodic=not _zero_is_periodic(phi, height_budget),
         wandering_certified=wandering_certified,
     )
 

@@ -16,7 +16,7 @@ from .maps import (
     normalize_map,
     resultant,
 )
-from .polynomials import Poly, ZPoly, poly_gcd
+from .polynomials import Poly, ZPoly
 
 
 def rand_fraction(rng: Random, cmax: int = 9, nonzero: bool = False) -> Fraction:
@@ -150,13 +150,3 @@ def rand_split_fiber_instance(
                 break
         P = ProjectivePoint.from_field(FieldElement.from_poly(p))
         return phi, A, P
-
-
-def rand_coprime_pair(
-    rng: Random, max_deg: int = 3, cmax: int = 9
-) -> tuple[Poly, Poly]:
-    while True:
-        a = rand_tpoly(rng, max_deg, cmax, nonzero=True)
-        b = rand_tpoly(rng, max_deg, cmax, nonzero=True)
-        if poly_gcd(a, b).degree == 0:
-            return a, b

@@ -21,7 +21,7 @@ _T, _Z = sympy.symbols("t z")
 
 def poly_to_sympy(p: Poly) -> sympy.Poly:
     return sympy.Poly(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)] or [0],
+        [sympy.Rational(c, p.den) for c in reversed(p.ints)] or [0],
         _T,
         domain="QQ",
     )
@@ -36,9 +36,9 @@ def sympy_to_poly(sp: sympy.Poly) -> Poly:
 def zpoly_to_sympy(f: ZPoly) -> sympy.Poly:
     terms = {}
     for i, c in enumerate(f.coeffs):
-        for j, q in enumerate(c.coeffs):
+        for j, q in enumerate(c.ints):
             if q:
-                terms[(i, j)] = sympy.Rational(q.numerator, q.denominator)
+                terms[(i, j)] = sympy.Rational(q, c.den)
     if not terms:
         terms[(0, 0)] = sympy.Integer(0)
     return sympy.Poly.from_dict(terms, _Z, _T, domain="QQ")

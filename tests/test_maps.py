@@ -36,10 +36,10 @@ from ffdyn.maps import (
     IsotrivialityVerdict,
     conjugate,
     mobius_inverse,
-    resultant_sylvester,
 )
 from ffdyn.polynomials import Poly, ZPoly
 from ffdyn.randgen import rand_map, rand_point
+from oracles import resultant_sylvester
 
 
 def pt(text):

@@ -25,7 +25,9 @@ from ffdyn import (
     unit_hits,
 )
 from ffdyn.errors import DomainError
-from ffdyn.mult_dependence import _affine_orbit
+from ffdyn.heights import Preperiodic, classify_preperiodic
+from ffdyn.maps import ProjectivePoint, apply_map, conjugate
+from ffdyn.mult_dependence import _affine_orbit, _zero_is_periodic
 from ffdyn.polynomials import Poly
 
 
@@ -144,6 +146,17 @@ def test_zero_not_periodic_flag(quad_poly_map, monomial_map, S_inf):
     # t z^2 fixes 0, so zero IS periodic
     q2 = DependenceQuery(pt("t"), S_T_INF, 1, 1, 1, 1)
     assert not dependence_search(monomial_map, q2).zero_not_periodic
+
+
+def test_zero_periodic_at_large_height():
+    # psi = M^-1 o (z^2 - 1) o M with M = z/(1 + t^70 z): 0 has period 2
+    # under psi, through a point of height 70
+    M = parse_rational_map("z/(1 + t^70*z)")
+    psi = conjugate(parse_rational_map("z^2 - 1"), M)
+    zero = ProjectivePoint.zero()
+    assert apply_map(psi, zero).height == 70
+    assert classify_preperiodic(psi, zero) == Preperiodic(tail=0, cycle=2)
+    assert _zero_is_periodic(psi)
 
 
 def test_saturate_exponents():
