@@ -7,7 +7,9 @@ where a wandering one is required, budget exhaustion, failed verification),
 
 Defaults can be overridden with FFDYN_-prefixed environment variables
 (FFDYN_SEED, FFDYN_FORMAT, FFDYN_OUTPUT, FFDYN_DEPTH, FFDYN_SAMPLES,
-FFDYN_BUDGET)."""
+FFDYN_BUDGET). They are read on each call to main(), after parsing, and only
+for options of the chosen command; a malformed value exits with code 2. The
+parser itself is built once per process."""
 
 from __future__ import annotations
 
@@ -18,6 +20,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
+from typing import Callable, NamedTuple
 
 from .errors import ConfigError, DomainError, ParseError
 from .exprs import (
@@ -70,6 +74,30 @@ def _env(name: str, fallback, cast=str):
         raise ConfigError(f"bad FFDYN_{name} value {raw!r}") from exc
 
 
+class _EnvDefault(NamedTuple):
+    """Parser default that FFDYN_<name> overrides. It is resolved after
+    parsing (``_resolve_env_defaults``), so one parser serves every call."""
+
+    name: str
+    fallback: object
+    cast: Callable = str
+
+
+def _resolve_env_defaults(args: argparse.Namespace) -> None:
+    for key, value in vars(args).items():
+        if isinstance(value, _EnvDefault):
+            setattr(args, key, _env(*value))
+
+
+_FORMATS = ("json", "csv")
+
+
+def _report_format(text: str) -> str:
+    if text not in _FORMATS:
+        raise ValueError(text)
+    return text
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -85,13 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["json", "csv"],
-        default=_env("FORMAT", "json"),
+        choices=_FORMATS,
+        default=_EnvDefault("FORMAT", "json", _report_format),
         help="report format (default json-lines)",
     )
     parser.add_argument(
         "--output",
-        default=_env("OUTPUT", None),
+        default=_EnvDefault("OUTPUT", None),
         help="write the report to a file instead of stdout",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -115,13 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_depth(p, default=12):
-        p.add_argument("--depth", type=int, default=_env("DEPTH", default, int))
+        p.add_argument(
+            "--depth", type=int, default=_EnvDefault("DEPTH", default, int)
+        )
 
     def add_budget(p):
         p.add_argument(
             "--budget",
             type=int,
-            default=_env("BUDGET", DEFAULT_HEIGHT_BUDGET, int),
+            default=_EnvDefault("BUDGET", DEFAULT_HEIGHT_BUDGET, int),
             help="orbit height budget",
         )
 
@@ -208,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = cmd("verify", "run a named seeded property suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--samples", type=int, default=_env("SAMPLES", 200, int))
-    p.add_argument("--seed", type=int, default=_env("SEED", 0, int))
+    p.add_argument("--samples", type=int, default=_EnvDefault("SAMPLES", 200, int))
+    p.add_argument("--seed", type=int, default=_EnvDefault("SEED", 0, int))
 
     return parser
 
@@ -570,10 +600,15 @@ _HANDLERS = {
 }
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
+        _resolve_env_defaults(args)
         return _HANDLERS[args.command](args)
     except (ParseError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -95,7 +95,9 @@ class FieldElement:
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
             return self.inverse() ** (-n)
-        return FieldElement.make(self.num**n, self.den**n)
+        # powers of coprime num, den stay coprime and a power of a monic den
+        # is monic, so the result is already reduced
+        return FieldElement(self.num**n, self.den**n)
 
     def __str__(self) -> str:
         from .exprs import field_elem_text

@@ -138,41 +138,13 @@ class RationalMap:
         return map_text(self)
 
 
-def _kz_exact_div(f: ZPoly, g: ZPoly) -> ZPoly:
-    """Exact division in K[z]; result cleared back to k[t] coefficients."""
-    fc = [FieldElement.from_poly(c) for c in f.coeffs]
-    gc = [FieldElement.from_poly(c) for c in g.coeffs]
-    dg = len(gc) - 1
-    if dg < 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    q = [FieldElement.zero()] * (len(fc) - dg) if len(fc) > dg else []
-    rem = list(fc)
-    lead = gc[-1]
-    for i in range(len(q) - 1, -1, -1):
-        c = rem[i + dg] / lead
-        q[i] = c
-        for j, oc in enumerate(gc):
-            rem[i + j] = rem[i + j] - c * oc
-    if any(not r.is_zero for r in rem[:dg]):
-        raise DomainError("exact division in K[z] has nonzero remainder")
-    # clear denominators: lcm via product/gcd chain
-    den = Poly.one()
-    for c in q:
-        den = den * c.den.exact_div(poly_gcd(den, c.den))
-    out = [c.num * den.exact_div(c.den) for c in q]
-    return ZPoly.from_list(out)
-
-
 def normalize_map(Fraw: ZPoly, Graw: ZPoly) -> RationalMap:
     """Bring a fraction of z-polynomials over K into normalized form."""
     if Fraw.is_zero and Graw.is_zero:
         raise DomainError("numerator and denominator both zero")
     F, G = Fraw, Graw
     if not F.is_zero and not G.is_zero:
-        g = zpoly_gcd_over_k(F, G)
-        if g.degree > 0:
-            F = _kz_exact_div(F, g)
-            G = _kz_exact_div(G, g)
+        _, F, G = zpoly_gcd_over_k(F, G)
     # joint k[t] content
     cp = poly_gcd(F.content_poly(), G.content_poly())
     if cp.degree > 0:

@@ -1,62 +1,77 @@
-"""Conversions to sympy for factorization, gcd and squarefree decomposition.
+"""Factorization, gcd, resultant and squarefree decomposition through sympy's
+dense integer routines.
 
-sympy is used as the factorization engine only; all public data stays in the
-package's own exact types. Factoring in Q[z, t] gives the factorization over
-K = Q(t) by Gauss's lemma: irreducible factors with positive z-degree are
-exactly the K[z]-irreducibles, and t-only factors are units of K.
+sympy is used as the engine only; all public data stays in the package's own
+exact types. Every call converts its operands straight to sympy's dense
+representation over ZZ and calls the ``dup_*``/``dmp_*`` routine, with no
+sympy expressions or ``Poly`` objects in between:
+
+- an element p of Q[t] becomes the list of its integer numerators
+  ``p.ints``, highest degree first. Its denominator is a positive rational
+  unit and is dropped wherever only associates matter (factors);
+- an element f of Q[t][z] becomes m*f in Z[z, t], where m is the lcm of the
+  denominators of its z-coefficients: a list of t-lists in the variable
+  order (z, t), each level highest degree first, zero entries as ``[]``.
+
+Factoring in Z[z, t] gives the factorization over K = Q(t) by Gauss's
+lemma: irreducible factors with positive z-degree are exactly the
+K[z]-irreducibles, and t-only factors are units of K. Results with positive
+z-degree are returned in one canonical form: t-primitive, integer
+coefficients with gcd 1 and positive leading coefficient of the leading
+z-coefficient. The same holds for gcds and squarefree parts, which clearing
+denominators changes only by units.
+
+The resultant is the exception: it must stay exact, not just up to units.
+For f of z-degree a and g of z-degree b, Res(m_f*f, m_g*g) equals
+m_f^b * m_g^a * Res(f, g), since the resultant is homogeneous of degree b in
+the coefficients of f and of degree a in those of g. ``resultant_z``
+divides that factor back out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-import sympy
+from sympy.polys.densearith import dmp_mul, dmp_neg
+from sympy.polys.densebasic import dmp_ground_LC
+from sympy.polys.densetools import dmp_ground_primitive
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dmp_inner_gcd, dmp_primitive, dmp_resultant
+from sympy.polys.factortools import dmp_factor_list, dup_factor_list
+from sympy.polys.sqfreetools import dmp_sqf_list
 
 from .errors import DomainError
 from .polynomials import Poly, ZPoly
 
-_T, _Z = sympy.symbols("t z")
+
+def _to_dense(f: ZPoly) -> tuple[list[list[int]], int]:
+    """(m*f as a dense (z, t) list over ZZ, m) for nonzero f, with m the lcm
+    of the denominators of the z-coefficients."""
+    m = lcm(*(c.den for c in f.coeffs))
+    dense = []
+    for c in reversed(f.coeffs):
+        row = list(reversed(c.ints))
+        if c.den != m:
+            row = [x * (m // c.den) for x in row]
+        dense.append(row)
+    return dense, m
 
 
-def poly_to_sympy(p: Poly) -> sympy.Poly:
-    return sympy.Poly(
-        [sympy.Rational(c, p.den) for c in reversed(p.ints)] or [0],
-        _T,
-        domain="QQ",
-    )
+def _from_dense(f: list[list[int]], scale: Fraction = Fraction(1)) -> ZPoly:
+    """The ZPoly scale * f of a dense (z, t) list over ZZ."""
+    rows = [Poly(tuple(reversed(row)), 1) for row in reversed(f)]
+    if scale != 1:
+        rows = [p.scale(scale) for p in rows]
+    return ZPoly.from_list(rows)
 
 
-def sympy_to_poly(sp: sympy.Poly) -> Poly:
-    return Poly.from_list(
-        [Fraction(c.numerator, c.denominator) for c in reversed(sp.all_coeffs())]
-    )
-
-
-def zpoly_to_sympy(f: ZPoly) -> sympy.Poly:
-    terms = {}
-    for i, c in enumerate(f.coeffs):
-        for j, q in enumerate(c.ints):
-            if q:
-                terms[(i, j)] = sympy.Rational(q, c.den)
-    if not terms:
-        terms[(0, 0)] = sympy.Integer(0)
-    return sympy.Poly.from_dict(terms, _Z, _T, domain="QQ")
-
-
-def sympy_to_zpoly(sp: sympy.Poly) -> ZPoly:
-    coeffs: dict[int, dict[int, Fraction]] = {}
-    for (i, j), q in sp.as_dict().items():
-        coeffs.setdefault(i, {})[j] = Fraction(q.numerator, q.denominator)
-    if not coeffs:
-        return ZPoly.zero()
-    zdeg = max(coeffs)
-    out = []
-    for i in range(zdeg + 1):
-        row = coeffs.get(i, {})
-        tdeg = max(row, default=-1)
-        out.append(Poly.from_list([row.get(j, Fraction(0)) for j in range(tdeg + 1)]))
-    return ZPoly.from_list(out)
+def _canonical(f: list[list[int]]) -> list[list[int]]:
+    """Canonical associate of a t-primitive dense (z, t) polynomial: integer
+    content 1 and positive leading coefficient of the leading z-coefficient."""
+    _, f = dmp_ground_primitive(f, 1, ZZ)
+    return dmp_neg(f, 1, ZZ) if dmp_ground_LC(f, 1, ZZ) < 0 else f
 
 
 @lru_cache(maxsize=4096)
@@ -70,11 +85,8 @@ def factor_tpoly(p: Poly) -> tuple[Fraction, tuple[tuple[Poly, int], ...]]:
         raise DomainError("cannot factor zero")
     if p.is_constant:
         return p.constant_value(), ()
-    factors = []
-    _, raw = poly_to_sympy(p).factor_list()
-    for sp, mult in raw:
-        q = sympy_to_poly(sympy.Poly(sp, _T, domain="QQ"))
-        factors.append((q.monic(), mult))
+    _, raw = dup_factor_list(list(reversed(p.ints)), ZZ)
+    factors = [(Poly(tuple(reversed(q)), 1).monic(), mult) for q, mult in raw]
     # monic factors make the unit exactly the leading coefficient
     factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return p.leading, tuple(factors)
@@ -87,17 +99,6 @@ def is_irreducible_tpoly(p: Poly) -> bool:
     return len(factors) == 1 and factors[0][1] == 1
 
 
-def _canonical_kz_factor(sp: sympy.Poly) -> ZPoly:
-    """Canonical representative of a K[z]-irreducible: t-primitive with
-    positive integer-coprime coefficients and positive leading sign."""
-    f = sympy_to_zpoly(sp)
-    c = f.rational_content()
-    lead_sign = f.leading.leading
-    if lead_sign < 0:
-        c = -c
-    return f.scale(1 / c)
-
-
 def factor_zpoly_over_k(f: ZPoly) -> list[tuple[ZPoly, int]]:
     """Irreducible factorization over K = Q(t) of a nonzero f in K[z].
 
@@ -108,12 +109,8 @@ def factor_zpoly_over_k(f: ZPoly) -> list[tuple[ZPoly, int]]:
         raise DomainError("cannot factor zero")
     if f.degree <= 0:
         return []
-    _, raw = zpoly_to_sympy(f).factor_list()
-    out = []
-    for sp, mult in raw:
-        spp = sympy.Poly(sp, _Z, _T, domain="QQ")
-        if spp.degree(_Z) > 0:
-            out.append((_canonical_kz_factor(spp), mult))
+    _, raw = dmp_factor_list(_to_dense(f)[0], 1, ZZ)
+    out = [(_from_dense(_canonical(q)), mult) for q, mult in raw if len(q) > 1]
     out.sort(key=lambda fm: (fm[0].degree, [tuple(c.coeffs) for c in fm[0].coeffs]))
     return out
 
@@ -121,19 +118,16 @@ def factor_zpoly_over_k(f: ZPoly) -> list[tuple[ZPoly, int]]:
 def sqf_zpoly_over_k(f: ZPoly) -> list[tuple[ZPoly, int]]:
     """Squarefree decomposition over K of a nonzero f in K[z].
 
-    Returns [(part, multiplicity)] for the parts with positive z-degree.
+    Returns [(part, multiplicity)] for the parts with positive z-degree, in
+    ascending multiplicity. A part may carry t-content: sympy multiplies the
+    squarefree parts of the t-content into the parts of equal multiplicity.
     """
     if f.is_zero:
         raise DomainError("cannot decompose zero")
     if f.degree <= 0:
         return []
-    _, raw = zpoly_to_sympy(f).sqf_list()
-    out = []
-    for sp, mult in raw:
-        spp = sympy.Poly(sp, _Z, _T, domain="QQ")
-        if spp.degree(_Z) > 0:
-            out.append((_canonical_kz_factor(spp), mult))
-    return out
+    _, raw = dmp_sqf_list(_to_dense(f)[0], 1, ZZ)
+    return [(_from_dense(_canonical(q)), mult) for q, mult in raw if len(q) > 1]
 
 
 def resultant_z(f: ZPoly, g: ZPoly) -> Poly:
@@ -141,30 +135,37 @@ def resultant_z(f: ZPoly, g: ZPoly) -> Poly:
     the degrees are the actual z-degrees, with no homogenization)."""
     if f.is_zero or g.is_zero:
         raise DomainError("resultant of zero polynomial")
-    r = sympy.resultant(
-        zpoly_to_sympy(f).as_expr(), zpoly_to_sympy(g).as_expr(), _Z
-    )
-    return sympy_to_poly(sympy.Poly(r, _T, domain="QQ"))
+    (F, mf), (G, mg) = _to_dense(f), _to_dense(g)
+    r = Poly(tuple(reversed(dmp_resultant(F, G, 1, ZZ))), 1)
+    scale = mf ** g.degree * mg ** f.degree
+    return r if scale == 1 else r.scale(Fraction(1, scale))
 
 
-def zpoly_gcd_over_k(f: ZPoly, g: ZPoly) -> ZPoly:
-    """gcd of f, g in K[z], returned as a canonical t-primitive ZPoly.
+def zpoly_gcd_over_k(f: ZPoly, g: ZPoly) -> tuple[ZPoly, ZPoly, ZPoly]:
+    """gcd h of f, g in K[z] with the cofactors f/h and g/h.
 
-    The gcd of t-primitive polynomials over Q[z, t] coincides with the
-    K[z]-gcd up to units of K; content in t is stripped from the result.
+    h is canonical (t-primitive, see the module docstring) and the cofactors
+    are exact, with Q[t] coefficients by Gauss's lemma. A z-constant gcd is
+    returned as 1 with the cofactors f and g; gcd(0, g) is g itself.
     """
     if f.is_zero:
-        return g
+        return g, f, ZPoly.one()
     if g.is_zero:
-        return f
-    sp = sympy.gcd(zpoly_to_sympy(f), zpoly_to_sympy(g))
-    h = sympy_to_zpoly(sympy.Poly(sp, _Z, _T, domain="QQ"))
-    if h.degree <= 0:
-        return ZPoly.one()
-    cp = h.content_poly()
-    if cp.degree > 0:
-        h = h.exact_div_poly(cp)
-    c = h.rational_content()
-    if h.leading.leading < 0:
-        c = -c
-    return h.scale(1 / c)
+        return f, ZPoly.one(), g
+    (F, mf), (G, mg) = _to_dense(f), _to_dense(g)
+    h, cf, cg = dmp_inner_gcd(F, G, 1, ZZ)
+    if len(h) == 1:
+        return ZPoly.one(), f, g
+    # m_f*f = cont*prim*cf with prim = +-h canonical, so f/h = +-cont*cf/m_f
+    cont, h = dmp_primitive(h, 1, ZZ)
+    sign = 1 if dmp_ground_LC(h, 1, ZZ) > 0 else -1
+    if sign < 0:
+        h = dmp_neg(h, 1, ZZ)
+    if cont != [1]:
+        cf = dmp_mul(cf, [cont], 1, ZZ)
+        cg = dmp_mul(cg, [cont], 1, ZZ)
+    return (
+        _from_dense(h),
+        _from_dense(cf, Fraction(sign, mf)),
+        _from_dense(cg, Fraction(sign, mg)),
+    )

@@ -5,14 +5,21 @@
 - fraction_mul, fraction_divmod, fraction_gcd: schoolbook product, long
   division and Euclid's gcd on lists of Fractions, against the integer
   kernels of polynomials.Poly.
+- sympy_factor_tpoly, sympy_factor_zpoly_over_k, sympy_sqf_zpoly_over_k,
+  sympy_resultant_z, sympy_zpoly_gcd_over_k: the sympybridge functions
+  computed on sympy expressions and ``sympy.Poly`` over QQ (one
+  ``sympy.Rational`` per coefficient, ``sympy.resultant``, ``sympy.gcd``,
+  ``factor_list``, ``sqf_list``), against the dense ZZ routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import sympy
+
 from ffdyn.maps import RationalMap
-from ffdyn.polynomials import Poly
+from ffdyn.polynomials import Poly, ZPoly
 
 
 def bareiss_det(M: list[list[Poly]]) -> Poly:
@@ -91,3 +98,110 @@ def fraction_gcd(a: Poly, b: Poly) -> Poly:
         if not b.is_zero:
             b = b.scale(1 / b.leading)
     return a.scale(1 / a.leading) if not a.is_zero else a
+
+
+# ---------------------------------------------------------------------------
+# sympybridge on sympy expressions over QQ
+# ---------------------------------------------------------------------------
+
+_T, _Z = sympy.symbols("t z")
+
+
+def poly_to_sympy(p: Poly) -> sympy.Poly:
+    return sympy.Poly(
+        [sympy.Rational(c, p.den) for c in reversed(p.ints)] or [0],
+        _T,
+        domain="QQ",
+    )
+
+
+def sympy_to_poly(sp: sympy.Poly) -> Poly:
+    return Poly.from_list(
+        [Fraction(c.numerator, c.denominator) for c in reversed(sp.all_coeffs())]
+    )
+
+
+def zpoly_to_sympy(f: ZPoly) -> sympy.Poly:
+    terms = {}
+    for i, c in enumerate(f.coeffs):
+        for j, q in enumerate(c.ints):
+            if q:
+                terms[(i, j)] = sympy.Rational(q, c.den)
+    if not terms:
+        terms[(0, 0)] = sympy.Integer(0)
+    return sympy.Poly.from_dict(terms, _Z, _T, domain="QQ")
+
+
+def sympy_to_zpoly(sp: sympy.Poly) -> ZPoly:
+    coeffs: dict[int, dict[int, Fraction]] = {}
+    for (i, j), q in sp.as_dict().items():
+        coeffs.setdefault(i, {})[j] = Fraction(q.numerator, q.denominator)
+    if not coeffs:
+        return ZPoly.zero()
+    out = []
+    for i in range(max(coeffs) + 1):
+        row = coeffs.get(i, {})
+        tdeg = max(row, default=-1)
+        out.append(Poly.from_list([row.get(j, Fraction(0)) for j in range(tdeg + 1)]))
+    return ZPoly.from_list(out)
+
+
+def _canonical_kz(f: ZPoly) -> ZPoly:
+    """Divide by the rational content, signed so that the leading
+    coefficient of the leading z-coefficient is positive."""
+    c = f.rational_content()
+    if f.leading.leading < 0:
+        c = -c
+    return f.scale(1 / c)
+
+
+def sympy_factor_tpoly(p: Poly) -> tuple[Fraction, tuple[tuple[Poly, int], ...]]:
+    if p.is_constant:
+        return p.constant_value(), ()
+    _, raw = poly_to_sympy(p).factor_list()
+    factors = [
+        (sympy_to_poly(sympy.Poly(sp, _T, domain="QQ")).monic(), mult)
+        for sp, mult in raw
+    ]
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return p.leading, tuple(factors)
+
+
+def _kz_parts(raw) -> list[tuple[ZPoly, int]]:
+    out = []
+    for sp, mult in raw:
+        spp = sympy.Poly(sp, _Z, _T, domain="QQ")
+        if spp.degree(_Z) > 0:
+            out.append((_canonical_kz(sympy_to_zpoly(spp)), mult))
+    return out
+
+
+def sympy_factor_zpoly_over_k(f: ZPoly) -> list[tuple[ZPoly, int]]:
+    if f.degree <= 0:
+        return []
+    out = _kz_parts(zpoly_to_sympy(f).factor_list()[1])
+    out.sort(key=lambda fm: (fm[0].degree, [tuple(c.coeffs) for c in fm[0].coeffs]))
+    return out
+
+
+def sympy_sqf_zpoly_over_k(f: ZPoly) -> list[tuple[ZPoly, int]]:
+    if f.degree <= 0:
+        return []
+    return _kz_parts(zpoly_to_sympy(f).sqf_list()[1])
+
+
+def sympy_resultant_z(f: ZPoly, g: ZPoly) -> Poly:
+    r = sympy.resultant(zpoly_to_sympy(f).as_expr(), zpoly_to_sympy(g).as_expr(), _Z)
+    return sympy_to_poly(sympy.Poly(r, _T, domain="QQ"))
+
+
+def sympy_zpoly_gcd_over_k(f: ZPoly, g: ZPoly) -> ZPoly:
+    """Canonical t-primitive gcd of nonzero f, g in K[z]."""
+    sp = sympy.gcd(zpoly_to_sympy(f), zpoly_to_sympy(g))
+    h = sympy_to_zpoly(sympy.Poly(sp, _Z, _T, domain="QQ"))
+    if h.degree <= 0:
+        return ZPoly.one()
+    cp = h.content_poly()
+    if cp.degree > 0:
+        h = h.exact_div_poly(cp)
+    return _canonical_kz(h)

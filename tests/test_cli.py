@@ -1,5 +1,7 @@
 """End-to-end CLI tests: golden outputs, exit codes, formats, determinism."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -304,6 +306,45 @@ def test_env_overrides(capsys, monkeypatch):
     monkeypatch.setenv("FFDYN_FORMAT", "csv")
     code, out, _ = run(capsys, "canheight", "--map", "z^2+t", "--point", "0")
     assert out.splitlines()[0].startswith("command,")
+
+
+def test_bad_env_value_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("FFDYN_DEPTH", "abc")
+    code, out, err = run(capsys, "canheight", "--map", "z^2+t", "--point", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad FFDYN_DEPTH value 'abc'\n"
+    monkeypatch.setenv("FFDYN_FORMAT", "xml")
+    code, _, err = run(capsys, "height", "t")
+    assert (code, err) == (2, "error: bad FFDYN_FORMAT value 'xml'\n")
+    monkeypatch.delenv("FFDYN_FORMAT")
+    # commands without a --depth option never read FFDYN_DEPTH
+    assert run(capsys, "height", "t") == (0, "1\n", "")
+    # an explicit option wins without reading the variable
+    code, _, _ = run(
+        capsys, "canheight", "--map", "z^2+t", "--point", "0", "--depth", "3"
+    )
+    assert code == 0
+
+
+def test_env_read_on_each_call(capsys, monkeypatch):
+    # the parser is built once per process; each call still sees its own
+    # environment
+    argv = ("canheight", "--map", "z^2+t", "--point", "0")
+    monkeypatch.setenv("FFDYN_DEPTH", "6")
+    monkeypatch.setenv("FFDYN_FORMAT", "json")
+    code, out, _ = run(capsys, *argv)
+    (rec,) = jlines(out)
+    assert code == 0 and rec["depth"] == 6
+    monkeypatch.setenv("FFDYN_DEPTH", "4")
+    monkeypatch.setenv("FFDYN_FORMAT", "csv")
+    code, out, _ = run(capsys, *argv)
+    (rec,) = csv.DictReader(io.StringIO(out))
+    assert code == 0 and rec["command"] == '"canheight"' and rec["depth"] == "4"
+    monkeypatch.delenv("FFDYN_DEPTH")
+    monkeypatch.delenv("FFDYN_FORMAT")
+    (rec,) = jlines(run(capsys, *argv)[1])
+    assert rec["depth"] == 10
 
 
 def test_csv_format(capsys):

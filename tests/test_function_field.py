@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ffdyn import (
@@ -152,3 +152,26 @@ def test_constants_have_zero_height(a, b):
     assert height_elem(x) == 0
     if a != 0:
         assert product_formula_defect(x) == 0
+
+
+_small = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=4
+).map(Poly.from_list)
+
+
+@given(_small, _small.filter(lambda p: not p.is_zero), st.integers(-3, 5))
+@settings(max_examples=150, deadline=None)
+def test_power_matches_make(num, den, n):
+    x = FieldElement.make(num, den)
+    assume(n >= 0 or not x.is_zero)
+    if n >= 0:
+        expected = FieldElement.make(x.num**n, x.den**n)
+    else:
+        expected = FieldElement.make(x.den**-n, x.num**-n)
+    assert x**n == expected
+
+
+def test_power_of_zero():
+    zero = FieldElement.zero()
+    assert zero**0 == FieldElement.one()
+    assert zero**3 == zero

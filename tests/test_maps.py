@@ -83,6 +83,49 @@ def test_normalize_removes_content_and_common_factors():
     assert map_text(psi) == "z - t"
 
 
+_Z = ZPoly.z()
+_T = ZPoly.const(Poly.t())
+
+
+def _c(q) -> ZPoly:
+    return ZPoly.const(Poly.constant(Fraction(q)))
+
+
+@pytest.mark.parametrize(
+    "F, G, printed",
+    [
+        # (z^2-t^2)/(z-t)
+        (_Z * _Z - _T * _T, _Z - _T, "z + t"),
+        # (t*z^2-t)/(t*z-t): shared t-content
+        (_T * _Z * _Z - _T, _T * _Z - _T, "z + 1"),
+        # ((z-t)*(z^2+1/3*t))/((z-t)*(2*z+5)): rational coefficients
+        (
+            (_Z - _T) * (_Z * _Z + _c("1/3") * _T),
+            (_Z - _T) * (_c(2) * _Z + _c(5)),
+            "(3*z^2 + t)/(6*z + 15)",
+        ),
+        # ((t^2+1)*z^3+z)/((t^2+1)*z^2)
+        (
+            (_T * _T + _c(1)) * _Z**3 + _Z,
+            (_T * _T + _c(1)) * _Z * _Z,
+            "((t^2 + 1)*z^2 + 1)/((t^2 + 1)*z)",
+        ),
+        # (z^2+t)/(3/7*z)
+        (_Z * _Z + _T, _c("3/7") * _Z, "(7*z^2 + 7*t)/(3*z)"),
+        # ((z+t)^2*(z-1))/((z+t)*(z^2+t)*t^3): cubic common factor
+        (
+            (_Z + _T) ** 2 * (_Z - _c(1)),
+            (_Z + _T) * (_Z * _Z + _T) * _T**3,
+            "(z^2 + (t - 1)*z - t)/(t^3*z^2 + t^4)",
+        ),
+    ],
+)
+def test_normalize_map_regression(F, G, printed):
+    phi = normalize_map(F, G)
+    assert map_text(phi) == printed
+    assert phi.d == max(phi.F.degree, phi.G.degree)
+
+
 def test_normalize_sign_convention():
     phi = parse_rational_map("(-z^2 - t)/(-1)")
     assert map_text(phi) == "z^2 + t"
