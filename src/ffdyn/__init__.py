@@ -30,6 +30,7 @@ from .function_field import (
 from .heights import (
     BoundParams,
     HeightInterval,
+    Orbit,
     Preperiodic,
     Wandering,
     canonical_height,
@@ -37,7 +38,6 @@ from .heights import (
     displacement_bound,
     hmin_lattice_scan,
     iterate_height_check,
-    map_height,
 )
 from .local_geometry import (
     LocalHeightValue,
@@ -59,7 +59,6 @@ from .maps import (
     is_exceptional,
     is_polynomial_iterate,
     isotriviality_heuristic,
-    iterate,
     max_fiber_ram,
     normalize_map,
     power,

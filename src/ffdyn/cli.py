@@ -152,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=_EnvDefault("BUDGET", DEFAULT_HEIGHT_BUDGET, int),
-            help="orbit height budget",
+            help="orbit height budget: the largest orbit height the map is "
+            "applied to",
         )
 
     p = cmd("height", "naive height of a point or field element")
@@ -269,7 +270,9 @@ def _emit(args, records: list[dict]) -> None:
         writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
         writer.writeheader()
         for r in records:
-            writer.writerow({k: json.dumps(r[k]) if k in r else "" for k in r})
+            writer.writerow(
+                {k: v if isinstance(v, str) else json.dumps(v) for k, v in r.items()}
+            )
         text = buf.getvalue()
     if args.output:
         with open(args.output, "w") as fh:

@@ -125,12 +125,6 @@ class BoundParams:
 # ---------------------------------------------------------------------------
 
 
-def map_height(phi: RationalMap) -> int:
-    """Height of the map: max t-degree of the coefficients of its
-    normalized numerator/denominator pair."""
-    return phi.coefficient_height()
-
-
 def displacement_bound(phi: RationalMap) -> int:
     """Certified integer B with |h(phi(P)) - d*h(P)| <= B for all P.
 
@@ -143,7 +137,8 @@ def displacement_bound(phi: RationalMap) -> int:
     is taken so one B works for both inequalities.
     """
     require_dynamical(phi)
-    return map_height(phi) + resultant(phi).degree + 2 * phi.d * map_height(phi)
+    h = phi.coefficient_height()
+    return h + resultant(phi).degree + 2 * phi.d * h
 
 
 @dataclass(frozen=True)
@@ -170,8 +165,8 @@ def iterate_height_check(phi: RationalMap, n: int) -> IterateHeightRecord:
     if n < 1:
         raise DomainError("iterate index must be positive")
     d = phi.d
-    h = map_height(phi)
-    lhs = map_height(power(phi, n))
+    h = phi.coefficient_height()
+    lhs = power(phi, n).coefficient_height()
     geo = (d**n - 1) // (d - 1)
     sharp = geo * h
     loose = Fraction(sharp) + Fraction(21, 10) * d * d * ((d ** (n - 1) - 1) // (d - 1))
@@ -183,23 +178,45 @@ def iterate_height_check(phi: RationalMap, n: int) -> IterateHeightRecord:
 # ---------------------------------------------------------------------------
 
 
-def orbit_with_budget(
-    phi: RationalMap,
-    P: ProjectivePoint,
-    n: int,
-    height_budget: int = DEFAULT_HEIGHT_BUDGET,
-) -> list[ProjectivePoint]:
-    require_dynamical(phi)
-    orbit = [P]
-    for step in range(n):
-        nxt = apply_map(phi, orbit[-1])
-        if nxt.height > height_budget:
-            raise OrbitBudgetError(
-                f"orbit height {nxt.height} exceeds budget {height_budget} "
-                f"at iterate {step + 1}"
-            )
-        orbit.append(nxt)
-    return orbit
+class Orbit:
+    """The orbit of P under phi, computed on demand: orbit[n] is phi^n(P)
+    and orbit.prefix(n) is [P, phi(P), ..., phi^n(P)]. Iterates are kept, so
+    each apply_map step runs once per Orbit.
+
+    Height budget: phi is applied only to an iterate whose height is within
+    height_budget. Asking past an iterate that exceeds the budget raises
+    OrbitBudgetError("orbit height H exceeds budget B at iterate n"). The
+    iterate that exceeds the budget is still returned: it is already
+    computed, so a caller that stops there does no extra work.
+    """
+
+    def __init__(
+        self,
+        phi: RationalMap,
+        P: ProjectivePoint,
+        height_budget: int = DEFAULT_HEIGHT_BUDGET,
+    ):
+        require_dynamical(phi)
+        self.phi = phi
+        self.height_budget = height_budget
+        self._points = [P]
+
+    def __getitem__(self, n: int) -> ProjectivePoint:
+        if n < 0:
+            raise DomainError("negative iterate index")
+        points = self._points
+        while len(points) <= n:
+            last = points[-1]
+            if last.height > self.height_budget:
+                raise OrbitBudgetError(
+                    f"orbit height {last.height} exceeds budget "
+                    f"{self.height_budget} at iterate {len(points) - 1}"
+                )
+            points.append(apply_map(self.phi, last))
+        return points[n]
+
+    def prefix(self, n: int) -> list[ProjectivePoint]:
+        return [self[k] for k in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +234,8 @@ def canonical_height(
     require_dynamical(phi)
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    orbit = orbit_with_budget(phi, P, depth, height_budget)
     d = phi.d
-    center = Fraction(orbit[-1].height, d**depth)
+    center = Fraction(Orbit(phi, P, height_budget)[depth].height, d**depth)
     radius = Fraction(displacement_bound(phi), d**depth * (d - 1))
     return HeightInterval(max(Fraction(0), center - radius), center + radius)
 
@@ -251,13 +267,12 @@ def classify_preperiodic(
     Preperiodicity is certified by an exact orbit repetition; wandering is
     certified by a canonical-height interval with positive lower endpoint.
     """
-    require_dynamical(phi)
+    orbit = Orbit(phi, P, height_budget)
     seen = {P: 0}
-    current = P
     d = phi.d
     B = displacement_bound(phi)
     for n in range(1, max_iter + 1):
-        current = apply_map(phi, current)
+        current = orbit[n]
         if current in seen:
             tail = seen[current]
             return Preperiodic(tail=tail, cycle=n - tail)
@@ -265,11 +280,6 @@ def classify_preperiodic(
         lo = Fraction(current.height, d**n) - Fraction(B, d**n * (d - 1))
         if lo > 0:
             return Wandering(canonical_lower=lo, depth=n)
-        if current.height > height_budget:
-            raise OrbitBudgetError(
-                f"orbit height {current.height} exceeds budget {height_budget} "
-                "before classification succeeded"
-            )
         seen[current] = n
     raise OrbitBudgetError(f"no classification within {max_iter} iterates")
 

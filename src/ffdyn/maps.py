@@ -129,9 +129,6 @@ class RationalMap:
         """Coefficient of z^d in the degree-d homogenization of G."""
         return self.G.coeff(self.d)
 
-    def f_top(self) -> Poly:
-        return self.F.coeff(self.d)
-
     def __str__(self) -> str:
         from .exprs import map_text
 
@@ -236,15 +233,6 @@ def apply_map(phi: RationalMap, P: ProjectivePoint) -> ProjectivePoint:
                 break
             A, B = qa, qb
     return ProjectivePoint._scaled(A, B)
-
-
-def iterate(phi: RationalMap, P: ProjectivePoint, n: int) -> list[ProjectivePoint]:
-    """Orbit prefix [P, phi(P), ..., phi^n(P)]."""
-    require_dynamical(phi)
-    orbit = [P]
-    for _ in range(n):
-        orbit.append(apply_map(phi, orbit[-1]))
-    return orbit
 
 
 def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:

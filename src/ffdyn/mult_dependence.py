@@ -25,11 +25,10 @@ from .function_field import (
     ord_at,
     support,
 )
-from .heights import DEFAULT_HEIGHT_BUDGET, Preperiodic, classify_preperiodic
+from .heights import DEFAULT_HEIGHT_BUDGET, Orbit, Preperiodic, classify_preperiodic
 from .maps import (
     ProjectivePoint,
     RationalMap,
-    apply_map,
     bad_reduction_places,
     require_dynamical,
 )
@@ -46,17 +45,7 @@ def _affine_orbit(
     height_budget: int = DEFAULT_HEIGHT_BUDGET,
 ) -> list[Optional[FieldElement]]:
     """[alpha, phi(alpha), ..., phi^n(alpha)] as affine values; None at infinity."""
-    require_dynamical(phi)
-    orbit = [alpha]
-    for step in range(n):
-        nxt = apply_map(phi, orbit[-1])
-        if nxt.height > height_budget:
-            raise OrbitBudgetError(
-                f"orbit height {nxt.height} exceeds budget {height_budget} "
-                f"at iterate {step + 1}"
-            )
-        orbit.append(nxt)
-    return [pt.affine() for pt in orbit]
+    return [pt.affine() for pt in Orbit(phi, alpha, height_budget).prefix(n)]
 
 
 # ---------------------------------------------------------------------------

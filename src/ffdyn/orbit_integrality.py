@@ -26,16 +26,15 @@ from .heights import (
     DEFAULT_HEIGHT_BUDGET,
     BoundParams,
     HeightInterval,
+    Orbit,
     Preperiodic,
     canonical_height,
     classify_preperiodic,
-    map_height,
 )
 from .local_geometry import lambda_sum
 from .maps import (
     ProjectivePoint,
     RationalMap,
-    apply_map,
     is_exceptional,
     is_polynomial_iterate,
     require_dynamical,
@@ -157,9 +156,9 @@ def count_S_integral(
         )
     hits = []
     certificate = None
-    current = P
+    orbit = Orbit(phi, P, height_budget)
     for n in range(1, N + 1):
-        current = apply_map(phi, current)
+        current = orbit[n]
         elem = current.affine()
         if elem is not None and is_S_integer(elem, S):
             hits.append(n)
@@ -167,11 +166,6 @@ def count_S_integral(
             certificate = _certificate_at(phi, n, current, S)
             if certificate is not None:
                 break
-        if current.height > height_budget:
-            raise OrbitBudgetError(
-                f"orbit height {current.height} exceeds budget {height_budget} at "
-                f"iterate {n} with no persistence certificate; raise the budget"
-            )
     return IntegralScanReport(
         hits=tuple(hits),
         scanned_to=N,
@@ -241,19 +235,10 @@ def gamma_set(
             raise DomainError("base point is preperiodic; orbit scan requires wandering")
     d = phi.d
     hhat_P = canonical_height(phi, P, depth, height_budget)
-    orbit = [P]
-    for _ in range(N):
-        nxt = apply_map(phi, orbit[-1])
-        if nxt.height > height_budget:
-            raise OrbitBudgetError(
-                f"orbit height {nxt.height} exceeds budget {height_budget}"
-            )
-        orbit.append(nxt)
     records = []
     in_idx = []
     undecided_idx = []
-    for n in range(N + 1):
-        x = orbit[n]
+    for n, x in enumerate(Orbit(phi, P, height_budget).prefix(N)):
         hhat = HeightInterval(d**n * hhat_P.lo, d**n * hhat_P.hi)
         elem = x.affine()
         s_integral = elem is not None and is_S_integer(elem, S)
@@ -308,7 +293,7 @@ def gamma_set_bound_rhs(
     endpoint 0) is rejected."""
     require_dynamical(phi)
     gamma1 = params.get("gamma1")
-    h_phi = map_height(phi)
+    h_phi = phi.coefficient_height()
     hhat_A = canonical_height(phi, A, depth, height_budget)
     hhat_P = canonical_height(phi, P, depth, height_budget)
     if hhat_P.lo <= 0:
@@ -335,7 +320,7 @@ def integral_count_bound_rhs(
     count of S-integral iterates for a wandering base point."""
     require_dynamical(phi)
     gamma1 = params.get("gamma1")
-    h_phi = Fraction(map_height(phi))
+    h_phi = Fraction(phi.coefficient_height())
     hhat_P = canonical_height(phi, P, depth, height_budget)
     if hhat_P.lo <= 0:
         raise DomainError(
@@ -409,7 +394,7 @@ def estimate_gamma(
         if m_star is None:
             records.append(GammaEstimateRecord(i, None, 0, 0, False))
             continue
-        h_phi = map_height(phi)
+        h_phi = phi.coefficient_height()
         hhat_A = canonical_height(phi, A, depth, height_budget)
         hhat_P = canonical_height(phi, P, depth, height_budget)
         if hhat_P.lo <= 0:

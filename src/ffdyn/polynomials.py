@@ -381,15 +381,6 @@ class Poly:
             return other.is_zero
         return other.exact_quotient(self) is not None
 
-    def derivative(self) -> "Poly":
-        return _canon([c * i for i, c in enumerate(self.ints)][1:], self.den)
-
-    def eval(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.ints):
-            acc = acc * x + c
-        return acc / self.den
-
     # -- normal forms --------------------------------------------------------
 
     def monic(self) -> "Poly":

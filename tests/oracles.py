@@ -10,6 +10,8 @@
   computed on sympy expressions and ``sympy.Poly`` over QQ (one
   ``sympy.Rational`` per coefficient, ``sympy.resultant``, ``sympy.gcd``,
   ``factor_list``, ``sqf_list``), against the dense ZZ routes.
+- plain_orbit: the orbit prefix by repeated apply_map with no budget,
+  against heights.Orbit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import sympy
 
-from ffdyn.maps import RationalMap
+from ffdyn.maps import ProjectivePoint, RationalMap, apply_map
 from ffdyn.polynomials import Poly, ZPoly
 
 
@@ -205,3 +207,11 @@ def sympy_zpoly_gcd_over_k(f: ZPoly, g: ZPoly) -> ZPoly:
     if cp.degree > 0:
         h = h.exact_div_poly(cp)
     return _canonical_kz(h)
+
+
+def plain_orbit(phi: RationalMap, P: ProjectivePoint, n: int) -> list[ProjectivePoint]:
+    """Orbit prefix [P, phi(P), ..., phi^n(P)]."""
+    orbit = [P]
+    for _ in range(n):
+        orbit.append(apply_map(phi, orbit[-1]))
+    return orbit

@@ -340,7 +340,7 @@ def test_env_read_on_each_call(capsys, monkeypatch):
     monkeypatch.setenv("FFDYN_FORMAT", "csv")
     code, out, _ = run(capsys, *argv)
     (rec,) = csv.DictReader(io.StringIO(out))
-    assert code == 0 and rec["command"] == '"canheight"' and rec["depth"] == "4"
+    assert code == 0 and rec["command"] == "canheight" and rec["depth"] == "4"
     monkeypatch.delenv("FFDYN_DEPTH")
     monkeypatch.delenv("FFDYN_FORMAT")
     (rec,) = jlines(run(capsys, *argv)[1])
@@ -367,7 +367,32 @@ def test_csv_format(capsys):
     )
     lines = out.splitlines()
     assert lines[0] == "command,epsilon,m,map,schema,target"
-    assert '"choose-m"' in lines[1] and "4" in lines[1]
+    assert lines[1].split(",")[:3] == ["choose-m", "1/2", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("choose-m", "--map", "(z^2-t)/z", "--target", "0", "--epsilon", "1/2"),
+        (
+            "integral-count", "--map", "(z^2-t)/z", "--point", "t",
+            "--places", "inf", "--max-n", "30",
+        ),
+    ],
+    ids=["choose-m", "integral-count"],
+)
+def test_csv_round_trip(capsys, argv):
+    # string cells are written as they are, every other cell as JSON
+    (expected,) = jlines(run(capsys, *argv)[1])
+    (rec,) = csv.DictReader(io.StringIO(run(capsys, "--format", "csv", *argv)[1]))
+    assert rec.keys() == expected.keys()
+    for key, value in expected.items():
+        if isinstance(value, str):
+            assert rec[key] == value
+        else:
+            assert json.loads(rec[key]) == value
+    if "certificate" in expected:
+        assert isinstance(json.loads(rec["certificate"]), dict)
 
 
 def test_output_file(capsys, tmp_path):

@@ -15,7 +15,6 @@ from ffdyn import (
     displacement_bound,
     hmin_lattice_scan,
     iterate_height_check,
-    map_height,
     parse_point,
     parse_rational_map,
 )
@@ -29,11 +28,11 @@ def pt(text):
 
 
 def test_map_height_examples(quad_poly_map, quad_quotient_map, monomial_map):
-    assert map_height(quad_poly_map) == 1
-    assert map_height(quad_quotient_map) == 1
-    assert map_height(monomial_map) == 1
-    assert map_height(parse_rational_map("z^2+1")) == 0
-    assert map_height(parse_rational_map("(z^2+t^3)/(t*z)")) == 3
+    assert quad_poly_map.coefficient_height() == 1
+    assert quad_quotient_map.coefficient_height() == 1
+    assert monomial_map.coefficient_height() == 1
+    assert parse_rational_map("z^2+1").coefficient_height() == 0
+    assert parse_rational_map("(z^2+t^3)/(t*z)").coefficient_height() == 3
 
 
 def test_height_interval_validation():

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from ffdyn import (
+    Orbit,
     Place,
     apply_map,
     bad_reduction_places,
@@ -16,7 +17,6 @@ from ffdyn import (
     is_exceptional,
     is_polynomial_iterate,
     isotriviality_heuristic,
-    iterate,
     max_fiber_ram,
     normalize_map,
     parse_point,
@@ -170,7 +170,7 @@ def test_apply_examples(quad_poly_map, quad_quotient_map):
 def test_apply_reduction_keeps_coordinates_coprime(quad_quotient_map):
     from ffdyn.polynomials import poly_gcd
 
-    orbit = iterate(quad_quotient_map, pt("t"), 5)
+    orbit = Orbit(quad_quotient_map, pt("t")).prefix(5)
     for P in orbit:
         assert poly_gcd(P.x0, P.x1).degree <= 0
     # height pattern 2^(n-2) for this orbit
@@ -191,7 +191,7 @@ def test_power_matches_pointwise_iteration(quad_poly_map):
     cube = power(quad_poly_map, 3)
     for _ in range(10):
         P = rand_point(rng, max_deg=1, cmax=3)
-        assert apply_map(cube, P) == iterate(quad_poly_map, P, 3)[-1]
+        assert apply_map(cube, P) == Orbit(quad_poly_map, P)[3]
 
 
 # ---------------------------------------------------------------------------

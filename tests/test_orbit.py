@@ -1,0 +1,231 @@
+"""The budgeted orbit: agreement with plain iteration, memoization, and the
+height-budget rule at every public entry point that takes a budget."""
+
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+import ffdyn.heights
+from ffdyn import (
+    BoundParams,
+    DependenceQuery,
+    Orbit,
+    Wandering,
+    canonical_height,
+    classify_preperiodic,
+    count_S_integral,
+    dependence_search,
+    estimate_gamma,
+    gamma_set,
+    gamma_set_bound_rhs,
+    hmin_lattice_scan,
+    integral_count_bound_rhs,
+    parse_field_elem,
+    parse_places,
+    parse_point,
+    parse_rational_map,
+    parse_split_form,
+    poly_case_classifier,
+    split_multilinear_zero_scan,
+    unit_hits,
+)
+from ffdyn.errors import DomainError, OrbitBudgetError
+from ffdyn.heights import HeightInterval
+from ffdyn.mult_dependence import DependenceSolution
+from ffdyn.randgen import rand_map, rand_point
+
+from oracles import plain_orbit
+
+
+def pt(text):
+    return parse_point(text)
+
+
+def test_prefix_matches_plain_orbit_seeded():
+    rng = Random(41)
+    for _ in range(25):
+        phi = rand_map(rng, d=rng.choice([2, 3]), coeff_deg=1, cmax=3)
+        P = rand_point(rng, max_deg=1, cmax=3)
+        n = rng.randint(0, 4)
+        orbit = Orbit(phi, P)
+        assert orbit.prefix(n) == plain_orbit(phi, P, n)
+        assert orbit[n] == plain_orbit(phi, P, n)[-1]
+
+
+def test_iterates_are_computed_once(quad_quotient_map, monkeypatch):
+    calls = []
+    apply_map = ffdyn.heights.apply_map
+
+    def counting(phi, P):
+        calls.append(P)
+        return apply_map(phi, P)
+
+    monkeypatch.setattr(ffdyn.heights, "apply_map", counting)
+    orbit = Orbit(quad_quotient_map, pt("t"))
+    top = orbit[5]
+    assert len(calls) == 5
+    assert [orbit[k] for k in range(6)] == orbit.prefix(5)
+    assert orbit[5] == top
+    assert len(calls) == 5
+    orbit[6]
+    assert len(calls) == 6
+
+
+def test_negative_index(quad_poly_map):
+    with pytest.raises(DomainError):
+        Orbit(quad_poly_map, pt("0"))[-1]
+
+
+# z^2 + t at P = 0: iterate heights 0, 1, 2, 4, 8, displacement bound B = 5.
+
+
+def test_budget_boundary_classify(quad_poly_map):
+    # iterate 4 (height 8) crosses the budget 7 and is still inspected
+    assert classify_preperiodic(quad_poly_map, pt("0"), height_budget=7) == Wandering(
+        Fraction(3, 16), 4
+    )
+
+
+def test_budget_boundary_canonical_height(quad_poly_map):
+    # the last requested iterate may exceed the budget: it is already computed
+    assert canonical_height(quad_poly_map, pt("0"), 4, 7) == HeightInterval(
+        Fraction(3, 16), Fraction(13, 16)
+    )
+    # one step further would apply the map to it
+    with pytest.raises(OrbitBudgetError, match="exceeds budget 7 at iterate 4"):
+        canonical_height(quad_poly_map, pt("0"), 5, 7)
+
+
+def test_budget_boundary_integral_count(quad_poly_map, S_inf):
+    report = count_S_integral(quad_poly_map, pt("0"), S_inf, 4, height_budget=7)
+    assert report.hits == (1, 2, 3, 4) and report.certificate is None
+    with pytest.raises(OrbitBudgetError, match="exceeds budget 7 at iterate 4"):
+        count_S_integral(quad_poly_map, pt("0"), S_inf, 5, height_budget=7)
+
+
+def test_budget_applies_to_the_base_point(quad_poly_map):
+    orbit = Orbit(quad_poly_map, pt("t^3"), height_budget=2)
+    assert orbit[0] == pt("t^3")
+    with pytest.raises(OrbitBudgetError, match="height 3 exceeds budget 2 at iterate 0"):
+        orbit[1]
+
+
+def _case_b_solution():
+    # z^2 has good reduction everywhere; alpha = 1/(t+1) has a pole outside S
+    return DependenceSolution(
+        n=1, k=1, r=1, s=2, u=parse_field_elem("1"), alpha=pt("1/(t+1)"), rho=0.0
+    )
+
+
+S_INF = parse_places("inf")
+QUAD = parse_rational_map("z^2+t")
+QUOT = parse_rational_map("(z^2-t)/z")
+GAMMA1 = BoundParams.from_pairs([("gamma1", 1)])
+
+# (entry point, call with the given budget, budget, expected message)
+BUDGET_CASES = [
+    (
+        "canonical_height",
+        lambda b: canonical_height(QUAD, pt("0"), 5, b),
+        7,
+        "orbit height 8 exceeds budget 7 at iterate 4",
+    ),
+    (
+        "classify_preperiodic",
+        lambda b: classify_preperiodic(QUAD, pt("0"), height_budget=b),
+        3,
+        "orbit height 4 exceeds budget 3 at iterate 3",
+    ),
+    (
+        "hmin_lattice_scan",
+        # points of height 3 are certified wandering at iterate 1 (height 6)
+        lambda b: hmin_lattice_scan(QUAD, 3, 1, 4, height_budget=b),
+        3,
+        "orbit height 6 exceeds budget 3 at iterate 1",
+    ),
+    (
+        "count_S_integral",
+        lambda b: count_S_integral(QUAD, pt("0"), S_INF, 6, height_budget=b),
+        3,
+        "orbit height 4 exceeds budget 3 at iterate 3",
+    ),
+    (
+        "gamma_set",
+        lambda b: gamma_set(
+            QUOT, S_INF, pt("inf"), pt("t"), Fraction(1, 2), 6, depth=2,
+            wandering_attested=True, height_budget=b,
+        ),
+        4,
+        "orbit height 8 exceeds budget 4 at iterate 4",
+    ),
+    (
+        "gamma_set_bound_rhs",
+        lambda b: gamma_set_bound_rhs(
+            GAMMA1, QUOT, pt("inf"), pt("t"), depth=8, height_budget=b
+        ),
+        4,
+        "orbit height 8 exceeds budget 4 at iterate 4",
+    ),
+    (
+        "integral_count_bound_rhs",
+        lambda b: integral_count_bound_rhs(
+            GAMMA1, QUOT, pt("t"), depth=8, height_budget=b
+        ),
+        4,
+        "orbit height 8 exceeds budget 4 at iterate 4",
+    ),
+    (
+        "estimate_gamma",
+        # the scan of P = t fits; the target's interval does not
+        lambda b: estimate_gamma(
+            [(QUOT, pt("t^2"), pt("t"))], S_INF, Fraction(1, 4), 2, depth=4,
+            height_budget=b,
+        ),
+        4,
+        "orbit height 6 exceeds budget 4 at iterate 2",
+    ),
+    (
+        "unit_hits",
+        lambda b: unit_hits(QUAD, pt("0"), S_INF, 6, height_budget=b),
+        3,
+        "orbit height 4 exceeds budget 3 at iterate 3",
+    ),
+    (
+        "dependence_search",
+        lambda b: dependence_search(
+            QUAD, DependenceQuery(pt("t"), S_INF, 2, 2, 1, 1),
+            wandering_attested=True, height_budget=b,
+        ),
+        3,
+        "orbit height 4 exceeds budget 3 at iterate 2",
+    ),
+    (
+        "poly_case_classifier",
+        lambda b: poly_case_classifier(
+            parse_rational_map("z^2"), _case_b_solution(), S_INF, height_budget=b
+        ),
+        1,
+        "orbit height 2 exceeds budget 1 at iterate 1",
+    ),
+    (
+        "split_multilinear_zero_scan",
+        lambda b: split_multilinear_zero_scan(
+            parse_split_form("T1 - t"), QUAD, pt("0"), 6, height_budget=b
+        ),
+        3,
+        "orbit height 4 exceeds budget 3 at iterate 3",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, budget, message",
+    [case[1:] for case in BUDGET_CASES],
+    ids=[case[0] for case in BUDGET_CASES],
+)
+def test_too_small_budget_names_budget_and_iterate(call, budget, message):
+    with pytest.raises(OrbitBudgetError) as info:
+        call(budget)
+    assert str(info.value) == message
+    call(1 << 14)  # the default budget is enough

@@ -8,6 +8,7 @@ import pytest
 
 from ffdyn import (
     BoundParams,
+    Orbit,
     Place,
     canonical_height,
     ceil_log_plus,
@@ -24,7 +25,6 @@ from ffdyn import (
     place_set,
 )
 from ffdyn.errors import DomainError, OrbitBudgetError
-from ffdyn.maps import iterate
 from ffdyn.polynomials import Poly
 
 
@@ -77,7 +77,7 @@ def test_count_S_integral_long_range(quad_quotient_map, S_inf):
 
 def test_certificate_really_persists(quad_quotient_map, S_inf):
     # direct check on the iterates we can afford: the pole at t-1 stays
-    orbit = iterate(quad_quotient_map, pt("t"), 8)
+    orbit = Orbit(quad_quotient_map, pt("t")).prefix(8)
     v = Place.finite(Poly.of(-1, 1))
     for P in orbit[2:]:
         elem = P.affine()
@@ -180,7 +180,7 @@ def test_gamma_set_matches_exact_envelope(quad_quotient_map, S_inf, half):
     report = gamma_set(
         quad_quotient_map, S_inf, pt("inf"), pt("t"), half, 4, depth=10
     )
-    orbit = iterate(quad_quotient_map, pt("t"), 4)
+    orbit = Orbit(quad_quotient_map, pt("t")).prefix(4)
     for rec, P in zip(report.records, orbit):
         val = lambda_sum(P, pt("inf"), S_inf)
         assert rec.proximity == val.value
