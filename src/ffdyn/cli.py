@@ -381,7 +381,9 @@ def _run_orbit_scan(args) -> int:
     }
     if args.params:
         params = BoundParams.from_file(args.params)
-        lo, hi = gamma_set_bound_rhs(params, phi, A, P, depth=args.depth)
+        lo, hi = gamma_set_bound_rhs(
+            params, phi, A, P, depth=args.depth, height_budget=args.budget
+        )
         summary["bound_rhs_lo"] = str(lo)
         summary["bound_rhs_hi"] = str(hi)
     records.append(summary)
@@ -411,7 +413,9 @@ def _run_integral_count(args) -> int:
         }
     if args.params:
         params = BoundParams.from_file(args.params)
-        lo, hi = integral_count_bound_rhs(params, phi, P, depth=args.depth)
+        lo, hi = integral_count_bound_rhs(
+            params, phi, P, depth=args.depth, height_budget=args.budget
+        )
         record["bound_rhs_lo"] = str(lo)
         record["bound_rhs_hi"] = str(hi)
     _emit(args, [record])
@@ -469,7 +473,9 @@ def _run_multdep(args) -> int:
             "rho": sol.rho,
         }
         if phi.is_polynomial:
-            rec["case_label"] = poly_case_classifier(phi, sol, S).label
+            rec["case_label"] = poly_case_classifier(
+                phi, sol, S, height_budget=args.budget
+            ).label
         records.append(rec)
     records.append(
         {

@@ -395,8 +395,13 @@ def estimate_gamma(
             records.append(GammaEstimateRecord(i, None, 0, 0, False))
             continue
         h_phi = phi.coefficient_height()
-        hhat_A = canonical_height(phi, A, depth, height_budget)
-        hhat_P = canonical_height(phi, P, depth, height_budget)
+        try:
+            hhat_A = canonical_height(phi, A, depth, height_budget)
+            hhat_P = canonical_height(phi, P, depth, height_budget)
+        except OrbitBudgetError as exc:
+            warnings.append(f"instance {i} excluded: {exc}")
+            records.append(GammaEstimateRecord(i, None, 0, 0, True))
+            continue
         if hhat_P.lo <= 0:
             warnings.append(
                 f"instance {i} excluded: base point canonical height not "

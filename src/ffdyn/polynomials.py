@@ -294,6 +294,12 @@ class Poly:
             return self
         return Poly((0,) * k + self.ints, self.den)
 
+    def drop_low(self, k: int) -> "Poly":
+        """Quotient by t**k: the coefficients of t^k and above, moved down."""
+        if k < 0:
+            raise DomainError("negative shift")
+        return _canon(self.ints[k:], self.den) if k else self
+
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise DomainError("negative polynomial power")

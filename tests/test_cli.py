@@ -297,6 +297,30 @@ def test_domain_error_exit_1(capsys):
     assert "exceptional" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["orbit-scan", "--places", "inf", "--target", "t^2", "--epsilon",
+             "1/4", "--max-n", "2", "--depth", "4"],
+            "orbit height 6 exceeds budget 4 at iterate 2",
+        ),
+        (
+            ["integral-count", "--places", "inf", "--max-n", "2", "--depth", "5"],
+            "orbit height 8 exceeds budget 4 at iterate 4",
+        ),
+    ],
+    ids=["orbit-scan", "integral-count"],
+)
+def test_budget_reaches_the_bound_evaluation(capsys, tmp_path, argv, message):
+    # the scans fit the budget; only the --params bound needs deeper heights
+    params = tmp_path / "params.txt"
+    params.write_text("gamma1 = 1\n")
+    argv = argv + ["--map", "(z^2-t)/z", "--point", "t", "--params", str(params)]
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--budget", "4") == (1, "", f"error: {message}\n")
+
+
 def test_env_overrides(capsys, monkeypatch):
     monkeypatch.setenv("FFDYN_DEPTH", "6")
     code, out, _ = run(capsys, "canheight", "--map", "z^2+t", "--point", "0")

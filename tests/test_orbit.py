@@ -1,5 +1,6 @@
 """The budgeted orbit: agreement with plain iteration, memoization, and the
-height-budget rule at every public entry point that takes a budget."""
+height-budget rule at every public entry point that takes a budget, for
+iterates and for Orbit.height."""
 
 from fractions import Fraction
 from random import Random
@@ -111,6 +112,17 @@ def test_budget_applies_to_the_base_point(quad_poly_map):
         orbit[1]
 
 
+def test_budget_boundaries_of_height(quad_poly_map):
+    # the cases above, asked through Orbit.height
+    assert Orbit(quad_poly_map, pt("0"), 7).height(4) == 8
+    with pytest.raises(OrbitBudgetError, match="height 8 exceeds budget 7 at iterate 4"):
+        Orbit(quad_poly_map, pt("0"), 7).height(5)
+    orbit = Orbit(quad_poly_map, pt("t^3"), height_budget=2)
+    assert orbit.height(0) == 3
+    with pytest.raises(OrbitBudgetError, match="height 3 exceeds budget 2 at iterate 0"):
+        orbit.height(1)
+
+
 def _case_b_solution():
     # z^2 has good reduction everywhere; alpha = 1/(t+1) has a pole outside S
     return DependenceSolution(
@@ -136,13 +148,6 @@ BUDGET_CASES = [
         lambda b: classify_preperiodic(QUAD, pt("0"), height_budget=b),
         3,
         "orbit height 4 exceeds budget 3 at iterate 3",
-    ),
-    (
-        "hmin_lattice_scan",
-        # points of height 3 are certified wandering at iterate 1 (height 6)
-        lambda b: hmin_lattice_scan(QUAD, 3, 1, 4, height_budget=b),
-        3,
-        "orbit height 6 exceeds budget 3 at iterate 1",
     ),
     (
         "count_S_integral",
@@ -176,16 +181,6 @@ BUDGET_CASES = [
         "orbit height 8 exceeds budget 4 at iterate 4",
     ),
     (
-        "estimate_gamma",
-        # the scan of P = t fits; the target's interval does not
-        lambda b: estimate_gamma(
-            [(QUOT, pt("t^2"), pt("t"))], S_INF, Fraction(1, 4), 2, depth=4,
-            height_budget=b,
-        ),
-        4,
-        "orbit height 6 exceeds budget 4 at iterate 2",
-    ),
-    (
         "unit_hits",
         lambda b: unit_hits(QUAD, pt("0"), S_INF, 6, height_budget=b),
         3,
@@ -217,6 +212,31 @@ BUDGET_CASES = [
         "orbit height 4 exceeds budget 3 at iterate 3",
     ),
 ]
+
+
+def test_hmin_lattice_scan_skips_points_past_the_budget():
+    # constants reach depth 4 within budget 7 (heights 0, 1, 2, 4, 8); the
+    # degree-1 points are certified wandering at iterate 3 but their depth-4
+    # interval would apply the map to height 8
+    full = hmin_lattice_scan(QUAD, 1, 1, 4)
+    small = hmin_lattice_scan(QUAD, 1, 1, 4, height_budget=7)
+    assert (full.scanned, full.certified_wandering) == (10, 9)
+    assert (small.scanned, small.certified_wandering) == (10, 3)
+    assert small.min_positive_upper == full.min_positive_upper == Fraction(13, 16)
+    assert small.witness == full.witness
+
+
+def test_estimate_gamma_excludes_instances_past_the_budget():
+    # the scan of P = t fits the budget; the interval of the target t^2 does not
+    instances = [(QUOT, pt("t^2"), pt("t")), (QUOT, pt("t"), pt("t"))]
+    report = estimate_gamma(instances, S_INF, Fraction(1, 4), 2, depth=4, height_budget=4)
+    assert report.warnings == (
+        "instance 0 excluded: orbit height 6 exceeds budget 4 at iterate 2",
+    )
+    assert [rec.excluded for rec in report.records] == [True, False]
+    assert (report.gamma_hat, report.witnesses) == (2, (1,))
+    full = estimate_gamma(instances, S_INF, Fraction(1, 4), 2, depth=4)
+    assert full.warnings == () and full.records[1] == report.records[1]
 
 
 @pytest.mark.parametrize(
