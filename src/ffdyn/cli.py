@@ -274,6 +274,11 @@ def _emit(args, records: list[dict]) -> None:
                 {k: v if isinstance(v, str) else json.dumps(v) for k, v in r.items()}
             )
         text = buf.getvalue()
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
+    """Write text to the --output file, or to stdout without one."""
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -292,12 +297,7 @@ def _interval_dict(interval) -> dict:
 
 def _run_height(args) -> int:
     P = parse_point(args.expr)
-    out = f"{P.height}\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write(args, f"{P.height}\n")
     return 0
 
 

@@ -13,15 +13,15 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import ConfigError, DomainError, OrbitBudgetError
-from .function_field import FieldElement, poly_ord
+from .function_field import FieldElement
 from .maps import (
     ProjectivePoint,
     RationalMap,
     apply_map,
+    common_factor,
     power,
     require_dynamical,
     resultant,
-    resultant_factors,
 )
 from .polynomials import BinaryMonomials, Poly, rational_content
 
@@ -229,10 +229,10 @@ class Orbit:
         from a truncated local state stepped n - j times.
 
         Notation: phi = [F : G] of degree d and height h(phi), F = sum F_i
-        x0^i x1^(d-i) and likewise G; Res is its resultant, e_pi = ord_pi Res
-        for each irreducible pi | Res, and L = 2d*h(phi) - deg Res >= 0. For
-        Q = [x0 : x1] with coprime coordinates of height h, let A = F(x0, x1),
-        B = G(x0, x1), D = d*h + h(phi) and M = max(deg A, deg B) <= D.
+        x0^i x1^(d-i) and likewise G; Res is its resultant and L = 2d*h(phi)
+        - deg Res >= 0. For Q = [x0 : x1] with coprime coordinates of height
+        h, let A = F(x0, x1), B = G(x0, x1), D = d*h + h(phi) and M = max(deg
+        A, deg B) <= D.
 
         Facts:
         (F1) h > h(phi) implies A != 0 and B != 0. Say B = 0. If x0 = 0 or
@@ -240,8 +240,9 @@ class Orbit:
              largest i with G_i != 0; dividing B by x0^a x1^(d-b) leaves a
              form whose vanishing gives x1 | G_b x0^(b-a) and x0 | G_a
              x1^(b-a), so x1 | G_b, x0 | G_a and h <= h(phi). Same for A.
-        (F2) If A, B != 0 then gcd(A, B) divides Res, so h(phi Q) = M -
-             sum m_pi deg pi with m_pi = min(ord_pi A, ord_pi B) <= e_pi.
+        (F2) If A, B != 0 then g = gcd(A, B) divides Res: by the identity of
+             (F3) it divides Res x0^(2d-1) and Res x1^(2d-1), whose gcd is
+             Res. So h(phi Q) = M - deg g, and g = common_factor(A, B, Res).
         (F3) M >= D - L. The adjugate of the Sylvester matrix gives
              Res * x_i^(2d-1) = g_i(x) A + h_i(x) B, with forms g_i, h_i of
              degree d - 1 whose coefficients are (2d-1)-minors, of degree at
@@ -251,42 +252,46 @@ class Orbit:
              which is >= h once (d-1) h >= (2d-1) h(phi).
 
         State with r steps left: h; a window (u0, u1) with x_i = t^s u_i +
-        (terms of degree < s), s = h - r*L, so of width W = r*L + 1; for each
-        pi | Res residues (p0, p1) = mu*(x0, x1) mod pi^k, k = r*e_pi + 1, with
-        mu a unit at pi. One step:
+        (terms of degree < s), s = h - r*L, so of width W = r*L + 1; and,
+        unless Res is constant (then g = 1), residues (p0, p1) = mu*(x0, x1)
+        mod Res^(r+1) with mu coprime to Res. One step:
         1. Each product in A - t^(ds) F(u0, u1) has a factor of degree < s
            and the others of degree <= h, so its degree is <= D - W: the
            coefficients of A at degrees >= c = D - W + 1 are those of
            t^(ds) F(u0, u1), and by (F3) M >= D - L >= c can be read there.
-        2. mu^d F(x) = F(p) mod pi^k, so m_pi is read mod pi^k: by (F2)
-           m_pi <= e_pi < k.
-        3. h' = M - deg g with g = prod pi^m_pi, by (F2).
+        2. rho_A = F(p) mod Res^(r+1) is mu^d A mod Res^(r+1), likewise rho_B,
+           and mu is coprime to Res, so g = common_factor(rho_A, rho_B, Res)
+           by (F2).
+        3. h' = M - deg g, by (F2).
         4. Write A = t^c a + A_low, deg A_low < c. As g | A and c >= deg g,
            the quotient A / g agrees with (t^c a) // g at degrees >= c - deg
            g, where it is t^(c - deg g) ((t^(deg g) a) // g). Its width is
-           M - c + 1 >= (r-1) L + 1 by (F3); it is cut to (r-1) L + 1. The
-           residues A/pi^m mod pi^(k-m), k - m >= (r-1) e + 1, are the new
-           coordinates times mu^d prod pi'^m' (pi' != pi), a unit at pi;
-           they are cut to (r-1) e + 1. Each pair is divided by its rational
-           content, which moves no degree and no order.
+           M - c + 1 >= (r-1) L + 1 by (F3); it is cut to (r-1) L + 1. As g
+           divides mu^d A and Res^(r+1), rho_A / g = mu^d A / g mod Res^(r+1)
+           / g, and Res^r divides that modulus as g | Res: mod Res^r the
+           quotients are the new coordinates times mu^d and a rational
+           constant. Each pair is divided by its rational content, which
+           moves no degree and no factor. As Res also divides that modulus,
+           common_factor(rho_A / g, rho_B / g, Res) = gcd(A/g, B/g, Res),
+           which is 1 by (F2); a nonconstant value raises. Modulo Res^r alone
+           the last step could not tell a loss of Res from one beyond it.
 
         Switch at the first j, r = n - j, where the window drops a
         coefficient (h >= r*L + 1), c >= deg Res and (d-1) h >= (2d-1)
         h(phi). Then h > h(phi), and by (F4) h never drops, so (F1), hence
         (F2), holds at every later step. W never grows, so c = d*h + h(phi)
         - W + 1 never drops and c >= deg Res >= deg g at every later step.
-        Steps 1 and 2 check (F3) and m_pi <= e_pi anyway.
+        Steps 1 and 4 check (F3) and (F2) anyway.
 
-        A further switch condition only saves time: the state holds
-        2d*h(phi)*r + 1 + sum deg pi coefficients per coordinate, and twice
-        that must not exceed d^(r-1) h, about the height of the last iterate
-        the global path would build. A truncated step does the products of a
-        global step on that many coefficients plus reductions mod pi^k. With
-        one step left, heights near 20 and several bad places, the truncated
-        step took a median 1.4 to 2.7 times as long as the global one at
-        about equal sizes; on orbits of height-1 maps at depths 5 to 9, with
-        two or more steps left or four times fewer coefficients, the
-        truncated steps took a median 0.06 to 0.26 times as long.
+        A further switch condition only saves time: the state holds r*L + 1
+        window and (r+1) deg Res residue coefficients per coordinate,
+        2d*h(phi)*r + 1 + deg Res in all, and twice that must not exceed
+        d^(r-1) h, about the height of the last iterate the global path
+        would build. On the per-place residues this state replaced, a
+        truncated step with one step left took 1.4 to 2.7 times as long as a
+        global step of about equal size (heights near 20, several bad
+        places), and 0.06 to 0.26 times with two or more steps left or four
+        times fewer coefficients (height-1 maps, depths 5 to 9).
 
         The cost is not polynomial in n: the window and residue coefficients
         are rationals that can grow like an orbit over a number field.
@@ -301,11 +306,10 @@ class Orbit:
         if n == 0:
             return None
         d, h_phi, deg_res, L = _local_constants(self.phi)
-        radical_degree = sum(pi.degree for pi, _ in resultant_factors(self.phi))
         for j in range(n):
             h = self[j].height
             r = n - j
-            state_size = 2 * d * h_phi * r + 1 + radical_degree
+            state_size = 2 * d * h_phi * r + 1 + deg_res
             if (
                 h > r * L
                 and 2 * state_size <= d ** (r - 1) * h
@@ -323,10 +327,9 @@ class Orbit:
         h, r = Q.height, n - j
         s = h - r * L
         window = _content_free(Q.x0.drop_low(s), Q.x1.drop_low(s))
-        places = []
-        for pi, e in resultant_factors(phi):
-            mod = pi ** (r * e + 1)
-            places.append((pi, e, _content_free(Q.x0 % mod, Q.x1 % mod)))
+        res = resultant(phi)
+        mod = res ** (r + 1)
+        residues = None if res.is_constant else _content_free(Q.x0 % mod, Q.x1 % mod)
         for i in range(j, n):
             self._check_budget(h, i)
             r = n - i
@@ -344,33 +347,26 @@ class Orbit:
                     f"internal error: top degree {M} below {D - L} at iterate {i}"
                 )
             g = Poly.one()
-            reduced = []
-            for pi, e, residues in places:
-                k = r * e + 1
-                mod = pi**k
+            if residues is not None:
                 mons = BinaryMonomials(*residues, d)
                 values = [form.homogeneous_eval(mons) % mod for form in (phi.F, phi.G)]
-                m = min(k if v.is_zero else poly_ord(v, pi) for v in values)
-                if m > e:
-                    raise RuntimeError(
-                        f"internal error: loss {m} at a place of order {e} "
-                        f"in the resultant, iterate {i}"
-                    )
-                if m:
-                    pm = pi**m
-                    g = g * pm
-                    values = [v.exact_div(pm) for v in values]
-                reduced.append((pi, e, values))
+                g = common_factor(*values, res)
+                if g.degree:
+                    values = [v.exact_div(g) for v in values]
+                    if common_factor(*values, res).degree:
+                        raise RuntimeError(
+                            f"internal error: common factor beyond the resultant "
+                            f"at iterate {i}"
+                        )
             h = M - g.degree
             if r > 1:
                 cut = M - D + L
                 if g.degree:
                     tops = [top.shift(g.degree) // g for top in tops]
                 window = _content_free(*(top.drop_low(cut) for top in tops))
-                places = []
-                for pi, e, values in reduced:
-                    mod = pi ** ((r - 1) * e + 1)
-                    places.append((pi, e, _content_free(*(v % mod for v in values))))
+                if residues is not None:
+                    mod = res**r
+                    residues = _content_free(*(v % mod for v in values))
         return h
 
 
@@ -470,11 +466,11 @@ def hmin_lattice_scan(
     deg_bound: int,
     coeff_height_bound: int,
     depth: int,
-    include_infinity: bool = True,
     height_budget: int = DEFAULT_HEIGHT_BUDGET,
 ) -> HminScanReport:
-    """Scan polynomial points with bounded degree and coefficient size for
-    the smallest certified upper bound on a positive canonical height.
+    """Scan polynomial points with bounded degree and coefficient size, and
+    the point at infinity, for the smallest certified upper bound on a
+    positive canonical height.
 
     A point whose classification or depth-`depth` interval would apply phi
     past the height budget is skipped and not counted as certified."""
@@ -503,8 +499,7 @@ def hmin_lattice_scan(
             extend(prefix + [v], k + 1)
 
     extend([], 0)
-    if include_infinity:
-        add(ProjectivePoint.infinity())
+    add(ProjectivePoint.infinity())
     best: Optional[Fraction] = None
     witness: Optional[ProjectivePoint] = None
     certified = 0

@@ -88,10 +88,11 @@ class ProjectivePoint:
         return self.x1.is_zero
 
     def affine(self) -> Optional[FieldElement]:
-        """Affine coordinate, or None for the point at infinity."""
+        """Affine coordinate, or None for the point at infinity. The
+        coordinates are coprime with x1 monic, so x0/x1 is already reduced."""
         if self.is_infinite:
             return None
-        return FieldElement.make(self.x0, self.x1)
+        return FieldElement(self.x0, self.x1)
 
     @property
     def height(self) -> int:
@@ -188,15 +189,21 @@ def resultant(phi: RationalMap) -> Poly:
     return det.primitive()
 
 
-@lru_cache(maxsize=512)
-def resultant_factors(phi: RationalMap) -> tuple[tuple[Poly, int], ...]:
-    _, factors = factor_tpoly(resultant(phi))
-    return factors
-
-
 def bad_reduction_places(phi: RationalMap) -> PlaceSet:
     """Finite places dividing the resultant of the normalized model."""
-    return frozenset(Place(q) for q, _ in resultant_factors(phi))
+    _, factors = factor_tpoly(resultant(phi))
+    return frozenset(Place(q) for q, _ in factors)
+
+
+def common_factor(a: Poly, b: Poly, res: Poly) -> Poly:
+    """Monic gcd(a mod res, b mod res, res) = gcd(a, b, res) for nonzero res:
+    gcd(a, b) whenever that divides res, as for the values of a map at
+    coprime coordinates and res its resultant. The gcds run on remainders
+    of degree below deg res; b is reduced only if a and res share a factor."""
+    if res.is_constant:
+        return Poly.one()
+    g = poly_gcd(a % res, res)
+    return poly_gcd(b % res, g) if g.degree > 0 else g
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +219,9 @@ def apply_map(phi: RationalMap, P: ProjectivePoint) -> ProjectivePoint:
     factor and the image point is unchanged, while every product runs on
     integers. F and G share one table of monomials x0^i * x1^(d-i).
 
-    Any common factor of the evaluated pair divides the resultant, so the
-    coprime reduction is done by trial division against its factorization
-    (much cheaper than a generic gcd at large orbit heights).
+    Any common factor of the evaluated pair divides the resultant, so it is
+    common_factor(A, B, Res): a gcd of remainders of degree below deg Res,
+    much cheaper than a gcd of A and B at large orbit heights.
     """
     mons = BinaryMonomials(*clear_denominators((P.x0, P.x1)), phi.d)
     A = phi.F.homogeneous_eval(mons)
@@ -223,15 +230,9 @@ def apply_map(phi: RationalMap, P: ProjectivePoint) -> ProjectivePoint:
         return ProjectivePoint.infinity()
     if A.is_zero:
         return ProjectivePoint.zero()
-    for pi, _ in resultant_factors(phi):
-        while True:
-            qa = A.exact_quotient(pi)
-            if qa is None:
-                break
-            qb = B.exact_quotient(pi)
-            if qb is None:
-                break
-            A, B = qa, qb
+    g = common_factor(A, B, resultant(phi))
+    if g.degree > 0:
+        A, B = A.exact_div(g), B.exact_div(g)
     return ProjectivePoint._scaled(A, B)
 
 

@@ -38,9 +38,11 @@ from .maps import (
     is_exceptional,
     is_polynomial_iterate,
     require_dynamical,
-    resultant_factors,
+    resultant,
 )
 from .sympybridge import factor_tpoly
+
+CERTIFICATE_HEIGHT_LIMIT = 256  # count_S_integral seeks certificates up to it
 
 # ---------------------------------------------------------------------------
 # Exact integer bounds for log_d^+ of rational intervals
@@ -111,11 +113,11 @@ def _certificate_at(
     elem = point.affine()
     if elem is None or elem.den.degree == 0:
         return None
-    bad = {q for q, _ in resultant_factors(phi)}
+    res = resultant(phi)
     g_top = phi.g_top()
     _, den_factors = factor_tpoly(elem.den)
     for q, _ in den_factors:
-        if Place(q) in S or q in bad:
+        if Place(q) in S or q.divides(res):
             continue
         if not g_top.is_zero and not q.divides(g_top):
             continue
@@ -129,7 +131,6 @@ def count_S_integral(
     S: PlaceSet,
     N: int,
     height_budget: int = DEFAULT_HEIGHT_BUDGET,
-    certificate_height_limit: int = 256,
 ) -> IntegralScanReport:
     """Indices 1 <= n <= N with phi^n(P) an S-integer (infinity never counts).
 
@@ -162,7 +163,7 @@ def count_S_integral(
         elem = current.affine()
         if elem is not None and is_S_integer(elem, S):
             hits.append(n)
-        if current.height <= certificate_height_limit:
+        if current.height <= CERTIFICATE_HEIGHT_LIMIT:
             certificate = _certificate_at(phi, n, current, S)
             if certificate is not None:
                 break

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -57,3 +58,26 @@ def point_t():
 @pytest.fixture
 def point_inf():
     return parse_point("inf")
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(name) wraps the function `name` in every ffdyn module
+    that binds it (modules bind each other's names with `from .x import y`)
+    and returns the list that records the arguments of each call."""
+
+    def install(name):
+        calls = []
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "ffdyn" or not hasattr(module, name):
+                continue
+            original = getattr(module, name)
+
+            def wrapper(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return install

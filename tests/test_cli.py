@@ -438,6 +438,13 @@ def test_output_file(capsys, tmp_path):
     assert rec["m"] == 4
 
 
+def test_height_output_file(capsys, tmp_path):
+    target = tmp_path / "height.txt"
+    code, out, err = run(capsys, "--output", str(target), "height", "(t^2+1)/t")
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == "2\n"
+
+
 def test_byte_identical_reruns(capsys):
     argv = [
         "orbit-scan",

@@ -5,13 +5,17 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffdyn import (
     Orbit,
     Place,
     apply_map,
     bad_reduction_places,
+    canonical_height,
     choose_m,
+    classify_preperiodic,
     compose,
     fiber,
     is_exceptional,
@@ -30,14 +34,16 @@ from ffdyn import (
 )
 from ffdyn.errors import DomainError
 from ffdyn.exprs import map_text
+from ffdyn.function_field import FieldElement
 from ffdyn.maps import (
     ProjectivePoint,
     SpecialForm,
     IsotrivialityVerdict,
+    common_factor,
     conjugate,
     mobius_inverse,
 )
-from ffdyn.polynomials import Poly, ZPoly
+from ffdyn.polynomials import Poly, ZPoly, poly_gcd
 from ffdyn.randgen import rand_map, rand_point
 from oracles import resultant_sylvester
 
@@ -65,6 +71,24 @@ def test_point_affine_round_trip():
     assert P.height == 2
     assert ProjectivePoint.from_field(P.affine()) == P
     assert pt("inf").affine() is None
+
+
+def test_affine_is_the_reduced_fraction_seeded():
+    rng = Random(11)
+    phi = rand_map(rng, d=2, coeff_deg=1, cmax=2)
+    points = [rand_point(rng, max_deg=3, cmax=5) for _ in range(30)]
+    points += Orbit(phi, rand_point(rng, max_deg=1, cmax=2)).prefix(5)
+    for P in points:
+        if not P.is_infinite:
+            assert P.affine() == FieldElement.make(P.x0, P.x1)
+
+
+def test_affine_computes_no_gcd(count_calls):
+    prefix = Orbit(parse_rational_map("(z^2-t)/z"), pt("t")).prefix(8)
+    calls = count_calls("poly_gcd")
+    values = [P.affine() for P in prefix]
+    assert calls == []
+    assert values[2] == FieldElement.make(Poly.of(1, -3, 1), Poly.of(-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +176,68 @@ def test_resultant_routes_agree_seeded():
         slow = resultant_sylvester(phi)
         assert not slow.is_zero
         assert fast.monic() == slow.monic()
+
+
+# ---------------------------------------------------------------------------
+# Common factors against the resultant
+# ---------------------------------------------------------------------------
+
+small_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=4).map(Poly.from_list)
+factor_polys = st.lists(st.integers(-2, 2), min_size=2, max_size=3).map(Poly.from_list)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    parts=st.lists(st.tuples(factor_polys, st.integers(1, 3)), max_size=3),
+    extra=small_polys,
+    a0=small_polys,
+    b0=small_polys,
+    a_in_res=st.booleans(),
+)
+def test_common_factor_matches_gcd(parts, extra, a0, b0, a_in_res):
+    g = Poly.one()
+    for p, e in parts:
+        if p.degree > 0:
+            g = g * p**e
+    res = g * (extra if not extra.is_zero else Poly.one())
+    a = a0 * (res if a_in_res else g)  # res | a: a zero remainder
+    b = b0 * g
+    got = common_factor(a, b, res)
+    assert got == poly_gcd(poly_gcd(a, b), res)
+    if poly_gcd(a, b).divides(res):
+        assert got == poly_gcd(a, b)
+
+
+def test_common_factor_examples():
+    t, u = Poly.t(), Poly.of(1, 1)  # u = t + 1
+    res = t**3 * u**2  # repeated factors, e = 3 and 2
+    a = t**2 * u**2 * Poly.of(-5, 1)
+    b = t**4 * u * Poly.of(7, 1)
+    assert common_factor(a, b, res) == t**2 * u
+    # a constant resultant admits no common factor
+    assert common_factor(a, b, Poly.constant(6)) == Poly.one()
+    # a zero remainder on both sides gives res itself, made monic
+    assert common_factor(res.scale(3), res * Poly.of(-2, 1), res.scale(-2)) == res
+    assert common_factor(Poly.zero(), b, res) == t**3 * u
+
+
+@pytest.mark.parametrize(
+    "text, point, depth",
+    [
+        ("(z^2-t)/z", "t", 16),
+        ("z^2/(t^2*(t+1))", "t^2*(t+1)*(t+2)", 8),
+        ("((t-1)*z^2+z)/((t-1)^2)", "1/(t-1)", 8),
+    ],
+)
+def test_orbit_paths_do_not_factor(count_calls, text, point, depth):
+    phi = parse_rational_map(text)
+    P = pt(point)
+    assert resultant(phi).degree > 0
+    calls = count_calls("factor_tpoly")
+    apply_map(phi, P)
+    canonical_height(phi, P, depth)
+    classify_preperiodic(phi, P)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
