@@ -19,6 +19,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple
@@ -64,16 +65,6 @@ from .suites import SUITE_NAMES, run_suite
 SCHEMA = "ffdyn.report/1"
 
 
-def _env(name: str, fallback, cast=str):
-    raw = os.environ.get(f"FFDYN_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad FFDYN_{name} value {raw!r}") from exc
-
-
 class _EnvDefault(NamedTuple):
     """Parser default that FFDYN_<name> overrides. It is resolved after
     parsing (``_resolve_env_defaults``), so one parser serves every call."""
@@ -84,9 +75,14 @@ class _EnvDefault(NamedTuple):
 
 
 def _resolve_env_defaults(args: argparse.Namespace) -> None:
-    for key, value in vars(args).items():
-        if isinstance(value, _EnvDefault):
-            setattr(args, key, _env(*value))
+    for key, default in vars(args).items():
+        if not isinstance(default, _EnvDefault):
+            continue
+        raw = os.environ.get(f"FFDYN_{default.name}")
+        try:
+            setattr(args, key, default.fallback if raw is None else default.cast(raw))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad FFDYN_{default.name} value {raw!r}") from exc
 
 
 _FORMATS = ("json", "csv")
@@ -105,6 +101,7 @@ def _fraction(text: str) -> Fraction:
         raise ConfigError(f"bad rational {text!r}") from exc
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ffdyn",
@@ -124,21 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help):
-        p = sub.add_parser(name, help=help)
-        return p
-
     def add_map(p):
         p.add_argument("--map", required=True, help="rational map in z over Q(t)")
 
     def add_point(p):
         p.add_argument("--point", required=True, help="base point (element or 'inf')")
 
-    def add_places(p, required=False):
+    def add_places(p):
         p.add_argument(
             "--places",
-            default=None if required else "",
-            required=required,
+            required=True,
             help="comma-separated places: monic irreducible polynomials or 'inf'",
         )
 
@@ -156,25 +148,29 @@ def build_parser() -> argparse.ArgumentParser:
             "applied to",
         )
 
-    p = cmd("height", "naive height of a point or field element")
+    p = sub.add_parser("height", help="naive height of a point or field element")
     p.add_argument("expr", help="field element or 'inf'")
 
-    p = cmd("canheight", "certified canonical-height interval")
+    p = sub.add_parser("canheight", help="certified canonical-height interval")
     add_map(p)
     add_point(p)
     add_depth(p, 10)
     add_budget(p)
 
-    p = cmd("classify", "preperiodic/wandering classification with certificate")
+    p = sub.add_parser(
+        "classify", help="preperiodic/wandering classification with certificate"
+    )
     add_map(p)
     add_point(p)
     p.add_argument("--max-iter", type=int, default=10_000)
     add_budget(p)
 
-    p = cmd("orbit-scan", "quasi-integrality index scan against a target point")
+    p = sub.add_parser(
+        "orbit-scan", help="quasi-integrality index scan against a target point"
+    )
     add_map(p)
     add_point(p)
-    add_places(p, required=True)
+    add_places(p)
     p.add_argument("--target", default="inf")
     p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--max-n", type=int, required=True)
@@ -183,26 +179,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wandering-attested", action="store_true")
     p.add_argument("--params", help="bound-parameter file for the index bound")
 
-    p = cmd("integral-count", "count S-integral points in an orbit prefix")
+    p = sub.add_parser(
+        "integral-count", help="count S-integral points in an orbit prefix"
+    )
     add_map(p)
     add_point(p)
-    add_places(p, required=True)
+    add_places(p)
     p.add_argument("--max-n", type=int, required=True)
     add_budget(p)
     p.add_argument("--params", help="bound-parameter file for the count bound")
     add_depth(p)
 
-    p = cmd("units-in-orbit", "indices whose orbit value is an S-unit")
+    p = sub.add_parser("units-in-orbit", help="indices whose orbit value is an S-unit")
     add_map(p)
     add_point(p)
-    add_places(p, required=True)
+    add_places(p)
     p.add_argument("--max-n", type=int, required=True)
     add_budget(p)
 
-    p = cmd("multdep", "exhaustive multiplicative-dependence box search")
+    p = sub.add_parser(
+        "multdep", help="exhaustive multiplicative-dependence box search"
+    )
     add_map(p)
     add_point(p)
-    add_places(p, required=True)
+    add_places(p)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--r-max", type=int, required=True)
@@ -210,20 +210,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wandering-attested", action="store_true")
     add_budget(p)
 
-    p = cmd("split-form-scan", "zero tuples of a split multilinear form on an orbit")
+    p = sub.add_parser(
+        "split-form-scan", help="zero tuples of a split multilinear form on an orbit"
+    )
     add_map(p)
     add_point(p)
     p.add_argument("--form", required=True, help="form in variables T1, T2, ...")
     p.add_argument("--max-n", type=int, required=True)
     add_budget(p)
 
-    p = cmd("choose-m", "least fiber level with small enough ramification")
+    p = sub.add_parser(
+        "choose-m", help="least fiber level with small enough ramification"
+    )
     add_map(p)
     p.add_argument("--target", required=True)
     p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--cap", type=int, default=6)
 
-    p = cmd("estimate-gamma", "empirical index-bound constant over a family")
+    p = sub.add_parser(
+        "estimate-gamma", help="empirical index-bound constant over a family"
+    )
     p.add_argument(
         "--instance",
         action="append",
@@ -231,13 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MAP|TARGET|POINT",
         help="repeatable; three expressions separated by '|'",
     )
-    add_places(p, required=True)
+    add_places(p)
     p.add_argument("--epsilon", type=_fraction, required=True)
     p.add_argument("--max-n", type=int, required=True)
     add_depth(p, 8)
     add_budget(p)
 
-    p = cmd("verify", "run a named seeded property suite")
+    p = sub.add_parser("verify", help="run a named seeded property suite")
     p.add_argument("--suite", required=True)
     p.add_argument("--samples", type=int, default=_EnvDefault("SAMPLES", 200, int))
     p.add_argument("--seed", type=int, default=_EnvDefault("SEED", 0, int))
@@ -286,44 +292,36 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _interval_dict(interval) -> dict:
-    return {"lo": str(interval.lo), "hi": str(interval.hi), "width": str(interval.width)}
-
-
 # ---------------------------------------------------------------------------
-# Command handlers
+# Command handlers: parsed arguments -> records, which main stamps and writes
 # ---------------------------------------------------------------------------
 
 
-def _run_height(args) -> int:
-    P = parse_point(args.expr)
-    _write(args, f"{P.height}\n")
-    return 0
+def _run_height(args) -> list[dict]:
+    return [{"height": parse_point(args.expr).height}]
 
 
-def _run_canheight(args) -> int:
+def _run_canheight(args) -> list[dict]:
     phi = parse_rational_map(args.map)
     P = parse_point(args.point)
     interval = canonical_height(phi, P, args.depth, args.budget)
-    record = {
-        "schema": SCHEMA,
-        "command": "canheight",
-        "map": map_text(phi),
-        "point": point_text(P),
-        "depth": args.depth,
-        **_interval_dict(interval),
-    }
-    _emit(args, [record])
-    return 0
+    return [
+        {
+            "map": map_text(phi),
+            "point": point_text(P),
+            "depth": args.depth,
+            "lo": interval.lo,
+            "hi": interval.hi,
+            "width": interval.width,
+        }
+    ]
 
 
-def _run_classify(args) -> int:
+def _run_classify(args) -> list[dict]:
     phi = parse_rational_map(args.map)
     P = parse_point(args.point)
     verdict = classify_preperiodic(phi, P, args.max_iter, args.budget)
     record = {
-        "schema": SCHEMA,
-        "command": "classify",
         "map": map_text(phi),
         "point": point_text(P),
     }
@@ -332,14 +330,13 @@ def _run_classify(args) -> int:
     else:
         record.update(
             type="wandering",
-            canonical_lower=str(verdict.canonical_lower),
+            canonical_lower=verdict.canonical_lower,
             depth=verdict.depth,
         )
-    _emit(args, [record])
-    return 0
+    return [record]
 
 
-def _run_orbit_scan(args) -> int:
+def _run_orbit_scan(args) -> list[dict]:
     phi = parse_rational_map(args.map)
     P = parse_point(args.point)
     A = parse_point(args.target)
@@ -355,56 +352,45 @@ def _run_orbit_scan(args) -> int:
         wandering_attested=args.wandering_attested,
         height_budget=args.budget,
     )
-    records = []
-    for rec in report.records:
-        records.append(
-            {
-                "schema": SCHEMA,
-                "command": "orbit-scan",
-                "n": rec.n,
-                "proximity": "inf" if rec.proximity is None else rec.proximity,
-                "hhat_lo": str(rec.hhat.lo),
-                "hhat_hi": str(rec.hhat.hi),
-                "membership": rec.membership,
-                "s_integral": rec.s_integral,
-            }
-        )
+    records = [
+        {
+            "n": rec.n,
+            "proximity": "inf" if rec.proximity is None else rec.proximity,
+            "hhat_lo": rec.hhat.lo,
+            "hhat_hi": rec.hhat.hi,
+            "membership": rec.membership,
+            "s_integral": rec.s_integral,
+        }
+        for rec in report.records
+    ]
     summary = {
-        "schema": SCHEMA,
-        "command": "orbit-scan",
         "summary": True,
-        "epsilon": str(report.eps),
+        "epsilon": report.eps,
         "depth": report.depth,
-        "in_indices": list(report.in_indices),
-        "undecided_indices": list(report.undecided_indices),
+        "in_indices": report.in_indices,
+        "undecided_indices": report.undecided_indices,
         "max_in_index": report.max_in_index,
     }
     if args.params:
         params = BoundParams.from_file(args.params)
-        lo, hi = gamma_set_bound_rhs(
+        summary["bound_rhs_lo"], summary["bound_rhs_hi"] = gamma_set_bound_rhs(
             params, phi, A, P, depth=args.depth, height_budget=args.budget
         )
-        summary["bound_rhs_lo"] = str(lo)
-        summary["bound_rhs_hi"] = str(hi)
-    records.append(summary)
-    _emit(args, records)
-    return 0
+    return records + [summary]
 
 
-def _run_integral_count(args) -> int:
+def _run_integral_count(args) -> list[dict]:
     phi = parse_rational_map(args.map)
     P = parse_point(args.point)
     S = parse_places(args.places)
     report = count_S_integral(phi, P, S, args.max_n, height_budget=args.budget)
     record = {
-        "schema": SCHEMA,
-        "command": "integral-count",
         "map": map_text(phi),
         "point": point_text(P),
         "max_n": args.max_n,
-        "hits": list(report.hits),
+        "hits": report.hits,
         "count": report.count,
-        "warnings": list(report.warnings),
+        "warnings": report.warnings,
     }
     if report.certificate is not None:
         record["certificate"] = {
@@ -413,38 +399,29 @@ def _run_integral_count(args) -> int:
         }
     if args.params:
         params = BoundParams.from_file(args.params)
-        lo, hi = integral_count_bound_rhs(
+        record["bound_rhs_lo"], record["bound_rhs_hi"] = integral_count_bound_rhs(
             params, phi, P, depth=args.depth, height_budget=args.budget
         )
-        record["bound_rhs_lo"] = str(lo)
-        record["bound_rhs_hi"] = str(hi)
-    _emit(args, [record])
-    return 0
+    return [record]
 
 
-def _run_units_in_orbit(args) -> int:
+def _run_units_in_orbit(args) -> list[dict]:
     phi = parse_rational_map(args.map)
     P = parse_point(args.point)
     S = parse_places(args.places)
     hits = unit_hits(phi, P, S, args.max_n, height_budget=args.budget)
-    _emit(
-        args,
-        [
-            {
-                "schema": SCHEMA,
-                "command": "units-in-orbit",
-                "map": map_text(phi),
-                "point": point_text(P),
-                "max_n": args.max_n,
-                "hits": hits,
-                "count": len(hits),
-            }
-        ],
-    )
-    return 0
+    return [
+        {
+            "map": map_text(phi),
+            "point": point_text(P),
+            "max_n": args.max_n,
+            "hits": hits,
+            "count": len(hits),
+        }
+    ]
 
 
-def _run_multdep(args) -> int:
+def _run_multdep(args) -> list[dict]:
     phi = parse_rational_map(args.map)
     alpha = parse_point(args.point)
     S = parse_places(args.places)
@@ -463,8 +440,6 @@ def _run_multdep(args) -> int:
     records = []
     for sol in report.solutions:
         rec = {
-            "schema": SCHEMA,
-            "command": "multdep",
             "n": sol.n,
             "k": sol.k,
             "r": sol.r,
@@ -477,68 +452,50 @@ def _run_multdep(args) -> int:
                 phi, sol, S, height_budget=args.budget
             ).label
         records.append(rec)
-    records.append(
-        {
-            "schema": SCHEMA,
-            "command": "multdep",
-            "summary": True,
-            "solutions": len(report.solutions),
-            "skipped": list(report.skipped),
-            "zero_not_periodic": report.zero_not_periodic,
-            "wandering_certified": report.wandering_certified,
-        }
-    )
-    _emit(args, records)
-    return 0
+    summary = {
+        "summary": True,
+        "solutions": len(report.solutions),
+        "skipped": report.skipped,
+        "zero_not_periodic": report.zero_not_periodic,
+        "wandering_certified": report.wandering_certified,
+    }
+    return records + [summary]
 
 
-def _run_split_form_scan(args) -> int:
+def _run_split_form_scan(args) -> list[dict]:
     phi = parse_rational_map(args.map)
     alpha = parse_point(args.point)
     form = parse_split_form(args.form)
     report = split_multilinear_zero_scan(
         form, phi, alpha, args.max_n, height_budget=args.budget
     )
-    _emit(
-        args,
-        [
-            {
-                "schema": SCHEMA,
-                "command": "split-form-scan",
-                "form": form_text(form),
-                "map": map_text(phi),
-                "point": point_text(alpha),
-                "max_n": args.max_n,
-                "zero_tuples": [list(t) for t in report.zero_tuples],
-                "skipped_tuples": [list(t) for t in report.skipped],
-                "scanned": report.scanned,
-            }
-        ],
-    )
-    return 0
+    return [
+        {
+            "form": form_text(form),
+            "map": map_text(phi),
+            "point": point_text(alpha),
+            "max_n": args.max_n,
+            "zero_tuples": report.zero_tuples,
+            "skipped_tuples": report.skipped,
+            "scanned": report.scanned,
+        }
+    ]
 
 
-def _run_choose_m(args) -> int:
+def _run_choose_m(args) -> list[dict]:
     phi = parse_rational_map(args.map)
     A = parse_point(args.target)
-    m = choose_m(phi, A, args.epsilon, cap=args.cap)
-    _emit(
-        args,
-        [
-            {
-                "schema": SCHEMA,
-                "command": "choose-m",
-                "map": map_text(phi),
-                "target": point_text(A),
-                "epsilon": str(args.epsilon),
-                "m": m,
-            }
-        ],
-    )
-    return 0
+    return [
+        {
+            "map": map_text(phi),
+            "target": point_text(A),
+            "epsilon": args.epsilon,
+            "m": choose_m(phi, A, args.epsilon, cap=args.cap),
+        }
+    ]
 
 
-def _run_estimate_gamma(args) -> int:
+def _run_estimate_gamma(args) -> list[dict]:
     instances = []
     for raw in args.instance:
         parts = raw.split("|")
@@ -556,42 +513,24 @@ def _run_estimate_gamma(args) -> int:
         depth=args.depth,
         height_budget=args.budget,
     )
-    _emit(
-        args,
-        [
-            {
-                "schema": SCHEMA,
-                "command": "estimate-gamma",
-                "gamma_hat": report.gamma_hat,
-                "witnesses": list(report.witnesses),
-                "warnings": list(report.warnings),
-                "instances": len(instances),
-            }
-        ],
-    )
-    return 0
+    return [
+        {
+            "gamma_hat": report.gamma_hat,
+            "witnesses": report.witnesses,
+            "warnings": report.warnings,
+            "instances": len(instances),
+        }
+    ]
 
 
-def _run_verify(args) -> int:
+def _run_verify(args) -> list[dict]:
     try:
         result = run_suite(args.suite, args.samples, args.seed)
     except KeyError:
         raise ConfigError(
             f"unknown suite {args.suite!r}; known: {', '.join(SUITE_NAMES)}"
         )
-    record = {
-        "schema": SCHEMA,
-        "command": "verify",
-        "suite": result.suite,
-        "samples": result.samples,
-        "seed": result.seed,
-        "checked": result.checked,
-        "passed": result.passed,
-        "failures": result.failures,
-        "info": _plain(result.info),
-    }
-    _emit(args, [record])
-    return 0 if result.passed else 1
+    return [{**asdict(result), "passed": result.passed}]
 
 
 _HANDLERS = {
@@ -609,22 +548,19 @@ _HANDLERS = {
 }
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         _resolve_env_defaults(args)
-        return _HANDLERS[args.command](args)
-    except (ParseError, ConfigError) as exc:
+        records = _HANDLERS[args.command](args)
+    except (ParseError, ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, DomainError) else 2
+    if args.command == "height":  # a bare number, in either format
+        _write(args, f"{records[0]['height']}\n")
+        return 0
+    _emit(args, [{"schema": SCHEMA, "command": args.command, **r} for r in records])
+    return 1 if any(r.get("passed") is False for r in records) else 0  # failed verify
 
 
 if __name__ == "__main__":

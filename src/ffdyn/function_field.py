@@ -144,23 +144,28 @@ def place_set(places: Iterable[Place]) -> PlaceSet:
     return frozenset(places)
 
 
-def poly_ord(p: Poly, pi: Poly) -> int:
-    """Multiplicity of the irreducible pi in nonzero p (by trial division)."""
+def _split_place(p: Poly, pi: Poly) -> tuple[int, Poly]:
+    """(e, p / pi^e) for nonzero p, with e the multiplicity of the
+    irreducible pi in p (by trial division)."""
     if p.is_zero:
         raise DomainError("valuation of zero undefined")
+    e = 0
     # pi = t: the multiplicity is the run of low zero coefficients
     if pi == Poly.t():
-        e = 0
         while p.coeff(e) == 0:
             e += 1
-        return e
-    e = 0
+        return e, p.drop_low(e)
     while True:
         q = p.exact_quotient(pi)
         if q is None:
-            return e
+            return e, p
         p = q
         e += 1
+
+
+def poly_ord(p: Poly, pi: Poly) -> int:
+    """Multiplicity of the irreducible pi in nonzero p (by trial division)."""
+    return _split_place(p, pi)[0]
 
 
 def ord_at(x: FieldElement, v: Place) -> int:
@@ -223,9 +228,7 @@ def product_formula_defect(x: FieldElement) -> int:
 def _strip_finite_places(p: Poly, S: PlaceSet) -> Poly:
     for v in S:
         if not v.is_infinite and not p.is_zero:
-            e = poly_ord(p, v.poly)
-            if e:
-                p = p.exact_div(v.poly**e)
+            p = _split_place(p, v.poly)[1]
     return p
 
 

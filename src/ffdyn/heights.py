@@ -398,9 +398,16 @@ def canonical_height(
     require_dynamical(phi)
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    d = phi.d
-    center = Fraction(Orbit(phi, P, height_budget).height(depth), d**depth)
-    radius = Fraction(displacement_bound(phi), d**depth * (d - 1))
+    h = Orbit(phi, P, height_budget).height(depth)
+    return _hhat_interval(h, depth, phi.d, displacement_bound(phi))
+
+
+def _hhat_interval(h: int, n: int, d: int, B: int) -> HeightInterval:
+    """Interval for hhat(P) from h = h(phi^n P) and the displacement bound B:
+    hhat(P) = lim h(phi^k P)/d^k and |h(phi(Q)) - d*h(Q)| <= B telescope to
+    |hhat(P) - h/d^n| <= B/(d^n (d - 1)). The lower end is clipped at 0."""
+    center = Fraction(h, d**n)
+    radius = Fraction(B, d**n * (d - 1))
     return HeightInterval(max(Fraction(0), center - radius), center + radius)
 
 
@@ -440,8 +447,7 @@ def classify_preperiodic(
         if current in seen:
             tail = seen[current]
             return Preperiodic(tail=tail, cycle=n - tail)
-        # lower endpoint of the depth-n interval: h_n/d^n - B/(d^n (d-1))
-        lo = Fraction(current.height, d**n) - Fraction(B, d**n * (d - 1))
+        lo = _hhat_interval(current.height, n, d, B).lo
         if lo > 0:
             return Wandering(canonical_lower=lo, depth=n)
         seen[current] = n

@@ -27,11 +27,10 @@ from .maps import (
     ProjectivePoint,
     RationalMap,
     apply_map,
-    fiber_polynomial,
+    fiber,
     power,
     require_dynamical,
 )
-from .sympybridge import factor_zpoly_over_k
 
 
 @dataclass(frozen=True)
@@ -165,9 +164,9 @@ def _fiber_points_with_multiplicity(
 ) -> list[tuple[ProjectivePoint, int]]:
     """Fiber of psi over A as K-rational points; error if any factor is
     irreducible of higher degree (the point then lives in an extension)."""
-    W = fiber_polynomial(psi, A)
+    fd = fiber(psi, A)
     out = []
-    for factor, mult in factor_zpoly_over_k(W):
+    for factor, mult in fd.factors:
         if factor.degree != 1:
             raise DomainError(
                 "fiber point requires extension: irreducible factor of z-degree "
@@ -178,9 +177,8 @@ def _fiber_points_with_multiplicity(
             / FieldElement.from_poly(factor.coeff(1))
         )
         out.append((ProjectivePoint.from_field(root), mult))
-    inf_mult = psi.d - W.degree
-    if inf_mult > 0:
-        out.append((ProjectivePoint.infinity(), inf_mult))
+    if fd.infinity_multiplicity > 0:
+        out.append((ProjectivePoint.infinity(), fd.infinity_multiplicity))
     return out
 
 

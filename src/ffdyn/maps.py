@@ -73,7 +73,8 @@ class ProjectivePoint:
 
     @staticmethod
     def from_field(x: FieldElement) -> "ProjectivePoint":
-        return ProjectivePoint._scaled(x.num, x.den)
+        # x.num/x.den is reduced with x.den monic: already normalized
+        return ProjectivePoint(x.num, x.den)
 
     @staticmethod
     def infinity() -> "ProjectivePoint":

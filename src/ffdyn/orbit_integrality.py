@@ -279,6 +279,20 @@ def gamma_set(
 # ---------------------------------------------------------------------------
 
 
+def _positive_hhat(
+    phi: RationalMap, P: ProjectivePoint, depth: int, height_budget: int
+) -> HeightInterval:
+    """The depth-`depth` interval for hhat(P); an error unless its lower end
+    is positive, which the log^+ bounds divide by."""
+    hhat_P = canonical_height(phi, P, depth, height_budget)
+    if hhat_P.lo <= 0:
+        raise DomainError(
+            "canonical height of the base point not certified positive; "
+            "increase depth or the point is preperiodic"
+        )
+    return hhat_P
+
+
 def gamma_set_bound_rhs(
     params: BoundParams,
     phi: RationalMap,
@@ -296,12 +310,7 @@ def gamma_set_bound_rhs(
     gamma1 = params.get("gamma1")
     h_phi = phi.coefficient_height()
     hhat_A = canonical_height(phi, A, depth, height_budget)
-    hhat_P = canonical_height(phi, P, depth, height_budget)
-    if hhat_P.lo <= 0:
-        raise DomainError(
-            "canonical height of the base point not certified positive; "
-            "increase depth or the point is preperiodic"
-        )
+    hhat_P = _positive_hhat(phi, P, depth, height_budget)
     ratio_lo = (hhat_A.lo + h_phi) / hhat_P.hi
     ratio_hi = (hhat_A.hi + h_phi) / hhat_P.lo
     return (
@@ -322,12 +331,7 @@ def integral_count_bound_rhs(
     require_dynamical(phi)
     gamma1 = params.get("gamma1")
     h_phi = Fraction(phi.coefficient_height())
-    hhat_P = canonical_height(phi, P, depth, height_budget)
-    if hhat_P.lo <= 0:
-        raise DomainError(
-            "canonical height of the base point not certified positive; "
-            "increase depth or the point is preperiodic"
-        )
+    hhat_P = _positive_hhat(phi, P, depth, height_budget)
     if h_phi == 0:
         return (gamma1, gamma1)
     return (

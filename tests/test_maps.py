@@ -44,7 +44,7 @@ from ffdyn.maps import (
     mobius_inverse,
 )
 from ffdyn.polynomials import Poly, ZPoly, poly_gcd
-from ffdyn.randgen import rand_map, rand_point
+from ffdyn.randgen import rand_field_elem, rand_map, rand_point
 from oracles import resultant_sylvester
 
 
@@ -81,6 +81,15 @@ def test_affine_is_the_reduced_fraction_seeded():
     for P in points:
         if not P.is_infinite:
             assert P.affine() == FieldElement.make(P.x0, P.x1)
+
+
+def test_from_field_is_the_normalized_point_seeded():
+    rng = Random(13)
+    for _ in range(50):
+        x = rand_field_elem(rng, max_deg=4, cmax=7)
+        P = ProjectivePoint.from_field(x)
+        assert P.affine() == x
+        assert P == ProjectivePoint.make(x.num, x.den)
 
 
 def test_affine_computes_no_gcd(count_calls):
