@@ -25,6 +25,7 @@ from .function_field import (
     place_set,
     product_formula_defect,
     quasi_integral,
+    s_free_part,
     support,
 )
 from .heights import (

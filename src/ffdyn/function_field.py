@@ -34,6 +34,11 @@ class FieldElement:
         if g.degree > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
+        return FieldElement.reduced(num, den)
+
+    @staticmethod
+    def reduced(num: Poly, den: Poly) -> "FieldElement":
+        """num/den for coprime num and nonzero den: only makes den monic."""
         lc = den.leading
         if lc != 1:
             num = num.scale(1 / lc)
@@ -90,7 +95,7 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        return FieldElement.make(self.den, self.num)
+        return FieldElement.reduced(self.den, self.num)
 
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
@@ -227,34 +232,37 @@ def product_formula_defect(x: FieldElement) -> int:
 
 def _strip_finite_places(p: Poly, S: PlaceSet) -> Poly:
     for v in S:
-        if not v.is_infinite and not p.is_zero:
+        if not v.is_infinite:
             p = _split_place(p, v.poly)[1]
     return p
+
+
+def s_free_part(x: FieldElement, S: PlaceSet) -> tuple[Poly, Poly, int]:
+    """(a, b, o) for nonzero x: a and b are x's numerator and denominator
+    made monic with every finite place of S divided out, and o = ord_inf(x),
+    or 0 when infinity lies in S.
+
+    a and b are coprime, so the triple holds ord_v(x) at every place v
+    outside S and nothing else: two nonzero elements have equal triples
+    exactly when their quotient is an S-unit."""
+    if x.is_zero:
+        raise DomainError("valuation of zero undefined")
+    o = 0 if Place.infinity() in S else x.den.degree - x.num.degree
+    # x.den is monic, and so is its quotient by monic place polynomials
+    return _strip_finite_places(x.num, S).monic(), _strip_finite_places(x.den, S), o
 
 
 def is_S_integer(x: FieldElement, S: PlaceSet) -> bool:
     """True iff ord_v(x) >= 0 at every place outside S (0 is an S-integer)."""
     if x.is_zero:
         return True
-    den = _strip_finite_places(x.den, S)
-    if den.degree > 0:
-        return False
-    if Place.infinity() not in S and x.num.degree > x.den.degree:
-        return False
-    return True
+    _, b, o = s_free_part(x, S)
+    return b.is_constant and o >= 0
 
 
 def is_S_unit(x: FieldElement, S: PlaceSet) -> bool:
     """True iff x != 0 and ord_v(x) = 0 at every place outside S."""
-    if x.is_zero:
-        return False
-    num = _strip_finite_places(x.num, S)
-    den = _strip_finite_places(x.den, S)
-    if num.degree > 0 or den.degree > 0:
-        return False
-    if Place.infinity() not in S and x.num.degree != x.den.degree:
-        return False
-    return True
+    return not x.is_zero and s_free_part(x, S) == (Poly.one(), Poly.one(), 0)
 
 
 def quasi_integral(x: FieldElement, S: PlaceSet, eps: Fraction) -> bool:

@@ -21,7 +21,7 @@ from .function_field import (
     Place,
     PlaceSet,
     log_abs,
-    ord_at,
+    poly_ord,
 )
 from .maps import (
     ProjectivePoint,
@@ -60,27 +60,19 @@ class LocalHeightValue:
         return "inf" if self.is_infinite else str(self.value)
 
 
-def _logmax_coords(P: ProjectivePoint, v: Place) -> int:
-    """max(log|x0|_v, log|x1|_v) over the nonzero coordinates of P."""
-    ords = []
-    for coord in (P.x0, P.x1):
-        if not coord.is_zero:
-            ords.append(ord_at(FieldElement.from_poly(coord), v))
-    return -min(ords) * v.degree
-
-
 def lambda_v(P: ProjectivePoint, Q: ProjectivePoint, v: Place) -> LocalHeightValue:
-    """Chordal local height of the pair (P, Q) at v; >= 0, infinite iff P = Q."""
+    """Chordal local height of the pair (P, Q) at v; >= 0, infinite iff P = Q.
+
+    With cross = x0*y1 - y0*x1 it is deg v * ord_pi(cross) at a finite place
+    v = (pi), and h(P) + h(Q) - deg(cross) at infinity. Proof, from the module
+    formula: coprime coordinates are not both divisible by pi, so logmax_v = 0
+    at a finite v; at infinity log|c| = deg c, so logmax is h(P), resp. h(Q)."""
     cross = P.x0 * Q.x1 - Q.x0 * P.x1
     if cross.is_zero:
         return LocalHeightValue.infinite()
-    value = (
-        -log_abs(FieldElement.from_poly(cross), v)
-        + _logmax_coords(P, v)
-        + _logmax_coords(Q, v)
-    )
-    assert value >= 0
-    return LocalHeightValue.finite(value)
+    if v.is_infinite:
+        return LocalHeightValue.finite(P.height + Q.height - cross.degree)
+    return LocalHeightValue.finite(v.degree * poly_ord(cross, v.poly))
 
 
 def lambda_sum(P: ProjectivePoint, Q: ProjectivePoint, S: PlaceSet) -> LocalHeightValue:
@@ -172,10 +164,7 @@ def _fiber_points_with_multiplicity(
                 "fiber point requires extension: irreducible factor of z-degree "
                 f"{factor.degree}"
             )
-        root = -(
-            FieldElement.from_poly(factor.coeff(0))
-            / FieldElement.from_poly(factor.coeff(1))
-        )
+        root = FieldElement.make(-factor.coeff(0), factor.coeff(1))
         out.append((ProjectivePoint.from_field(root), mult))
     if fd.infinity_multiplicity > 0:
         out.append((ProjectivePoint.infinity(), fd.infinity_multiplicity))

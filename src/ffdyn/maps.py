@@ -52,24 +52,9 @@ class ProjectivePoint:
     def make(x0: Poly, x1: Poly) -> "ProjectivePoint":
         if x0.is_zero and x1.is_zero:
             raise DomainError("illegal point [0:0]")
-        g = poly_gcd(x0, x1)
-        if g.degree > 0:
-            x0 = x0.exact_div(g)
-            x1 = x1.exact_div(g)
-        return ProjectivePoint._scaled(x0, x1)
-
-    @staticmethod
-    def _scaled(x0: Poly, x1: Poly) -> "ProjectivePoint":
-        # trusted path: coordinates already coprime
-        if not x1.is_zero:
-            lc = x1.leading
-        else:
-            lc = x0.leading
-        if lc != 1:
-            inv = 1 / lc
-            x0 = x0.scale(inv)
-            x1 = x1.scale(inv)
-        return ProjectivePoint(x0, x1)
+        if x1.is_zero:
+            return ProjectivePoint.infinity()
+        return ProjectivePoint.from_field(FieldElement.make(x0, x1))
 
     @staticmethod
     def from_field(x: FieldElement) -> "ProjectivePoint":
@@ -234,7 +219,7 @@ def apply_map(phi: RationalMap, P: ProjectivePoint) -> ProjectivePoint:
     g = common_factor(A, B, resultant(phi))
     if g.degree > 0:
         A, B = A.exact_div(g), B.exact_div(g)
-    return ProjectivePoint._scaled(A, B)
+    return ProjectivePoint.from_field(FieldElement.reduced(A, B))
 
 
 def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:
@@ -412,8 +397,7 @@ def _pure_linear_power_root(W: ZPoly, d: int) -> Optional[FieldElement]:
     """Root g with W = c*(z - g)^d, or None if W is not such a power."""
     if W.degree != d:
         return None
-    lead = FieldElement.from_poly(W.leading)
-    g = -(FieldElement.from_poly(W.coeff(d - 1)) / lead) / FieldElement.from_rational(d)
+    g = FieldElement.make(-W.coeff(d - 1), W.leading.scale(d))
     if _linear_root_multiplicity(W, g) == d:
         return g
     return None

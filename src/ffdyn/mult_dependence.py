@@ -4,14 +4,15 @@ of split multilinear forms along orbits.
 
 A dependence solution is a tuple (n, k, r, s) with the unit witness
 u = phi^{n+k}(alpha)^r / phi^k(alpha)^s; u is derived from the tuple (the
-defining equation determines it uniquely) and only its S-unit membership is
-searched."""
+defining equation determines it uniquely). The search compares the S-free
+parts of f^r and g^s instead, and builds u only for the solutions."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 from typing import Optional, Sequence
 
@@ -20,10 +21,9 @@ from .function_field import (
     FieldElement,
     Place,
     PlaceSet,
-    is_S_integer,
     is_S_unit,
     ord_at,
-    support,
+    s_free_part,
 )
 from .heights import DEFAULT_HEIGHT_BUDGET, Orbit, Preperiodic, classify_preperiodic
 from .maps import (
@@ -32,6 +32,8 @@ from .maps import (
     bad_reduction_places,
     require_dynamical,
 )
+from .polynomials import Poly
+from .sympybridge import factor_tpoly
 
 # ---------------------------------------------------------------------------
 # Orbit helpers
@@ -151,7 +153,11 @@ def dependence_search(
     wandering_attested: bool = False,
     height_budget: int = DEFAULT_HEIGHT_BUDGET,
 ) -> DependenceSearchReport:
-    """Exhaustive exact search of the box for multiplicative dependences."""
+    """Exhaustive exact search of the box for multiplicative dependences.
+
+    f**r / g**s is an S-unit exactly when f**r and g**s have the same
+    S-free part (`s_free_part`). Those parts are powers of the parts of f
+    and g, which are computed once per orbit value, and each power once."""
     require_dynamical(phi)
     wandering_certified = False
     if not wandering_attested:
@@ -160,6 +166,16 @@ def dependence_search(
             raise DomainError("base point is preperiodic; search requires wandering")
         wandering_certified = True
     orbit = _affine_orbit(phi, q.alpha, q.n_max + q.k_max, height_budget)
+    parts = [None if x is None or x.is_zero else s_free_part(x, q.S) for x in orbit]
+
+    @cache
+    def power_part(i: int, e: int) -> tuple:
+        """s_free_part(orbit[i] ** e, S) from parts[i], for e != 0."""
+        a, b, o = parts[i]
+        if e < 0:
+            a, b = b, a
+        return a ** abs(e), b ** abs(e), e * o
+
     d = phi.d
     solutions = []
     skipped = []
@@ -174,9 +190,9 @@ def dependence_search(
                 skipped.append(f"(n={n}, k={k}): iterate is zero, u undefined")
                 continue
             for r, s in _coprime_pairs(q.r_max, q.s_max):
-                u = f**r / g**s
-                if is_S_unit(u, q.S):
+                if power_part(n + k, r) == power_part(k, s):
                     rho = math.log(abs(s) / r) / math.log(d) + 1
+                    u = f**r / g**s
                     solutions.append(
                         DependenceSolution(n=n, k=k, r=r, s=s, u=u, alpha=q.alpha, rho=rho)
                     )
@@ -232,13 +248,16 @@ def poly_case_classifier(
     if alpha_elem is None:
         raise DomainError("base point must be affine")
     r, s = solution.r, solution.s
-    if not alpha_elem.is_zero and not is_S_integer(alpha_elem, S_phi):
-        # Case B: a pole of alpha at a good-reduction place outside S_phi
-        witness = next(
-            v
-            for v in support(alpha_elem)
-            if v not in S_phi and ord_at(alpha_elem, v) < 0
-        )
+    b, o = Poly.one(), 0  # 0 is S_phi-integral
+    if not alpha_elem.is_zero:
+        _, b, o = s_free_part(alpha_elem, S_phi)
+    if b.degree > 0 or o < 0:
+        # Case B: a pole of alpha at a good-reduction place outside S_phi,
+        # the first factor of the S_phi-free denominator or else infinity
+        if b.degree > 0:
+            witness = Place(factor_tpoly(b)[1][0][0])
+        else:
+            witness = Place.infinity()
         d = phi.d
         orbit = _affine_orbit(
             phi, solution.alpha, solution.n + solution.k, height_budget

@@ -332,8 +332,6 @@ def integral_count_bound_rhs(
     gamma1 = params.get("gamma1")
     h_phi = Fraction(phi.coefficient_height())
     hhat_P = _positive_hhat(phi, P, depth, height_budget)
-    if h_phi == 0:
-        return (gamma1, gamma1)
     return (
         gamma1 + floor_log_plus(phi.d, h_phi / hhat_P.hi),
         gamma1 + ceil_log_plus(phi.d, h_phi / hhat_P.lo),
@@ -400,9 +398,9 @@ def estimate_gamma(
             records.append(GammaEstimateRecord(i, None, 0, 0, False))
             continue
         h_phi = phi.coefficient_height()
+        hhat_P = report.records[0].hhat  # hhat(phi^0 P), from the scan
         try:
             hhat_A = canonical_height(phi, A, depth, height_budget)
-            hhat_P = canonical_height(phi, P, depth, height_budget)
         except OrbitBudgetError as exc:
             warnings.append(f"instance {i} excluded: {exc}")
             records.append(GammaEstimateRecord(i, None, 0, 0, True))

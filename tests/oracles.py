@@ -12,14 +12,22 @@
   ``factor_list``, ``sqf_list``), against the dense ZZ routes.
 - plain_orbit: the orbit prefix by repeated apply_map with no budget,
   against heights.Orbit.
+- quotient_dependence_search: the per-pair search that builds
+  u = f**r / g**s and tests it by trial division (quotient_is_S_unit),
+  against mult_dependence.dependence_search, which compares S-free parts.
+- lambda_v_by_logmax: lambda_v from its definition with logmax_v of both
+  points, against local_geometry.lambda_v, which reads the cross term alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from typing import Optional
 
 import sympy
 
+from ffdyn.function_field import FieldElement, Place, PlaceSet, log_abs
 from ffdyn.maps import ProjectivePoint, RationalMap, apply_map
 from ffdyn.polynomials import Poly, ZPoly
 
@@ -215,3 +223,69 @@ def plain_orbit(phi: RationalMap, P: ProjectivePoint, n: int) -> list[Projective
     for _ in range(n):
         orbit.append(apply_map(phi, orbit[-1]))
     return orbit
+
+
+def _strip_by_trial_division(p: Poly, S: PlaceSet) -> Poly:
+    for v in S:
+        if not v.is_infinite:
+            while (q := p.exact_quotient(v.poly)) is not None:
+                p = q
+    return p
+
+
+def quotient_is_S_unit(u: FieldElement, S: PlaceSet) -> bool:
+    """The S-unit test on u itself: with every finite place of S divided out
+    of u's numerator and denominator, both must be constant, and their
+    degrees must agree when infinity is outside S."""
+    if u.is_zero:
+        return False
+    if _strip_by_trial_division(u.num, S).degree > 0:
+        return False
+    if _strip_by_trial_division(u.den, S).degree > 0:
+        return False
+    return Place.infinity() in S or u.num.degree == u.den.degree
+
+
+def quotient_dependence_search(
+    orbit: list[Optional[FieldElement]],
+    S: PlaceSet,
+    n_max: int,
+    k_max: int,
+    r_max: int,
+    s_max: int,
+) -> list[tuple[int, int, int, int, FieldElement]]:
+    """Sorted (n, k, r, s, u) over the box: for every (n, k) whose iterates
+    orbit[n + k] = f and orbit[k] = g are finite and nonzero, and every
+    r > 0, s != 0 with gcd(r, |s|) = 1, build u = f**r / g**s and test it."""
+    out = []
+    for n in range(1, n_max + 1):
+        for k in range(1, k_max + 1):
+            f, g = orbit[n + k], orbit[k]
+            if f is None or g is None or f.is_zero or g.is_zero:
+                continue
+            for r in range(1, r_max + 1):
+                for s in range(-s_max, s_max + 1):
+                    if s == 0 or gcd(r, abs(s)) != 1:
+                        continue
+                    u = f**r / g**s
+                    if quotient_is_S_unit(u, S):
+                        out.append((n, k, r, s, u))
+    return sorted(out, key=lambda sol: sol[:4])
+
+
+def lambda_v_by_logmax(
+    P: ProjectivePoint, Q: ProjectivePoint, v: Place
+) -> Optional[int]:
+    """-log|x0*y1 - y0*x1|_v + logmax_v(P) + logmax_v(Q), with logmax_v the
+    largest log|c|_v over the nonzero coordinates c of a point; None when
+    P = Q."""
+    cross = P.x0 * Q.x1 - Q.x0 * P.x1
+    if cross.is_zero:
+        return None
+
+    def logmax(R: ProjectivePoint) -> int:
+        return max(
+            log_abs(FieldElement.from_poly(c), v) for c in (R.x0, R.x1) if not c.is_zero
+        )
+
+    return -log_abs(FieldElement.from_poly(cross), v) + logmax(P) + logmax(Q)

@@ -182,6 +182,31 @@ def test_multdep(capsys):
     assert records[-1]["solutions"] == 0
 
 
+def test_multdep_case_B_with_pole_at_infinity(capsys):
+    code, out, err = run(
+        capsys,
+        "multdep",
+        "--map",
+        "z^2",
+        "--point",
+        "t",
+        "--places",
+        "t",
+        "--n-max",
+        "1",
+        "--k-max",
+        "1",
+        "--r-max",
+        "1",
+        "--s-max",
+        "2",
+    )
+    assert (code, err) == (0, "")
+    records = jlines(out)
+    assert [rec.get("case_label") for rec in records] == ["B", None]
+    assert (records[0]["r"], records[0]["s"], records[0]["u"]) == (1, 2, "1")
+
+
 def test_split_form_scan(capsys):
     code, out, _ = run(
         capsys,

@@ -19,6 +19,7 @@ from ffdyn import (
     place_set,
     product_formula_defect,
     quasi_integral,
+    s_free_part,
     support,
 )
 from ffdyn.errors import DomainError
@@ -175,3 +176,53 @@ def test_power_of_zero():
     zero = FieldElement.zero()
     assert zero**0 == FieldElement.one()
     assert zero**3 == zero
+
+
+def test_inverse_computes_no_gcd(count_calls):
+    rng = Random(31)
+    xs = [rand_field_elem(rng, max_deg=4, cmax=7, nonzero=True) for _ in range(40)]
+    calls = count_calls("poly_gcd")
+    inverses = [x.inverse() for x in xs]
+    assert calls == []
+    for x, y in zip(xs, inverses):
+        assert y == FieldElement.make(x.den, x.num)
+
+
+def test_s_free_part_examples():
+    # 6t^2 (t + 1) / (t - 1)^3 over S = {(t)}: infinity is outside S
+    x = elem(Poly.of(0, 0, 6) * Poly.of(1, 1), Poly.of(-1, 1) ** 3)
+    assert s_free_part(x, place_set([P_T])) == (Poly.of(1, 1), Poly.of(-1, 1) ** 3, 0)
+    assert s_free_part(x, place_set([P_T1, INF])) == (T * T, Poly.of(-1, 1) ** 3, 0)
+    assert s_free_part(elem(Poly.of(0, 3)), place_set([])) == (T, Poly.one(), -1)
+    with pytest.raises(DomainError):
+        s_free_part(FieldElement.zero(), place_set([INF]))
+
+
+# products of a few place polynomials, so that quotients are often S-units
+_FACTORS = (T, Poly.of(1, 1), Poly.of(1, 0, 1), Poly.of(-2, 1))
+_PLACES = (P_T, P_T1, Place.finite(Poly.of(1, 0, 1)), INF)
+
+
+def _product(c: Fraction, exponents: list[int]) -> FieldElement:
+    num, den = Poly.constant(c), Poly.one()
+    for p, e in zip(_FACTORS, exponents):
+        if e > 0:
+            num = num * p**e
+        else:
+            den = den * p**-e
+    return FieldElement.make(num, den)
+
+
+_exponents = st.lists(st.integers(-2, 2), min_size=4, max_size=4)
+# y's exponents are x's plus a shift that is mostly 0
+_shifts = st.lists(st.sampled_from((0, 0, 0, 1, -1)), min_size=4, max_size=4)
+_units = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@given(_units, _exponents, _units, _shifts, st.sets(st.sampled_from(_PLACES)))
+@settings(max_examples=300, deadline=None)
+def test_equal_s_free_parts_iff_quotient_is_S_unit(c, ex, d, shift, S):
+    x = _product(c, ex)
+    y = _product(d, [e + de for e, de in zip(ex, shift)])
+    S = place_set(S)
+    assert is_S_unit(x / y, S) == (s_free_part(x, S) == s_free_part(y, S))

@@ -20,9 +20,12 @@ from ffdyn.errors import DomainError
 from ffdyn.local_geometry import LocalHeightValue
 from ffdyn.maps import ProjectivePoint
 from ffdyn.polynomials import Poly
-from ffdyn.randgen import rand_field_elem, rand_place, rand_point
+from ffdyn.randgen import rand_field_elem, rand_place, rand_point, rand_tpoly
+
+from oracles import lambda_v_by_logmax
 
 INF = Place.infinity()
+INF_PT = ProjectivePoint.infinity()
 P_T = Place.finite(Poly.t())
 
 
@@ -50,6 +53,41 @@ def test_lambda_basic_properties_seeded():
             assert a.is_infinite and b.is_infinite
         else:
             assert a.value == b.value >= 0
+
+
+def test_lambda_matches_logmax_oracle_seeded():
+    rng = Random(41)
+    special = [INF_PT, ProjectivePoint.zero()]
+    for _ in range(300):
+        v = rand_place(rng)
+        P = rng.choice(special) if rng.random() < 0.15 else rand_point(rng)
+        Q = rng.choice(special) if rng.random() < 0.15 else rand_point(rng)
+        if rng.random() < 0.1:
+            Q = P
+        for A, B in ((P, Q), (P, INF_PT), (Q, ProjectivePoint.zero())):
+            assert lambda_v(A, B, v).value == lambda_v_by_logmax(A, B, v)
+            assert lambda_v(A, B, INF).value == lambda_v_by_logmax(A, B, INF)
+
+
+def test_lambda_matches_logmax_oracle_when_pi_divides_x0():
+    # P = [pi^e * a : b] with pi | x0, against Q with and without pi | y0
+    rng = Random(43)
+    for _ in range(100):
+        v = rand_place(rng)
+        if v.is_infinite:
+            continue
+        e = rng.randint(1, 3)
+        a = rand_tpoly(rng, max_deg=2, cmax=5, nonzero=True)
+        b = rand_tpoly(rng, max_deg=2, cmax=5, nonzero=True)
+        P = ProjectivePoint.make(v.poly**e * a, b)
+        c = rand_tpoly(rng, max_deg=1, cmax=5)
+        Q = ProjectivePoint.make(v.poly * c, b + v.poly)
+        for A in (Q, ProjectivePoint.zero(), INF_PT, P):
+            assert lambda_v(P, A, v).value == lambda_v_by_logmax(P, A, v)
+    assert lambda_v(pt("t^2"), pt("0"), P_T).value == 2
+    assert lambda_v(pt("t^2"), INF_PT, P_T).value == 0
+    assert lambda_v(INF_PT, pt("0"), INF).value == 0
+    assert lambda_v(INF_PT, INF_PT, INF).is_infinite
 
 
 def test_lambda_sum_example():

@@ -3,6 +3,7 @@ scans of split multilinear forms along orbits."""
 
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 import pytest
 
@@ -15,6 +16,7 @@ from ffdyn import (
     is_S_unit,
     ord_at,
     parse_field_elem,
+    parse_places,
     parse_point,
     parse_rational_map,
     parse_split_form,
@@ -29,6 +31,9 @@ from ffdyn.heights import Preperiodic, classify_preperiodic
 from ffdyn.maps import ProjectivePoint, apply_map, conjugate
 from ffdyn.mult_dependence import _affine_orbit, _zero_is_periodic
 from ffdyn.polynomials import Poly
+from ffdyn.randgen import rand_field_elem, rand_map, rand_place_set
+
+from oracles import quotient_dependence_search
 
 
 def pt(text):
@@ -140,6 +145,89 @@ def test_search_rejects_preperiodic(S_inf):
     assert not report.wandering_certified
 
 
+# (map, alpha, places, (n_max, k_max, r_max, s_max)): orbits with many
+# solutions (s < 0 among them), infinity in and out of S, places of degree 2,
+# constant orbits and S empty, and orbits through 0 and through infinity
+ORACLE_CASES = [
+    ("t*z^2", "t", "t,inf", (2, 2, 3, 5)),
+    ("t*z^2", "t", "t", (2, 2, 3, 5)),
+    ("t*z^2", "1", "t,inf", (2, 2, 2, 3)),
+    ("t*z^2", "1/t", "t", (2, 2, 3, 3)),
+    ("z^2", "t^2+1", "t^2+1", (2, 2, 4, 4)),
+    ("z^2", "t^2+1", "t^2+1,inf", (2, 2, 3, 3)),
+    ("z^2", "t/(t^2+1)", "t,t^2+1", (2, 2, 4, 4)),
+    ("z^2/(t^2+1)", "t", "t,t^2+1,inf", (2, 2, 3, 3)),
+    ("z^2/(t^2+1)", "t", "t^2+1", (2, 2, 3, 3)),
+    ("z^2+1", "2", "", (2, 2, 3, 3)),
+    ("z^2+1", "2", "inf", (2, 2, 2, 2)),
+    ("z^2-t^2", "t", "inf", (2, 2, 3, 3)),
+    ("z^2-t^2", "t", "t,inf", (2, 2, 3, 3)),
+    ("(z^2+t)/(z^2-t^2)", "t", "t,inf", (2, 2, 3, 3)),
+    ("(z^2+t)/(z^2-t^2)", "t", "t-1,t+1", (2, 2, 3, 3)),
+    ("z^2+t", "0", "inf", (3, 3, 3, 3)),
+    ("(z^2-t)/z", "t", "t,inf", (2, 2, 3, 3)),
+    ("t*z^3", "t", "t,inf", (1, 2, 3, 4)),
+]
+
+
+def _check_against_quotient_oracle(phi, alpha, S, box):
+    q = DependenceQuery(alpha, S, *box)
+    report = dependence_search(phi, q, wandering_attested=True)
+    orbit = _affine_orbit(phi, alpha, box[0] + box[1])
+    expected = quotient_dependence_search(orbit, S, *box)
+    assert [(s.n, s.k, s.r, s.s, s.u) for s in report.solutions] == expected
+    return report
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: f"{c[0]}@{c[1]}/{c[2]}")
+def test_search_matches_quotient_oracle(case):
+    text, point, places, box = case
+    _check_against_quotient_oracle(
+        parse_rational_map(text), pt(point), parse_places(places), box
+    )
+
+
+def test_quotient_oracle_cases_reach_every_branch():
+    found = []
+    skipped = []
+    for text, point, places, box in ORACLE_CASES:
+        q = DependenceQuery(pt(point), parse_places(places), *box)
+        report = dependence_search(parse_rational_map(text), q, wandering_attested=True)
+        found += report.solutions
+        skipped += report.skipped
+    assert any(sol.s < 0 for sol in found)
+    assert any(sol.s > 0 for sol in found)
+    assert any("zero" in reason for reason in skipped)
+    assert any("infinity" in reason for reason in skipped)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_search_matches_quotient_oracle_seeded(seed):
+    rng = Random(9100 + seed)
+    phi = rand_map(rng, d=2, coeff_deg=1, cmax=3)
+    alpha = ProjectivePoint.from_field(rand_field_elem(rng, max_deg=1, cmax=3))
+    S = rand_place_set(rng, size=rng.randint(0, 3))
+    _check_against_quotient_oracle(phi, alpha, S, (2, 2, 3, 3))
+
+
+def test_search_builds_u_only_for_solutions(monkeypatch, quad_poly_map, monomial_map):
+    calls = []
+    divide = FieldElement.__truediv__
+
+    def counting(self, other):
+        calls.append(1)
+        return divide(self, other)
+
+    monkeypatch.setattr(FieldElement, "__truediv__", counting)
+    S_inf = place_set([Place.infinity()])
+    q = DependenceQuery(pt("0"), S_inf, n_max=3, k_max=3, r_max=3, s_max=3)
+    assert dependence_search(quad_poly_map, q).solutions == ()
+    assert calls == []
+    q = DependenceQuery(pt("t"), S_T_INF, n_max=2, k_max=2, r_max=3, s_max=3)
+    report = dependence_search(monomial_map, q)
+    assert len(calls) == len(report.solutions) > 0
+
+
 def test_zero_not_periodic_flag(quad_poly_map, monomial_map, S_inf):
     q = DependenceQuery(pt("0"), S_inf, 1, 1, 1, 1)
     assert dependence_search(quad_poly_map, q).zero_not_periodic
@@ -220,6 +308,22 @@ def test_classifier_case_B(quad_poly_map, S_inf):
     # usable directly on any found solutions too
     for found in report.solutions:
         assert poly_case_classifier(quad_poly_map, found, S_inf).label == "B"
+
+
+def test_classifier_case_B_with_pole_at_infinity():
+    # alpha = t under z^2 over S = {(t)}: integral at every finite place, so
+    # the only pole outside S_phi is at infinity, and it doubles every step
+    sq = parse_rational_map("z^2")
+    S = parse_places("t")
+    q = DependenceQuery(pt("t"), S, n_max=1, k_max=1, r_max=1, s_max=2)
+    report = dependence_search(sq, q)
+    assert [(sol.r, sol.s) for sol in report.solutions] == [(1, 2)]
+    ev = poly_case_classifier(sq, report.solutions[0], S)
+    assert ev.label == "B"
+    assert not ev.alpha_integral
+    assert ev.witness_place == Place.infinity()
+    assert ev.valuation_pattern_ok and ev.shape_ok
+    assert ev.detail == "pole at witness place with ord -1"
 
 
 def test_classifier_requires_polynomial(quad_quotient_map, S_inf):
