@@ -253,11 +253,14 @@ def s_free_part(x: FieldElement, S: PlaceSet) -> tuple[Poly, Poly, int]:
 
 
 def is_S_integer(x: FieldElement, S: PlaceSet) -> bool:
-    """True iff ord_v(x) >= 0 at every place outside S (0 is an S-integer)."""
+    """True iff ord_v(x) >= 0 at every place outside S (0 is an S-integer):
+    ord_inf(x) >= 0 unless infinity lies in S, and the denominator of
+    ``s_free_part`` is constant. The numerator's part is not needed."""
     if x.is_zero:
         return True
-    _, b, o = s_free_part(x, S)
-    return b.is_constant and o >= 0
+    if Place.infinity() not in S and x.den.degree < x.num.degree:
+        return False
+    return _strip_finite_places(x.den, S).is_constant
 
 
 def is_S_unit(x: FieldElement, S: PlaceSet) -> bool:

@@ -122,13 +122,54 @@ class RationalMap:
         return map_text(self)
 
 
+# Integers t0 at which ``coprime_by_specialization`` tries F(t0, z).
+_SPECIALIZATION_POINTS = (1, -1, 2, -2, 3)
+
+
+def _specialize(f: ZPoly, t0: int) -> Poly:
+    """f(t0, z) in Q[z], as a Poly in the variable z."""
+    return Poly.from_list(
+        [Fraction(sum(c * t0**i for i, c in enumerate(p.ints)), p.den) for p in f.coeffs]
+    )
+
+
+def coprime_by_specialization(F: ZPoly, G: ZPoly) -> bool:
+    """True only if F and G (F nonzero) are coprime in K[z]; False means
+    undecided.
+
+    The certificate: an integer t0 with lc_z(F)(t0) != 0 and
+    gcd(F(t0, z), G(t0, z)) = 1 in Q[z]. Proof: suppose F and G share a
+    factor of positive z-degree in K[z]. Its primitive associate h in
+    Q[t][z] divides F and G in Q[t][z] by Gauss's lemma over Q[t], and
+    lc_z(h) divides lc_z(F), so lc_z(h)(t0) != 0 and h(t0, z) keeps the
+    z-degree of h. Setting t = t0 is a ring map Q[t][z] -> Q[z], so h(t0, z)
+    divides F(t0, z) and G(t0, z), and their gcd has positive degree.
+
+    The points of ``_SPECIALIZATION_POINTS`` are tried in turn: at a root of
+    lc_z(F), or of the resultant of F and G, the specializations say
+    nothing."""
+    for t0 in _SPECIALIZATION_POINTS:
+        f = _specialize(F, t0)
+        if f.degree == F.degree and poly_gcd(f, _specialize(G, t0)).degree == 0:
+            return True
+    return False
+
+
 def normalize_map(Fraw: ZPoly, Graw: ZPoly) -> RationalMap:
-    """Bring a fraction of z-polynomials over K into normalized form."""
+    """Bring a fraction of z-polynomials over K into normalized form.
+
+    The K[z] gcd is computed only if ``coprime_by_specialization`` cannot
+    certify that F and G are coprime."""
     if Fraw.is_zero and Graw.is_zero:
         raise DomainError("numerator and denominator both zero")
     F, G = Fraw, Graw
-    if not F.is_zero and not G.is_zero:
+    if not F.is_zero and not G.is_zero and not coprime_by_specialization(F, G):
         _, F, G = zpoly_gcd_over_k(F, G)
+    return _normalize_coprime(F, G)
+
+
+def _normalize_coprime(F: ZPoly, G: ZPoly) -> RationalMap:
+    """Normalized form of F/G for F, G coprime in K[z], not both zero."""
     # joint k[t] content
     cp = poly_gcd(F.content_poly(), G.content_poly())
     if cp.degree > 0:
@@ -223,13 +264,23 @@ def apply_map(phi: RationalMap, P: ProjectivePoint) -> ProjectivePoint:
 
 
 def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:
-    """phi o psi; degrees multiply."""
+    """phi o psi; degrees multiply.
+
+    No K[z] gcd is needed. The degree-d homogenizations F, G of a
+    normalized map are coprime binary forms: F and G are coprime in K[z],
+    and the one of degree d is not divisible by the second variable. Let
+    P, Q be the coprime forms of psi. Over an algebraic closure, a common
+    zero (x : y) of F(P, Q) and G(P, Q) would make (P(x, y), Q(x, y))
+    either (0, 0), a common zero of P and Q, or a common zero of F and G.
+    So the composed forms are coprime, and so are their dehomogenizations.
+    Every RationalMap comes from ``normalize_map`` or ``identity_map`` and
+    is normalized."""
     if phi.d < 1 or psi.d < 1:
         raise DomainError("composition requires degrees >= 1")
     mons = BinaryMonomials(psi.F, psi.G, phi.d)
     F = phi.F.homogeneous_eval(mons)
     G = phi.G.homogeneous_eval(mons)
-    out = normalize_map(F, G)
+    out = _normalize_coprime(F, G)
     if out.d != phi.d * psi.d:
         raise DomainError("degenerate composition: degree dropped")
     return out
@@ -333,7 +384,11 @@ def max_fiber_ram(phi: RationalMap, m: int, A: ProjectivePoint) -> int:
     require_dynamical(phi)
     psi = power(phi, m)
     W = fiber_polynomial(psi, A)
-    mults = [mult for _, mult in sqf_zpoly_over_k(W)]
+    if W.degree > 0 and coprime_by_specialization(W, W.derivative_z()):
+        # W is squarefree over K (characteristic 0): one part, multiplicity 1
+        mults = [1]
+    else:
+        mults = [mult for _, mult in sqf_zpoly_over_k(W)]
     inf_mult = psi.d - W.degree
     if inf_mult > 0:
         mults.append(inf_mult)

@@ -157,7 +157,14 @@ def dependence_search(
 
     f**r / g**s is an S-unit exactly when f**r and g**s have the same
     S-free part (`s_free_part`). Those parts are powers of the parts of f
-    and g, which are computed once per orbit value, and each power once."""
+    and g, which are computed once per orbit value, and each power once.
+
+    For a solution the parts cancel, so u = f**r / g**s needs no gcd. A
+    nonzero x with monic denominator is lc(x.num) * prod_v pi_v^ord_v(x)
+    times its S-free quotient, over the finite places v of S, and lc and
+    ord_v are multiplicative (lc(x**-1) = 1/lc(x.num)). Hence u =
+    lc(f.num)^r / lc(g.num)^s * prod_v pi_v^(r*ord_v(f) - s*ord_v(g)), the
+    ord_v computed once per orbit value."""
     require_dynamical(phi)
     wandering_certified = False
     if not wandering_attested:
@@ -176,6 +183,24 @@ def dependence_search(
             a, b = b, a
         return a ** abs(e), b ** abs(e), e * o
 
+    finite = [v for v in q.S if not v.is_infinite]
+
+    @cache
+    def place_ords(i: int) -> list[int]:
+        return [ord_at(orbit[i], v) for v in finite]
+
+    def unit(i: int, j: int, r: int, s: int) -> FieldElement:
+        """orbit[i]**r / orbit[j]**s for a solution (docstring above)."""
+        num = Poly.constant(orbit[i].num.leading ** r / orbit[j].num.leading ** s)
+        den = Poly.one()
+        for v, ei, ej in zip(finite, place_ords(i), place_ords(j)):
+            e = r * ei - s * ej
+            if e > 0:
+                num = num * v.poly**e
+            elif e < 0:
+                den = den * v.poly ** (-e)
+        return FieldElement.reduced(num, den)
+
     d = phi.d
     solutions = []
     skipped = []
@@ -192,7 +217,7 @@ def dependence_search(
             for r, s in _coprime_pairs(q.r_max, q.s_max):
                 if power_part(n + k, r) == power_part(k, s):
                     rho = math.log(abs(s) / r) / math.log(d) + 1
-                    u = f**r / g**s
+                    u = unit(n + k, k, r, s)
                     solutions.append(
                         DependenceSolution(n=n, k=k, r=r, s=s, u=u, alpha=q.alpha, rho=rho)
                     )

@@ -1,6 +1,14 @@
 """Factorization, gcd, resultant and squarefree decomposition through sympy's
 dense integer routines.
 
+The gcd in Q[t] is native (``polynomials.poly_gcd``), and two calls here are
+fallbacks behind a certificate: ``zpoly_gcd_over_k`` runs only when
+``maps.normalize_map`` cannot show F and G coprime by specializing t, and
+``sqf_zpoly_over_k`` in ``maps.max_fiber_ram`` only when the same test cannot
+show the fiber polynomial squarefree. ``maps.compose`` needs no K[z] gcd at
+all. Factorization (``factor_tpoly``, ``factor_zpoly_over_k``) and
+``resultant_z`` have no native route yet.
+
 sympy is used as the engine only; all public data stays in the package's own
 exact types. Every call converts its operands straight to sympy's dense
 representation over ZZ and calls the ``dup_*``/``dmp_*`` routine, with no

@@ -5,6 +5,9 @@
 - fraction_mul, fraction_divmod, fraction_gcd: schoolbook product, long
   division and Euclid's gcd on lists of Fractions, against the integer
   kernels of polynomials.Poly.
+- sympy_poly_gcd: the monic gcd in Q[t] from sympy's ``dup_gcd`` over ZZ
+  (its heuristic gcd with a PRS fallback), against the native
+  polynomials.poly_gcd.
 - sympy_factor_tpoly, sympy_factor_zpoly_over_k, sympy_sqf_zpoly_over_k,
   sympy_resultant_z, sympy_zpoly_gcd_over_k: the sympybridge functions
   computed on sympy expressions and ``sympy.Poly`` over QQ (one
@@ -26,6 +29,8 @@ from math import gcd
 from typing import Optional
 
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_gcd
 
 from ffdyn.function_field import FieldElement, Place, PlaceSet, log_abs
 from ffdyn.maps import ProjectivePoint, RationalMap, apply_map
@@ -108,6 +113,18 @@ def fraction_gcd(a: Poly, b: Poly) -> Poly:
         if not b.is_zero:
             b = b.scale(1 / b.leading)
     return a.scale(1 / a.leading) if not a.is_zero else a
+
+
+def sympy_poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd in Q[t] by ``dup_gcd`` on the integer numerators."""
+    if a.is_zero:
+        return b.monic()
+    if b.is_zero:
+        return a.monic()
+    if a.is_constant or b.is_constant:
+        return Poly.one()
+    g = dup_gcd(list(reversed(a.ints)), list(reversed(b.ints)), ZZ)
+    return Poly(tuple(reversed(g)), 1).monic()
 
 
 # ---------------------------------------------------------------------------

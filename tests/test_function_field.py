@@ -226,3 +226,15 @@ def test_equal_s_free_parts_iff_quotient_is_S_unit(c, ex, d, shift, S):
     y = _product(d, [e + de for e, de in zip(ex, shift)])
     S = place_set(S)
     assert is_S_unit(x / y, S) == (s_free_part(x, S) == s_free_part(y, S))
+
+
+@given(_units, _exponents, st.sets(st.sampled_from(_PLACES)))
+@settings(max_examples=200, deadline=None)
+def test_is_S_integer_reads_the_s_free_denominator(c, ex, S):
+    x = _product(c, ex)
+    S = place_set(S)
+    _, b, o = s_free_part(x, S)
+    assert is_S_integer(x, S) == (b.is_constant and o >= 0)
+    # the definition: no pole at a place outside S
+    places = [Place.finite(p.monic()) for p in _FACTORS if p.degree > 0] + [INF]
+    assert is_S_integer(x, S) == all(ord_at(x, v) >= 0 for v in places if v not in S)

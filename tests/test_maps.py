@@ -43,8 +43,15 @@ from ffdyn.maps import (
     conjugate,
     mobius_inverse,
 )
-from ffdyn.polynomials import Poly, ZPoly, poly_gcd
-from ffdyn.randgen import rand_field_elem, rand_map, rand_point
+from ffdyn import maps
+from ffdyn.polynomials import BinaryMonomials, Poly, ZPoly, poly_gcd
+from ffdyn.randgen import (
+    rand_field_elem,
+    rand_map,
+    rand_point,
+    rand_split_fiber_instance,
+)
+from ffdyn.sympybridge import sqf_zpoly_over_k, zpoly_gcd_over_k
 from oracles import resultant_sylvester
 
 
@@ -162,6 +169,115 @@ def test_normalize_map_regression(F, G, printed):
 def test_normalize_sign_convention():
     phi = parse_rational_map("(-z^2 - t)/(-1)")
     assert map_text(phi) == "z^2 + t"
+
+
+# ---------------------------------------------------------------------------
+# Coprimality certificates: normalize_map, compose, max_fiber_ram
+# ---------------------------------------------------------------------------
+
+_POINTS = maps._SPECIALIZATION_POINTS
+
+
+def _vanishing_at(points) -> Poly:
+    """prod (t - t0) over the points: zero at each, nonzero elsewhere."""
+    out = Poly.one()
+    for t0 in points:
+        out = out * Poly.of(-t0, 1)
+    return out
+
+
+def _normalize_by_gcd(F: ZPoly, G: ZPoly):
+    """normalize_map with the K[z] gcd always computed."""
+    if not F.is_zero and not G.is_zero:
+        _, F, G = zpoly_gcd_over_k(F, G)
+    return maps._normalize_coprime(F, G)
+
+
+@pytest.mark.parametrize("j", range(len(_POINTS) + 1))
+def test_certificate_skips_points_where_lc_vanishes(j, count_calls):
+    # lc_z(F) vanishes at t = 0 and at the first j points tried, where the
+    # specializations drop in degree and prove nothing
+    lc = _vanishing_at((0,) + _POINTS[:j])
+    F = ZPoly.of(Poly.t(), Poly.one(), lc)  # lc*z^2 + z + t
+    G = ZPoly.of(Poly.of(0, 0, 1), Poly.one())  # z + t^2
+    calls = count_calls("zpoly_gcd_over_k")
+    assert maps.coprime_by_specialization(F, G) == (j < len(_POINTS))
+    assert normalize_map(F, G) == _normalize_by_gcd(F, G)
+    assert len(calls) == (j == len(_POINTS))
+
+
+@pytest.mark.parametrize("j", range(len(_POINTS) + 1))
+def test_certificate_coprime_but_first_specializations_share_a_root(j, count_calls):
+    # z - t and z - t - prod(t - t0): coprime over K, equal at the first j points
+    F = ZPoly.of(-Poly.t(), Poly.one())
+    G = ZPoly.of(-Poly.t() - _vanishing_at(_POINTS[:j]), Poly.one())
+    calls = count_calls("zpoly_gcd_over_k")
+    assert maps.coprime_by_specialization(F, G) == (j < len(_POINTS))
+    phi = normalize_map(F, G)
+    assert phi == _normalize_by_gcd(F, G)
+    assert phi.d == 1
+    assert len(calls) == (j == len(_POINTS))
+
+
+def test_certificate_never_claims_a_shared_factor_coprime(count_calls):
+    # a common factor z - t survives every specialization
+    F = ZPoly.of(-Poly.t(), Poly.one()) * ZPoly.of(1, 1)
+    G = ZPoly.of(-Poly.t(), Poly.one()) * ZPoly.of(Poly.t(), 0, 1)
+    calls = count_calls("zpoly_gcd_over_k")
+    assert not maps.coprime_by_specialization(F, G)
+    assert map_text(normalize_map(F, G)) == "(z + 1)/(z^2 + t)"
+    assert len(calls) == 1
+
+
+zcoeffs = st.lists(st.integers(-3, 3), min_size=0, max_size=3).map(Poly.from_list)
+small_zpolys = st.lists(zcoeffs, min_size=1, max_size=3).map(ZPoly.from_list)
+
+
+@given(small_zpolys, small_zpolys, small_zpolys)
+@settings(max_examples=150, deadline=None)
+def test_certificate_agrees_with_the_gcd(F, G, common):
+    F, G = F * common, G * common
+    if F.is_zero or G.is_zero:
+        return
+    if maps.coprime_by_specialization(F, G):
+        assert zpoly_gcd_over_k(F, G)[0] == ZPoly.one()
+    assert normalize_map(F, G) == _normalize_by_gcd(F, G)
+
+
+_README_MAPS = ("z^2+t", "z^2", "(z^2-t)/z", "t*z^2", "(3*z^2+t)/(t*z-2)")
+
+
+def test_readme_maps_and_compose_call_no_kz_gcd(count_calls):
+    calls = count_calls("zpoly_gcd_over_k")
+    rng = Random(17)
+    phis = [parse_rational_map(text) for text in _README_MAPS]
+    phis += [rand_map(rng, d=rng.randint(2, 3), coeff_deg=2, cmax=3) for _ in range(10)]
+    for phi in phis:
+        psi = compose(phi, phi)
+        assert psi.d == phi.d**2
+        assert psi == _normalize_by_gcd(
+            phi.F.homogeneous_eval(BinaryMonomials(phi.F, phi.G, phi.d)),
+            phi.G.homogeneous_eval(BinaryMonomials(phi.F, phi.G, phi.d)),
+        )
+    assert calls == []
+
+
+def test_max_fiber_ram_matches_squarefree_decomposition():
+    rng = Random(23)
+    cases = []
+    for _ in range(8):
+        phi, A, _ = rand_split_fiber_instance(rng, d=rng.randint(2, 3))
+        cases.append((phi, A))  # fibers with a totally ramified point
+        cases.append((phi, rand_point(rng, max_deg=1, cmax=2)))
+    cases.append((parse_rational_map("(z^2-t)/z"), pt("0")))
+    cases.append((parse_rational_map("z^2+t"), pt("inf")))
+    for phi, A in cases:
+        for m in (1, 2):
+            psi = power(phi, m)
+            W = maps.fiber_polynomial(psi, A)
+            mults = [mult for _, mult in sqf_zpoly_over_k(W)]
+            mults += [psi.d - W.degree] if psi.d > W.degree else []
+            assert max_fiber_ram(phi, m, A) == max(mults)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
 """Exact polynomial arithmetic in Q[t] and Q[t][z]."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from random import Random
+from unittest import mock
 
 import pytest
 from math import gcd
@@ -9,8 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ffdyn.errors import DomainError
+import ffdyn.polynomials as polynomials
 from ffdyn.polynomials import _KRONECKER_MIN_LEN, BinaryMonomials, Poly, ZPoly, poly_gcd
-from oracles import fraction_divmod, fraction_gcd, fraction_mul
+from oracles import fraction_divmod, fraction_gcd, fraction_mul, sympy_poly_gcd
 
 fractions = st.fractions(
     min_value=-20, max_value=20, max_denominator=8
@@ -196,6 +203,134 @@ def test_gcd_matches_fraction_oracle(g, x, y):
     a, b = g * x, g * y
     assert poly_gcd(a, b) == fraction_gcd(a, b)
     assert poly_gcd(x, y) == fraction_gcd(x, y)
+
+
+# ---------------------------------------------------------------------------
+# The native gcd against sympy's dup_gcd
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def int_polys(draw, bits, max_len):
+    """Integer Poly of 1..max_len coefficients of up to `bits` bits, with
+    runs of zeros and a nonzero leading coefficient."""
+    n = draw(st.integers(1, max_len))
+    if bits <= 64:
+        c = st.integers(-(1 << bits), 1 << bits)
+    else:  # hypothesis cannot print bounds of thousands of digits
+        c = st.builds(
+            lambda seed, sign: sign * Random(seed).getrandbits(bits),
+            st.integers(0, 1 << 32),
+            st.sampled_from((1, -1)),
+        )
+    body = draw(st.lists(st.one_of(st.just(0), c), min_size=n - 1, max_size=n - 1))
+    return Poly.from_list(body + [draw(c.filter(bool))])
+
+
+# (coefficient bits, longest operand): 1 to 20,000 bits
+gcd_sizes = st.sampled_from(((1, 9), (8, 9), (64, 8), (600, 6), (2000, 5), (20000, 3)))
+
+
+@st.composite
+def gcd_operands(draw):
+    """a = g*x*c1, b = g*y*c2: a shared factor g, cofactors x, y and
+    rational contents c1, c2, each part with its own coefficient size."""
+    parts = []
+    for _ in range(3):
+        bits, max_len = draw(gcd_sizes)
+        parts.append(draw(int_polys(bits, max_len)))
+    g, x, y = parts
+    contents = st.fractions(min_value=-1000, max_value=1000, max_denominator=99)
+    c1, c2 = (draw(contents.filter(bool)) for _ in range(2))
+    return (g * x).scale(c1), (g * y).scale(c2)
+
+
+@given(gcd_operands())
+@settings(max_examples=120, deadline=None)
+def test_gcd_matches_dup_gcd(ab):
+    a, b = ab
+    assert poly_gcd(a, b) == sympy_poly_gcd(a, b)
+
+
+@given(gcd_operands())
+@settings(max_examples=40, deadline=None)
+def test_gcd_prs_fallback_matches_dup_gcd(ab):
+    a, b = ab
+    with mock.patch.object(polynomials, "_heuristic_gcd", lambda f, g: None):
+        assert poly_gcd(a, b) == sympy_poly_gcd(a, b)
+
+
+def _rand_poly(rng: Random, deg: int, bits: int) -> Poly:
+    body = [rng.randint(-(1 << bits), 1 << bits) for _ in range(deg)]
+    return Poly.from_list(body + [1 + rng.getrandbits(bits)])
+
+
+def test_gcd_degree_certificate_paths():
+    rng = Random(5)
+
+    def rand(deg, bits):
+        return _rand_poly(rng, deg, bits)
+
+    # coefficients above _HEU_BOUND_BYTES: the degree mod p decides coprime
+    # operands, and certifies a shared factor at the smaller first point
+    for shared in (0, 1, 4):
+        g = rand(shared, 300) if shared else Poly.one()
+        a, b = g * rand(6, 4000), g * rand(5, 4000)
+        assert poly_gcd(a, b) == sympy_poly_gcd(a, b) == g.monic()
+    # leading coefficients divisible by the first word primes
+    p0, p1, p2 = polynomials._WORD_PRIMES
+    f, g = Poly.of(3, 1, p0 * p1), Poly.of(-5, 2, p0 * p1)
+    assert polynomials._gcd_degree_mod_p(f.ints, g.ints) == 0
+    lead = p0 * p1 * p2
+    f, g = Poly.of(3, lead), Poly.of(5, lead)
+    assert polynomials._gcd_degree_mod_p(f.ints, g.ints) is None
+    x = Poly.of(7, lead)
+    a, b = x * Poly.of(1 << 700, 3, 1), x * Poly.of(-(1 << 700), 1)
+    assert poly_gcd(a, b) == sympy_poly_gcd(a, b) == x.monic()
+
+
+def test_gcd_big_operands_against_dup_gcd():
+    """Shared factors of degree 20 and 10 under coefficients of 2,000 and
+    20,000 bits, as in the timings of CHANGES.md."""
+    rng = Random(11)
+
+    def rand(deg, bits):
+        return _rand_poly(rng, deg, bits)
+
+    for deg, bits, shared in ((120, 2000, 20), (30, 20000, 10)):
+        g = rand(shared, bits // 4)
+        a, b = g * rand(deg - shared, bits), g * rand(deg - shared, bits)
+        assert poly_gcd(a, b) == sympy_poly_gcd(a, b) == g.monic()
+
+
+@given(polys_of_length(), polys_of_length(n=4), primitive_non_monic())
+@settings(max_examples=40, deadline=None)
+def test_long_remainder_matches_fraction_oracle(a, b, p):
+    # a dividend many times longer than a non-monic divisor
+    long = a * a * b + a
+    for divisor in (b, p, p.scale(Fraction(3, 7))):
+        q, r = long.divmod(divisor)
+        assert (q, r) == fraction_divmod(long, divisor)
+        assert_canonical(q)
+        assert_canonical(r)
+
+
+def test_polynomials_imports_without_sympy():
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "import ffdyn.polynomials as p\n"
+        "a = p.Poly.of(-1, 0, 1)\n"
+        "assert p.poly_gcd(a, p.Poly.of(1, 1) * p.Poly.of(3, 2)) == p.Poly.of(1, 1)\n"
+    )
+    src = str(Path(polynomials.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 @given(
