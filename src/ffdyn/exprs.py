@@ -89,8 +89,13 @@ def _tokenize(text: str, allow_vars: bool) -> list[_Token]:
 # add, neg, mul, div and pow by a nonnegative integer.
 
 
+_ONE = ZPoly.one()
+
+
 class _RatFunc:
-    """Rational function in z over Q[t] as an unreduced num/den pair."""
+    """Rational function in z over Q[t] as an unreduced num/den pair. Sums,
+    products and powers of pairs over 1 skip the products by the
+    denominators."""
 
     __slots__ = ("num", "den")
 
@@ -100,9 +105,11 @@ class _RatFunc:
 
     @staticmethod
     def const(c) -> "_RatFunc":
-        return _RatFunc(ZPoly.of(Poly.constant(c)), ZPoly.one())
+        return _RatFunc(ZPoly.of(Poly.constant(c)), _ONE)
 
     def add(self, other: "_RatFunc") -> "_RatFunc":
+        if self.den == _ONE and other.den == _ONE:
+            return _RatFunc(self.num + other.num, _ONE)
         return _RatFunc(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -111,6 +118,8 @@ class _RatFunc:
         return _RatFunc(-self.num, self.den)
 
     def mul(self, other: "_RatFunc") -> "_RatFunc":
+        if self.den == _ONE and other.den == _ONE:
+            return _RatFunc(self.num * other.num, _ONE)
         return _RatFunc(self.num * other.num, self.den * other.den)
 
     def div(self, other: "_RatFunc", pos: int) -> "_RatFunc":
@@ -119,7 +128,7 @@ class _RatFunc:
         return _RatFunc(self.num * other.den, self.den * other.num)
 
     def pow(self, k: int) -> "_RatFunc":
-        return _RatFunc(self.num**k, self.den**k)
+        return _RatFunc(self.num**k, _ONE if self.den == _ONE else self.den**k)
 
 
 class _FormVal:
@@ -262,13 +271,13 @@ class _Parser:
         if tok.kind == "T":
             if self.mode == "form":
                 return _FormVal.const_elem(FieldElement.t())
-            return _RatFunc(ZPoly.of(Poly.t()), ZPoly.one())
+            return _RatFunc(ZPoly.of(Poly.t()), _ONE)
         if tok.kind == "Z":
             if self.mode != "map":
                 raise ParseError(
                     f"map context required for 'z' at position {tok.pos}", tok.pos
                 )
-            return _RatFunc(ZPoly.z(), ZPoly.one())
+            return _RatFunc(ZPoly.z(), _ONE)
         if tok.kind == "VAR":
             return _FormVal.variable(tok.value)
         if tok.kind == "OP" and tok.text == "(":

@@ -13,8 +13,7 @@ from fractions import Fraction
 from typing import FrozenSet, Iterable, Optional
 
 from .errors import DomainError
-from .polynomials import Poly, poly_gcd
-from .sympybridge import factor_tpoly, is_irreducible_tpoly
+from .polynomials import Poly, factor_tpoly, is_irreducible_tpoly, poly_gcd
 
 
 @dataclass(frozen=True)

@@ -21,16 +21,12 @@ from .polynomials import (
     Poly,
     ZPoly,
     clear_denominators,
+    factor_tpoly,
     poly_gcd,
     rational_content,
-)
-from .sympybridge import (
-    factor_tpoly,
-    factor_zpoly_over_k,
     resultant_z,
-    sqf_zpoly_over_k,
-    zpoly_gcd_over_k,
 )
+from .sympybridge import factor_zpoly_over_k, sqf_zpoly_over_k, zpoly_gcd_over_k
 
 # ---------------------------------------------------------------------------
 # Points

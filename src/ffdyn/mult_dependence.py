@@ -32,8 +32,7 @@ from .maps import (
     bad_reduction_places,
     require_dynamical,
 )
-from .polynomials import Poly
-from .sympybridge import factor_tpoly
+from .polynomials import Poly, factor_tpoly
 
 # ---------------------------------------------------------------------------
 # Orbit helpers

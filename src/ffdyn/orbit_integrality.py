@@ -40,7 +40,7 @@ from .maps import (
     require_dynamical,
     resultant,
 )
-from .sympybridge import factor_tpoly
+from .polynomials import factor_tpoly
 
 CERTIFICATE_HEIGHT_LIMIT = 256  # count_S_integral seeks certificates up to it
 

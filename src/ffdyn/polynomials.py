@@ -37,16 +37,29 @@ Kernels, all on the integer numerators:
   polynomial GCD algorithm based on integer GCD computation", JSC 1989) on
   the primitive integer numerators, with a primitive PRS as the fallback
   (``poly_gcd``). Clearing denominators and contents multiplies by units of
-  Q[t], so the monic gcd is unchanged. No sympy is imported here.
+  Q[t], so the monic gcd is unchanged.
+- factorization (``factor_tpoly``): Yun's squarefree decomposition on the
+  native gcd, then Zassenhaus on each part: distinct-degree and
+  Cantor-Zassenhaus factoring modulo a small prime, Hensel lifting past
+  the Landau-Mignotte bound and recombination by exact division (von zur
+  Gathen and Gerhard, "Modern Computer Algebra", Chapters 14 and 15).
+- resultant in z (``resultant_z``): a fraction-free Bareiss determinant
+  of the Sylvester matrix over Z[t] (the same book, Chapter 6).
 - content, primitive part and monic associate: one pass each.
+
+No sympy is imported here; ``sympybridge`` keeps the K[z] routines that
+still use it.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError
 
@@ -143,9 +156,33 @@ def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _unpack(x * y, k, len(a) + len(b) - 1)
 
 
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product in Z[t] of nonzero a, b: schoolbook below the crossover
+    ``_KRONECKER_MIN_LEN``, Kronecker substitution from it on."""
+    if min(len(a), len(b)) >= _KRONECKER_MIN_LEN:
+        return _kronecker(a, b)
+    return _schoolbook(a, b)
+
+
+def _int_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a - b in Z[t], trimmed."""
+    if len(a) >= len(b):
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] -= c
+    else:
+        out = [-c for c in b]
+        for i, c in enumerate(a):
+            out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _int_exact_quotient(a: Sequence[int], p: Sequence[int]) -> Optional[list[int]]:
     """a / p in Z[t] for nonzero a and primitive p, or None if p does not
-    divide a. The early exits are sound by Gauss's lemma (module docstring)."""
+    divide a. The early exits are sound by Gauss's lemma (module docstring).
+    For p not primitive it still returns a / p whenever that lies in Z[t]."""
     m = len(p) - 1
     k = len(a) - m
     if k <= 0 or (p[0] and a[0] % p[0]):
@@ -281,11 +318,7 @@ class Poly:
         a, b = self.ints, other.ints
         if not a or not b:
             return _ZERO
-        if min(len(a), len(b)) >= _KRONECKER_MIN_LEN:
-            out = _kronecker(a, b)
-        else:
-            out = _schoolbook(a, b)
-        return _canon(out, self.den * other.den)
+        return _canon(_int_mul(a, b), self.den * other.den)
 
     def scale(self, c) -> "Poly":
         c = _as_fraction(c)
@@ -298,6 +331,9 @@ class Poly:
         if self.is_zero or k == 0:
             return self
         return Poly((0,) * k + self.ints, self.den)
+
+    def derivative(self) -> "Poly":
+        return _canon([i * c for i, c in enumerate(self.ints)][1:], self.den)
 
     def drop_low(self, k: int) -> "Poly":
         """Quotient by t**k: the coefficients of t^k and above, moved down."""
@@ -555,25 +591,7 @@ def _gcd_degree_mod_p(f: Sequence[int], g: Sequence[int]) -> Optional[int]:
             break
     else:
         return None
-    a, b = _trim_mod(f, p), _trim_mod(g, p)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        inv = pow(b[-1], -1, p)
-        m = len(b) - 1
-        for i in range(len(a) - 1 - m, -1, -1):
-            c = a[i + m] * inv % p
-            if c:
-                a[i : i + m] = [(x - c * y) % p for x, y in zip(a[i : i + m], b)]
-        a, b = b, _trim_mod(a[:m], p)
-    return len(a) - 1
-
-
-def _trim_mod(f: Sequence[int], p: int) -> list[int]:
-    out = [c % p for c in f]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return len(_mod_gcd(_trim_mod(f, p), _trim_mod(g, p), p)) - 1
 
 
 def _prs_gcd(a: Poly, b: Poly) -> Poly:
@@ -585,6 +603,436 @@ def _prs_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, (a % b).primitive()
     return a
+
+
+# ---------------------------------------------------------------------------
+# (Z/m)[t]: lists of residues in [0, m), lowest degree first, trimmed. m is a
+# prime p or, in Hensel lifting, a power of p; a divisor's leading
+# coefficient must be a unit mod m.
+# ---------------------------------------------------------------------------
+
+
+def _trim_mod(f: Sequence[int], m: int) -> list[int]:
+    out = [c % m for c in f]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mod_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
+    return _trim_mod(_int_mul(a, b), m)
+
+
+def _mod_add(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim_mod(out, m)
+
+
+def _mod_sub(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    return _mod_add(a, [-c for c in b], m)
+
+
+def _mod_divmod(
+    a: Sequence[int], b: Sequence[int], m: int
+) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by nonzero b in (Z/m)[t]."""
+    k = len(b) - 1
+    n = len(a) - k
+    if n <= 0:
+        return [], list(a)
+    rem = list(a)
+    inv = pow(b[-1], -1, m)
+    q = [0] * n
+    for i in range(n - 1, -1, -1):
+        c = rem[i + k] * inv % m
+        if c:
+            q[i] = c
+            rem[i : i + k] = [(x - c * y) % m for x, y in zip(rem[i : i + k], b)]
+    rem = rem[:k]
+    while rem and not rem[-1]:
+        rem.pop()
+    return q, rem
+
+
+def _mod_monic(a: Sequence[int], p: int) -> list[int]:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _mod_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd in F_p[t]; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, _mod_divmod(a, b, p)[1]
+    return _mod_monic(a, p) if a else []
+
+
+def _mod_gcdex(
+    a: Sequence[int], b: Sequence[int], p: int
+) -> tuple[list[int], list[int]]:
+    """(s, t) with s*a + t*b = 1 in F_p[t] for coprime a, b of degree >= 1,
+    deg s < deg b and deg t < deg a (extended Euclid)."""
+    r0, r1 = a, b
+    s0, s1, t0, t1 = [1], [], [], [1]
+    while r1:
+        q, r = _mod_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _mod_sub(s0, _mod_mul(q, s1, p), p)
+        t0, t1 = t1, _mod_sub(t0, _mod_mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _mod_pow(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
+    """a^e mod f in F_p[t]."""
+    out = [1]
+    a = _mod_divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _mod_divmod(_mod_mul(out, a, p), f, p)[1]
+        e >>= 1
+        if e:
+            a = _mod_divmod(_mod_mul(a, a, p), f, p)[1]
+    return out
+
+
+def _frobenius_base(f: Sequence[int], p: int) -> list[list[int]]:
+    """t^(i*p) mod f in F_p[t] for i < deg f."""
+    tp = _mod_pow([0, 1], p, f, p)
+    base = [[1]]
+    for _ in range(len(f) - 2):
+        base.append(_mod_divmod(_mod_mul(base[-1], tp, p), f, p)[1])
+    return base
+
+
+def _frobenius(h: Sequence[int], base: Sequence[Sequence[int]], p: int) -> list[int]:
+    """h^p mod f for deg h < deg f, with base = ``_frobenius_base(f, p)``:
+    h(t)^p = h(t^p) = sum h_i t^(i*p) in F_p[t], in O(deg f^2)."""
+    out = [0] * len(base)
+    for c, row in zip(h, base):
+        if c:
+            for j, y in enumerate(row):
+                out[j] += c * y
+    return _trim_mod(out, p)
+
+
+# ---------------------------------------------------------------------------
+# Factorization in Q[t]
+# ---------------------------------------------------------------------------
+
+# A first good prime with fewer modular factors than this is taken at once;
+# otherwise the good prime with the fewest among the first _PRIME_TRIES.
+_FEW_MODULAR_FACTORS = 15
+_PRIME_TRIES = 5
+
+
+@lru_cache(maxsize=4096)
+def factor_tpoly(p: Poly) -> tuple[Fraction, tuple[tuple[Poly, int], ...]]:
+    """Factor a nonzero element of Q[t] into monic irreducibles.
+
+    Returns (unit, ((factor, multiplicity), ...)) with unit * prod == p,
+    unit = lc(p), and the factors sorted by (degree, coefficients). Yun's
+    squarefree decomposition (``_squarefree_parts``) splits p into coprime
+    squarefree parts of distinct multiplicities; each part is split into
+    irreducibles by ``_zassenhaus``.
+    """
+    if p.is_zero:
+        raise DomainError("cannot factor zero")
+    if p.is_constant:
+        return p.constant_value(), ()
+    factors = [
+        (q, mult)
+        for part, mult in _squarefree_parts(p)
+        for q in _irreducible_factors(part)
+    ]
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return p.leading, tuple(factors)
+
+
+def is_irreducible_tpoly(p: Poly) -> bool:
+    if p.is_zero or p.is_constant:
+        return False
+    _, factors = factor_tpoly(p)
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+def _squarefree_parts(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's squarefree decomposition of nonconstant p: the pairs (a_i, i)
+    with a_i monic, squarefree, pairwise coprime and nonconstant, and
+    p = lc(p) * prod a_i^i.
+
+    With f = p/lc(p) = prod a_j^j, gcd(f, f') = prod a_j^(j-1) in
+    characteristic 0. Step i starts from b_i = prod_(j >= i) a_j and
+    c_i = sum_(j >= i) (j - i + 1) a_j' prod_(k >= i, k != j) a_k, which
+    for i = 1 are f/gcd(f, f') and f'/gcd(f, f'). Then
+
+        d_i = c_i - b_i' = a_i * sum_(j > i) (j - i) a_j' prod_(k > i, k != j) a_k,
+
+    and gcd(b_i, d_i) = a_i: each a_j with j > i divides every term of the
+    sum but the j-th, and is coprime to that one (a_j is squarefree and
+    coprime to the other parts, and j - i != 0). b_(i+1) = b_i/a_i and
+    c_(i+1) = d_i/a_i have the same form for i + 1.
+    """
+    f = p.monic()
+    df = f.derivative()
+    a = poly_gcd(f, df)
+    b, c = f.exact_div(a), df.exact_div(a)
+    out = []
+    i = 1
+    while not b.is_constant:
+        d = c - b.derivative()
+        a = poly_gcd(b, d)
+        if not a.is_constant:
+            out.append((a, i))
+        b, c = b.exact_div(a), d.exact_div(a)
+        i += 1
+    return out
+
+
+def _irreducible_factors(part: Poly) -> list[Poly]:
+    """Monic irreducible factors of a squarefree nonconstant part."""
+    f = part.primitive().ints
+    out = []
+    if not f[0]:  # t divides f once, f being squarefree
+        out.append(_T)
+        f = f[1:]
+    if len(f) == 2:
+        out.append(Poly(f, 1).monic())
+    elif len(f) > 2:
+        out.extend(Poly(tuple(g), 1).monic() for g in _zassenhaus(f))
+    return out
+
+
+def _zassenhaus(f: Sequence[int]) -> list[list[int]]:
+    """Irreducible factors in Z[t] of f of degree n >= 2 that is primitive,
+    squarefree, with lc f > 0 and f(0) != 0; each primitive with positive
+    leading coefficient (von zur Gathen-Gerhard, "Modern Computer Algebra",
+    Algorithm 15.19, with the modular factors of Chapter 14).
+
+    1. A prime. p must not divide b = lc f, so that reduction mod p keeps
+       every degree, and f mod p must be squarefree (deg gcd(f, f') = 0 mod
+       p), so that Hensel lifting applies. Odd primes are tried from 3; the
+       discriminant of f is a nonzero integer, so only finitely many fail.
+       Distinct-degree factoring (``_ddf``) counts the modular factors. One
+       modular factor proves f irreducible: f = g*h over Z with both degrees
+       positive would reduce to a factorization mod p of the same degrees.
+       Of a few good primes the one with the fewest factors is kept, which
+       keeps the recombination small.
+    2. Modular factors: equal-degree splitting by Cantor-Zassenhaus
+       (``_edf``) with a fixed-seed ``random.Random``, so reruns agree.
+    3. The bound. Let g be a factor of f in Z[t] of degree k. The Mahler
+       measure is multiplicative and M(h) >= |lc h|, so M(g) <=
+       M(f)*|lc g|/|lc f|; Landau gives M(f) <= ||f||_2 and every
+       coefficient of g is at most binomial(k, i)*M(g), so ||g||_1 <=
+       2^k M(g). Hence G = (b/lc g)*g, an integer polynomial since lc g | b,
+       has ||G||_inf <= ||G||_1 <= 2^k ||f||_2 <= B = 2^n * (isqrt(sum
+       f_i^2) + 1). The same bound holds for the factors of every cofactor
+       f/g met later, whose leading coefficient divides b.
+    4. Lifting. The monic modular factors are lifted to u_i mod p^l with
+       p^l > 2B and f = b * prod u_i mod p^l (``_hensel_lift``). Monic lifts
+       of pairwise coprime factors are unique, so a true factor g of f
+       satisfies g = lc(g) * prod_(i in S) u_i mod p^l for exactly one set
+       S of indices.
+    5. Recombination. For each subset S, by increasing size, the balanced
+       residue G* of b * prod_(i in S) u_i mod p^l equals (b/lc g)*g when S
+       belongs to a factor g, because |coefficients| <= B < p^l/2. The
+       constant term is tested first: G* must divide b*f, so G*(0) | b*f(0).
+       pp(G*) is accepted only if it divides f exactly; f is replaced by the
+       cofactor and b by its leading coefficient. A factor found at size s
+       is irreducible, since each factor of it would belong to a smaller set
+       that was tried already; when 2s exceeds the number of indices left,
+       one side of any split of the rest would be smaller than s, so the
+       rest is irreducible.
+    """
+    n = len(f) - 1
+    df = [i * c for i, c in enumerate(f)][1:]
+    best = None
+    tried = 0
+    for p in _odd_primes():
+        if not f[-1] % p:
+            continue
+        fp = _mod_monic(_trim_mod(f, p), p)
+        if len(_mod_gcd(fp, _trim_mod(df, p), p)) > 1:
+            continue
+        parts = _ddf(fp, p)
+        count = sum((len(g) - 1) // d for g, d in parts)
+        if count == 1:
+            return [list(f)]
+        if best is None or count < best[0]:
+            best = (count, p, parts)
+        tried += 1
+        if count < _FEW_MODULAR_FACTORS or tried == _PRIME_TRIES:
+            break
+    _, p, parts = best
+    rng = random.Random(0)
+    modular = [u for g, d in parts for u in _edf(g, d, p, rng)]
+    bound = (isqrt(sum(c * c for c in f)) + 1) << n
+    pl = p
+    while pl <= 2 * bound:
+        pl *= p
+    lifted = _hensel_lift(f, modular, p, pl)
+    half = pl // 2
+
+    def balanced(c: int) -> int:
+        c %= pl
+        return c - pl if c > half else c
+
+    factors = []
+    left = list(range(len(lifted)))
+    size = 1
+    while 2 * size <= len(left):
+        for subset in combinations(left, size):
+            b = f[-1]
+            c0 = b
+            for i in subset:
+                c0 = c0 * lifted[i][0] % pl
+            c0 = balanced(c0)
+            if not c0 or (b * f[0]) % c0:
+                continue
+            G = [b]
+            for i in subset:
+                G = _trim_mod(_int_mul(G, lifted[i]), pl)
+            G = [balanced(c) for c in G]
+            g = gcd(*G)
+            G = [c // g for c in G]
+            q = _int_exact_quotient(f, G)
+            if q is None:
+                continue
+            factors.append(G)
+            f = q
+            left = [i for i in left if i not in subset]
+            break
+        else:
+            size += 1
+    factors.append(list(f))
+    return factors
+
+
+def _odd_primes() -> Iterator[int]:
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _ddf(f: Sequence[int], p: int) -> list[tuple[list[int], int]]:
+    """Distinct-degree factorization of monic squarefree f in F_p[t]: the
+    pairs (g_d, d) with g_d != 1 the product of the monic irreducible
+    factors of degree d. t^(p^d) - t is the product of the monic
+    irreducibles of degree dividing d, and the factors of degree below d
+    are already divided out, so gcd(f, t^(p^d) - t) = g_d. The powers
+    t^(p^d) mod f are Frobenius steps (``_frobenius``); they stay reduced
+    modulo the input f, which the shrinking f divides. Once 2d exceeds
+    deg f, what is left is irreducible."""
+    base = _frobenius_base(f, p)
+    h = [0, 1]
+    out = []
+    d = 1
+    while 2 * d <= len(f) - 1:
+        h = _frobenius(h, base, p)
+        g = _mod_gcd(f, _mod_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _mod_divmod(f, g, p)[0]
+        d += 1
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _edf(g: Sequence[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """Monic irreducible factors of monic squarefree g in F_p[t], p odd,
+    whose irreducible factors all have degree d (Cantor-Zassenhaus).
+
+    For a random a, modulo each irreducible factor q the power
+    a^((p^d - 1)/2) is 0, 1 or -1, and 1 and -1 each with probability
+    about 1/2, independently for each q (Chinese remaindering), so
+    gcd(g, a^((p^d - 1)/2) - 1) splits g with probability at least about
+    1/2. The power is computed as N^((p - 1)/2) with
+    N = a * a^p * ... * a^(p^(d-1)) mod g, by Frobenius steps."""
+    if len(g) - 1 <= d:
+        return [list(g)]
+    base = _frobenius_base(g, p)
+    while True:
+        a = _trim_mod([rng.randrange(p) for _ in range(len(g) - 1)], p)
+        if len(a) < 2:
+            continue
+        norm = power = a
+        for _ in range(d - 1):
+            power = _frobenius(power, base, p)
+            norm = _mod_divmod(_mod_mul(norm, power, p), g, p)[1]
+        h = _mod_pow(norm, (p - 1) // 2, g, p)
+        u = _mod_gcd(g, _mod_sub(h, [1], p), p)
+        if 1 < len(u) < len(g):
+            break
+    v = _mod_divmod(g, u, p)[0]
+    return _edf(u, d, p, rng) + _edf(v, d, p, rng)
+
+
+def _hensel_lift(
+    f: Sequence[int], factors: Sequence[Sequence[int]], p: int, pl: int
+) -> list[list[int]]:
+    """Monic u_i mod pl = p^l with u_i = factors[i] mod p and
+    f = lc(f) * prod u_i mod pl, for f = lc(f) * prod factors mod p with
+    p not dividing lc f and the factors monic and pairwise coprime mod p.
+
+    The factors split into two halves, g = lc(f) * (first half) and
+    h = (second half) mod p, with s*g + t*h = 1 mod p (``_mod_gcdex``).
+    ``_hensel_step`` lifts f = g*h from m to m^2 until m >= pl, and each
+    half is lifted again against its own product (von zur Gathen-Gerhard,
+    Algorithm 15.17, with the factor tree split down the middle).
+    """
+    if len(factors) == 1:
+        inv = pow(f[-1], -1, pl)
+        return [[c * inv % pl for c in f]]
+    k = len(factors) // 2
+    g = [f[-1] % p]
+    for u in factors[:k]:
+        g = _mod_mul(g, u, p)
+    h = factors[k]
+    for u in factors[k + 1 :]:
+        h = _mod_mul(h, u, p)
+    s, t = _mod_gcdex(g, h, p)
+    m = p
+    while m < pl:
+        g, h, s, t = _hensel_step(m, f, g, h, s, t)
+        m *= m
+    return _hensel_lift(g, factors[:k], p, pl) + _hensel_lift(h, factors[k:], p, pl)
+
+
+def _hensel_step(m: int, f, g, h, s, t) -> tuple[list[int], ...]:
+    """One quadratic Hensel step (von zur Gathen-Gerhard, Algorithm 15.10
+    and Theorem 15.11).
+
+    From f = g*h and s*g + t*h = 1 mod m, with h monic, deg s < deg h and
+    deg t < deg g, it returns g*, h*, s*, t* with the same properties
+    mod m^2, g* = g and h* = h mod m. Let e = f - g*h, which is 0 mod m,
+    and s*e = q*h + r with deg r < deg h, so h* = h + r stays monic. Then
+    g* = g + t*e + q*g gives
+
+        f - g*h* = e*(1 - s*g - t*h) - (t*e + q*g)*r = 0 mod m^2,
+
+    as both 1 - s*g - t*h and r are 0 mod m. With b = s*g* + t*h* - 1,
+    0 mod m, and s*b = c*h* + d, the updates s* = s - d and
+    t* = t - t*b - c*g* give s*g* + t*h* - 1 = b - b*(s*g* + t*h*) = -b^2,
+    0 mod m^2.
+    """
+    M = m * m
+    e = _mod_sub(f, _mod_mul(g, h, M), M)
+    q, r = _mod_divmod(_mod_mul(s, e, M), h, M)
+    g = _mod_add(g, _mod_add(_mod_mul(t, e, M), _mod_mul(q, g, M), M), M)
+    h = _mod_add(h, r, M)
+    b = _mod_sub(_mod_add(_mod_mul(s, g, M), _mod_mul(t, h, M), M), [1], M)
+    c, d = _mod_divmod(_mod_mul(s, b, M), h, M)
+    s = _mod_sub(s, d, M)
+    t = _mod_sub(t, _mod_add(_mod_mul(t, b, M), _mod_mul(c, g, M), M), M)
+    return g, h, s, t
 
 
 def clear_denominators(ps: Sequence[Poly]) -> list[Poly]:
@@ -750,6 +1198,83 @@ class ZPoly:
         from .exprs import zpoly_text
 
         return zpoly_text(self)
+
+
+def resultant_z(f: ZPoly, g: ZPoly) -> Poly:
+    """Resultant in z of two nonzero elements of Q[t][z] (affine convention:
+    the degrees are the actual z-degrees a and b, with no homogenization).
+
+    For a >= b, Res(f, g) is the determinant of the (a+b) x (a+b) Sylvester
+    matrix: b shifted rows of the z-coefficients of f, highest first, then
+    a shifted rows of those of g. For a < b the operands are swapped first,
+    which is sympy's convention: it differs from the Sylvester determinant
+    of (f, g) by the sign (-1)^(a*b). Let m_f and m_g be the lcm of the
+    denominators of the z-coefficients of f and g. The determinant is
+    homogeneous of degree b in the coefficients of f and of degree a in
+    those of g, so Res(m_f*f, m_g*g) = m_f^b * m_g^a * Res(f, g). The left
+    side has entries in Z[t] and is computed fraction-free
+    (``_bareiss_det``); the scale is divided back out. Res(f, g) = f^b when
+    a = 0 and g^a when b = 0.
+    """
+    if f.is_zero or g.is_zero:
+        raise DomainError("resultant of zero polynomial")
+    a, b = f.degree, g.degree
+    if a == 0:
+        return f.coeffs[0] ** b
+    if b == 0:
+        return g.coeffs[0] ** a
+    if a < b:
+        f, g, a, b = g, f, b, a
+    (F, mf), (G, mg) = _integral_rows(f), _integral_rows(g)
+    n = a + b
+    M = [[[]] * n for _ in range(n)]
+    for r in range(b):
+        M[r][r : r + a + 1] = F
+    for r in range(a):
+        M[b + r][r : r + b + 1] = G
+    return _canon(_bareiss_det(M), mf**b * mg**a)
+
+
+def _integral_rows(f: ZPoly) -> tuple[list[list[int]], int]:
+    """(the integer numerators of m*f's z-coefficients, highest z-degree
+    first, m) with m the lcm of their denominators."""
+    m = lcm(*(c.den for c in f.coeffs))
+    return [[x * (m // c.den) for x in c.ints] for c in reversed(f.coeffs)], m
+
+
+def _bareiss_det(M: list[list[list[int]]]) -> list[int]:
+    """Determinant of a square matrix over Z[t] by Bareiss's fraction-free
+    elimination (von zur Gathen-Gerhard, Section 6.2 and Exercise 6.14).
+
+    After step k every entry (i, j) with i, j > k is the (k+2)-minor of
+    rows 0..k, i and columns 0..k, j (Sylvester's identity), so the division
+    by the previous pivot is exact in Z[t] and ``_int_exact_quotient`` finds
+    the quotient, a divisor that is not primitive included. A zero pivot is
+    replaced by a lower row, with a sign change; a zero column gives 0.
+    """
+    n = len(M)
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not M[k][k]:
+            i = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if i is None:
+                return []
+            M[k], M[i] = M[i], M[k]
+            sign = -sign
+        pivot, top = M[k][k], M[k]
+        for row in M[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                x = _int_mul(row[j], pivot) if row[j] else []
+                if lead and top[j]:
+                    x = _int_sub(x, _int_mul(lead, top[j]))
+                if x and prev != [1]:
+                    x = _int_exact_quotient(x, prev)
+                row[j] = x
+        prev = pivot
+    det = M[n - 1][n - 1]
+    return det if sign > 0 else [-c for c in det]
 
 
 class BinaryMonomials:

@@ -1,25 +1,24 @@
-"""Factorization, gcd, resultant and squarefree decomposition through sympy's
-dense integer routines.
+"""The K[z] fallbacks through sympy's dense integer routines, and the names
+of the native Q[t] kernels that the tracer and older callers look up here.
 
-The gcd in Q[t] is native (``polynomials.poly_gcd``), and two calls here are
-fallbacks behind a certificate: ``zpoly_gcd_over_k`` runs only when
-``maps.normalize_map`` cannot show F and G coprime by specializing t, and
-``sqf_zpoly_over_k`` in ``maps.max_fiber_ram`` only when the same test cannot
-show the fiber polynomial squarefree. ``maps.compose`` needs no K[z] gcd at
-all. Factorization (``factor_tpoly``, ``factor_zpoly_over_k``) and
-``resultant_z`` have no native route yet.
+Factorization and the resultant are native: ``factor_tpoly``,
+``is_irreducible_tpoly`` and ``resultant_z`` live in ``polynomials`` and are
+re-exported below. Three K[z] routines still go through sympy, each behind a
+certificate or on a path of its own: ``zpoly_gcd_over_k`` runs only when
+``maps.normalize_map`` cannot show F and G coprime by specializing t,
+``sqf_zpoly_over_k`` in ``maps.max_fiber_ram`` only when the same test
+cannot show the fiber polynomial squarefree (and in
+``maps.preimage_count_zero_infty``), and ``factor_zpoly_over_k`` only for
+explicit fibers (``maps.fiber``). Each imports sympy in its own body, so
+importing this module, and ``ffdyn.cli``, loads no sympy.
 
 sympy is used as the engine only; all public data stays in the package's own
 exact types. Every call converts its operands straight to sympy's dense
-representation over ZZ and calls the ``dup_*``/``dmp_*`` routine, with no
-sympy expressions or ``Poly`` objects in between:
-
-- an element p of Q[t] becomes the list of its integer numerators
-  ``p.ints``, highest degree first. Its denominator is a positive rational
-  unit and is dropped wherever only associates matter (factors);
-- an element f of Q[t][z] becomes m*f in Z[z, t], where m is the lcm of the
-  denominators of its z-coefficients: a list of t-lists in the variable
-  order (z, t), each level highest degree first, zero entries as ``[]``.
+representation over ZZ and calls the ``dmp_*`` routine, with no sympy
+expressions or ``Poly`` objects in between: an element f of Q[t][z] becomes
+m*f in Z[z, t], where m is the lcm of the denominators of its
+z-coefficients: a list of t-lists in the variable order (z, t), each level
+highest degree first, zero entries as ``[]``.
 
 Factoring in Z[z, t] gives the factorization over K = Q(t) by Gauss's
 lemma: irreducible factors with positive z-degree are exactly the
@@ -28,30 +27,20 @@ z-degree are returned in one canonical form: t-primitive, integer
 coefficients with gcd 1 and positive leading coefficient of the leading
 z-coefficient. The same holds for gcds and squarefree parts, which clearing
 denominators changes only by units.
-
-The resultant is the exception: it must stay exact, not just up to units.
-For f of z-degree a and g of z-degree b, Res(m_f*f, m_g*g) equals
-m_f^b * m_g^a * Res(f, g), since the resultant is homogeneous of degree b in
-the coefficients of f and of degree a in those of g. ``resultant_z``
-divides that factor back out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
-from sympy.polys.densearith import dmp_mul, dmp_neg
-from sympy.polys.densebasic import dmp_ground_LC
-from sympy.polys.densetools import dmp_ground_primitive
-from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dmp_inner_gcd, dmp_primitive, dmp_resultant
-from sympy.polys.factortools import dmp_factor_list, dup_factor_list
-from sympy.polys.sqfreetools import dmp_sqf_list
-
 from .errors import DomainError
-from .polynomials import Poly, ZPoly
+from .polynomials import Poly, ZPoly, factor_tpoly, is_irreducible_tpoly, resultant_z
+
+__all__ = [
+    "factor_tpoly", "factor_zpoly_over_k", "is_irreducible_tpoly", "resultant_z",
+    "sqf_zpoly_over_k", "zpoly_gcd_over_k",
+]
 
 
 def _to_dense(f: ZPoly) -> tuple[list[list[int]], int]:
@@ -78,33 +67,13 @@ def _from_dense(f: list[list[int]], scale: Fraction = Fraction(1)) -> ZPoly:
 def _canonical(f: list[list[int]]) -> list[list[int]]:
     """Canonical associate of a t-primitive dense (z, t) polynomial: integer
     content 1 and positive leading coefficient of the leading z-coefficient."""
+    from sympy.polys.densearith import dmp_neg
+    from sympy.polys.densebasic import dmp_ground_LC
+    from sympy.polys.densetools import dmp_ground_primitive
+    from sympy.polys.domains import ZZ
+
     _, f = dmp_ground_primitive(f, 1, ZZ)
     return dmp_neg(f, 1, ZZ) if dmp_ground_LC(f, 1, ZZ) < 0 else f
-
-
-@lru_cache(maxsize=4096)
-def factor_tpoly(p: Poly) -> tuple[Fraction, tuple[tuple[Poly, int], ...]]:
-    """Factor a nonzero element of Q[t] into monic irreducibles.
-
-    Returns (unit, ((factor, multiplicity), ...)) with unit * prod == p and
-    factors sorted canonically.
-    """
-    if p.is_zero:
-        raise DomainError("cannot factor zero")
-    if p.is_constant:
-        return p.constant_value(), ()
-    _, raw = dup_factor_list(list(reversed(p.ints)), ZZ)
-    factors = [(Poly(tuple(reversed(q)), 1).monic(), mult) for q, mult in raw]
-    # monic factors make the unit exactly the leading coefficient
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return p.leading, tuple(factors)
-
-
-def is_irreducible_tpoly(p: Poly) -> bool:
-    if p.is_zero or p.is_constant:
-        return False
-    _, factors = factor_tpoly(p)
-    return len(factors) == 1 and factors[0][1] == 1
 
 
 def factor_zpoly_over_k(f: ZPoly) -> list[tuple[ZPoly, int]]:
@@ -113,6 +82,9 @@ def factor_zpoly_over_k(f: ZPoly) -> list[tuple[ZPoly, int]]:
     Only factors with positive z-degree are returned (t-only content is a
     unit of K); each factor is a canonical t-primitive representative.
     """
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dmp_factor_list
+
     if f.is_zero:
         raise DomainError("cannot factor zero")
     if f.degree <= 0:
@@ -130,23 +102,15 @@ def sqf_zpoly_over_k(f: ZPoly) -> list[tuple[ZPoly, int]]:
     ascending multiplicity. A part may carry t-content: sympy multiplies the
     squarefree parts of the t-content into the parts of equal multiplicity.
     """
+    from sympy.polys.domains import ZZ
+    from sympy.polys.sqfreetools import dmp_sqf_list
+
     if f.is_zero:
         raise DomainError("cannot decompose zero")
     if f.degree <= 0:
         return []
     _, raw = dmp_sqf_list(_to_dense(f)[0], 1, ZZ)
     return [(_from_dense(_canonical(q)), mult) for q, mult in raw if len(q) > 1]
-
-
-def resultant_z(f: ZPoly, g: ZPoly) -> Poly:
-    """Resultant in z of two nonzero elements of Q[t][z] (affine convention:
-    the degrees are the actual z-degrees, with no homogenization)."""
-    if f.is_zero or g.is_zero:
-        raise DomainError("resultant of zero polynomial")
-    (F, mf), (G, mg) = _to_dense(f), _to_dense(g)
-    r = Poly(tuple(reversed(dmp_resultant(F, G, 1, ZZ))), 1)
-    scale = mf ** g.degree * mg ** f.degree
-    return r if scale == 1 else r.scale(Fraction(1, scale))
 
 
 def zpoly_gcd_over_k(f: ZPoly, g: ZPoly) -> tuple[ZPoly, ZPoly, ZPoly]:
@@ -160,6 +124,11 @@ def zpoly_gcd_over_k(f: ZPoly, g: ZPoly) -> tuple[ZPoly, ZPoly, ZPoly]:
         return g, f, ZPoly.one()
     if g.is_zero:
         return f, ZPoly.one(), g
+    from sympy.polys.densearith import dmp_mul, dmp_neg
+    from sympy.polys.densebasic import dmp_ground_LC
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dmp_inner_gcd, dmp_primitive
+
     (F, mf), (G, mg) = _to_dense(f), _to_dense(g)
     h, cf, cg = dmp_inner_gcd(F, G, 1, ZZ)
     if len(h) == 1:

@@ -1,7 +1,8 @@
 """Slow independent routes that tests compare the fast ones against.
 
-- resultant_sylvester: the resultant from a fraction-free (Bareiss)
-  Sylvester determinant, against maps.resultant (sympy subresultants).
+- resultant_sylvester: the resultant of the degree-d homogenizations from
+  a fraction-free (Bareiss) Sylvester determinant over Q[t], against
+  maps.resultant (the native affine resultant with its correction).
 - fraction_mul, fraction_divmod, fraction_gcd: schoolbook product, long
   division and Euclid's gcd on lists of Fractions, against the integer
   kernels of polynomials.Poly.
@@ -12,7 +13,11 @@
   sympy_resultant_z, sympy_zpoly_gcd_over_k: the sympybridge functions
   computed on sympy expressions and ``sympy.Poly`` over QQ (one
   ``sympy.Rational`` per coefficient, ``sympy.resultant``, ``sympy.gcd``,
-  ``factor_list``, ``sqf_list``), against the dense ZZ routes.
+  ``factor_list``, ``sqf_list``), against the native Q[t] kernels and the
+  dense ZZ routes of the K[z] fallbacks.
+- sympy_dup_factor_tpoly: the factorization in Q[t] from sympy's
+  ``dup_factor_list`` over ZZ on the integer numerators (its Zassenhaus),
+  against the native polynomials.factor_tpoly on large inputs.
 - plain_orbit: the orbit prefix by repeated apply_map with no budget,
   against heights.Orbit.
 - quotient_dependence_search: the per-pair search that builds
@@ -31,6 +36,7 @@ from typing import Optional
 import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
+from sympy.polys.factortools import dup_factor_list
 
 from ffdyn.function_field import FieldElement, Place, PlaceSet, log_abs
 from ffdyn.maps import ProjectivePoint, RationalMap, apply_map
@@ -62,8 +68,8 @@ def bareiss_det(M: list[list[Poly]]) -> Poly:
 
 def resultant_sylvester(phi: RationalMap) -> Poly:
     """Resultant of the degree-d homogenizations via a fraction-free Sylvester
-    determinant; independent slow route kept as a cross-check for the main
-    subresultant-based computation."""
+    determinant over Q[t]; independent slow route kept as a cross-check for
+    maps.resultant."""
     d = phi.d
     f = [phi.F.coeff(d - i) for i in range(d + 1)]  # descending
     g = [phi.G.coeff(d - i) for i in range(d + 1)]
@@ -125,6 +131,16 @@ def sympy_poly_gcd(a: Poly, b: Poly) -> Poly:
         return Poly.one()
     g = dup_gcd(list(reversed(a.ints)), list(reversed(b.ints)), ZZ)
     return Poly(tuple(reversed(g)), 1).monic()
+
+
+def sympy_dup_factor_tpoly(p: Poly) -> tuple[Fraction, tuple[tuple[Poly, int], ...]]:
+    """factor_tpoly by ``dup_factor_list`` on the integer numerators."""
+    if p.is_constant:
+        return p.constant_value(), ()
+    _, raw = dup_factor_list(list(reversed(p.ints)), ZZ)
+    factors = [(Poly(tuple(reversed(q)), 1).monic(), mult) for q, mult in raw]
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return p.leading, tuple(factors)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,6 +83,53 @@ def clean_env(monkeypatch):
 def test_cli_golden(name, tmp_path, clean_env):
     expected = json.loads(GOLDEN.read_text())[name]
     assert run_case(CASES[name], tmp_path / "report") == expected
+
+
+# integral-count whose persistence certificate factors a degree-7 denominator,
+# (t + 1)^2 times the quintic place below; the expected record is the one
+# the earlier sympy factorization printed
+DEGREE_7_CERTIFICATE = (
+    ["integral-count", "--map", "(z^3+t)/(z+t)", "--point", "t", "--places", "inf",
+     "--max-n", "3"],
+    '{"certificate": {"place": "t^5 - t^4 + 4*t^3 + 11*t + 1", "start": 3}, '
+    '"command": "integral-count", "count": 1, "hits": [1], "map": "(z^3 + t)/(z + t)", '
+    '"max_n": 3, "point": "t", "schema": "ffdyn.report/1", "warnings": []}\n',
+)
+
+# Blocks sympy, imports ffdyn.cli, runs main on each argv read from stdin and
+# prints the results as one JSON list.
+_NO_SYMPY_RUNNER = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None
+import ffdyn.cli
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = ffdyn.cli.main(argv)
+    results.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
+print(json.dumps(results))
+"""
+
+
+def test_commands_run_without_sympy(clean_env):
+    # one command of each kind the benchmark runs; multdep on t*z^2 reaches
+    # bad_reduction_places
+    names = ["height", "canheight", "classify", "orbit-scan", "multdep", "choose-m"]
+    argv, stdout = DEGREE_7_CERTIFICATE
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SYMPY_RUNNER],
+        input=json.dumps([CASES[name] for name in names] + [argv]),
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    goldens = json.loads(GOLDEN.read_text())
+    assert results[:-1] == [goldens[name] for name in names]
+    assert results[-1] == {"code": 0, "stdout": stdout, "stderr": ""}
 
 
 def test_failed_verify_prints_its_record_and_exits_1(monkeypatch, clean_env):

@@ -15,9 +15,29 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ffdyn.errors import DomainError
+from ffdyn.exprs import parse_rational_map
+from ffdyn.maps import resultant
 import ffdyn.polynomials as polynomials
-from ffdyn.polynomials import _KRONECKER_MIN_LEN, BinaryMonomials, Poly, ZPoly, poly_gcd
-from oracles import fraction_divmod, fraction_gcd, fraction_mul, sympy_poly_gcd
+from ffdyn.polynomials import (
+    _KRONECKER_MIN_LEN,
+    BinaryMonomials,
+    Poly,
+    ZPoly,
+    factor_tpoly,
+    is_irreducible_tpoly,
+    poly_gcd,
+    resultant_z,
+)
+from oracles import (
+    fraction_divmod,
+    fraction_gcd,
+    fraction_mul,
+    resultant_sylvester,
+    sympy_dup_factor_tpoly,
+    sympy_factor_tpoly,
+    sympy_poly_gcd,
+    sympy_resultant_z,
+)
 
 fractions = st.fractions(
     min_value=-20, max_value=20, max_denominator=8
@@ -387,3 +407,232 @@ def test_zpoly_content_and_exact_div():
     assert f.content_poly() == Poly.t()
     assert f.rational_content() == 2
     assert f.exact_div_poly(Poly.t()) == ZPoly.of(Poly.of(2), Poly.of(0, 4))
+
+
+# ---------------------------------------------------------------------------
+# Native factorization in Q[t] against sympy's dup_factor_list and factor_list
+# ---------------------------------------------------------------------------
+
+
+def _product(unit, parts):
+    p = Poly.constant(unit)
+    for q, k in parts:
+        p = p * q**k
+    return p
+
+
+def _check_factorization(p):
+    got = factor_tpoly(p)
+    # equal tuples: the same unit, factors, multiplicities and order
+    assert got == sympy_dup_factor_tpoly(p)
+    unit, factors = got
+    assert unit == p.leading
+    assert all(q.is_monic for q, _ in factors)
+    assert _product(unit, factors) == p
+
+
+factor_parts = st.lists(
+    st.tuples(
+        st.sampled_from((1, 8, 64)).flatmap(lambda bits: int_polys(bits, 6)).filter(
+            lambda q: q.degree >= 1
+        ),
+        st.integers(1, 3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+units = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+@given(factor_parts, units)
+@settings(max_examples=80, deadline=None)
+def test_factor_tpoly_matches_dup_factor_list(parts, unit):
+    _check_factorization(_product(unit, parts))
+
+
+@given(factor_parts, units)
+@settings(max_examples=25, deadline=None)
+def test_factor_tpoly_matches_factor_list_over_qq(parts, unit):
+    p = _product(unit, parts)
+    assert factor_tpoly(p) == sympy_factor_tpoly(p)
+
+
+# Swinnerton-Dyer polynomials: the minimal polynomials of sqrt2 + sqrt3 and
+# sqrt2 + sqrt3 + sqrt5, irreducible over Q but split into factors of degree
+# at most 2 modulo every prime, so only recombination proves them
+# irreducible.
+_SD4 = Poly.of(1, 0, -10, 0, 1)
+_SD8 = Poly.of(576, 0, -960, 0, 352, 0, -40, 0, 1)
+
+
+@pytest.mark.parametrize("sd", [_SD4, _SD8])
+def test_swinnerton_dyer_needs_recombination(sd):
+    dsd = sd.derivative().ints
+    good = 0
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        fp = polynomials._mod_monic(polynomials._trim_mod(sd.ints, p), p)
+        if len(polynomials._mod_gcd(fp, polynomials._trim_mod(dsd, p), p)) > 1:
+            continue  # p divides the discriminant
+        good += 1
+        parts = polynomials._ddf(fp, p)
+        assert all(d <= 2 for _, d in parts)
+        assert sum((len(g) - 1) // d for g, d in parts) >= sd.degree // 2
+    assert good >= 6
+    assert is_irreducible_tpoly(sd)
+    assert factor_tpoly(sd) == (Fraction(1), ((sd, 1),))
+
+
+def test_swinnerton_dyer_products_and_powers():
+    t = Poly.t()
+    for p in (_SD4 * _SD8, _SD4**2 * _SD8.scale(Fraction(-2, 3)), _SD8 * (t - Poly.one()) ** 3,
+              _SD4 * _SD4.shift(1) * t):
+        _check_factorization(p)
+
+
+def test_leading_coefficient_divisible_by_the_first_primes():
+    # 3*5*...*31 divides lc, so every odd prime up to 31 is skipped
+    lc = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31
+    t = Poly.t()
+    for p in (
+        Poly.of(1, lc) * Poly.of(lc, 0, 1),
+        Poly.of(-1, 0, 0, lc) * Poly.of(7, 1, lc) ** 2,
+        _SD4.scale(lc) + Poly.of(0, 0, 0, 0, 0, lc),
+        Poly.of(2, 0, 3 * lc) * Poly.of(5, -3, 0, lc) * t,
+    ):
+        _check_factorization(p)
+
+
+def test_repeated_factors():
+    t = Poly.t()
+    f, g, h = Poly.of(1, 1), Poly.of(-2, 0, 1), Poly.of(1, 1, 0, 1)
+    for p in (f**2 * g**3, f * g**2 * h**3 * t**4, (f * g) ** 4, h**5 * t):
+        _check_factorization(p)
+    assert factor_tpoly(f**2 * g**3) == (Fraction(1), ((f, 2), (g, 3)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_large_and_rational_coefficients(seed):
+    rng = Random(seed)
+
+    def rand(deg, bits, den=1):
+        return Poly.from_list(
+            [Fraction(rng.getrandbits(bits) - (1 << (bits - 1)), rng.randint(1, den))
+             for _ in range(deg)] + [Fraction(rng.getrandbits(bits) | 1, rng.randint(1, den))]
+        )
+
+    # 1,000-bit coefficients; rational coefficients with denominators below 50
+    _check_factorization(rand(3, 1000) * rand(4, 1000) * rand(1, 1000) ** 2)
+    _check_factorization(rand(2, 40, 49) * rand(5, 40, 49) * rand(3, 8, 49) ** 2)
+
+
+def test_degree_one_constants_and_zero():
+    assert factor_tpoly(Poly.of(Fraction(3, 4), Fraction(-1, 2))) == (
+        Fraction(-1, 2), ((Poly.of(Fraction(-3, 2), 1), 1),)
+    )
+    assert factor_tpoly(Poly.constant(Fraction(-5, 7))) == (Fraction(-5, 7), ())
+    assert not is_irreducible_tpoly(Poly.constant(3))
+    assert is_irreducible_tpoly(Poly.of(5, 2))
+    with pytest.raises(DomainError):
+        factor_tpoly(Poly.zero())
+    assert not is_irreducible_tpoly(Poly.zero())
+
+
+def test_degree_64_product_of_200_bit_coefficients():
+    rng = Random(64)
+    parts = [
+        Poly.from_list(
+            [rng.getrandbits(25) - (1 << 24) for _ in range(8)] + [rng.getrandbits(24) | 1]
+        )
+        for _ in range(8)
+    ]
+    _check_factorization(_product(1, [(q, 1) for q in parts]))
+
+
+# ---------------------------------------------------------------------------
+# Native resultant against sympy's resultant and the Sylvester oracle
+# ---------------------------------------------------------------------------
+
+
+rat_tpolys = st.lists(
+    st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=6)), max_size=4
+).map(Poly.from_list)
+res_zpolys = st.lists(rat_tpolys, min_size=1, max_size=6).map(ZPoly.from_list).filter(
+    lambda f: not f.is_zero
+)
+
+
+@given(res_zpolys, res_zpolys)
+@settings(max_examples=120, deadline=None)
+def test_resultant_matches_sympy(f, g):
+    assert resultant_z(f, g) == sympy_resultant_z(f, g)
+
+
+@given(res_zpolys, res_zpolys, res_zpolys.filter(lambda h: h.degree >= 1))
+@settings(max_examples=40, deadline=None)
+def test_resultant_of_a_shared_factor_is_zero(f, g, h):
+    assert resultant_z(f * h, g * h).is_zero
+
+
+def test_resultant_special_shapes():
+    t = Poly.t()
+    f = ZPoly.of(Poly.of(1, Fraction(1, 2)), 0, t)  # t z^2 + t/2 + 1
+    c = ZPoly.of(Poly.of(Fraction(2, 3), 0, 1))  # deg_z G = 0
+    assert resultant_z(f, c) == Poly.of(Fraction(2, 3), 0, 1) ** 2
+    assert resultant_z(c, f) == resultant_z(f, c)
+    # sympy's sign convention: the operand of larger z-degree comes first, so
+    # both orders give the Sylvester determinant Res(z^3 + 1, z) = -1
+    z = ZPoly.z()
+    g = ZPoly.of(1, 0, 0, 1)  # z^3 + 1
+    assert resultant_z(z, g) == resultant_z(g, z) == Poly.of(-1)
+    assert sympy_resultant_z(z, g) == sympy_resultant_z(g, z) == Poly.of(-1)
+    # a shared factor z - t
+    assert resultant_z(ZPoly.of(-t, 1) * f, ZPoly.of(-t, 1) * ZPoly.of(1, 1)).is_zero
+    with pytest.raises(DomainError):
+        resultant_z(ZPoly.zero(), f)
+
+
+def test_bareiss_pivots_and_zero_columns():
+    one, two, t = [1], [2], [0, 1]
+    # a zero first pivot swaps rows and flips the sign
+    assert polynomials._bareiss_det([[[], one], [one, []]]) == [-1]
+    assert polynomials._bareiss_det([[[], two, []], [one, [], t], [[], [], one]]) == [-2]
+    # a zero column below the pivot gives 0
+    assert polynomials._bareiss_det([[one, t, two], [two, [0, 2], [1, 1]], [[], [], t]]) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(t)/(z^2 + 1)", "(z + t)/(t*z^2 - 1)", "(z^3 + t)/(t*z)", "z^2 + t", "(2*z^2 - t)/(z^2)"],
+)
+def test_map_resultant_with_a_vanishing_leading_coefficient(text):
+    # deg F or deg G below d: the homogenized leading coefficient vanishes
+    phi = parse_rational_map(text)
+    assert resultant(phi).monic() == resultant_sylvester(phi).monic()
+
+
+# ---------------------------------------------------------------------------
+# sympy loads only for the K[z] fallbacks
+# ---------------------------------------------------------------------------
+
+
+def test_kz_fallback_imports_sympy_on_demand():
+    code = (
+        "import sys\n"
+        "import ffdyn.cli\n"
+        "from ffdyn.exprs import map_text\n"
+        "from ffdyn.maps import normalize_map\n"
+        "from ffdyn.polynomials import Poly, ZPoly\n"
+        "assert 'sympy' not in sys.modules\n"
+        "common = ZPoly.of(-Poly.t(), Poly.one())\n"
+        "phi = normalize_map(common * ZPoly.of(1, 1), common * ZPoly.of(Poly.t(), 0, 1))\n"
+        "assert map_text(phi) == '(z + 1)/(z^2 + t)', map_text(phi)\n"
+        "assert 'sympy' in sys.modules\n"
+    )
+    src = str(Path(polynomials.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr

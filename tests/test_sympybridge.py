@@ -1,4 +1,6 @@
-"""The dense ZZ sympy bridge against the expression-level route over QQ."""
+"""The sympybridge names (the K[z] fallbacks through sympy, and the native
+factorization and resultant re-exported from polynomials) against the
+expression-level route over QQ."""
 
 from fractions import Fraction
 
