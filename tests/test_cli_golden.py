@@ -57,6 +57,14 @@ CASES = {
                      "inf", "--target", "inf", "--epsilon", "1/2", "--max-n", "2"],
     "output-json": ["--output", OUT, *ORBIT_SCAN],
     "output-csv": ["--format", "csv", "--output", OUT, *MULTDEP],
+    # t/z^2 is not a polynomial, but its second iterate z^4/t is
+    "polynomial-iterate-warning": ["integral-count", "--map", "t/z^2", "--point",
+                                   "t+1", "--places", "inf", "--max-n", "3"],
+    # 0 and inf form an exceptional 2-cycle of 1/z^2
+    "exceptional-target": ["choose-m", "--map", "1/z^2", "--target", "0",
+                           "--epsilon", "1/2"],
+    "canheight-rational-coefficients": ["canheight", "--map", "(z^3+t*z)/(z^2-1/3*t*z)",
+                                        "--point=-(t-1/2)^2/4"],
 }
 
 
