@@ -17,9 +17,8 @@ identical bytes and parse(print(x)) = x."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Union
+import re
+from math import gcd
 
 from .errors import DomainError, ParseError
 from .function_field import FieldElement, Place
@@ -30,53 +29,40 @@ from .polynomials import Poly, ZPoly
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # INT | T | Z | VAR | OP | END
-    text: str
-    pos: int
-    value: int = 0
+    __slots__ = ("kind", "text", "pos", "value")
+
+    def __init__(self, kind: str, text: str, pos: int, value: int = 0):
+        self.kind = kind  # INT | T | Z | VAR | OP | END
+        self.text = text
+        self.pos = pos
+        self.value = value
+
+
+# One token per match after optional whitespace: an integer, a variable T<i>
+# (digits optional, so that a bare T is reported), a one-character token, or
+# any other character that is not whitespace, which is an error.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(T\d*)|([tz+\-*/^()])|(\S))")
+_CHAR_KINDS = {"t": "T", "z": "Z"}
 
 
 def _tokenize(text: str, allow_vars: bool) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], i, int(text[i:j])))
-            i = j
-            continue
-        if ch == "t":
-            tokens.append(_Token("T", ch, i))
-            i += 1
-            continue
-        if ch == "z":
-            tokens.append(_Token("Z", ch, i))
-            i += 1
-            continue
-        if ch == "T" and allow_vars:
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
+    for m in _TOKEN_RE.finditer(text):
+        digits, var, char, other = m.groups()
+        if digits is not None:
+            tokens.append(_Token("INT", digits, m.start(1), int(digits)))
+        elif char is not None:
+            tokens.append(_Token(_CHAR_KINDS.get(char, "OP"), char, m.start(3)))
+        elif var is not None and allow_vars:
+            i = m.start(2)
+            if len(var) == 1:
                 raise ParseError(f"variable index expected after 'T' at position {i}", i)
-            tokens.append(_Token("VAR", text[i:j], i, int(text[i + 1 : j])))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("OP", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} at position {i}", i)
-    tokens.append(_Token("END", "", n))
+            tokens.append(_Token("VAR", var, i, int(var[1:])))
+        elif other is not None or var is not None:
+            i = m.start(4) if other is not None else m.start(2)
+            raise ParseError(f"unexpected character {text[i]!r} at position {i}", i)
+    tokens.append(_Token("END", "", len(text)))
     return tokens
 
 
@@ -86,49 +72,125 @@ def _tokenize(text: str, allow_vars: bool) -> list[_Token]:
 #
 # The same recursive-descent core serves three targets (field elements,
 # rational maps, split forms) through a small value algebra: values support
-# add, neg, mul, div and pow by a nonnegative integer.
+# add, neg, mul, div and pow by a nonnegative integer, and the class builds
+# the atoms (const, t, z, variable).
+#
+# Maps and field elements are built as sparse term dicts
+# {(z-degree, t-degree): coefficient} with the zero terms dropped. The atoms
+# are integers, t and z, and a quotient stays an unreduced pair, so every
+# coefficient is an integer; the dicts become ZPoly or Poly values once, at
+# the end of the parse.
 
 
-_ONE = ZPoly.one()
+def _terms_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+def _terms_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i, j), c in a.items():
+        for (k, l), e in b.items():
+            key = (i + k, j + l)
+            out[key] = out.get(key, 0) + c * e
+    return {key: c for key, c in out.items() if c}
+
+
+def _terms_pow(a: dict, n: int) -> dict:
+    if len(a) == 1:
+        ((i, j), c), = a.items()
+        return {(i * n, j * n): c**n}
+    result = _ONE_TERMS
+    while n:
+        if n & 1:
+            result = _terms_mul(result, a)
+        n >>= 1
+        if n:
+            a = _terms_mul(a, a)
+    return result
+
+
+def _terms_tpoly(terms: dict, z_degree: int = 0) -> Poly:
+    """The coefficient of z^z_degree of a term dict with integer coefficients."""
+    row = {j: c for (i, j), c in terms.items() if i == z_degree}
+    if not row:
+        return Poly.zero()
+    ints = [0] * (max(row) + 1)
+    for j, c in row.items():
+        ints[j] = c
+    return Poly(tuple(ints), 1)
+
+
+def _terms_zpoly(terms: dict) -> ZPoly:
+    if not terms:
+        return ZPoly.zero()
+    top = max(i for i, _ in terms)
+    return ZPoly(tuple(_terms_tpoly(terms, i) for i in range(top + 1)))
+
+
+_ONE_TERMS = {(0, 0): 1}
 
 
 class _RatFunc:
-    """Rational function in z over Q[t] as an unreduced num/den pair. Sums,
-    products and powers of pairs over 1 skip the products by the
-    denominators."""
+    """Rational function in z over Q[t] as an unreduced num/den pair of term
+    dicts. Sums, products and powers of pairs over 1 skip the products by
+    the denominators."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: ZPoly, den: ZPoly):
+    def __init__(self, num: dict, den: dict):
         self.num = num
         self.den = den
 
     @staticmethod
-    def const(c) -> "_RatFunc":
-        return _RatFunc(ZPoly.of(Poly.constant(c)), _ONE)
+    def const(c: int) -> "_RatFunc":
+        return _RatFunc({(0, 0): c} if c else {}, _ONE_TERMS)
+
+    @staticmethod
+    def t() -> "_RatFunc":
+        return _RatFunc({(0, 1): 1}, _ONE_TERMS)
+
+    @staticmethod
+    def z() -> "_RatFunc":
+        return _RatFunc({(1, 0): 1}, _ONE_TERMS)
 
     def add(self, other: "_RatFunc") -> "_RatFunc":
-        if self.den == _ONE and other.den == _ONE:
-            return _RatFunc(self.num + other.num, _ONE)
+        if self.den == _ONE_TERMS and other.den == _ONE_TERMS:
+            return _RatFunc(_terms_add(self.num, other.num), _ONE_TERMS)
         return _RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
+            _terms_add(_terms_mul(self.num, other.den), _terms_mul(other.num, self.den)),
+            _terms_mul(self.den, other.den),
         )
 
     def neg(self) -> "_RatFunc":
-        return _RatFunc(-self.num, self.den)
+        return _RatFunc({key: -c for key, c in self.num.items()}, self.den)
 
     def mul(self, other: "_RatFunc") -> "_RatFunc":
-        if self.den == _ONE and other.den == _ONE:
-            return _RatFunc(self.num * other.num, _ONE)
-        return _RatFunc(self.num * other.num, self.den * other.den)
+        num = _terms_mul(self.num, other.num)
+        if self.den == _ONE_TERMS and other.den == _ONE_TERMS:
+            return _RatFunc(num, _ONE_TERMS)
+        return _RatFunc(num, _terms_mul(self.den, other.den))
 
     def div(self, other: "_RatFunc", pos: int) -> "_RatFunc":
-        if other.num.is_zero:
+        if not other.num:
             raise ParseError(f"division by zero at position {pos}", pos)
-        return _RatFunc(self.num * other.den, self.den * other.num)
+        return _RatFunc(_terms_mul(self.num, other.den), _terms_mul(self.den, other.num))
 
     def pow(self, k: int) -> "_RatFunc":
-        return _RatFunc(self.num**k, _ONE if self.den == _ONE else self.den**k)
+        den = self.den
+        return _RatFunc(
+            _terms_pow(self.num, k), den if den == _ONE_TERMS else _terms_pow(den, k)
+        )
+
+    def zpolys(self) -> tuple[ZPoly, ZPoly]:
+        """(numerator, denominator) as ZPoly values."""
+        return _terms_zpoly(self.num), _terms_zpoly(self.den)
 
 
 class _FormVal:
@@ -145,8 +207,8 @@ class _FormVal:
         return _FormVal({(): FieldElement.from_rational(c)})
 
     @staticmethod
-    def const_elem(x: FieldElement) -> "_FormVal":
-        return _FormVal({(): x})
+    def t() -> "_FormVal":
+        return _FormVal({(): FieldElement.t()})
 
     @staticmethod
     def variable(idx: int) -> "_FormVal":
@@ -189,11 +251,16 @@ class _FormVal:
 
 
 class _Parser:
+    # value class of the "elem" and "map" modes, and the tokenizer
+    ratfunc = _RatFunc
+    tokenize = staticmethod(_tokenize)
+
     def __init__(self, text: str, mode: str):
         # mode: "elem" (no z), "map" (z allowed), "form" (T<i> allowed, no z)
         self.text = text
         self.mode = mode
-        self.tokens = _tokenize(text, allow_vars=(mode == "form"))
+        self.values = _FormVal if mode == "form" else self.ratfunc
+        self.tokens = self.tokenize(text, allow_vars=(mode == "form"))
         self.i = 0
 
     def peek(self) -> _Token:
@@ -267,19 +334,17 @@ class _Parser:
     def atom(self):
         tok = self.next()
         if tok.kind == "INT":
-            return self.const(tok.value)
+            return self.values.const(tok.value)
         if tok.kind == "T":
-            if self.mode == "form":
-                return _FormVal.const_elem(FieldElement.t())
-            return _RatFunc(ZPoly.of(Poly.t()), _ONE)
+            return self.values.t()
         if tok.kind == "Z":
             if self.mode != "map":
                 raise ParseError(
                     f"map context required for 'z' at position {tok.pos}", tok.pos
                 )
-            return _RatFunc(ZPoly.z(), _ONE)
+            return self.values.z()
         if tok.kind == "VAR":
-            return _FormVal.variable(tok.value)
+            return self.values.variable(tok.value)
         if tok.kind == "OP" and tok.text == "(":
             value = self.expr()
             self.expect_op(")")
@@ -290,11 +355,6 @@ class _Parser:
             tok.pos,
         )
 
-    def const(self, v: int):
-        if self.mode == "form":
-            return _FormVal.const(v)
-        return _RatFunc.const(v)
-
 
 # ---------------------------------------------------------------------------
 # Public parse entry points
@@ -302,22 +362,15 @@ class _Parser:
 
 
 def parse_field_elem(text: str) -> FieldElement:
+    # z is rejected in this mode, and a quotient by a nonzero value is nonzero
     value = _Parser(text, "elem").parse()
-    num, den = value.num, value.den
-    if den.is_zero or den.degree != 0 or num.degree > 0:
-        raise ParseError("internal: z leaked into element parse")
-    if den.coeff(0).is_zero:
-        raise ParseError("division by zero")
-    return FieldElement.make(num.coeff(0), den.coeff(0))
+    return FieldElement.make(_terms_tpoly(value.num), _terms_tpoly(value.den))
 
 
 def parse_rational_map(text: str):
     from .maps import normalize_map
 
-    value = _Parser(text, "map").parse()
-    if value.den.is_zero:
-        raise ParseError("division by zero")
-    phi = normalize_map(value.num, value.den)
+    phi = normalize_map(*_Parser(text, "map").parse().zpolys())
     if phi.d == 0:
         raise ParseError("constant map")
     return phi
@@ -373,27 +426,27 @@ def parse_split_form(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _frac_text(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def _t_mono_text(c_abs: Fraction, k: int) -> str:
-    """|c|*t^k with unit coefficients and exponents elided."""
+def _t_mono_text(num: int, den: int, k: int) -> str:
+    """(num/den)*t^k for num/den > 0 in lowest terms, with unit coefficients
+    and exponents elided."""
+    coeff = str(num) if den == 1 else f"{num}/{den}"
     if k == 0:
-        return _frac_text(c_abs)
+        return coeff
     base = "t" if k == 1 else f"t^{k}"
-    return base if c_abs == 1 else f"{_frac_text(c_abs)}*{base}"
+    return base if num == den == 1 else f"{coeff}*{base}"
+
+
+def _signed_term(c: int, den: int, k: int) -> tuple[str, str]:
+    """(sign, body) of the term (c/den)*t^k for c != 0."""
+    a = -c if c < 0 else c
+    g = gcd(a, den)
+    return ("-" if c < 0 else "+", _t_mono_text(a // g, den // g, k))
 
 
 def _poly_signed_terms(p: Poly) -> list[tuple[str, str]]:
     """Descending (sign, body) pairs for the nonzero terms of p."""
-    out = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if c == 0:
-            continue
-        out.append(("-" if c < 0 else "+", _t_mono_text(abs(c), k)))
-    return out
+    ints, den = p.ints, p.den
+    return [_signed_term(ints[k], den, k) for k in range(len(ints) - 1, -1, -1) if ints[k]]
 
 
 def _join_terms(terms: list[tuple[str, str]]) -> str:
@@ -413,21 +466,17 @@ def poly_text(p: Poly) -> str:
 def _zpoly_signed_terms(f: ZPoly) -> list[tuple[str, str]]:
     out = []
     for k in range(f.degree, -1, -1):
-        c = f.coeff(k)
+        c = f.coeffs[k]
         if c.is_zero:
             continue
         if k == 0:
             out.extend(_poly_signed_terms(c))
             continue
         zbase = "z" if k == 1 else f"z^{k}"
-        if len(c.coeffs) - c.coeffs.count(Fraction(0)) == 1 or c.is_constant:
+        if len(c.ints) - c.ints.count(0) == 1:
             # monomial coefficient: inline without parentheses
-            j = c.degree
-            cj = c.coeff(j)
-            sign = "-" if cj < 0 else "+"
-            tpart = _t_mono_text(abs(cj), j)
-            body = zbase if tpart == "1" else f"{tpart}*{zbase}"
-            out.append((sign, body))
+            sign, tpart = _signed_term(c.ints[-1], c.den, c.degree)
+            out.append((sign, zbase if tpart == "1" else f"{tpart}*{zbase}"))
         else:
             out.append(("+", f"({poly_text(c)})*{zbase}"))
     return out

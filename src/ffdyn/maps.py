@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional
 
 from .errors import DomainError
@@ -123,10 +124,18 @@ _SPECIALIZATION_POINTS = (1, -1, 2, -2, 3)
 
 
 def _specialize(f: ZPoly, t0: int) -> Poly:
-    """f(t0, z) in Q[z], as a Poly in the variable z."""
-    return Poly.from_list(
-        [Fraction(sum(c * t0**i for i, c in enumerate(p.ints)), p.den) for p in f.coeffs]
-    )
+    """f(t0, z) in Q[z] times the lcm of the denominators of f, as a Poly in
+    the variable z; the positive factor changes neither degree nor gcd."""
+    m = lcm(*(p.den for p in f.coeffs))
+    values = []
+    for p in f.coeffs:
+        v = 0
+        for c in reversed(p.ints):
+            v = v * t0 + c
+        values.append(v * (m // p.den))
+    while values and not values[-1]:
+        values.pop()
+    return Poly(tuple(values), 1)
 
 
 def coprime_by_specialization(F: ZPoly, G: ZPoly) -> bool:
@@ -151,16 +160,26 @@ def coprime_by_specialization(F: ZPoly, G: ZPoly) -> bool:
     return False
 
 
+def _z_order(f: ZPoly) -> int:
+    """Largest k with z^k dividing the nonzero f."""
+    return next(k for k, c in enumerate(f.coeffs) if not c.is_zero)
+
+
 def normalize_map(Fraw: ZPoly, Graw: ZPoly) -> RationalMap:
     """Bring a fraction of z-polynomials over K into normalized form.
 
-    The K[z] gcd is computed only if ``coprime_by_specialization`` cannot
-    certify that F and G are coprime."""
+    A common power of z is divided out first. The K[z] gcd is computed only
+    if ``coprime_by_specialization`` cannot then certify that F and G are
+    coprime."""
     if Fraw.is_zero and Graw.is_zero:
         raise DomainError("numerator and denominator both zero")
     F, G = Fraw, Graw
-    if not F.is_zero and not G.is_zero and not coprime_by_specialization(F, G):
-        _, F, G = zpoly_gcd_over_k(F, G)
+    if not F.is_zero and not G.is_zero:
+        k = min(_z_order(F), _z_order(G))
+        if k:
+            F, G = ZPoly(F.coeffs[k:]), ZPoly(G.coeffs[k:])
+        if not coprime_by_specialization(F, G):
+            _, F, G = zpoly_gcd_over_k(F, G)
     return _normalize_coprime(F, G)
 
 
@@ -391,17 +410,34 @@ def max_fiber_ram(phi: RationalMap, m: int, A: ProjectivePoint) -> int:
     return max(mults)
 
 
+def _sole_preimage(phi: RationalMap, A: ProjectivePoint) -> Optional[ProjectivePoint]:
+    """B with phi^-1(A) = {B}, so that A is totally ramified over B, or None
+    when the fiber over A has two points or more."""
+    W = fiber_polynomial(phi, A)
+    if W.degree == 0:
+        return ProjectivePoint.infinity()  # all d preimages lie at infinity
+    g = _pure_linear_power_root(W, phi.d)
+    return None if g is None else ProjectivePoint.from_field(g)
+
+
 def is_exceptional(phi: RationalMap, A: ProjectivePoint) -> bool:
-    """True iff the backward orbit of A is {A}: the fiber of phi^2 over A
-    is supported on A alone."""
+    """True iff the backward orbit of A is finite: A is a fixed point with
+    phi^-1(A) = {A}, or one point of a 2-cycle {A, B} with phi^-1(A) = {B}
+    and phi^-1(B) = {A}.
+
+    Decided on the fibers of phi itself, as phi^-1(A) = {B} and
+    phi^-1(B) = {A} for some B, where B = A is allowed. This is the same as
+    phi^-2(A) = {A}: if phi^-1(A) has two points or more, so has phi^-2(A),
+    since the fibers over distinct points are disjoint and nonempty; if
+    phi^-1(A) = {B}, then phi^-2(A) = phi^-1(B). A point whose backward orbit
+    is finite has a grand orbit of at most two points (Riemann-Hurwitz), so
+    these are all the cases."""
     require_dynamical(phi)
-    psi = power(phi, 2)
-    W = fiber_polynomial(psi, A)
-    if A.is_infinite:
-        return W.degree <= 0
-    if W.degree != psi.d:
-        return False  # infinity lies in the fiber
-    return _linear_root_multiplicity(W, A.affine()) == psi.d
+    B = _sole_preimage(phi, A)
+    if B is None:
+        return False
+    C = _sole_preimage(phi, B)
+    return C is not None and (C.x0 * A.x1 - A.x0 * C.x1).is_zero
 
 
 def choose_m(
@@ -476,11 +512,21 @@ def special_form_classify(phi: RationalMap) -> SpecialForm:
 
 
 def is_polynomial_iterate(phi: RationalMap, j: int) -> bool:
-    """True iff phi^j is a polynomial over K (constant denominator in z)."""
+    """True iff phi^j is a polynomial over K (constant denominator in z).
+
+    A normalized map psi is a polynomial iff psi^-1(inf) = {inf}. If phi^j
+    is one, the backward orbit of inf under phi is the finite union of
+    phi^-i(inf) for i < j, so inf is exceptional for phi: either
+    phi^-1(inf) = {inf}, and phi is a polynomial, or inf lies on an
+    exceptional 2-cycle {inf, B}, and phi^-j(inf) is {inf} for even j and
+    {B} for odd j. Conversely, both cases make phi^j a polynomial for the
+    j stated. So no iterate is built."""
     require_dynamical(phi)
     if j < 1:
         raise DomainError("iterate index must be positive")
-    return power(phi, j).G.degree == 0
+    if phi.is_polynomial:
+        return True
+    return j % 2 == 0 and is_exceptional(phi, ProjectivePoint.infinity())
 
 
 class IsotrivialityVerdict(Enum):

@@ -157,6 +157,10 @@ def dependence_search(
     f**r / g**s is an S-unit exactly when f**r and g**s have the same
     S-free part (`s_free_part`). Those parts are powers of the parts of f
     and g, which are computed once per orbit value, and each power once.
+    Equal parts have equal degrees, so a pair (r, s) is compared only when
+    the degrees of the parts agree, which needs no power: with (a, b, o)
+    the part of f and (a', b', o') that of g, with a' and b' swapped when
+    s < 0, r*deg a = |s|*deg a', r*deg b = |s|*deg b' and r*o = s*o'.
 
     For a solution the parts cancel, so u = f**r / g**s needs no gcd. A
     nonzero x with monic denominator is lc(x.num) * prod_v pi_v^ord_v(x)
@@ -181,6 +185,13 @@ def dependence_search(
         if e < 0:
             a, b = b, a
         return a ** abs(e), b ** abs(e), e * o
+
+    def part_degrees(i: int, e: int) -> tuple:
+        """The degrees of power_part(i, e), without the power."""
+        a, b, o = parts[i]
+        if e < 0:
+            a, b = b, a
+        return abs(e) * a.degree, abs(e) * b.degree, e * o
 
     finite = [v for v in q.S if not v.is_infinite]
 
@@ -214,6 +225,8 @@ def dependence_search(
                 skipped.append(f"(n={n}, k={k}): iterate is zero, u undefined")
                 continue
             for r, s in _coprime_pairs(q.r_max, q.s_max):
+                if part_degrees(n + k, r) != part_degrees(k, s):
+                    continue
                 if power_part(n + k, r) == power_part(k, s):
                     rho = math.log(abs(s) / r) / math.log(d) + 1
                     u = unit(n + k, k, r, s)

@@ -18,6 +18,17 @@
 - sympy_dup_factor_tpoly: the factorization in Q[t] from sympy's
   ``dup_factor_list`` over ZZ on the integer numerators (its Zassenhaus),
   against the native polynomials.factor_tpoly on large inputs.
+- char_tokenize, ZPolyRatFunc, CharParser: the expression parser as it
+  was, a character-by-character tokenizer and a value algebra that builds
+  ZPoly values at every atom and operation, against the term-dict values
+  and the regular-expression tokenizer of exprs.
+- fraction_poly_text, fraction_zpoly_text, fraction_map_text: canonical
+  printing through a Fraction per coefficient, zeros included, against the
+  printer of exprs, which reads the integer numerators.
+- exceptional_by_second_iterate, polynomial_iterate_by_power: whether a
+  point is exceptional, from the fiber of phi^2 over it, and whether phi^j
+  is a polynomial, from phi^j itself, against maps.is_exceptional and
+  maps.is_polynomial_iterate, which read two fibers of phi.
 - plain_orbit: the orbit prefix by repeated apply_map with no budget,
   against heights.Orbit.
 - quotient_dependence_search: the per-pair search that builds
@@ -38,8 +49,17 @@ from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.factortools import dup_factor_list
 
+from ffdyn.errors import ParseError
+from ffdyn.exprs import _Parser, _Token
 from ffdyn.function_field import FieldElement, Place, PlaceSet, log_abs
-from ffdyn.maps import ProjectivePoint, RationalMap, apply_map
+from ffdyn.maps import (
+    ProjectivePoint,
+    RationalMap,
+    _linear_root_multiplicity,
+    apply_map,
+    fiber_polynomial,
+    power,
+)
 from ffdyn.polynomials import Poly, ZPoly
 
 
@@ -250,6 +270,22 @@ def sympy_zpoly_gcd_over_k(f: ZPoly, g: ZPoly) -> ZPoly:
     return _canonical_kz(h)
 
 
+def exceptional_by_second_iterate(phi: RationalMap, A: ProjectivePoint) -> bool:
+    """True iff the fiber of phi^2 over A is supported on A alone."""
+    psi = power(phi, 2)
+    W = fiber_polynomial(psi, A)
+    if A.is_infinite:
+        return W.degree <= 0
+    if W.degree != psi.d:
+        return False  # infinity lies in the fiber
+    return _linear_root_multiplicity(W, A.affine()) == psi.d
+
+
+def polynomial_iterate_by_power(phi: RationalMap, j: int) -> bool:
+    """True iff phi^j, built by composition, has a constant denominator."""
+    return power(phi, j).G.degree == 0
+
+
 def plain_orbit(phi: RationalMap, P: ProjectivePoint, n: int) -> list[ProjectivePoint]:
     """Orbit prefix [P, phi(P), ..., phi^n(P)]."""
     orbit = [P]
@@ -322,3 +358,164 @@ def lambda_v_by_logmax(
         )
 
     return -log_abs(FieldElement.from_poly(cross), v) + logmax(P) + logmax(Q)
+
+
+def char_tokenize(text: str, allow_vars: bool) -> list[_Token]:
+    """Tokens of text, read one character at a time."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(_Token("INT", text[i:j], i, int(text[i:j])))
+            i = j
+            continue
+        if ch == "t":
+            tokens.append(_Token("T", ch, i))
+            i += 1
+            continue
+        if ch == "z":
+            tokens.append(_Token("Z", ch, i))
+            i += 1
+            continue
+        if ch == "T" and allow_vars:
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise ParseError(f"variable index expected after 'T' at position {i}", i)
+            tokens.append(_Token("VAR", text[i:j], i, int(text[i + 1 : j])))
+            i = j
+            continue
+        if ch in "+-*/^()":
+            tokens.append(_Token("OP", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r} at position {i}", i)
+    tokens.append(_Token("END", "", n))
+    return tokens
+
+
+class ZPolyRatFunc:
+    """Rational function in z over Q[t] as an unreduced pair of ZPoly values.
+    Sums, products and powers of pairs over 1 skip the products by the
+    denominators."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: ZPoly, den: ZPoly):
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def const(c: int) -> "ZPolyRatFunc":
+        return ZPolyRatFunc(ZPoly.of(Poly.constant(c)), ZPoly.one())
+
+    @staticmethod
+    def t() -> "ZPolyRatFunc":
+        return ZPolyRatFunc(ZPoly.of(Poly.t()), ZPoly.one())
+
+    @staticmethod
+    def z() -> "ZPolyRatFunc":
+        return ZPolyRatFunc(ZPoly.z(), ZPoly.one())
+
+    def add(self, other: "ZPolyRatFunc") -> "ZPolyRatFunc":
+        if self.den == ZPoly.one() and other.den == ZPoly.one():
+            return ZPolyRatFunc(self.num + other.num, ZPoly.one())
+        return ZPolyRatFunc(
+            self.num * other.den + other.num * self.den, self.den * other.den
+        )
+
+    def neg(self) -> "ZPolyRatFunc":
+        return ZPolyRatFunc(-self.num, self.den)
+
+    def mul(self, other: "ZPolyRatFunc") -> "ZPolyRatFunc":
+        return ZPolyRatFunc(self.num * other.num, self.den * other.den)
+
+    def div(self, other: "ZPolyRatFunc", pos: int) -> "ZPolyRatFunc":
+        if other.num.is_zero:
+            raise ParseError(f"division by zero at position {pos}", pos)
+        return ZPolyRatFunc(self.num * other.den, self.den * other.num)
+
+    def pow(self, k: int) -> "ZPolyRatFunc":
+        return ZPolyRatFunc(self.num**k, self.den**k)
+
+    def zpolys(self) -> tuple[ZPoly, ZPoly]:
+        return self.num, self.den
+
+
+class CharParser(_Parser):
+    """The parser of exprs on char_tokenize and ZPolyRatFunc."""
+
+    ratfunc = ZPolyRatFunc
+    tokenize = staticmethod(char_tokenize)
+
+
+def _frac_text(c: Fraction) -> str:
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+def _t_mono_text(c_abs: Fraction, k: int) -> str:
+    if k == 0:
+        return _frac_text(c_abs)
+    base = "t" if k == 1 else f"t^{k}"
+    return base if c_abs == 1 else f"{_frac_text(c_abs)}*{base}"
+
+
+def _fraction_signed_terms(p: Poly) -> list[tuple[str, str]]:
+    out = []
+    for k in range(p.degree, -1, -1):
+        c = p.coeff(k)
+        if c == 0:
+            continue
+        out.append(("-" if c < 0 else "+", _t_mono_text(abs(c), k)))
+    return out
+
+
+def _join_terms(terms: list[tuple[str, str]]) -> str:
+    if not terms:
+        return "0"
+    sign, body = terms[0]
+    parts = [body if sign == "+" else f"-{body}"]
+    for sign, body in terms[1:]:
+        parts.append(f" {sign} {body}")
+    return "".join(parts)
+
+
+def fraction_poly_text(p: Poly) -> str:
+    return _join_terms(_fraction_signed_terms(p))
+
+
+def fraction_zpoly_text(f: ZPoly) -> str:
+    out = []
+    for k in range(f.degree, -1, -1):
+        c = f.coeff(k)
+        if c.is_zero:
+            continue
+        if k == 0:
+            out.extend(_fraction_signed_terms(c))
+            continue
+        zbase = "z" if k == 1 else f"z^{k}"
+        if len(c.coeffs) - c.coeffs.count(Fraction(0)) == 1 or c.is_constant:
+            j = c.degree
+            cj = c.coeff(j)
+            sign = "-" if cj < 0 else "+"
+            tpart = _t_mono_text(abs(cj), j)
+            out.append((sign, zbase if tpart == "1" else f"{tpart}*{zbase}"))
+        else:
+            out.append(("+", f"({fraction_poly_text(c)})*{zbase}"))
+    return _join_terms(out)
+
+
+def fraction_map_text(phi: RationalMap) -> str:
+    num = fraction_zpoly_text(phi.F)
+    if phi.G == ZPoly.one():
+        return num
+    return f"({num})/({fraction_zpoly_text(phi.G)})"

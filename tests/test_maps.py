@@ -1,7 +1,11 @@
 """Rational maps of P^1 over Q(t): normalization, evaluation, resultants,
 fibers, ramification and structural classification."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -33,7 +37,7 @@ from ffdyn import (
     special_form_classify,
 )
 from ffdyn.errors import DomainError
-from ffdyn.exprs import map_text
+from ffdyn.exprs import _Parser, field_elem_text, map_text
 from ffdyn.function_field import FieldElement
 from ffdyn.maps import (
     ProjectivePoint,
@@ -52,7 +56,11 @@ from ffdyn.randgen import (
     rand_split_fiber_instance,
 )
 from ffdyn.sympybridge import sqf_zpoly_over_k, zpoly_gcd_over_k
-from oracles import resultant_sylvester
+from oracles import (
+    exceptional_by_second_iterate,
+    polynomial_iterate_by_power,
+    resultant_sylvester,
+)
 
 
 def pt(text):
@@ -227,6 +235,44 @@ def test_certificate_never_claims_a_shared_factor_coprime(count_calls):
     assert not maps.coprime_by_specialization(F, G)
     assert map_text(normalize_map(F, G)) == "(z + 1)/(z^2 + t)"
     assert len(calls) == 1
+
+
+# Pairs that share only a power of z; the last two are the pairs that
+# verify --suite prop23 drew from randgen.rand_map
+COMMON_Z_POWER = [
+    "(z^3+t*z)/(z^2-z)",
+    "(z^3+t*z)/(z^2-1/3*t*z)",
+    "(t*z^4 + z^2)/(z^5 - t*z^2)",
+    "z^2/(z^3 + z^2 + t*z^2)",
+    "((3*t + 1/3)*z^2 + 2*z)/(1/3*z^2 + (-3/2*t + 3/2)*z)",
+]
+
+
+@pytest.mark.parametrize("text", COMMON_Z_POWER)
+def test_common_power_of_z_is_divided_out_natively(text, count_calls):
+    calls = count_calls("zpoly_gcd_over_k")
+    phi = parse_rational_map(text)
+    assert calls == []
+    F, G = _Parser(text, "map").parse().zpolys()
+    assert phi == _normalize_by_gcd(F, G)
+
+
+def test_common_power_of_z_loads_no_sympy():
+    code = (
+        "import sys\n"
+        "import ffdyn\n"
+        f"for text in {COMMON_Z_POWER!r}:\n"
+        "    ffdyn.parse_rational_map(text)\n"
+        "sys.exit('sympy' in sys.modules)\n"
+    )
+    src = str(Path(maps.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 zcoeffs = st.lists(st.integers(-3, 3), min_size=0, max_size=3).map(Poly.from_list)
@@ -480,6 +526,81 @@ def test_is_exceptional(quad_poly_map, quad_quotient_map, monomial_map):
     # monomial maps: 0 and infinity are both exceptional
     assert is_exceptional(monomial_map, pt("0"))
     assert is_exceptional(monomial_map, pt("inf"))
+
+
+# (map, points that are exceptional, points that are not, j with phi^j a
+# polynomial among 1..4)
+EXCEPTIONAL_CASES = [
+    # 0 and infinity form an exceptional 2-cycle
+    ("1/z^2", ["0", "inf"], ["1", "t", "-1"], [2, 4]),
+    ("t/z^2", ["0", "inf"], ["t", "1"], [2, 4]),
+    ("1/(t*z^3)", ["0", "inf"], ["1/t", "1"], [2, 4]),
+    # 0 and infinity are exceptional fixed points
+    ("t*z^2", ["0", "inf"], ["1", "t"], [1, 2, 3, 4]),
+    ("z^2+t", ["inf"], ["0", "t", "-t"], [1, 2, 3, 4]),
+    ("(z-t)^2", ["inf"], ["t", "0"], [1, 2, 3, 4]),
+    # phi^-1(0) = {t} and phi^-1(inf) = {1}, but the fibers over t and 1 are
+    # not single points
+    ("(z-t)^2/(z-1)^2", [], ["0", "inf", "t", "1"], []),
+    # phi^-1(inf) = {0} and phi^-1(0) = {t}, a chain that does not close up
+    ("(z-t)^2/z^2", [], ["0", "inf", "t", "1"], []),
+    ("(z^2-t)/z", [], ["0", "inf", "t"], []),
+]
+
+
+@pytest.mark.parametrize("case", EXCEPTIONAL_CASES, ids=lambda c: c[0])
+def test_exceptional_points_and_polynomial_iterates(case):
+    text, exceptional, ordinary, polynomial_j = case
+    phi = parse_rational_map(text)
+    for A in exceptional:
+        assert is_exceptional(phi, pt(A)) and exceptional_by_second_iterate(phi, pt(A))
+    for A in ordinary:
+        assert not is_exceptional(phi, pt(A))
+        assert not exceptional_by_second_iterate(phi, pt(A))
+    for j in range(1, 5):
+        assert is_polynomial_iterate(phi, j) == (j in polynomial_j)
+        assert polynomial_iterate_by_power(phi, j) == (j in polynomial_j)
+
+
+def test_exceptional_finite_two_cycle():
+    # 1/z^2 conjugated by M(z) = (z - t)/(z - 1), which sends t to 0 and 1 to
+    # infinity: t and 1 form an exceptional 2-cycle, and infinity is not
+    # exceptional, so no iterate is a polynomial
+    M = parse_rational_map("(z - t)/(z - 1)")
+    phi = conjugate(parse_rational_map("1/z^2"), M)
+    assert is_exceptional(phi, pt("t")) and is_exceptional(phi, pt("1"))
+    assert not is_exceptional(phi, pt("inf")) and not is_exceptional(phi, pt("0"))
+    assert not any(is_polynomial_iterate(phi, j) for j in range(1, 5))
+
+
+def _exceptional_test_cases(rng: Random) -> list:
+    """(phi, points) for random maps, and for conjugates of z^d, t*z^d and
+    1/z^d by random Moebius maps M, so that exceptional fixed points and
+    2-cycles occur away from 0 and infinity. The conjugate's exceptional set
+    is M^-1({0, inf}), and the points include it."""
+    cases = []
+    for _ in range(6):
+        phi = rand_map(rng, d=2, coeff_deg=1, cmax=3)
+        cases.append((phi, [pt("0"), pt("inf"), rand_point(rng, max_deg=1, cmax=2)]))
+    for shape in ("z^2", "t*z^2", "1/z^2", "z^3", "1/(t*z^3)"):
+        a = field_elem_text(rand_field_elem(rng, max_deg=1, cmax=2))
+        b = field_elem_text(rand_field_elem(rng, max_deg=1, cmax=2))
+        for M, points in ((f"z - ({a})", [a, "inf"]), (f"(z - ({a}))/(z - ({b}))", [a, b])):
+            if a == b:
+                continue  # M would be constant
+            phi = conjugate(parse_rational_map(shape), parse_rational_map(M))
+            cases.append((phi, [pt(x) for x in points] + [pt("0"), pt("inf")]))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exceptional_matches_second_iterate_seeded(seed):
+    rng = Random(4100 + seed)
+    for phi, points in _exceptional_test_cases(rng):
+        for A in points:
+            assert is_exceptional(phi, A) == exceptional_by_second_iterate(phi, A)
+        for j in range(1, 5 if phi.d == 2 else 4):
+            assert is_polynomial_iterate(phi, j) == polynomial_iterate_by_power(phi, j)
 
 
 def test_preimage_count(quad_poly_map, quad_quotient_map, monomial_map):

@@ -169,6 +169,16 @@ ORACLE_CASES = [
     ("t*z^3", "t", "t,inf", (1, 2, 3, 4)),
 ]
 
+# Cases for the degree prefilter: larger exponent boxes, where most pairs
+# fail it, and 1/z^2 at t with infinity outside S, whose orbit t^((-2)^n)
+# has solutions with s < 0 and ord_inf of both signs
+PREFILTER_CASES = [
+    ("(z^2-t)/z", "t", "t,inf", (3, 3, 6, 6)),
+    ("t*z^2", "t", "t,inf", (3, 3, 6, 6)),
+    ("z^2", "t^2+1", "t^2+1", (2, 2, 6, 6)),
+    ("1/z^2", "t", "t", (2, 2, 4, 4)),
+]
+
 
 def _check_against_quotient_oracle(phi, alpha, S, box):
     q = DependenceQuery(alpha, S, *box)
@@ -181,6 +191,14 @@ def _check_against_quotient_oracle(phi, alpha, S, box):
 
 @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: f"{c[0]}@{c[1]}/{c[2]}")
 def test_search_matches_quotient_oracle(case):
+    text, point, places, box = case
+    _check_against_quotient_oracle(
+        parse_rational_map(text), pt(point), parse_places(places), box
+    )
+
+
+@pytest.mark.parametrize("case", PREFILTER_CASES, ids=lambda c: f"{c[0]}@{c[1]}/{c[2]}")
+def test_search_matches_quotient_oracle_prefilter_cases(case):
     text, point, places, box = case
     _check_against_quotient_oracle(
         parse_rational_map(text), pt(point), parse_places(places), box
@@ -208,6 +226,24 @@ def test_search_matches_quotient_oracle_seeded(seed):
     alpha = ProjectivePoint.from_field(rand_field_elem(rng, max_deg=1, cmax=3))
     S = rand_place_set(rng, size=rng.randint(0, 3))
     _check_against_quotient_oracle(phi, alpha, S, (2, 2, 3, 3))
+
+
+def test_degree_prefilter_builds_no_powers(monkeypatch):
+    # (z^2-t)/z at t: orbit values of degree up to 2^10 and no solution in
+    # the box; the degrees of the S-free parts rule out every pair, so no
+    # power of a nonconstant polynomial is built
+    powers = []
+    power = Poly.__pow__
+
+    def recording(self, n):
+        powers.append(self.degree)
+        return power(self, n)
+
+    monkeypatch.setattr(Poly, "__pow__", recording)
+    q = DependenceQuery(pt("t"), S_T_INF, n_max=5, k_max=5, r_max=10, s_max=10)
+    report = dependence_search(parse_rational_map("(z^2-t)/z"), q, wandering_attested=True)
+    assert report.solutions == ()
+    assert all(degree <= 0 for degree in powers)
 
 
 def test_search_builds_u_only_for_solutions(monkeypatch, quad_poly_map, monomial_map):
