@@ -49,18 +49,17 @@ _CHAR_KINDS = {"t": "T", "z": "Z"}
 def _tokenize(text: str, allow_vars: bool) -> list[_Token]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        digits, var, char, other = m.groups()
+        digits, var, char, _ = m.groups()
+        i = m.start(m.lastindex)
         if digits is not None:
-            tokens.append(_Token("INT", digits, m.start(1), int(digits)))
+            tokens.append(_Token("INT", digits, i, int(digits)))
         elif char is not None:
-            tokens.append(_Token(_CHAR_KINDS.get(char, "OP"), char, m.start(3)))
+            tokens.append(_Token(_CHAR_KINDS.get(char, "OP"), char, i))
         elif var is not None and allow_vars:
-            i = m.start(2)
             if len(var) == 1:
                 raise ParseError(f"variable index expected after 'T' at position {i}", i)
             tokens.append(_Token("VAR", var, i, int(var[1:])))
-        elif other is not None or var is not None:
-            i = m.start(4) if other is not None else m.start(2)
+        else:
             raise ParseError(f"unexpected character {text[i]!r} at position {i}", i)
     tokens.append(_Token("END", "", len(text)))
     return tokens
@@ -80,6 +79,8 @@ def _tokenize(text: str, allow_vars: bool) -> list[_Token]:
 # are integers, t and z, and a quotient stays an unreduced pair, so every
 # coefficient is an integer; the dicts become ZPoly or Poly values once, at
 # the end of the parse.
+
+_ONE_TERMS = {(0, 0): 1}
 
 
 def _terms_add(a: dict, b: dict) -> dict:
@@ -132,9 +133,6 @@ def _terms_zpoly(terms: dict) -> ZPoly:
         return ZPoly.zero()
     top = max(i for i, _ in terms)
     return ZPoly(tuple(_terms_tpoly(terms, i) for i in range(top + 1)))
-
-
-_ONE_TERMS = {(0, 0): 1}
 
 
 class _RatFunc:

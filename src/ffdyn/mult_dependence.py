@@ -178,19 +178,20 @@ def dependence_search(
     orbit = _affine_orbit(phi, q.alpha, q.n_max + q.k_max, height_budget)
     parts = [None if x is None or x.is_zero else s_free_part(x, q.S) for x in orbit]
 
+    def signed_part(i: int, e: int) -> tuple:
+        """parts[i] with numerator and denominator swapped when e < 0."""
+        a, b, o = parts[i]
+        return (b, a, o) if e < 0 else (a, b, o)
+
     @cache
     def power_part(i: int, e: int) -> tuple:
         """s_free_part(orbit[i] ** e, S) from parts[i], for e != 0."""
-        a, b, o = parts[i]
-        if e < 0:
-            a, b = b, a
+        a, b, o = signed_part(i, e)
         return a ** abs(e), b ** abs(e), e * o
 
     def part_degrees(i: int, e: int) -> tuple:
         """The degrees of power_part(i, e), without the power."""
-        a, b, o = parts[i]
-        if e < 0:
-            a, b = b, a
+        a, b, o = signed_part(i, e)
         return abs(e) * a.degree, abs(e) * b.degree, e * o
 
     finite = [v for v in q.S if not v.is_infinite]

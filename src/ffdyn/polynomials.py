@@ -13,8 +13,8 @@ lowest degree first, and ``den``, one positive int; its value is
 
 Equal polynomials therefore have equal fields, so ``==`` and ``hash``
 compare values. ``coeffs`` returns the rational coefficients as Fractions;
-it is computed on each access, for printing and sort keys, and the kernels
-never use it.
+it is computed on each access, for sort keys and tests, and neither the
+kernels nor the printer use it.
 
 Kernels, all on the integer numerators:
 
