@@ -18,7 +18,7 @@ from ffdyn import (
     parse_rational_map,
     parse_split_form,
 )
-from ffdyn.errors import DomainError, ParseError
+from ffdyn.errors import ParseError
 from ffdyn.exprs import (
     _Parser,
     field_elem_text,
@@ -229,12 +229,7 @@ def _assert_parsers_agree(text: str) -> None:
     pair = _outcome(CharParser, text, "map")
     if pair[0] == "error":
         return
-    try:
-        expected = normalize_map(*pair)
-    except DomainError:
-        with pytest.raises(DomainError):
-            parse_rational_map(text)
-        return
+    expected = normalize_map(*pair)
     if expected.d == 0:
         with pytest.raises(ParseError, match="constant map"):
             parse_rational_map(text)
