@@ -23,7 +23,7 @@ from .maps import (
     require_dynamical,
     resultant,
 )
-from .polynomials import BinaryMonomials, Poly, rational_content
+from .polynomials import BinaryMonomials, Poly, primitive_pair
 
 DEFAULT_HEIGHT_BUDGET = 1 << 14
 
@@ -270,11 +270,12 @@ class Orbit:
            divides mu^d A and Res^(r+1), rho_A / g = mu^d A / g mod Res^(r+1)
            / g, and Res^r divides that modulus as g | Res: mod Res^r the
            quotients are the new coordinates times mu^d and a rational
-           constant. Each pair is divided by its rational content, which
-           moves no degree and no factor. As Res also divides that modulus,
-           common_factor(rho_A / g, rho_B / g, Res) = gcd(A/g, B/g, Res),
-           which is 1 by (F2); a nonconstant value raises. Modulo Res^r alone
-           the last step could not tell a loss of Res from one beyond it.
+           constant. Each pair is replaced by its ``primitive_pair``, a
+           rational multiple, which moves no degree and no factor. As Res
+           also divides that modulus, common_factor(rho_A / g, rho_B / g,
+           Res) = gcd(A/g, B/g, Res), which is 1 by (F2); a nonconstant value
+           raises. Modulo Res^r alone the last step could not tell a loss of
+           Res from one beyond it.
 
         Switch at the first j, r = n - j, where the window drops a
         coefficient (h >= r*L + 1), c >= deg Res and (d-1) h >= (2d-1)
@@ -326,10 +327,10 @@ class Orbit:
         Q = self[j]
         h, r = Q.height, n - j
         s = h - r * L
-        window = _content_free(Q.x0.drop_low(s), Q.x1.drop_low(s))
+        window = primitive_pair(Q.x0.drop_low(s), Q.x1.drop_low(s))
         res = resultant(phi)
         mod = res ** (r + 1)
-        residues = None if res.is_constant else _content_free(Q.x0 % mod, Q.x1 % mod)
+        residues = None if res.is_constant else primitive_pair(Q.x0 % mod, Q.x1 % mod)
         for i in range(j, n):
             self._check_budget(h, i)
             r = n - i
@@ -363,10 +364,10 @@ class Orbit:
                 cut = M - D + L
                 if g.degree:
                     tops = [top.shift(g.degree) // g for top in tops]
-                window = _content_free(*(top.drop_low(cut) for top in tops))
+                window = primitive_pair(*(top.drop_low(cut) for top in tops))
                 if residues is not None:
                     mod = res**r
-                    residues = _content_free(*(v % mod for v in values))
+                    residues = primitive_pair(*(v % mod for v in values))
         return h
 
 
@@ -375,12 +376,6 @@ def _local_constants(phi: RationalMap) -> tuple[int, int, int, int]:
     h_phi = phi.coefficient_height()
     deg_res = resultant(phi).degree
     return phi.d, h_phi, deg_res, 2 * phi.d * h_phi - deg_res
-
-
-def _content_free(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """(a, b) divided by the rational content of the pair, which is nonzero."""
-    c = 1 / rational_content((a, b))
-    return a.scale(c), b.scale(c)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ from .polynomials import (
     BinaryMonomials,
     Poly,
     ZPoly,
-    clear_denominators,
     factor_tpoly,
     poly_gcd,
+    primitive_pair,
     rational_content,
     resultant_z,
 )
@@ -38,8 +38,9 @@ from .sympybridge import factor_zpoly_over_k, sqf_zpoly_over_k, zpoly_gcd_over_k
 class ProjectivePoint:
     """Point of P^1(K) with coprime polynomial coordinates [x0 : x1].
 
-    Normalized so x1 is monic when nonzero, else x0 is monic; the height is
-    then exactly max(deg x0, deg x1).
+    In the normal form of ``primitive_pair``: integer coefficients of gcd 1,
+    and a positive leading coefficient on x1, or on x0 at infinity. So equal
+    points compare equal, and the height is max(deg x0, deg x1).
     """
 
     x0: Poly
@@ -49,14 +50,12 @@ class ProjectivePoint:
     def make(x0: Poly, x1: Poly) -> "ProjectivePoint":
         if x0.is_zero and x1.is_zero:
             raise DomainError("illegal point [0:0]")
-        if x1.is_zero:
-            return ProjectivePoint.infinity()
-        return ProjectivePoint.from_field(FieldElement.make(x0, x1))
+        g = poly_gcd(x0, x1)
+        return ProjectivePoint(*primitive_pair(x0.exact_div(g), x1.exact_div(g)))
 
     @staticmethod
     def from_field(x: FieldElement) -> "ProjectivePoint":
-        # x.num/x.den is reduced with x.den monic: already normalized
-        return ProjectivePoint(x.num, x.den)
+        return ProjectivePoint(*primitive_pair(x.num, x.den))
 
     @staticmethod
     def infinity() -> "ProjectivePoint":
@@ -72,10 +71,10 @@ class ProjectivePoint:
 
     def affine(self) -> Optional[FieldElement]:
         """Affine coordinate, or None for the point at infinity. The
-        coordinates are coprime with x1 monic, so x0/x1 is already reduced."""
+        coordinates are coprime, so x0/x1 needs no gcd, only a monic x1."""
         if self.is_infinite:
             return None
-        return FieldElement(self.x0, self.x1)
+        return FieldElement.reduced(self.x0, self.x1)
 
     @property
     def height(self) -> int:
@@ -256,16 +255,15 @@ def common_factor(a: Poly, b: Poly, res: Poly) -> Poly:
 def apply_map(phi: RationalMap, P: ProjectivePoint) -> ProjectivePoint:
     """Evaluate phi at P with projective re-normalization.
 
-    The coordinates are first scaled by the lcm of their denominators. The
-    forms F, G are homogeneous of degree d, so both values pick up the same
-    factor and the image point is unchanged, while every product runs on
-    integers. F and G share one table of monomials x0^i * x1^(d-i).
+    The coordinates of P and the coefficients of F and G are integers, so
+    every product runs on integers. F and G share one table of monomials
+    x0^i * x1^(d-i).
 
     Any common factor of the evaluated pair divides the resultant, so it is
     common_factor(A, B, Res): a gcd of remainders of degree below deg Res,
     much cheaper than a gcd of A and B at large orbit heights.
     """
-    mons = BinaryMonomials(*clear_denominators((P.x0, P.x1)), phi.d)
+    mons = BinaryMonomials(P.x0, P.x1, phi.d)
     A = phi.F.homogeneous_eval(mons)
     B = phi.G.homogeneous_eval(mons)
     if B.is_zero:
@@ -275,7 +273,7 @@ def apply_map(phi: RationalMap, P: ProjectivePoint) -> ProjectivePoint:
     g = common_factor(A, B, resultant(phi))
     if g.degree > 0:
         A, B = A.exact_div(g), B.exact_div(g)
-    return ProjectivePoint.from_field(FieldElement.reduced(A, B))
+    return ProjectivePoint(*primitive_pair(A, B))
 
 
 def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:
@@ -307,15 +305,12 @@ def identity_map() -> RationalMap:
 
 @lru_cache(maxsize=256)
 def power(phi: RationalMap, n: int) -> RationalMap:
-    """n-fold self-composition; n = 0 gives the identity."""
+    """n-fold self-composition, phi composed onto the cached phi^(n-1)."""
     if n < 0:
         raise DomainError("negative iterate")
     if n == 0:
         return identity_map()
-    out = phi
-    for _ in range(n - 1):
-        out = compose(phi, out)
-    return out
+    return phi if n == 1 else compose(phi, power(phi, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +390,21 @@ def ramification_index(phi: RationalMap, P: ProjectivePoint) -> int:
 
 
 def max_fiber_ram(phi: RationalMap, m: int, A: ProjectivePoint) -> int:
-    """Largest ramification index in the fiber of phi^m over A."""
+    """Largest ramification index in the fiber of phi^m over A. phi^m is not
+    built: its fiber polynomial is W = a1*F(P, Q) - a0*G(P, Q) for the forms
+    [P : Q] of phi^(m-1), up to the factor in K that ``compose`` divides out,
+    which moves no multiplicity or degree; infinity has d^m - deg W."""
     require_dynamical(phi)
-    psi = power(phi, m)
-    W = fiber_polynomial(psi, A)
+    W = fiber_polynomial(phi, A)
+    if m > 1:
+        psi = power(phi, m - 1)
+        W = W.homogeneous_eval(BinaryMonomials(psi.F, psi.G, phi.d))
     if W.degree > 0 and coprime_by_specialization(W, W.derivative_z()):
         # W is squarefree over K (characteristic 0): one part, multiplicity 1
         mults = [1]
     else:
         mults = [mult for _, mult in sqf_zpoly_over_k(W)]
-    inf_mult = psi.d - W.degree
+    inf_mult = phi.d**m - W.degree
     if inf_mult > 0:
         mults.append(inf_mult)
     return max(mults)
@@ -437,7 +437,7 @@ def is_exceptional(phi: RationalMap, A: ProjectivePoint) -> bool:
     if B is None:
         return False
     C = _sole_preimage(phi, B)
-    return C is not None and (C.x0 * A.x1 - A.x0 * C.x1).is_zero
+    return C == A
 
 
 def choose_m(

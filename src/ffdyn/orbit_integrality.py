@@ -17,11 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError, OrbitBudgetError
-from .function_field import (
-    Place,
-    PlaceSet,
-    is_S_integer,
-)
+from .function_field import FieldElement, Place, PlaceSet, is_S_integer
 from .heights import (
     DEFAULT_HEIGHT_BUDGET,
     BoundParams,
@@ -107,10 +103,10 @@ class IntegralScanReport:
 
 
 def _certificate_at(
-    phi: RationalMap, n: int, point: ProjectivePoint, S: PlaceSet
+    phi: RationalMap, n: int, elem: Optional[FieldElement], S: PlaceSet
 ) -> Optional[PersistenceCertificate]:
-    """Try to certify that iterates n, n+1, ... all have a pole outside S."""
-    elem = point.affine()
+    """Try to certify that iterates n, n+1, ... all have a pole outside S;
+    elem is the affine coordinate of iterate n, None at infinity."""
     if elem is None or elem.den.degree == 0:
         return None
     res = resultant(phi)
@@ -150,7 +146,7 @@ def count_S_integral(
             )
     except OrbitBudgetError:
         warnings.append("wandering check inconclusive within budget")
-    if is_polynomial_iterate(phi, 1) or is_polynomial_iterate(phi, 2):
+    if is_polynomial_iterate(phi, 2):  # implied by is_polynomial_iterate(phi, 1)
         warnings.append(
             "map has a polynomial iterate; S-integral points need not be finite "
             "in number when S contains infinity"
@@ -164,7 +160,7 @@ def count_S_integral(
         if elem is not None and is_S_integer(elem, S):
             hits.append(n)
         if current.height <= CERTIFICATE_HEIGHT_LIMIT:
-            certificate = _certificate_at(phi, n, current, S)
+            certificate = _certificate_at(phi, n, elem, S)
             if certificate is not None:
                 break
     return IntegralScanReport(

@@ -57,7 +57,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -215,6 +215,25 @@ def rational_content(polys: Iterable["Poly"]) -> Fraction:
     return Fraction(num, den)
 
 
+def primitive_pair(a: "Poly", b: "Poly") -> tuple["Poly", "Poly"]:
+    """(c*a, c*b), a and b not both zero, for the c in Q* that gives integer
+    coefficients of gcd 1 and a positive leading coefficient on b, or on a
+    when b = 0. For coprime a, b it is the normal form of the point [a : b]
+    of P^1(Q(t)), whose coprime pairs differ by factors in Q*. The content
+    gcd (as in ``rational_content``) reads b first and stops at 1."""
+    g = 0
+    for c in chain(b.ints, a.ints):
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if (b if b.ints else a).ints[-1] < 0:
+        g = -g
+    if g == 1 and a.den == b.den == 1:
+        return a, b
+    m = lcm(a.den, b.den)
+    return tuple(Poly(tuple(c // g * (m // p.den) for c in p.ints), 1) for p in (a, b))
+
+
 @dataclass(frozen=True, slots=True)
 class Poly:
     """Univariate polynomial in t over Q: integer numerators lowest degree
@@ -344,6 +363,10 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise DomainError("negative polynomial power")
+        ints = self.ints
+        if ints and not any(ints[:-1]):
+            # c*t^k: (c*t^k)^n = c^n*t^(kn), and gcd(c^n, den^n) = 1
+            return Poly((0,) * ((len(ints) - 1) * n) + (ints[-1] ** n,), self.den**n)
         result = _ONE
         base = self
         while n:
@@ -452,10 +475,6 @@ class Poly:
             return self
         p = self.primitive()
         return Poly(p.ints, p.ints[-1])
-
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer-coprime; 0 for zero."""
-        return rational_content((self,))
 
     def primitive(self) -> "Poly":
         """Integer-coprime coefficients and positive leading coefficient."""
@@ -1035,15 +1054,6 @@ def _hensel_step(m: int, f, g, h, s, t) -> tuple[list[int], ...]:
     return g, h, s, t
 
 
-def clear_denominators(ps: Sequence[Poly]) -> list[Poly]:
-    """The ps times the lcm of their denominators: integral polynomials with
-    the same ratios, hence the same point of projective space."""
-    m = lcm(*(p.den for p in ps))
-    if m == 1:
-        return list(ps)
-    return [Poly(tuple(c * (m // p.den) for c in p.ints), 1) for p in ps]
-
-
 # ---------------------------------------------------------------------------
 # Polynomials in z with k[t] coefficients
 # ---------------------------------------------------------------------------
@@ -1087,10 +1097,6 @@ class ZPoly:
     @staticmethod
     def z() -> "ZPoly":
         return ZPoly((Poly.zero(), Poly.one()))
-
-    @staticmethod
-    def const(p: Poly) -> "ZPoly":
-        return ZPoly(_ztrim([p]))
 
     @property
     def degree(self) -> int:
@@ -1187,9 +1193,6 @@ class ZPoly:
             if g.degree == 0:
                 break
         return g
-
-    def rational_content(self) -> Fraction:
-        return rational_content(self.coeffs)
 
     def exact_div_poly(self, p: Poly) -> "ZPoly":
         return ZPoly(_ztrim([c.exact_div(p) for c in self.coeffs]))

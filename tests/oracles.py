@@ -60,7 +60,7 @@ from ffdyn.maps import (
     fiber_polynomial,
     power,
 )
-from ffdyn.polynomials import Poly, ZPoly
+from ffdyn.polynomials import Poly, ZPoly, rational_content
 
 
 def bareiss_det(M: list[list[Poly]]) -> Poly:
@@ -212,7 +212,7 @@ def sympy_to_zpoly(sp: sympy.Poly) -> ZPoly:
 def _canonical_kz(f: ZPoly) -> ZPoly:
     """Divide by the rational content, signed so that the leading
     coefficient of the leading z-coefficient is positive."""
-    c = f.rational_content()
+    c = rational_content(f.coeffs)
     if f.leading.leading < 0:
         c = -c
     return f.scale(1 / c)

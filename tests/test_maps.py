@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from random import Random
 
@@ -51,9 +52,11 @@ from ffdyn import maps
 from ffdyn.polynomials import BinaryMonomials, Poly, ZPoly, poly_gcd
 from ffdyn.randgen import (
     rand_field_elem,
+    rand_fraction,
     rand_map,
     rand_point,
     rand_split_fiber_instance,
+    rand_tpoly,
 )
 from ffdyn.sympybridge import sqf_zpoly_over_k, zpoly_gcd_over_k
 from oracles import (
@@ -115,6 +118,70 @@ def test_affine_computes_no_gcd(count_calls):
     assert values[2] == FieldElement.make(Poly.of(1, -3, 1), Poly.of(-1, 1))
 
 
+def in_normal_form(P: ProjectivePoint) -> bool:
+    """Integer coordinates, coprime in Q[t], with no common integer factor
+    and a positive leading coefficient on x1, or on x0 at infinity."""
+    x0, x1 = P.x0, P.x1
+    return (
+        x0.den == x1.den == 1
+        and gcd(*x0.ints, *x1.ints) == 1
+        and (x1 if not x1.is_zero else x0).leading > 0
+        and poly_gcd(x0, x1).degree == 0
+    )
+
+
+def normal_form_instances() -> list:
+    """(phi, points) on seeded maps with rational coefficients: random points,
+    0, infinity, a zero of F (so phi(P) = 0) and a zero of G (phi(P) = inf)."""
+    rng = Random(31)
+    out = []
+    while len(out) < 8:
+        a, b, e = (rand_tpoly(rng, max_deg=1, cmax=5) for _ in range(3))
+        F = ZPoly.of(-a, 1) * ZPoly.of(-b, 1)
+        G = ZPoly.of(-e, 1).scale(rand_fraction(rng, cmax=5, nonzero=True))
+        phi = normalize_map(F, G)
+        if phi.d != 2:  # a or b equals e
+            continue
+        zero_of_F = ProjectivePoint.from_field(FieldElement.from_poly(a))
+        zero_of_G = ProjectivePoint.from_field(FieldElement.from_poly(e))
+        assert apply_map(phi, zero_of_F) == ProjectivePoint.zero()
+        assert apply_map(phi, zero_of_G) == ProjectivePoint.infinity()
+        out.append((phi, [zero_of_F, zero_of_G]))
+    for _ in range(4):
+        out.append((rand_map(rng, d=rng.randint(2, 3), coeff_deg=2, cmax=5), []))
+    for _, points in out:
+        points += [pt("0"), pt("inf")]
+        points += [rand_point(rng, max_deg=2, cmax=7) for _ in range(4)]
+    return out
+
+
+def test_points_have_one_normal_form_seeded():
+    factor = Poly.of(Fraction(-3, 14), Fraction(-3, 7))  # -3/7 * (t + 1/2)
+    for phi, points in normal_form_instances():
+        for P in points:
+            orbit = Orbit(phi, P)
+            made = ProjectivePoint.make(P.x0 * factor, P.x1 * factor)
+            parsed = parse_point(str(P))
+            for Q in [P, apply_map(phi, P), made, parsed] + orbit.prefix(3):
+                assert in_normal_form(Q), (str(phi), str(P), Q)
+            assert made == P and parsed == P
+            if not P.is_infinite:
+                assert ProjectivePoint.from_field(P.affine()) == P
+
+
+def test_point_equality_is_the_cross_product_seeded():
+    points = []
+    for phi, base in normal_form_instances():
+        for P in base:
+            points += [P, apply_map(phi, P), parse_point(str(P))]
+    equal_pairs = 0
+    for P in points:
+        for Q in points:
+            assert (P == Q) == (P.x0 * Q.x1 - Q.x0 * P.x1).is_zero
+            equal_pairs += P == Q
+    assert equal_pairs > 2 * len(points)
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------
@@ -132,11 +199,11 @@ def test_normalize_removes_content_and_common_factors():
 
 
 _Z = ZPoly.z()
-_T = ZPoly.const(Poly.t())
+_T = ZPoly.of(Poly.t())
 
 
 def _c(q) -> ZPoly:
-    return ZPoly.const(Poly.constant(Fraction(q)))
+    return ZPoly.of(Fraction(q))
 
 
 @pytest.mark.parametrize(
@@ -317,13 +384,17 @@ def test_max_fiber_ram_matches_squarefree_decomposition():
         cases.append((phi, rand_point(rng, max_deg=1, cmax=2)))
     cases.append((parse_rational_map("(z^2-t)/z"), pt("0")))
     cases.append((parse_rational_map("z^2+t"), pt("inf")))
+    cases.append((parse_rational_map("z^2+t"), pt("t")))
+    ramified = set()
     for phi, A in cases:
-        for m in (1, 2):
+        for m in (1, 2, 3):
             psi = power(phi, m)
             W = maps.fiber_polynomial(psi, A)
             mults = [mult for _, mult in sqf_zpoly_over_k(W)]
             mults += [psi.d - W.degree] if psi.d > W.degree else []
-            assert max_fiber_ram(phi, m, A) == max(mults)
+            assert max_fiber_ram(phi, m, A) == max(mults), (str(phi), str(A), m)
+            ramified.add(max(mults) > 1)
+    assert ramified == {False, True}
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +583,16 @@ def test_max_fiber_ram_and_choose_m(quad_quotient_map):
     assert e2 <= quad_quotient_map.d * e1  # ratio e_m/d^m never increases
     with pytest.raises(DomainError):
         choose_m(quad_quotient_map, pt("0"), Fraction(2))
+
+
+def test_choose_m_to_cap_two_composes_nothing(count_calls, capsys):
+    from ffdyn.cli import main
+
+    calls = count_calls("compose")
+    argv = ["choose-m", "--map", "(z^2 + 7*t)/(z - 5)", "--target", "3"]
+    assert main(argv + ["--epsilon", "1", "--cap", "2"]) != 0
+    assert "no admissible level found up to cap 2" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_choose_m_rejects_exceptional(quad_poly_map):

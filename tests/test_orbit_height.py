@@ -10,7 +10,7 @@ import ffdyn.heights
 from ffdyn import Orbit, canonical_height, parse_point, parse_rational_map
 from ffdyn.errors import DomainError, OrbitBudgetError
 from ffdyn.heights import HeightInterval
-from ffdyn.polynomials import BinaryMonomials, clear_denominators, poly_gcd
+from ffdyn.polynomials import BinaryMonomials, poly_gcd
 from ffdyn.randgen import rand_map, rand_point
 
 
@@ -31,7 +31,7 @@ def local_heights_agree(phi, P, n_max):
 
 def step_losses(phi, Q):
     """(D - M, deg gcd(A, B)) for the step from Q, from the global iterate."""
-    mons = BinaryMonomials(*clear_denominators((Q.x0, Q.x1)), phi.d)
+    mons = BinaryMonomials(Q.x0, Q.x1, phi.d)
     A = phi.F.homogeneous_eval(mons)
     B = phi.G.homogeneous_eval(mons)
     D = phi.d * Q.height + phi.coefficient_height()

@@ -26,6 +26,8 @@ from ffdyn.polynomials import (
     factor_tpoly,
     is_irreducible_tpoly,
     poly_gcd,
+    primitive_pair,
+    rational_content,
     resultant_z,
 )
 from oracles import (
@@ -78,7 +80,7 @@ def test_gcd_and_content():
     a = Poly.of(0, 2, 2)  # 2t^2 + 2t = 2t(t+1)
     b = Poly.of(0, 0, 4)  # 4t^2
     assert poly_gcd(a, b) == Poly.t()
-    assert a.content() == 2
+    assert rational_content((a,)) == 2
     assert a.primitive() == Poly.of(0, 1, 1)
     assert Poly.of(-2, -4).primitive() == Poly.of(1, 2)
 
@@ -106,6 +108,34 @@ def test_gcd_divides_both(a, b):
     g = poly_gcd(a, b)
     assert g.divides(a) and g.divides(b)
     assert g.is_monic
+
+
+@given(polys, polys)
+@settings(max_examples=100, deadline=None)
+def test_primitive_pair_is_the_signed_integer_associate(a, b):
+    assume(not (a.is_zero and b.is_zero))
+    a2, b2 = primitive_pair(a, b)
+    assert a2.den == b2.den == 1 and rational_content((a2, b2)) == 1
+    assert (b2 if not b2.is_zero else a2).leading > 0
+    c = (b2 if not b.is_zero else a2).leading / (b if not b.is_zero else a).leading
+    assert (a2, b2) == (a.scale(c), b.scale(c))
+    assert primitive_pair(a2, b2) == (a2, b2)
+
+
+monomials = st.builds(
+    lambda c, k: Poly.from_list([0] * k + [c]),
+    st.fractions(max_denominator=12).filter(bool),
+    st.integers(0, 12),
+)
+
+
+@given(st.one_of(monomials, st.just(Poly.zero())), st.integers(0, 9))
+@settings(max_examples=100, deadline=None)
+def test_monomial_power_matches_repeated_products(m, n):
+    expected = Poly.one()
+    for _ in range(n):
+        expected = expected * m
+    assert m**n == expected
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +435,7 @@ def test_homogeneous_eval_zpoly_arguments():
 def test_zpoly_content_and_exact_div():
     f = ZPoly.of(Poly.of(0, 2), Poly.of(0, 0, 4))  # 4t^2 z + 2t
     assert f.content_poly() == Poly.t()
-    assert f.rational_content() == 2
+    assert rational_content(f.coeffs) == 2
     assert f.exact_div_poly(Poly.t()) == ZPoly.of(Poly.of(2), Poly.of(0, 4))
 
 
