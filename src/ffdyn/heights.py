@@ -191,6 +191,12 @@ class Orbit:
     OrbitBudgetError("orbit height H exceeds budget B at iterate n"). The
     iterate that exceeds the budget is still returned: it is already
     computed, so a caller that stops there does no extra work.
+
+    Escape: when phi is a polynomial with a constant denominator and P lies
+    in Q[t], orbit.escape_index(n) is the first k <= n at which the orbit
+    has escaped to infinity (see there). From k on, orbit.height(n) reads
+    the heights from a recurrence and builds no iterate; the height budget
+    applies to them as if each were built.
     """
 
     def __init__(
@@ -203,6 +209,10 @@ class Orbit:
         self.phi = phi
         self.height_budget = height_budget
         self._points = [P]
+        in_qt = not P.x1.is_zero and P.x1.is_constant
+        self._escape_rule = _escape_rule(phi) if in_qt else None
+        self._unescaped = 0  # iterates below this index have not escaped
+        self._escaped_heights: list[int] = []  # from the escape index on
 
     def _check_budget(self, height: int, n: int) -> None:
         if height > self.height_budget:
@@ -225,8 +235,9 @@ class Orbit:
         return [self[k] for k in range(n + 1)]
 
     def height(self, n: int) -> int:
-        """Exact h(phi^n(P)): from the iterates up to a switch index j, then
-        from a truncated local state stepped n - j times.
+        """Exact h(phi^n(P)): from the recurrence of escape_index once the
+        orbit has escaped by n; otherwise from the iterates up to a switch
+        index j, then from a truncated local state stepped n - j times.
 
         Notation: phi = [F : G] of degree d and height h(phi), F = sum F_i
         x0^i x1^(d-i) and likewise G; Res is its resultant and L = 2d*h(phi)
@@ -299,8 +310,74 @@ class Orbit:
         """
         if n < 0:
             raise DomainError("negative iterate index")
+        if self.escape_index(n) is not None:
+            return self._escaped_height(n)
         j = self._switch_index(n)
         return self[n].height if j is None else self._local_height(j, n)
+
+    def escape_index(self, n: int) -> Optional[int]:
+        """The first k <= n at which the orbit has escaped to infinity, or
+        None. Builds the iterates up to that k, or up to n if there is none,
+        and none at all when the rule below does not apply.
+
+        The rule applies when phi = F/G with G a nonzero constant of Q and P
+        = [x0 : x1] with x1 a nonzero constant. Write F = sum a_i z^i with
+        a_i in Q[t]. Every iterate then has this form: G(x0, x1) = G x1^d is
+        a nonzero constant, so it is coprime to F(x0, x1). The height of
+        such an iterate is h = deg x0 (0 when x0 = 0).
+
+        Iterate k has escaped when h > 0 and (d - i) h > deg a_i - deg a_d
+        for every nonzero a_i with i < d.
+
+        Lemma: if iterate k has escaped, then h(phi^(k+1) P) = d h + deg a_d
+        and iterate k + 1 has escaped. The term a_d x0^d of F(x0, x1) has
+        degree d h + deg a_d; each other term a_i x0^i x1^(d-i) has degree
+        deg a_i + i h, smaller by the condition. So nothing cancels the
+        leading term, and h' = deg F(x0, x1) = d h + deg a_d. As d >= 2 and
+        h > 0, h' >= 2h > h, so h' > 0 and (d - i) h' > (d - i) h > deg a_i
+        - deg a_d.
+
+        Hence, for every n >= k:
+        - h(phi^(n+1) P) = d h(phi^n P) + deg a_d, which height() reads;
+        - the heights increase strictly, so phi^n P equals no other iterate:
+          an equality would make the orbit periodic from there on, with
+          bounded heights. P wanders;
+        - phi^n P = x0/x1 is a polynomial of positive degree. Its only pole
+          is at infinity, so it is S-integral iff infinity lies in S, and no
+          finite place gives it a persistence certificate.
+
+        A switch index j of height() is never below k, so the escape route
+        builds no iterate that the switch route would not. Here Res = G^d
+        a_d^d up to sign, so deg Res = d deg a_d <= d h(phi) and L >= 0. A
+        switch at j needs h > r L >= 0 and (d - 1) h >= (2d - 1) h(phi), so
+        h > 0, and h > h(phi) >= deg a_i - deg a_d unless h(phi) = 0, when
+        every deg a_i - deg a_d is 0. Either way iterate j has escaped.
+        """
+        rule = self._escape_rule
+        if rule is None:
+            return None
+        _, terms = rule
+        heights = self._escaped_heights
+        while not heights and self._unescaped <= n:
+            h = self[self._unescaped].height
+            if h > 0 and all(m * h > e for m, e in terms):
+                heights.append(h)
+            else:
+                self._unescaped += 1
+        return self._unescaped if heights and self._unescaped <= n else None
+
+    def _escaped_height(self, n: int) -> int:
+        """h(phi^n P) for n at or past the escape index k, by the recurrence
+        from h(phi^k P). The budget is checked before each step, with the
+        text and index of the step that builds the iterate."""
+        deg_ad, _ = self._escape_rule
+        d = self.phi.d
+        k = self._unescaped
+        heights = self._escaped_heights
+        while k + len(heights) <= n:
+            self._check_budget(heights[-1], k + len(heights) - 1)
+            heights.append(d * heights[-1] + deg_ad)
+        return heights[n - k]
 
     def _switch_index(self, n: int) -> Optional[int]:
         """The first j < n at which height(n) may switch, or None."""
@@ -371,6 +448,20 @@ class Orbit:
         return h
 
 
+def _escape_rule(phi: RationalMap) -> Optional[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(deg a_d, the pairs (d - i, deg a_i - deg a_d) over the nonzero a_i
+    with i < d) for phi = (sum a_i z^i)/G with G a nonzero constant of Q, as
+    Orbit.escape_index reads them; None for any other phi."""
+    G = phi.G
+    if G.degree != 0 or G.coeff(0).degree != 0:
+        return None
+    d = phi.d
+    a = phi.F.coeffs
+    deg_ad = a[d].degree
+    terms = tuple((d - i, c.degree - deg_ad) for i, c in enumerate(a[:d]) if not c.is_zero)
+    return deg_ad, terms
+
+
 def _local_constants(phi: RationalMap) -> tuple[int, int, int, int]:
     """(d, h(phi), deg Res, L = 2d*h(phi) - deg Res) for Orbit.height."""
     h_phi = phi.coefficient_height()
@@ -432,20 +523,26 @@ def classify_preperiodic(
 
     Preperiodicity is certified by an exact orbit repetition; wandering is
     certified by a canonical-height interval with positive lower endpoint.
+    Once the orbit has escaped (Orbit.escape_index), no iterate repeats and
+    the heights follow a recurrence, so no further iterate is built.
     """
     orbit = Orbit(phi, P, height_budget)
     seen = {P: 0}
     d = phi.d
     B = displacement_bound(phi)
     for n in range(1, max_iter + 1):
-        current = orbit[n]
-        if current in seen:
-            tail = seen[current]
-            return Preperiodic(tail=tail, cycle=n - tail)
-        lo = _hhat_interval(current.height, n, d, B).lo
+        if orbit.escape_index(n - 1) is None:
+            current = orbit[n]
+            if current in seen:
+                tail = seen[current]
+                return Preperiodic(tail=tail, cycle=n - tail)
+            seen[current] = n
+            h = current.height
+        else:
+            h = orbit.height(n)
+        lo = _hhat_interval(h, n, d, B).lo
         if lo > 0:
             return Wandering(canonical_lower=lo, depth=n)
-        seen[current] = n
     raise OrbitBudgetError(f"no classification within {max_iter} iterates")
 
 

@@ -131,8 +131,12 @@ def count_S_integral(
     """Indices 1 <= n <= N with phi^n(P) an S-integer (infinity never counts).
 
     Once a persistence certificate is found the remaining range is certified
-    pole-bound without computing further iterates; without a certificate the
-    scan computes every iterate and enforces the height budget.
+    pole-bound without computing further iterates. Once the orbit has
+    escaped (Orbit.escape_index), every later iterate is a polynomial of
+    positive degree, S-integral iff infinity lies in S, so no further
+    iterate is built either; the height budget still applies to their
+    heights. Otherwise the scan computes every iterate and enforces the
+    height budget.
     """
     require_dynamical(phi)
     if N < 0:
@@ -155,6 +159,11 @@ def count_S_integral(
     certificate = None
     orbit = Orbit(phi, P, height_budget)
     for n in range(1, N + 1):
+        if orbit.escape_index(n - 1) is not None:
+            orbit.height(N)  # the budget checks of building iterates n..N
+            if Place.infinity() in S:
+                hits.extend(range(n, N + 1))
+            break
         current = orbit[n]
         elem = current.affine()
         if elem is not None and is_S_integer(elem, S):

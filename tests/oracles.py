@@ -31,6 +31,12 @@
   maps.is_polynomial_iterate, which read two fibers of phi.
 - plain_orbit: the orbit prefix by repeated apply_map with no budget,
   against heights.Orbit.
+- GlobalOrbit, global_classify_preperiodic, global_count_S_integral: the
+  budgeted orbit that builds every iterate it is asked for, and the loops of
+  classify_preperiodic and count_S_integral on it, against
+  heights.Orbit.height, which reads the heights of an escaped polynomial
+  orbit from a recurrence, and the two library loops, which stop building
+  iterates at the escape index.
 - quotient_dependence_search: the per-pair search that builds
   u = f**r / g**s and tests it by trial division (quotient_is_S_unit),
   against mult_dependence.dependence_search, which compares S-free parts.
@@ -42,23 +48,36 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Optional, Union
 
 import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.factortools import dup_factor_list
 
-from ffdyn.errors import ParseError
+from ffdyn.errors import OrbitBudgetError, ParseError
 from ffdyn.exprs import _Parser, _Token
-from ffdyn.function_field import FieldElement, Place, PlaceSet, log_abs
+from ffdyn.function_field import FieldElement, Place, PlaceSet, is_S_integer, log_abs
+from ffdyn.heights import (
+    DEFAULT_HEIGHT_BUDGET,
+    Preperiodic,
+    Wandering,
+    _hhat_interval,
+    displacement_bound,
+)
 from ffdyn.maps import (
     ProjectivePoint,
     RationalMap,
     _linear_root_multiplicity,
     apply_map,
     fiber_polynomial,
+    is_polynomial_iterate,
     power,
+)
+from ffdyn.orbit_integrality import (
+    CERTIFICATE_HEIGHT_LIMIT,
+    IntegralScanReport,
+    _certificate_at,
 )
 from ffdyn.polynomials import Poly, ZPoly, rational_content
 
@@ -292,6 +311,96 @@ def plain_orbit(phi: RationalMap, P: ProjectivePoint, n: int) -> list[Projective
     for _ in range(n):
         orbit.append(apply_map(phi, orbit[-1]))
     return orbit
+
+
+class GlobalOrbit:
+    """orbit[n] = phi^n(P) by repeated apply_map, with the height budget of
+    heights.Orbit: phi is applied only to an iterate within the budget."""
+
+    def __init__(self, phi: RationalMap, P: ProjectivePoint, height_budget: int):
+        self.phi = phi
+        self.height_budget = height_budget
+        self.points = [P]
+
+    def __getitem__(self, n: int) -> ProjectivePoint:
+        points = self.points
+        while len(points) <= n:
+            h = points[-1].height
+            if h > self.height_budget:
+                raise OrbitBudgetError(
+                    f"orbit height {h} exceeds budget {self.height_budget} "
+                    f"at iterate {len(points) - 1}"
+                )
+            points.append(apply_map(self.phi, points[-1]))
+        return points[n]
+
+
+def global_classify_preperiodic(
+    phi: RationalMap,
+    P: ProjectivePoint,
+    max_iter: int = 10_000,
+    height_budget: int = DEFAULT_HEIGHT_BUDGET,
+) -> Union[Preperiodic, Wandering]:
+    """classify_preperiodic on every iterate: a repetition, or a positive
+    lower end of the depth-n interval."""
+    orbit = GlobalOrbit(phi, P, height_budget)
+    seen = {P: 0}
+    d = phi.d
+    B = displacement_bound(phi)
+    for n in range(1, max_iter + 1):
+        current = orbit[n]
+        if current in seen:
+            tail = seen[current]
+            return Preperiodic(tail=tail, cycle=n - tail)
+        lo = _hhat_interval(current.height, n, d, B).lo
+        if lo > 0:
+            return Wandering(canonical_lower=lo, depth=n)
+        seen[current] = n
+    raise OrbitBudgetError(f"no classification within {max_iter} iterates")
+
+
+def global_count_S_integral(
+    phi: RationalMap,
+    P: ProjectivePoint,
+    S: PlaceSet,
+    N: int,
+    height_budget: int = DEFAULT_HEIGHT_BUDGET,
+    max_iter: int = 10_000,
+) -> IntegralScanReport:
+    """count_S_integral on every iterate up to N or a persistence
+    certificate. max_iter is passed to the preperiodicity check."""
+    warnings = []
+    try:
+        verdict = global_classify_preperiodic(phi, P, max_iter, height_budget)
+        if isinstance(verdict, Preperiodic):
+            warnings.append(
+                "base point is preperiodic; finiteness is trivial for this orbit"
+            )
+    except OrbitBudgetError:
+        warnings.append("wandering check inconclusive within budget")
+    if is_polynomial_iterate(phi, 2):
+        warnings.append(
+            "map has a polynomial iterate; S-integral points need not be finite "
+            "in number when S contains infinity"
+        )
+    hits = []
+    certificate = None
+    orbit = GlobalOrbit(phi, P, height_budget)
+    for n in range(1, N + 1):
+        current = orbit[n]
+        elem = current.affine()
+        if elem is not None and is_S_integer(elem, S):
+            hits.append(n)
+        if current.height <= CERTIFICATE_HEIGHT_LIMIT:
+            certificate = _certificate_at(phi, n, elem, S)
+            if certificate is not None:
+                break
+    return IntegralScanReport(
+        hits=tuple(hits),
+        scanned_to=N,
+        certificate=certificate,
+        warnings=tuple(warnings),
+    )
 
 
 def _strip_by_trial_division(p: Poly, S: PlaceSet) -> Poly:

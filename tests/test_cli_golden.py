@@ -30,6 +30,8 @@ INTEGRAL_COUNT = ["integral-count", "--map", "(z^2-t)/z", "--point", "t",
 MULTDEP = ["multdep", "--map", "t*z^2", "--point", "t", "--places", "t,inf",
            "--n-max", "2", "--k-max", "2", "--r-max", "2", "--s-max", "3"]
 CHOOSE_M = ["choose-m", "--map", "(z^2-t)/z", "--target", "0", "--epsilon", "1/2"]
+ESCAPE_COUNT = ["integral-count", "--map", "z^2+t", "--point", "1", "--places", "inf",
+                "--max-n", "12"]
 
 CASES = {
     "height": ["height", "(t^2+1)/t"],
@@ -65,6 +67,19 @@ CASES = {
                            "--epsilon", "1/2"],
     "canheight-rational-coefficients": ["canheight", "--map", "(z^3+t*z)/(z^2-1/3*t*z)",
                                         "--point=-(t-1/2)^2/4"],
+    # escape certificates: z^2+t at 1 escapes at iterate 1, so every iterate
+    # from there on is a nonconstant polynomial
+    "integral-count-escape": ESCAPE_COUNT,
+    "integral-count-escape-finite-places": [*ESCAPE_COUNT[:6], "t", *ESCAPE_COUNT[7:]],
+    "integral-count-escape-budget": [*ESCAPE_COUNT, "--budget", "100"],
+    # the leading coefficient t adds deg a_d = 1 to every escaped step
+    "classify-escape-leading-t": ["classify", "--map", "t*z^2", "--point", "t"],
+    # deg P = 1 is at most R = 3/2, so the orbit escapes only at iterate 1
+    "canheight-late-escape": ["canheight", "--map", "z^2+t^3", "--point", "t",
+                              "--depth", "10"],
+    # a denominator of positive t-degree keeps the global path
+    "canheight-t-denominator": ["canheight", "--map", "(z^2+1)/t", "--point", "t",
+                                "--depth", "8"],
 }
 
 
