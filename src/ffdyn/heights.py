@@ -1,8 +1,10 @@
 """Heights on P^1(K), canonical-height intervals and orbit classification.
 
 The canonical height of a point is approximated by certified rational
-intervals: the center is h(phi^N P)/d^N and the radius is a displacement
-bound divided by d^N (d - 1), so the true value always lies inside.
+intervals around h(phi^N P)/d^N: each step moves the height by at most h(phi)
+above and (2d - 1) h(phi) below d times the height (displacement_bound), so
+the interval reaches h(phi)/(d^N (d - 1)) above and (2d - 1) times that below,
+and the true value always lies inside.
 """
 
 from __future__ import annotations
@@ -127,19 +129,28 @@ class BoundParams:
 
 
 def displacement_bound(phi: RationalMap) -> int:
-    """Certified integer B with |h(phi(P)) - d*h(P)| <= B for all P.
+    """Certified integer B = (2d - 1) h(phi) with |h(phi(Q)) - d*h(Q)| <= B
+    for all Q. It is the larger of the two one-sided bounds
 
-    Upper side: evaluating the degree-d homogenization adds at most h(phi)
-    to the coordinate degrees. Lower side: the common factor removed after
-    evaluation divides the resultant, and elimination expresses the
-    coordinate powers through the evaluated pair with cofactors of height
-    at most h(phi) + deg Res, giving d*h(P) <= h(phi(P)) + h(phi) + deg Res
-    + 2d*h(phi) after degree bookkeeping. The sum of both sides' constants
-    is taken so one B works for both inequalities.
+        -(2d - 1) h(phi) <= h(phi(Q)) - d*h(Q) <= h(phi),
+
+    which _hhat_interval uses separately. Both are sharp: with d = 2 and h(phi)
+    = 1, (z^2 + (t+1) z + t)/(t z - 1) at t^3 reaches -3, and ((t-1) z + t -
+    1)/((t-1) z^2 + (2t+1) z - t) at 0 reaches +1.
+
+    Proof, in the notation of Orbit.height: Q = [x0 : x1] with coprime
+    coordinates of height h, A = F(x0, x1), B = G(x0, x1) and M = max(deg A,
+    deg B). A and B are not both 0, since the identity of (F3) would give Res
+    = 0, and h(phi Q) = M - deg g with g = gcd(A, B).
+    - Upper side: each term F_i x0^i x1^(d-i) or G_i x0^i x1^(d-i) has degree
+      at most h(phi) + d*h, so h(phi Q) <= M <= d*h + h(phi).
+    - Lower side: g divides Res. When A, B != 0 this is (F2); when B = 0 the
+      identity of (F3) reads Res x_i^(2d-1) = g_i(x) A for both i, so g = A
+      divides Res, and likewise when A = 0. By (F3), M >= d*h + deg Res -
+      (2d - 1) h(phi), so h(phi Q) >= M - deg Res >= d*h - (2d - 1) h(phi).
     """
     require_dynamical(phi)
-    h = phi.coefficient_height()
-    return h + resultant(phi).degree + 2 * phi.d * h
+    return (2 * phi.d - 1) * phi.coefficient_height()
 
 
 @dataclass(frozen=True)
@@ -485,16 +496,21 @@ def canonical_height(
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     h = Orbit(phi, P, height_budget).height(depth)
-    return _hhat_interval(h, depth, phi.d, displacement_bound(phi))
+    return _hhat_interval(h, depth, phi.d, phi.coefficient_height())
 
 
-def _hhat_interval(h: int, n: int, d: int, B: int) -> HeightInterval:
-    """Interval for hhat(P) from h = h(phi^n P) and the displacement bound B:
-    hhat(P) = lim h(phi^k P)/d^k and |h(phi(Q)) - d*h(Q)| <= B telescope to
-    |hhat(P) - h/d^n| <= B/(d^n (d - 1)). The lower end is clipped at 0."""
+def _hhat_interval(h: int, n: int, d: int, h_phi: int) -> HeightInterval:
+    """Interval for hhat(P) from h = h(phi^n P) and h_phi = h(phi):
+
+        [h/d^n - (2d - 1) h_phi/(d^n (d - 1)), h/d^n + h_phi/(d^n (d - 1))].
+
+    hhat(P) = h/d^n + sum over k >= n of (h(phi^(k+1) P) - d h(phi^k P))/d^(k+1),
+    each numerator lies in [-(2d - 1) h_phi, h_phi] (displacement_bound), and
+    the sum of 1/d^(k+1) over k >= n is 1/(d^n (d - 1)). The lower end is
+    clipped at 0."""
     center = Fraction(h, d**n)
-    radius = Fraction(B, d**n * (d - 1))
-    return HeightInterval(max(Fraction(0), center - radius), center + radius)
+    unit = Fraction(h_phi, d**n * (d - 1))
+    return HeightInterval(max(Fraction(0), center - (2 * d - 1) * unit), center + unit)
 
 
 @dataclass(frozen=True)
@@ -522,14 +538,15 @@ def classify_preperiodic(
     """Decide preperiodic vs wandering with a certificate either way.
 
     Preperiodicity is certified by an exact orbit repetition; wandering is
-    certified by a canonical-height interval with positive lower endpoint.
-    Once the orbit has escaped (Orbit.escape_index), no iterate repeats and
-    the heights follow a recurrence, so no further iterate is built.
+    certified by a canonical-height interval with positive lower endpoint,
+    which at iterate n means (d - 1) h(phi^n P) > (2d - 1) h(phi). Once the
+    orbit has escaped (Orbit.escape_index), no iterate repeats and the
+    heights follow a recurrence, so no further iterate is built.
     """
     orbit = Orbit(phi, P, height_budget)
     seen = {P: 0}
     d = phi.d
-    B = displacement_bound(phi)
+    h_phi = phi.coefficient_height()
     for n in range(1, max_iter + 1):
         if orbit.escape_index(n - 1) is None:
             current = orbit[n]
@@ -540,7 +557,7 @@ def classify_preperiodic(
             h = current.height
         else:
             h = orbit.height(n)
-        lo = _hhat_interval(h, n, d, B).lo
+        lo = _hhat_interval(h, n, d, h_phi).lo
         if lo > 0:
             return Wandering(canonical_lower=lo, depth=n)
     raise OrbitBudgetError(f"no classification within {max_iter} iterates")

@@ -87,7 +87,8 @@ def _suite_product_formula(samples: int, seed: int) -> SuiteResult:
 
 
 def _suite_displacement(samples: int, seed: int) -> SuiteResult:
-    """|h(phi(P)) - d*h(P)| <= displacement_bound(phi) on random pairs."""
+    """-displacement_bound(phi) <= h(phi(P)) - d*h(P) <= h(phi) on random
+    pairs; a failure names the side it breaks."""
     rng = Random(seed)
     res = SuiteResult("displacement", samples, seed)
     for i in range(samples):
@@ -95,13 +96,15 @@ def _suite_displacement(samples: int, seed: int) -> SuiteResult:
         phi = rand_map(rng, d=d)
         P = rand_point(rng)
         res.checked += 1
-        B = displacement_bound(phi)
-        lhs = abs(apply_map(phi, P).height - d * P.height)
-        if lhs > B:
-            res.failures.append(
-                f"sample {i}: |h(phi P) - d h(P)| = {lhs} > {B} for "
-                f"phi = {map_text(phi)}, P = {P}"
-            )
+        lower, upper = -displacement_bound(phi), phi.coefficient_height()
+        delta = apply_map(phi, P).height - d * P.height
+        if delta < lower:
+            side = f"lower side: h(phi P) - d h(P) = {delta} < {lower}"
+        elif delta > upper:
+            side = f"upper side: h(phi P) - d h(P) = {delta} > {upper}"
+        else:
+            continue
+        res.failures.append(f"sample {i}: {side} for phi = {map_text(phi)}, P = {P}")
     return res
 
 

@@ -37,6 +37,12 @@
   heights.Orbit.height, which reads the heights of an escaped polynomial
   orbit from a recurrence, and the two library loops, which stop building
   iterates at the escape index.
+- symmetric_hhat_interval, symmetric_canonical_height: the canonical-height
+  interval of radius B/(d^N (d - 1)) about h(phi^N P)/d^N with the
+  symmetric B = (2d + 1) h(phi) + deg Res, against heights.canonical_height,
+  whose one-sided interval must lie inside it at equal depth.
+  global_classify_preperiodic takes the symmetric interval with
+  symmetric=True.
 - quotient_dependence_search: the per-pair search that builds
   u = f**r / g**s and tests it by trial division (quotient_is_S_unit),
   against mult_dependence.dependence_search, which compares S-free parts.
@@ -60,10 +66,11 @@ from ffdyn.exprs import _Parser, _Token
 from ffdyn.function_field import FieldElement, Place, PlaceSet, is_S_integer, log_abs
 from ffdyn.heights import (
     DEFAULT_HEIGHT_BUDGET,
+    HeightInterval,
+    Orbit,
     Preperiodic,
     Wandering,
     _hhat_interval,
-    displacement_bound,
 )
 from ffdyn.maps import (
     ProjectivePoint,
@@ -73,6 +80,7 @@ from ffdyn.maps import (
     fiber_polynomial,
     is_polynomial_iterate,
     power,
+    resultant,
 )
 from ffdyn.orbit_integrality import (
     CERTIFICATE_HEIGHT_LIMIT,
@@ -335,24 +343,49 @@ class GlobalOrbit:
         return points[n]
 
 
+def symmetric_hhat_interval(phi: RationalMap, h: int, n: int) -> HeightInterval:
+    """h/d^n -+ B/(d^n (d - 1)), clipped at 0, with the symmetric B = (2d + 1)
+    h(phi) + deg Res: the upper side h(phi) plus a lower side 2d h(phi) + deg
+    Res that is weaker than heights.displacement_bound's (2d - 1) h(phi)."""
+    d = phi.d
+    B = (2 * d + 1) * phi.coefficient_height() + resultant(phi).degree
+    center = Fraction(h, d**n)
+    radius = Fraction(B, d**n * (d - 1))
+    return HeightInterval(max(Fraction(0), center - radius), center + radius)
+
+
+def symmetric_canonical_height(
+    phi: RationalMap,
+    P: ProjectivePoint,
+    depth: int,
+    height_budget: int = DEFAULT_HEIGHT_BUDGET,
+) -> HeightInterval:
+    """canonical_height with the symmetric interval."""
+    return symmetric_hhat_interval(phi, Orbit(phi, P, height_budget).height(depth), depth)
+
+
 def global_classify_preperiodic(
     phi: RationalMap,
     P: ProjectivePoint,
     max_iter: int = 10_000,
     height_budget: int = DEFAULT_HEIGHT_BUDGET,
+    symmetric: bool = False,
 ) -> Union[Preperiodic, Wandering]:
     """classify_preperiodic on every iterate: a repetition, or a positive
-    lower end of the depth-n interval."""
+    lower end of the depth-n interval, the symmetric one if asked."""
     orbit = GlobalOrbit(phi, P, height_budget)
     seen = {P: 0}
     d = phi.d
-    B = displacement_bound(phi)
+    h_phi = phi.coefficient_height()
     for n in range(1, max_iter + 1):
         current = orbit[n]
         if current in seen:
             tail = seen[current]
             return Preperiodic(tail=tail, cycle=n - tail)
-        lo = _hhat_interval(current.height, n, d, B).lo
+        if symmetric:
+            lo = symmetric_hhat_interval(phi, current.height, n).lo
+        else:
+            lo = _hhat_interval(current.height, n, d, h_phi).lo
         if lo > 0:
             return Wandering(canonical_lower=lo, depth=n)
         seen[current] = n

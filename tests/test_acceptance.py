@@ -114,9 +114,11 @@ def test_displacement_bound_1000():
         d = rng.choice([2, 3])
         phi = rand_map(rng, d=d, coeff_deg=1, cmax=3)
         P = rand_point(rng, max_deg=1, cmax=3)
-        ok = ok and abs(apply_map(phi, P).height - d * P.height) <= displacement_bound(phi)
-    report("displacement bound: 1000 seeded (map, point) pairs, d in {2,3}, "
-           "zero violations", ok)
+        delta = apply_map(phi, P).height - d * P.height
+        h_phi = phi.coefficient_height()
+        ok = ok and -displacement_bound(phi) <= delta <= h_phi
+    report("displacement bounds: -(2d-1) h(phi) <= h(phi P) - d h(P) <= h(phi) on "
+           "1000 seeded (map, point) pairs, d in {2,3}, zero violations", ok)
 
 
 def test_iterate_heights_100():

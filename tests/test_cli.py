@@ -40,9 +40,9 @@ def test_canheight_golden(capsys):
     assert code == 0
     (rec,) = jlines(out)
     assert rec["schema"] == "ffdyn.report/1"
-    assert rec["lo"] == "507/1024"
-    assert rec["hi"] == "517/1024"
-    assert rec["width"] == "5/512"
+    assert rec["lo"] == "509/1024"
+    assert rec["hi"] == "513/1024"
+    assert rec["width"] == "1/256"
     assert rec["map"] == "z^2 + t"
 
 
@@ -351,7 +351,7 @@ def test_env_overrides(capsys, monkeypatch):
     code, out, _ = run(capsys, "canheight", "--map", "z^2+t", "--point", "0")
     (rec,) = jlines(out)
     assert rec["depth"] == 6
-    assert rec["lo"] == "27/64" and rec["hi"] == "37/64"
+    assert rec["lo"] == "29/64" and rec["hi"] == "33/64"
     monkeypatch.setenv("FFDYN_FORMAT", "csv")
     code, out, _ = run(capsys, "canheight", "--map", "z^2+t", "--point", "0")
     assert out.splitlines()[0].startswith("command,")

@@ -212,7 +212,7 @@ def test_escaped_heights_keep_the_budget_text():
     with pytest.raises(OrbitBudgetError, match="^orbit height 128 exceeds budget 100 at iterate 8$"):
         count_S_integral(quad, one, parse_places("inf"), 12, 100)
     assert classify_preperiodic(quad, one, height_budget=100) == Wandering(
-        Fraction(3, 16), 4
+        Fraction(1, 8), 3
     )
 
 

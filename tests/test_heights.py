@@ -45,19 +45,24 @@ def test_height_interval_validation():
 
 
 def test_displacement_bound_examples(quad_poly_map, quad_quotient_map):
-    # h(phi) + deg Res + 2 d h(phi)
-    assert displacement_bound(quad_poly_map) == 1 + 0 + 4
-    assert displacement_bound(quad_quotient_map) == 1 + 1 + 4
+    # (2d - 1) h(phi), with no resultant term
+    assert displacement_bound(quad_poly_map) == 3
+    assert displacement_bound(quad_quotient_map) == 3
+    assert displacement_bound(parse_rational_map("(z^3+t^2)/(t*z)")) == 10
+    assert displacement_bound(parse_rational_map("z^2+1")) == 0
 
 
 def test_displacement_bound_holds_seeded():
+    # both one-sided bounds: -(2d - 1) h(phi) <= h(phi P) - d h(P) <= h(phi)
     rng = Random(21)
     for _ in range(200):
         d = rng.choice([2, 3])
         phi = rand_map(rng, d=d)
         P = rand_point(rng)
-        B = displacement_bound(phi)
-        assert abs(apply_map(phi, P).height - d * P.height) <= B
+        h_phi = phi.coefficient_height()
+        delta = apply_map(phi, P).height - d * P.height
+        assert -(2 * d - 1) * h_phi <= delta <= h_phi
+        assert displacement_bound(phi) == (2 * d - 1) * h_phi
 
 
 def test_canonical_height_main_example(quad_poly_map):

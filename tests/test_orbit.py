@@ -78,20 +78,22 @@ def test_negative_index(quad_poly_map):
         Orbit(quad_poly_map, pt("0"))[-1]
 
 
-# z^2 + t at P = 0: iterate heights 0, 1, 2, 4, 8, displacement bound B = 5.
+# z^2 + t at P = 0: iterate heights 0, 1, 2, 4, 8, h(phi) = 1. Intervals reach
+# 1/2^n above and 3/2^n below h_n/2^n, so iterate 3 (height 4 > 3) certifies
+# wandering.
 
 
 def test_budget_boundary_classify(quad_poly_map):
-    # iterate 4 (height 8) crosses the budget 7 and is still inspected
-    assert classify_preperiodic(quad_poly_map, pt("0"), height_budget=7) == Wandering(
-        Fraction(3, 16), 4
+    # iterate 3 (height 4) crosses the budget 3 and is still inspected
+    assert classify_preperiodic(quad_poly_map, pt("0"), height_budget=3) == Wandering(
+        Fraction(1, 8), 3
     )
 
 
 def test_budget_boundary_canonical_height(quad_poly_map):
     # the last requested iterate may exceed the budget: it is already computed
     assert canonical_height(quad_poly_map, pt("0"), 4, 7) == HeightInterval(
-        Fraction(3, 16), Fraction(13, 16)
+        Fraction(5, 16), Fraction(9, 16)
     )
     # one step further would apply the map to it
     with pytest.raises(OrbitBudgetError, match="exceeds budget 7 at iterate 4"):
@@ -146,8 +148,8 @@ BUDGET_CASES = [
     (
         "classify_preperiodic",
         lambda b: classify_preperiodic(QUAD, pt("0"), height_budget=b),
-        3,
-        "orbit height 4 exceeds budget 3 at iterate 3",
+        1,
+        "orbit height 2 exceeds budget 1 at iterate 2",
     ),
     (
         "count_S_integral",
@@ -216,13 +218,13 @@ BUDGET_CASES = [
 
 def test_hmin_lattice_scan_skips_points_past_the_budget():
     # constants reach depth 4 within budget 7 (heights 0, 1, 2, 4, 8); the
-    # degree-1 points are certified wandering at iterate 3 but their depth-4
+    # degree-1 points are certified wandering at iterate 2 but their depth-4
     # interval would apply the map to height 8
     full = hmin_lattice_scan(QUAD, 1, 1, 4)
     small = hmin_lattice_scan(QUAD, 1, 1, 4, height_budget=7)
     assert (full.scanned, full.certified_wandering) == (10, 9)
     assert (small.scanned, small.certified_wandering) == (10, 3)
-    assert small.min_positive_upper == full.min_positive_upper == Fraction(13, 16)
+    assert small.min_positive_upper == full.min_positive_upper == Fraction(9, 16)
     assert small.witness == full.witness
 
 
@@ -234,7 +236,9 @@ def test_estimate_gamma_excludes_instances_past_the_budget():
         "instance 0 excluded: orbit height 6 exceeds budget 4 at iterate 2",
     )
     assert [rec.excluded for rec in report.records] == [True, False]
-    assert (report.gamma_hat, report.witnesses) == (2, (1,))
+    # max in-index 2 less floor log_2((hhat(t).lo + 1)/hhat(t).hi) with the
+    # depth-4 interval [5/16, 9/16]: 2 - floor log_2(7/3) = 1
+    assert (report.gamma_hat, report.witnesses) == (1, (1,))
     full = estimate_gamma(instances, S_INF, Fraction(1, 4), 2, depth=4)
     assert full.warnings == () and full.records[1] == report.records[1]
 

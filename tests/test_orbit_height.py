@@ -133,6 +133,6 @@ def test_canonical_height_depth_16_builds_few_iterates(monkeypatch):
     monkeypatch.setattr(ffdyn.heights, "apply_map", counting)
     phi = parse_rational_map("(z^2-t)/z")
     assert canonical_height(phi, parse_point("t"), 16) == HeightInterval(
-        Fraction(16381, 32768), Fraction(16387, 32768)
+        Fraction(32765, 65536), Fraction(32769, 65536)
     )
     assert len(calls) == 6
