@@ -54,6 +54,22 @@ class HeightInterval:
         return self.lo <= Fraction(x) <= self.hi
 
 
+@dataclass(frozen=True)
+class Preperiodic:
+    """Certified preperiodicity: phi^(tail + cycle) P = phi^tail P."""
+
+    tail: int
+    cycle: int
+
+
+@dataclass(frozen=True)
+class Wandering:
+    """Certified positive canonical height with the witnessing lower bound."""
+
+    canonical_lower: Fraction
+    depth: int
+
+
 _BOUND_KEYS = (
     "gamma1",
     "gamma2",
@@ -195,6 +211,10 @@ class Orbit:
     and orbit.prefix(n) is [P, phi(P), ..., phi^n(P)]. Iterates are kept, so
     each apply_map step runs once per Orbit. orbit.height(n) is the exact
     h(phi^n(P)); it builds iterates only while they are cheap (see height).
+    orbit.classify() decides preperiodic against wandering and
+    orbit.hhat(depth) bounds the canonical height, both from the same
+    iterates. A command builds one Orbit per base point and asks it every
+    question, so no iterate is computed twice.
 
     Height budget: phi is applied only to an iterate whose height is within
     height_budget, and a truncated step of height() counts as applying phi.
@@ -318,9 +338,15 @@ class Orbit:
 
         The cost is not polynomial in n: the window and residue coefficients
         are rationals that can grow like an orbit over a number field.
+
+        An iterate n that is already built gives its height directly. The
+        budget checks are unchanged: iterate n is built only after iterates
+        0..n-1 passed the budget, which is what either route above checks.
         """
         if n < 0:
             raise DomainError("negative iterate index")
+        if n < len(self._points):
+            return self._points[n].height
         if self.escape_index(n) is not None:
             return self._escaped_height(n)
         j = self._switch_index(n)
@@ -376,6 +402,41 @@ class Orbit:
             else:
                 self._unescaped += 1
         return self._unescaped if heights and self._unescaped <= n else None
+
+    def hhat(self, depth: int) -> HeightInterval:
+        """Certified interval for the canonical height of P from the exact
+        height of iterate depth (_hhat_interval)."""
+        if depth < 0:
+            raise DomainError("depth must be nonnegative")
+        h_phi = self.phi.coefficient_height()
+        return _hhat_interval(self.height(depth), depth, self.phi.d, h_phi)
+
+    def classify(self, max_iter: int = 10_000) -> Union[Preperiodic, Wandering]:
+        """Decide preperiodic vs wandering with a certificate either way.
+
+        Preperiodicity is certified by an exact orbit repetition; wandering is
+        certified by a canonical-height interval with positive lower endpoint,
+        which at iterate n means (d - 1) h(phi^n P) > (2d - 1) h(phi). Once the
+        orbit has escaped (escape_index), no iterate repeats and the heights
+        follow a recurrence, so no further iterate is built.
+        """
+        seen = {self._points[0]: 0}
+        d = self.phi.d
+        h_phi = self.phi.coefficient_height()
+        for n in range(1, max_iter + 1):
+            if self.escape_index(n - 1) is None:
+                current = self[n]
+                if current in seen:
+                    tail = seen[current]
+                    return Preperiodic(tail=tail, cycle=n - tail)
+                seen[current] = n
+                h = current.height
+            else:
+                h = self.height(n)
+            lo = _hhat_interval(h, n, d, h_phi).lo
+            if lo > 0:
+                return Wandering(canonical_lower=lo, depth=n)
+        raise OrbitBudgetError(f"no classification within {max_iter} iterates")
 
     def _escaped_height(self, n: int) -> int:
         """h(phi^n P) for n at or past the escape index k, by the recurrence
@@ -491,12 +552,8 @@ def canonical_height(
     depth: int,
     height_budget: int = DEFAULT_HEIGHT_BUDGET,
 ) -> HeightInterval:
-    """Certified interval for the canonical height of P, from depth iterates."""
-    require_dynamical(phi)
-    if depth < 0:
-        raise DomainError("depth must be nonnegative")
-    h = Orbit(phi, P, height_budget).height(depth)
-    return _hhat_interval(h, depth, phi.d, phi.coefficient_height())
+    """Certified interval for the canonical height of P (Orbit.hhat)."""
+    return Orbit(phi, P, height_budget).hhat(depth)
 
 
 def _hhat_interval(h: int, n: int, d: int, h_phi: int) -> HeightInterval:
@@ -513,54 +570,14 @@ def _hhat_interval(h: int, n: int, d: int, h_phi: int) -> HeightInterval:
     return HeightInterval(max(Fraction(0), center - (2 * d - 1) * unit), center + unit)
 
 
-@dataclass(frozen=True)
-class Preperiodic:
-    """Certified preperiodicity: phi^(tail + cycle) P = phi^tail P."""
-
-    tail: int
-    cycle: int
-
-
-@dataclass(frozen=True)
-class Wandering:
-    """Certified positive canonical height with the witnessing lower bound."""
-
-    canonical_lower: Fraction
-    depth: int
-
-
 def classify_preperiodic(
     phi: RationalMap,
     P: ProjectivePoint,
     max_iter: int = 10_000,
     height_budget: int = DEFAULT_HEIGHT_BUDGET,
 ) -> Union[Preperiodic, Wandering]:
-    """Decide preperiodic vs wandering with a certificate either way.
-
-    Preperiodicity is certified by an exact orbit repetition; wandering is
-    certified by a canonical-height interval with positive lower endpoint,
-    which at iterate n means (d - 1) h(phi^n P) > (2d - 1) h(phi). Once the
-    orbit has escaped (Orbit.escape_index), no iterate repeats and the
-    heights follow a recurrence, so no further iterate is built.
-    """
-    orbit = Orbit(phi, P, height_budget)
-    seen = {P: 0}
-    d = phi.d
-    h_phi = phi.coefficient_height()
-    for n in range(1, max_iter + 1):
-        if orbit.escape_index(n - 1) is None:
-            current = orbit[n]
-            if current in seen:
-                tail = seen[current]
-                return Preperiodic(tail=tail, cycle=n - tail)
-            seen[current] = n
-            h = current.height
-        else:
-            h = orbit.height(n)
-        lo = _hhat_interval(h, n, d, h_phi).lo
-        if lo > 0:
-            return Wandering(canonical_lower=lo, depth=n)
-    raise OrbitBudgetError(f"no classification within {max_iter} iterates")
+    """Decide preperiodic vs wandering with a certificate (Orbit.classify)."""
+    return Orbit(phi, P, height_budget).classify(max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -619,16 +636,11 @@ def hmin_lattice_scan(
     witness: Optional[ProjectivePoint] = None
     certified = 0
     for pt in points:
+        orbit = Orbit(phi, pt, height_budget)
         try:
-            verdict = classify_preperiodic(
-                phi, pt, max_iter=depth, height_budget=height_budget
-            )
-        except OrbitBudgetError:
-            continue
-        if isinstance(verdict, Preperiodic):
-            continue
-        try:
-            hi = canonical_height(phi, pt, depth, height_budget).hi
+            if isinstance(orbit.classify(max_iter=depth), Preperiodic):
+                continue
+            hi = orbit.hhat(depth).hi
         except OrbitBudgetError:
             continue
         certified += 1

@@ -25,7 +25,7 @@ from .function_field import (
     ord_at,
     s_free_part,
 )
-from .heights import DEFAULT_HEIGHT_BUDGET, Orbit, Preperiodic, classify_preperiodic
+from .heights import DEFAULT_HEIGHT_BUDGET, Orbit, Preperiodic
 from .maps import (
     ProjectivePoint,
     RationalMap,
@@ -33,21 +33,6 @@ from .maps import (
     require_dynamical,
 )
 from .polynomials import Poly, factor_tpoly
-
-# ---------------------------------------------------------------------------
-# Orbit helpers
-# ---------------------------------------------------------------------------
-
-
-def _affine_orbit(
-    phi: RationalMap,
-    alpha: ProjectivePoint,
-    n: int,
-    height_budget: int = DEFAULT_HEIGHT_BUDGET,
-) -> list[Optional[FieldElement]]:
-    """[alpha, phi(alpha), ..., phi^n(alpha)] as affine values; None at infinity."""
-    return [pt.affine() for pt in Orbit(phi, alpha, height_budget).prefix(n)]
-
 
 # ---------------------------------------------------------------------------
 # S-unit hits
@@ -64,9 +49,9 @@ def unit_hits(
     """Indices 1 <= n <= N with phi^n(alpha) an S-unit (infinity never is)."""
     if N < 1:
         raise DomainError("scan bound must be positive")
-    orbit = _affine_orbit(phi, alpha, N, height_budget)
+    values = [pt.affine() for pt in Orbit(phi, alpha, height_budget).prefix(N)]
     return [
-        n for n in range(1, N + 1) if orbit[n] is not None and is_S_unit(orbit[n], S)
+        n for n in range(1, N + 1) if values[n] is not None and is_S_unit(values[n], S)
     ]
 
 
@@ -115,12 +100,10 @@ class DependenceSearchReport:
     wandering_certified: bool
 
 
-def _zero_is_periodic(
-    phi: RationalMap, height_budget: int = DEFAULT_HEIGHT_BUDGET
-) -> bool:
-    """True iff classify_preperiodic certifies phi^n(0) = 0 for some n >= 1,
-    i.e. returns Preperiodic with tail 0. Strictly preperiodic and certified
-    wandering both mean "not periodic".
+def _zero_is_periodic(zero_orbit: Orbit) -> bool:
+    """True iff the classification of the orbit of 0 certifies phi^n(0) = 0
+    for some n >= 1, i.e. returns Preperiodic with tail 0. Strictly
+    preperiodic and certified wandering both mean "not periodic".
 
     An orbit still undecided after 12 iterates, or past the height
     budget, also counts as not periodic. This happens when the orbit of 0
@@ -129,9 +112,7 @@ def _zero_is_periodic(
     rational coefficients grow.
     """
     try:
-        verdict = classify_preperiodic(
-            phi, ProjectivePoint.zero(), max_iter=12, height_budget=height_budget
-        )
+        verdict = zero_orbit.classify(max_iter=12)
     except OrbitBudgetError:
         return False
     return isinstance(verdict, Preperiodic) and verdict.tail == 0
@@ -168,15 +149,14 @@ def dependence_search(
     ord_v are multiplicative (lc(x**-1) = 1/lc(x.num)). Hence u =
     lc(f.num)^r / lc(g.num)^s * prod_v pi_v^(r*ord_v(f) - s*ord_v(g)), the
     ord_v computed once per orbit value."""
-    require_dynamical(phi)
+    orbit = Orbit(phi, q.alpha, height_budget)
     wandering_certified = False
     if not wandering_attested:
-        verdict = classify_preperiodic(phi, q.alpha, height_budget=height_budget)
-        if isinstance(verdict, Preperiodic):
+        if isinstance(orbit.classify(), Preperiodic):
             raise DomainError("base point is preperiodic; search requires wandering")
         wandering_certified = True
-    orbit = _affine_orbit(phi, q.alpha, q.n_max + q.k_max, height_budget)
-    parts = [None if x is None or x.is_zero else s_free_part(x, q.S) for x in orbit]
+    values = [pt.affine() for pt in orbit.prefix(q.n_max + q.k_max)]
+    parts = [None if x is None or x.is_zero else s_free_part(x, q.S) for x in values]
 
     def signed_part(i: int, e: int) -> tuple:
         """parts[i] with numerator and denominator swapped when e < 0."""
@@ -185,7 +165,7 @@ def dependence_search(
 
     @cache
     def power_part(i: int, e: int) -> tuple:
-        """s_free_part(orbit[i] ** e, S) from parts[i], for e != 0."""
+        """s_free_part(values[i] ** e, S) from parts[i], for e != 0."""
         a, b, o = signed_part(i, e)
         return a ** abs(e), b ** abs(e), e * o
 
@@ -198,11 +178,11 @@ def dependence_search(
 
     @cache
     def place_ords(i: int) -> list[int]:
-        return [ord_at(orbit[i], v) for v in finite]
+        return [ord_at(values[i], v) for v in finite]
 
     def unit(i: int, j: int, r: int, s: int) -> FieldElement:
-        """orbit[i]**r / orbit[j]**s for a solution (docstring above)."""
-        num = Poly.constant(orbit[i].num.leading ** r / orbit[j].num.leading ** s)
+        """values[i]**r / values[j]**s for a solution (docstring above)."""
+        num = Poly.constant(values[i].num.leading ** r / values[j].num.leading ** s)
         den = Poly.one()
         for v, ei, ej in zip(finite, place_ords(i), place_ords(j)):
             e = r * ei - s * ej
@@ -217,8 +197,8 @@ def dependence_search(
     skipped = []
     for n in range(1, q.n_max + 1):
         for k in range(1, q.k_max + 1):
-            f = orbit[n + k]
-            g = orbit[k]
+            f = values[n + k]
+            g = values[k]
             if f is None or g is None:
                 skipped.append(f"(n={n}, k={k}): iterate at infinity")
                 continue
@@ -235,10 +215,12 @@ def dependence_search(
                         DependenceSolution(n=n, k=k, r=r, s=s, u=u, alpha=q.alpha, rho=rho)
                     )
     solutions.sort(key=lambda sol: (sol.n, sol.k, sol.r, sol.s))
+    zero = ProjectivePoint.zero()
+    zero_orbit = orbit if q.alpha == zero else Orbit(phi, zero, height_budget)
     return DependenceSearchReport(
         solutions=tuple(solutions),
         skipped=tuple(skipped),
-        zero_not_periodic=not _zero_is_periodic(phi, height_budget),
+        zero_not_periodic=not _zero_is_periodic(zero_orbit),
         wandering_certified=wandering_certified,
     )
 
@@ -297,13 +279,13 @@ def poly_case_classifier(
         else:
             witness = Place.infinity()
         d = phi.d
-        orbit = _affine_orbit(
-            phi, solution.alpha, solution.n + solution.k, height_budget
-        )
+        m = solution.n + solution.k
+        orbit = Orbit(phi, solution.alpha, height_budget)
+        values = [pt.affine() for pt in orbit.prefix(m)]
         v0 = ord_at(alpha_elem, witness)
         pattern_ok = all(
-            orbit[j] is not None and ord_at(orbit[j], witness) == d**j * v0
-            for j in range(1, solution.n + solution.k + 1)
+            values[j] is not None and ord_at(values[j], witness) == d**j * v0
+            for j in range(1, m + 1)
         )
         shape_ok = r == 1 and s == d**solution.n
         return CaseEvidence(
@@ -393,17 +375,17 @@ def split_multilinear_zero_scan(
         raise DomainError("scan bound must be positive")
     if alpha.is_infinite:
         raise DomainError("base point must be affine")
-    orbit = _affine_orbit(phi, alpha, N, height_budget)
+    values = [pt.affine() for pt in Orbit(phi, alpha, height_budget).prefix(N)]
     zero_tuples = []
     skipped = []
     scanned = 0
     for combo in itertools.combinations(range(N, -1, -1), form.arity):
         scanned += 1
-        values = [orbit[n] for n in combo]
-        if any(v is None for v in values):
+        args = [values[n] for n in combo]
+        if any(v is None for v in args):
             skipped.append(combo)
             continue
-        if form.evaluate(values).is_zero:
+        if form.evaluate(args).is_zero:
             zero_tuples.append(combo)
     return ZeroScanReport(
         zero_tuples=tuple(zero_tuples),

@@ -25,7 +25,6 @@ from .heights import (
     Orbit,
     Preperiodic,
     canonical_height,
-    classify_preperiodic,
 )
 from .local_geometry import lambda_sum
 from .maps import (
@@ -138,13 +137,12 @@ def count_S_integral(
     heights. Otherwise the scan computes every iterate and enforces the
     height budget.
     """
-    require_dynamical(phi)
+    orbit = Orbit(phi, P, height_budget)
     if N < 0:
         raise DomainError("scan bound must be nonnegative")
     warnings = []
     try:
-        verdict = classify_preperiodic(phi, P, height_budget=height_budget)
-        if isinstance(verdict, Preperiodic):
+        if isinstance(orbit.classify(), Preperiodic):
             warnings.append(
                 "base point is preperiodic; finiteness is trivial for this orbit"
             )
@@ -157,7 +155,6 @@ def count_S_integral(
         )
     hits = []
     certificate = None
-    orbit = Orbit(phi, P, height_budget)
     for n in range(1, N + 1):
         if orbit.escape_index(n - 1) is not None:
             orbit.height(N)  # the budget checks of building iterates n..N
@@ -227,24 +224,24 @@ def gamma_set(
     per-index intervals come from the exact functional equation
     hhat(phi^n P) = d^n * hhat(P), so only one base interval is computed.
     """
-    require_dynamical(phi)
+    orbit = Orbit(phi, P, height_budget)
     eps = Fraction(eps)
     if not (0 < eps <= 1):
         raise DomainError("eps must lie in (0, 1]")
     if depth < 1:
         raise DomainError("depth must be positive")
+    if N < 0:
+        raise DomainError("scan bound must be nonnegative")
     if is_exceptional(phi, A):
         raise DomainError("exceptional target")
-    if not wandering_attested:
-        verdict = classify_preperiodic(phi, P, height_budget=height_budget)
-        if isinstance(verdict, Preperiodic):
-            raise DomainError("base point is preperiodic; orbit scan requires wandering")
+    if not wandering_attested and isinstance(orbit.classify(), Preperiodic):
+        raise DomainError("base point is preperiodic; orbit scan requires wandering")
     d = phi.d
-    hhat_P = canonical_height(phi, P, depth, height_budget)
+    hhat_P = orbit.hhat(depth)
     records = []
     in_idx = []
     undecided_idx = []
-    for n, x in enumerate(Orbit(phi, P, height_budget).prefix(N)):
+    for n, x in enumerate(orbit.prefix(N)):
         hhat = HeightInterval(d**n * hhat_P.lo, d**n * hhat_P.hi)
         elem = x.affine()
         s_integral = elem is not None and is_S_integer(elem, S)
@@ -378,6 +375,8 @@ def estimate_gamma(
     using the certified lower bound of the log term (conservative)."""
     if not instances:
         raise DomainError("no instances supplied")
+    if N < 0:
+        raise DomainError("scan bound must be nonnegative")
     records = []
     warnings = []
     gamma_hat = 0

@@ -37,7 +37,6 @@ from ffdyn import (
 from ffdyn.cli import main as cli_main
 from ffdyn.exprs import field_elem_text, map_text
 from ffdyn.maps import ProjectivePoint
-from ffdyn.mult_dependence import _affine_orbit
 from ffdyn.polynomials import Poly
 from ffdyn.randgen import (
     rand_field_elem,
@@ -46,6 +45,8 @@ from ffdyn.randgen import (
     rand_point,
     rand_split_fiber_instance,
 )
+
+from oracles import plain_orbit
 
 S_INF = place_set([Place.infinity()])
 S_T_INF = place_set([Place.finite(Poly.t()), Place.infinity()])
@@ -202,7 +203,7 @@ def test_multiplicative_dependence():
     full = dependence_search(phi, q2)
     covered = {(s.n, s.k) for s in full.solutions}
     ok = ok and covered == {(n, k) for n in (1, 2, 3) for k in (1, 2, 3)}
-    orbit = _affine_orbit(phi, parse_point("t"), 6)
+    orbit = [x.affine() for x in plain_orbit(phi, parse_point("t"), 6)]
     for sol in full.solutions:
         ok = ok and gcd(sol.r, abs(sol.s)) == 1
         u = orbit[sol.n + sol.k] ** sol.r / orbit[sol.k] ** sol.s

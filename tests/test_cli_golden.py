@@ -57,6 +57,11 @@ CASES = {
     "parse-error": ["height", "t/(t"],
     "domain-error": ["orbit-scan", "--map", "z^2+t", "--point", "0", "--places",
                      "inf", "--target", "inf", "--epsilon", "1/2", "--max-n", "2"],
+    # a negative scan bound is rejected before the orbit is walked
+    "orbit-scan-negative-max-n": [*ORBIT_SCAN[:12], "-1", *ORBIT_SCAN[13:]],
+    "estimate-gamma-negative-max-n": ["estimate-gamma", "--instance", "(z^2-t)/z|inf|t",
+                                      "--places", "inf", "--epsilon", "1/4",
+                                      "--max-n", "-3"],
     "output-json": ["--output", OUT, *ORBIT_SCAN],
     "output-csv": ["--format", "csv", "--output", OUT, *MULTDEP],
     # t/z^2 is not a polynomial, but its second iterate z^4/t is

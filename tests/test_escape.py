@@ -4,13 +4,11 @@ loops of tests/oracles.py, which build every iterate, on seeded and on
 adversarial maps and points, and at budgets around each escape height."""
 
 from fractions import Fraction
-from functools import partial
 from random import Random
 
 import pytest
 
 import ffdyn.heights
-import ffdyn.orbit_integrality
 from ffdyn import (
     Orbit,
     Wandering,
@@ -62,13 +60,14 @@ def outcome(call):
 
 @pytest.fixture
 def small_max_iter(monkeypatch):
-    """count_S_integral calls classify_preperiodic with max_iter=10_000,
-    which does not finish on a wandering orbit of height 0; both sides get
+    """count_S_integral calls Orbit.classify with max_iter=10_000, which does
+    not finish on a wandering orbit of height 0; both sides get at most
     MAX_ITER instead."""
+    classify = Orbit.classify
     monkeypatch.setattr(
-        ffdyn.orbit_integrality,
-        "classify_preperiodic",
-        partial(classify_preperiodic, max_iter=MAX_ITER),
+        Orbit,
+        "classify",
+        lambda orbit, max_iter=MAX_ITER: classify(orbit, min(max_iter, MAX_ITER)),
     )
 
 
@@ -188,12 +187,13 @@ def test_no_iterate_past_the_escape_index(monkeypatch):
     # the global loop certifies wandering at iterate 4, where h = 8 > B = 5
     assert classify_preperiodic(quad, one) == global_classify_preperiodic(quad, one)
     assert len(calls) == 3
+    # the classification and the scan share one Orbit: iterate 1 is built once
     report = count_S_integral(quad, one, parse_places("inf"), 40, 1 << 40)
-    assert report.hits == tuple(range(1, 41)) and len(calls) == 5
+    assert report.hits == tuple(range(1, 41)) and len(calls) == 4
     # z^2 + t^3 at t escapes at iterate 1 (h = 3), not at iterate 0 (h = 1)
     orbit = Orbit(parse_rational_map("z^2+t^3"), parse_point("t"))
     assert orbit.height(8) == GlobalOrbit(orbit.phi, orbit[0], 1 << 14)[8].height
-    assert len(calls) == 6
+    assert len(calls) == 5
     calls.clear()
     assert orbit.height(9) == 2 * orbit.height(8) and not calls
     # no rule for a rational map or a point outside Q[t]: no iterate is built

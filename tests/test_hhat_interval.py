@@ -9,7 +9,6 @@ from random import Random
 
 import pytest
 
-import ffdyn.orbit_integrality
 import ffdyn.suites
 from ffdyn import (
     Orbit,
@@ -212,8 +211,8 @@ def test_orbit_scan_memberships_only_get_decided(monkeypatch):
         try:
             new = scan()
             with monkeypatch.context() as m:
-                m.setattr(ffdyn.orbit_integrality, "canonical_height",
-                          symmetric_canonical_height)
+                m.setattr(Orbit, "hhat", lambda orbit, depth: symmetric_hhat_interval(
+                    orbit.phi, orbit.height(depth), depth))
                 old = scan()
         except (DomainError, OrbitBudgetError):
             continue

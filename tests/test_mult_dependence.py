@@ -10,6 +10,7 @@ import pytest
 from ffdyn import (
     DependenceQuery,
     FieldElement,
+    Orbit,
     Place,
     SplitMultilinearForm,
     dependence_search,
@@ -29,15 +30,20 @@ from ffdyn import (
 from ffdyn.errors import DomainError
 from ffdyn.heights import Preperiodic, classify_preperiodic
 from ffdyn.maps import ProjectivePoint, apply_map, conjugate
-from ffdyn.mult_dependence import _affine_orbit, _zero_is_periodic
+from ffdyn.mult_dependence import _zero_is_periodic
 from ffdyn.polynomials import Poly
 from ffdyn.randgen import rand_field_elem, rand_map, rand_place_set
 
-from oracles import quotient_dependence_search
+from oracles import plain_orbit, quotient_dependence_search
 
 
 def pt(text):
     return parse_point(text)
+
+
+def affine_orbit(phi, alpha, n):
+    """[alpha, phi(alpha), ..., phi^n(alpha)] as affine values; None at infinity."""
+    return [x.affine() for x in plain_orbit(phi, alpha, n)]
 
 
 S_T_INF = place_set([Place.finite(Poly.t()), Place.infinity()])
@@ -101,7 +107,7 @@ def test_solutions_independently_reverified(monomial_map):
     q = DependenceQuery(pt("t"), S_T_INF, n_max=2, k_max=2, r_max=3, s_max=5)
     report = dependence_search(monomial_map, q)
     assert report.solutions
-    orbit = _affine_orbit(monomial_map, pt("t"), 4)
+    orbit = affine_orbit(monomial_map, pt("t"), 4)
     for sol in report.solutions:
         assert gcd(sol.r, abs(sol.s)) == 1 and sol.r > 0 and sol.s != 0
         u = orbit[sol.n + sol.k] ** sol.r / orbit[sol.k] ** sol.s
@@ -121,7 +127,7 @@ def test_search_matches_brute_force(monomial_map):
     # independent brute force over the same box
     q = DependenceQuery(pt("1"), S_T_INF, n_max=2, k_max=2, r_max=2, s_max=3)
     report = dependence_search(monomial_map, q)
-    orbit = _affine_orbit(monomial_map, pt("1"), 4)
+    orbit = affine_orbit(monomial_map, pt("1"), 4)
     expected = set()
     for n in (1, 2):
         for k in (1, 2):
@@ -183,7 +189,7 @@ PREFILTER_CASES = [
 def _check_against_quotient_oracle(phi, alpha, S, box):
     q = DependenceQuery(alpha, S, *box)
     report = dependence_search(phi, q, wandering_attested=True)
-    orbit = _affine_orbit(phi, alpha, box[0] + box[1])
+    orbit = affine_orbit(phi, alpha, box[0] + box[1])
     expected = quotient_dependence_search(orbit, S, *box)
     assert [(s.n, s.k, s.r, s.s, s.u) for s in report.solutions] == expected
     return report
@@ -282,7 +288,7 @@ def test_zero_periodic_at_large_height():
     zero = ProjectivePoint.zero()
     assert apply_map(psi, zero).height == 70
     assert classify_preperiodic(psi, zero) == Preperiodic(tail=0, cycle=2)
-    assert _zero_is_periodic(psi)
+    assert _zero_is_periodic(Orbit(psi, zero))
 
 
 def test_saturate_exponents():
@@ -331,7 +337,7 @@ def test_classifier_case_B(quad_poly_map, S_inf):
     # found none
     from ffdyn.mult_dependence import DependenceSolution
 
-    orbit = _affine_orbit(quad_poly_map, alpha, 2)
+    orbit = affine_orbit(quad_poly_map, alpha, 2)
     sol = DependenceSolution(
         n=1, k=1, r=1, s=2, u=orbit[2] / orbit[1] ** 2, alpha=alpha, rho=2.0
     )

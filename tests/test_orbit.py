@@ -2,6 +2,9 @@
 height-budget rule at every public entry point that takes a budget, for
 iterates and for Orbit.height."""
 
+import contextlib
+import io
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -36,7 +39,8 @@ from ffdyn.heights import HeightInterval
 from ffdyn.mult_dependence import DependenceSolution
 from ffdyn.randgen import rand_map, rand_point
 
-from oracles import plain_orbit
+from ffdyn.cli import main as cli_main
+from oracles import GlobalOrbit, plain_orbit
 
 
 def pt(text):
@@ -52,6 +56,102 @@ def test_prefix_matches_plain_orbit_seeded():
         orbit = Orbit(phi, P)
         assert orbit.prefix(n) == plain_orbit(phi, P, n)
         assert orbit[n] == plain_orbit(phi, P, n)[-1]
+
+
+# (map, point, n, iterates a fresh Orbit's height(n) builds): past the switch
+# index of the truncated state, escaped, and a preperiodic orbit
+@pytest.mark.parametrize(
+    "map_text, point_text, n, fresh",
+    [
+        ("(z^2-t)/z", "t", 8, 5),
+        ("(3*z^2+t)/(t*z-2)", "t+2/5", 6, 2),
+        ("z^2+t", "1", 8, 1),  # escaped at iterate 1
+        ("z^2+t^3", "t", 6, 1),  # escaped at iterate 1, not 0
+        ("z^2", "-1", 4, 4),
+    ],
+)
+def test_height_of_a_built_iterate_builds_nothing(
+    map_text, point_text, n, fresh, monkeypatch
+):
+    phi, P = parse_rational_map(map_text), pt(point_text)
+    expected = [GlobalOrbit(phi, P, 1 << 14)[k].height for k in range(n + 1)]
+    calls = []
+    apply_map = ffdyn.heights.apply_map
+
+    def counting(phi, P):
+        calls.append(P)
+        return apply_map(phi, P)
+
+    monkeypatch.setattr(ffdyn.heights, "apply_map", counting)
+    assert Orbit(phi, P).height(n) == expected[n] and len(calls) == fresh
+    calls.clear()
+    orbit = Orbit(phi, P)
+    orbit.prefix(n)
+    assert len(calls) == n
+    calls.clear()
+    assert [orbit.height(k) for k in range(n, -1, -1)] == expected[::-1]
+    assert [orbit.height(k) for k in range(n + 1)] == expected
+    assert not calls
+
+
+WALK_ONCE_COMMANDS = [
+    ["orbit-scan", "--map", "(z^2-t)/z", "--point", "t", "--places", "inf",
+     "--target", "inf", "--epsilon", "1/2", "--max-n", "4", "--depth", "10"],
+    ["orbit-scan", "--map", "z^2+t", "--point", "t", "--places", "t,inf",
+     "--target", "0", "--epsilon", "1/2", "--max-n", "3", "--depth", "2"],
+    ["integral-count", "--map", "(z^2-t)/z", "--point", "t", "--places", "inf",
+     "--max-n", "30"],
+    ["integral-count", "--map", "z^2+t", "--point", "1", "--places", "inf",
+     "--max-n", "12"],
+    ["multdep", "--map", "t*z^2", "--point", "t", "--places", "t,inf",
+     "--n-max", "2", "--k-max", "2", "--r-max", "2", "--s-max", "3"],
+    ["multdep", "--map", "(z^2-t)/z", "--point", "t", "--places", "t,inf",
+     "--n-max", "2", "--k-max", "2", "--r-max", "1", "--s-max", "2"],
+    # the base point is 0, whose orbit also decides zero_not_periodic
+    ["multdep", "--map", "(z^2+t)/(t*z+1)", "--point", "0", "--places", "t,inf",
+     "--n-max", "2", "--k-max", "2", "--r-max", "1", "--s-max", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", WALK_ONCE_COMMANDS, ids=lambda argv: argv[0])
+def test_a_command_steps_each_point_once(argv, monkeypatch):
+    # classification, the canonical-height interval and the scan share one
+    # Orbit per base point, so no iterate is computed twice
+    steps = Counter()
+    apply_map = ffdyn.heights.apply_map
+
+    def counting(phi, P):
+        steps[phi, P] += 1
+        return apply_map(phi, P)
+
+    monkeypatch.setattr(ffdyn.heights, "apply_map", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(argv) == 0
+    assert steps and max(steps.values()) == 1, argv
+
+
+def test_hmin_lattice_scan_steps_each_point_once_per_lattice_point(monkeypatch):
+    # orbits of different lattice points may meet, so each step is counted
+    # under its base point, the point of the latest Orbit built
+    bases = []
+    init = Orbit.__init__
+
+    def tracking(orbit, phi, P, *rest):
+        bases.append(P)
+        init(orbit, phi, P, *rest)
+
+    monkeypatch.setattr(Orbit, "__init__", tracking)
+    steps = Counter()
+    apply_map = ffdyn.heights.apply_map
+
+    def counting(phi, P):
+        steps[bases[-1], P] += 1
+        return apply_map(phi, P)
+
+    monkeypatch.setattr(ffdyn.heights, "apply_map", counting)
+    report = hmin_lattice_scan(QUAD, 1, 1, 4)
+    assert report.scanned == len(set(bases)) == 10
+    assert steps and max(steps.values()) == 1
 
 
 def test_iterates_are_computed_once(quad_quotient_map, monkeypatch):
