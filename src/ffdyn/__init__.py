@@ -41,8 +41,8 @@ _EXPORTS = {
     ),
     "mult_dependence": (
         "DependenceQuery", "SplitMultilinearForm", "dependence_search",
-        "poly_case_classifier", "saturate_exponents", "split_multilinear_zero_scan",
-        "unit_hits",
+        "poly_case_classifier", "poly_case_split", "saturate_exponents",
+        "split_multilinear_zero_scan", "unit_hits",
     ),
     "orbit_integrality": (
         "ceil_log_plus", "count_S_integral", "floor_log_plus", "estimate_gamma",

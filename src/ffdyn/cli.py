@@ -49,7 +49,7 @@ from .maps import choose_m
 from .mult_dependence import (
     DependenceQuery,
     dependence_search,
-    poly_case_classifier,
+    poly_case_split,
     split_multilinear_zero_scan,
     unit_hits,
 )
@@ -374,7 +374,7 @@ def _run_orbit_scan(args) -> list[dict]:
     if args.params:
         params = BoundParams.from_file(args.params)
         summary["bound_rhs_lo"], summary["bound_rhs_hi"] = gamma_set_bound_rhs(
-            params, phi, A, P, depth=args.depth, height_budget=args.budget
+            params, report.orbit, A, depth=args.depth
         )
     return records + [summary]
 
@@ -400,7 +400,7 @@ def _run_integral_count(args) -> list[dict]:
     if args.params:
         params = BoundParams.from_file(args.params)
         record["bound_rhs_lo"], record["bound_rhs_hi"] = integral_count_bound_rhs(
-            params, phi, P, depth=args.depth, height_budget=args.budget
+            params, report.orbit, depth=args.depth
         )
     return [record]
 
@@ -438,6 +438,9 @@ def _run_multdep(args) -> list[dict]:
         height_budget=args.budget,
     )
     records = []
+    case_split = None
+    if phi.is_polynomial and report.solutions:
+        case_split = poly_case_split(report.orbit, S)
     for sol in report.solutions:
         rec = {
             "n": sol.n,
@@ -447,10 +450,8 @@ def _run_multdep(args) -> list[dict]:
             "u": field_elem_text(sol.u),
             "rho": sol.rho,
         }
-        if phi.is_polynomial:
-            rec["case_label"] = poly_case_classifier(
-                phi, sol, S, height_budget=args.budget
-            ).label
+        if case_split is not None:
+            rec["case_label"] = case_split(sol).label
         records.append(rec)
     summary = {
         "summary": True,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Union
 
@@ -25,7 +26,14 @@ from .maps import (
     require_dynamical,
     resultant,
 )
-from .polynomials import BinaryMonomials, Poly, primitive_pair
+from .polynomials import (
+    BinaryMonomials,
+    Poly,
+    ZPoly,
+    poly_gcd,
+    primitive_pair,
+    resultant_z,
+)
 
 DEFAULT_HEIGHT_BUDGET = 1 << 14
 
@@ -223,11 +231,13 @@ class Orbit:
     iterate that exceeds the budget is still returned: it is already
     computed, so a caller that stops there does no extra work.
 
-    Escape: when phi is a polynomial with a constant denominator and P lies
-    in Q[t], orbit.escape_index(n) is the first k <= n at which the orbit
-    has escaped to infinity (see there). From k on, orbit.height(n) reads
-    the heights from a recurrence and builds no iterate; the height budget
-    applies to them as if each were built.
+    Recurrence certificates: once a certificate holds at an iterate k,
+    orbit.height(n) reads h(phi^(n+1) P) = d h(phi^n P) + m for n >= k and
+    builds no further iterate; the height budget applies to these heights
+    as if each were built. When phi is a polynomial with a constant
+    denominator and P lies in Q[t], the certificate is the escape of
+    orbit.escape_index(n) (see there); otherwise it is the stable
+    certificate derived in height().
     """
 
     def __init__(
@@ -242,8 +252,9 @@ class Orbit:
         self._points = [P]
         in_qt = not P.x1.is_zero and P.x1.is_constant
         self._escape_rule = _escape_rule(phi) if in_qt else None
-        self._unescaped = 0  # iterates below this index have not escaped
-        self._escaped_heights: list[int] = []  # from the escape index on
+        self._uncertified = 0  # no certificate holds at iterates below this
+        self._increment = 0  # m of the certificate, once one holds
+        self._recurrence_heights: list[int] = []  # from the certificate on
 
     def _check_budget(self, height: int, n: int) -> None:
         if height > self.height_budget:
@@ -266,9 +277,20 @@ class Orbit:
         return [self[k] for k in range(n + 1)]
 
     def height(self, n: int) -> int:
-        """Exact h(phi^n(P)): from the recurrence of escape_index once the
-        orbit has escaped by n; otherwise from the iterates up to a switch
-        index j, then from a truncated local state stepped n - j times.
+        """Exact h(phi^n(P)). The iterates j = 0, 1, ... are walked in order.
+        If a recurrence certificate holds at j, the height is read from the
+        recurrence; else if the switch condition below holds at j, from a
+        truncated local state stepped n - j times from iterate j; else the
+        walk goes on, and reaching n gives the iterate itself. So no iterate
+        is built that the switch route alone would not build.
+
+        The stable certificate is sought only when the walk could switch at
+        all: when some j < n meets the switch condition at the upper bound
+        of h(phi^j P) from displacement_bound (_may_switch). Otherwise the
+        walk builds iterates of moderate height only, which costs less than
+        the certificate's work per map: on the 180 maps of the fresh-maps
+        benchmark's canheight tasks, seeds 0-2 (deg Res 3 to 9), that took
+        0.35 ms per map on average, and no certificate held.
 
         Notation: phi = [F : G] of degree d and height h(phi), F = sum F_i
         x0^i x1^(d-i) and likewise G; Res is its resultant and L = 2d*h(phi)
@@ -339,18 +361,89 @@ class Orbit:
         The cost is not polynomial in n: the window and residue coefficients
         are rationals that can grow like an orbit over a number field.
 
+        Recurrence certificate at iterate k, for n >= k:
+
+            h(phi^(n+1) P) = d h(phi^n P) + m.
+
+        For a polynomial phi with constant denominator at P in Q[t], the
+        certificate is escape_index's, with m = deg a_d. Otherwise it is the
+        stable certificate below, in two parts, checked by _stable_increment
+        on the built iterate k (DeMarco and Ghioca, "Rationality of dynamical
+        canonical height", ETDS 39 (2019); Call and Silverman, Compositio
+        Math. 89 (1993), for the split into local parts). Write x = (x0, x1)
+        for an iterate, A = F(x), B = G(x) and g = gcd(A, B) as above.
+
+        At infinity. Let x0, x1 != 0, of degrees a and b, and e = a - b.
+        The term F_i x0^i x1^(d-i) has degree deg F_i + i e + d b. Let
+        top_F(e) be the largest deg F_i + i e over the nonzero F_i, and
+        likewise top_G(e). If exactly one term of F and one of G attain
+        these, nothing cancels: A, B != 0, deg A = top_F(e) + d b and deg B =
+        top_G(e) + d b. The next iterate is (A, B) / g up to a constant, so
+        its e' = top_F(e) - top_G(e) and its height is max(deg A, deg B) -
+        deg g = d h + m(e) - deg g, with h = b + max(e, 0) and m(e) =
+        max(top_F(e), top_G(e)) - d max(e, 0). The certificate takes for E
+        the values e_k, e_k', e_k'', ... until one repeats, and asks that
+        both tops be unique at every e in E and that m(e) = m on all of E.
+        Then every later iterate has nonzero coordinates and an e in E, and
+        h(phi^(n+1) P) = d h(phi^n P) + m - deg g_n. The walk through E is
+        given up after _MAX_E_VALUES values, as when e grows without bound.
+
+        At the finite places. By (F2) g divides Res, so g = 1 unless an
+        irreducible pi dividing Res divides A and B. Let R be the squarefree
+        part of Res: Q[t]/R is the product of the fields k_pi = Q[t]/pi over
+        the pi dividing Res. The reduction of x mod pi is a point of
+        P^1(k_pi), as x0, x1 are coprime, and pi divides A and B iff that
+        point is a common zero ("hole") of the reduced forms F_pi and G_pi.
+        A form over a field vanishes at a rational point iff the linear form
+        of the point divides it, so this happens iff gcd(F_pi, G_pi) vanishes
+        at the point. _reduction_holes computes C = gcd(F, G) over Q[t]/R,
+        the Euclid on the dehomogenized forms with the powers of x1 apart.
+        It gives up when a leading coefficient is not a unit mod R (a zero
+        divisor); otherwise each of its steps reduces mod pi to the same
+        step over k_pi, and C mod pi is gcd(F_pi, G_pi) for every pi. With F
+        = C F1 and G = C G1 over Q[t]/R, and c = deg C, the certificate asks:
+        (a) C(x_k) is a unit mod R, so g_k = 1;
+        (b) Res(F1, G1) is a unit mod R: F1 and G1 are coprime mod every pi.
+            That follows from C being the gcd; it is checked so that a fault
+            in the Euclid cannot pass for a certificate;
+        (c) C(F1, G1) divides a power of C over Q[t]/R: gcds with C are
+            divided out of it until a unit is left.
+        Induction: if C(x_n) is a unit mod R, then g_n = 1 and x_(n+1) =
+        lambda (A_n, B_n) with lambda in Q*. Mod R, A_n = C(x_n) F1(x_n) and
+        B_n = C(x_n) G1(x_n), so C(x_(n+1)) = lambda^c C(x_n)^c C(F1,
+        G1)(x_n). By (c) the last factor divides a power of C(x_n), so it is
+        a unit, and so is C(x_(n+1)). Hence g_n = 1 for every n >= k: the
+        reduced orbit never meets a hole, and with the part at infinity
+        h(phi^(n+1) P) = d h(phi^n P) + m. Res is never factored.
+
+        Example: (z^2 - t)/z at t. F = x0^2 - t x1^2, G = x0 x1 and Res =
+        t up to sign. At e = 1 the tops are x0^2 and x0 x1, e' = 1 and m =
+        0. Mod t, C = x0, F1 = x0, G1 = x1 and C(F1, G1) = C. Iterate 0 = t
+        has C(t, 1) = t, not a unit (indeed g_0 = t); iterate 1 = t - 1 has
+        C = t - 1, a unit mod t. So h(phi^(n+1) t) = 2 h(phi^n t) from n = 1.
+        No certificate holds for (3z^2 + t)/(tz - 2): mod t^3 + 12 the
+        reduced map moves its hole, and (c) fails.
+
         An iterate n that is already built gives its height directly. The
         budget checks are unchanged: iterate n is built only after iterates
-        0..n-1 passed the budget, which is what either route above checks.
+        0..n-1 passed the budget, which is what every route above checks.
         """
         if n < 0:
             raise DomainError("negative iterate index")
         if n < len(self._points):
             return self._points[n].height
-        if self.escape_index(n) is not None:
-            return self._escaped_height(n)
-        j = self._switch_index(n)
-        return self[n].height if j is None else self._local_height(j, n)
+        consts = _local_constants(self.phi)
+        seek = (
+            bool(self._recurrence_heights)
+            or self._escape_rule is not None
+            or _may_switch(self._points[0].height, n, consts)
+        )
+        for j in range(n):
+            if seek and self._certified_index(j) is not None:
+                return self._recurrence_height(n)
+            if _switch_condition(self[j].height, n - j, consts):
+                return self._local_height(j, n)
+        return self[n].height
 
     def escape_index(self, n: int) -> Optional[int]:
         """The first k <= n at which the orbit has escaped to infinity, or
@@ -390,18 +483,7 @@ class Orbit:
         h > 0, and h > h(phi) >= deg a_i - deg a_d unless h(phi) = 0, when
         every deg a_i - deg a_d is 0. Either way iterate j has escaped.
         """
-        rule = self._escape_rule
-        if rule is None:
-            return None
-        _, terms = rule
-        heights = self._escaped_heights
-        while not heights and self._unescaped <= n:
-            h = self[self._unescaped].height
-            if h > 0 and all(m * h > e for m, e in terms):
-                heights.append(h)
-            else:
-                self._unescaped += 1
-        return self._unescaped if heights and self._unescaped <= n else None
+        return None if self._escape_rule is None else self._certified_index(n)
 
     def hhat(self, depth: int) -> HeightInterval:
         """Certified interval for the canonical height of P from the exact
@@ -438,36 +520,38 @@ class Orbit:
                 return Wandering(canonical_lower=lo, depth=n)
         raise OrbitBudgetError(f"no classification within {max_iter} iterates")
 
-    def _escaped_height(self, n: int) -> int:
-        """h(phi^n P) for n at or past the escape index k, by the recurrence
-        from h(phi^k P). The budget is checked before each step, with the
-        text and index of the step that builds the iterate."""
-        deg_ad, _ = self._escape_rule
+    def _certified_index(self, n: int) -> Optional[int]:
+        """The first k <= n at which a recurrence certificate of height()
+        holds, or None. Checks the iterates in order, each once per Orbit,
+        building them up to that k, or up to n if there is none."""
+        heights = self._recurrence_heights
+        while not heights and self._uncertified <= n:
+            Q = self[self._uncertified]
+            if self._escape_rule is None:
+                m = _stable_increment(self.phi, Q)
+            else:
+                deg_ad, terms = self._escape_rule
+                h = Q.height
+                escaped = h > 0 and all(i * h > e for i, e in terms)
+                m = deg_ad if escaped else None
+            if m is None:
+                self._uncertified += 1
+            else:
+                self._increment = m
+                heights.append(Q.height)
+        return self._uncertified if heights and self._uncertified <= n else None
+
+    def _recurrence_height(self, n: int) -> int:
+        """h(phi^n P) for n at or past the certificate index k, by the
+        recurrence from h(phi^k P). The budget is checked before each step,
+        with the text and index of the step that builds the iterate."""
         d = self.phi.d
-        k = self._unescaped
-        heights = self._escaped_heights
+        k = self._uncertified
+        heights = self._recurrence_heights
         while k + len(heights) <= n:
             self._check_budget(heights[-1], k + len(heights) - 1)
-            heights.append(d * heights[-1] + deg_ad)
+            heights.append(d * heights[-1] + self._increment)
         return heights[n - k]
-
-    def _switch_index(self, n: int) -> Optional[int]:
-        """The first j < n at which height(n) may switch, or None."""
-        if n == 0:
-            return None
-        d, h_phi, deg_res, L = _local_constants(self.phi)
-        for j in range(n):
-            h = self[j].height
-            r = n - j
-            state_size = 2 * d * h_phi * r + 1 + deg_res
-            if (
-                h > r * L
-                and 2 * state_size <= d ** (r - 1) * h
-                and d * h + h_phi - r * L >= deg_res
-                and (d - 1) * h >= (2 * d - 1) * h_phi
-            ):
-                return j
-        return None
 
     def _local_height(self, j: int, n: int) -> int:
         """h(phi^n P) by stepping the local state of height() from iterate j."""
@@ -539,6 +623,221 @@ def _local_constants(phi: RationalMap) -> tuple[int, int, int, int]:
     h_phi = phi.coefficient_height()
     deg_res = resultant(phi).degree
     return phi.d, h_phi, deg_res, 2 * phi.d * h_phi - deg_res
+
+
+def _switch_condition(h: int, r: int, consts: tuple[int, int, int, int]) -> bool:
+    """The switch condition of Orbit.height at an iterate of height h with
+    r steps left; each of its inequalities only gets easier as h grows."""
+    d, h_phi, deg_res, L = consts
+    state_size = 2 * d * h_phi * r + 1 + deg_res
+    return (
+        h > r * L
+        and 2 * state_size <= d ** (r - 1) * h
+        and d * h + h_phi - r * L >= deg_res
+        and (d - 1) * h >= (2 * d - 1) * h_phi
+    )
+
+
+def _may_switch(h0: int, n: int, consts: tuple[int, int, int, int]) -> bool:
+    """Whether Orbit.height(n) may switch at all from a base point of height
+    h0: whether some j < n meets the switch condition at H_j = d^j h0 +
+    h(phi) (d^j - 1)/(d - 1), which bounds h(phi^j P) from above by the
+    upper side of displacement_bound."""
+    d, h_phi, _, _ = consts
+    H = h0
+    for j in range(n):
+        if _switch_condition(H, n - j, consts):
+            return True
+        H = d * H + h_phi
+    return False
+
+
+# Values of e = deg x0 - deg x1 that the part at infinity of the stable
+# certificate (Orbit.height) follows before it gives up.
+_MAX_E_VALUES = 8
+
+
+def _stable_increment(phi: RationalMap, Q: ProjectivePoint) -> Optional[int]:
+    """The m of the stable certificate of Orbit.height at the iterate Q, or
+    None when the certificate does not hold there."""
+    if Q.x0.is_zero or Q.x1.is_zero:
+        return None
+    m = _infinity_increment(phi, Q.x0.degree - Q.x1.degree)
+    if m is None:
+        return None
+    holes = _reduction_holes(phi)
+    if holes is None:
+        return None
+    R, C, c = holes
+    if R.is_constant:  # no holes
+        return m
+    # check (a): C(x0, x1) is a unit mod R
+    value = C.homogeneous_eval(BinaryMonomials(Q.x0 % R, Q.x1 % R, c))
+    return m if _is_unit(value % R, R) else None
+
+
+def _top_degree(terms: list[tuple[int, int]], e: int) -> Optional[int]:
+    """The largest deg c_i + i*e over the pairs (i, deg c_i) when exactly one
+    pair attains it, else None."""
+    best, count = None, 0
+    for i, deg in terms:
+        value = deg + i * e
+        if best is None or value > best:
+            best, count = value, 1
+        elif value == best:
+            count += 1
+    return best if count == 1 else None
+
+
+def _infinity_increment(phi: RationalMap, e: int) -> Optional[int]:
+    """The m of the part at infinity of the stable certificate for a point
+    with deg x0 - deg x1 = e: follow e -> e' = top_F(e) - top_G(e) until a
+    value repeats, each top unique and m(e) the same throughout; None if
+    that fails or takes more than _MAX_E_VALUES values."""
+    terms = [
+        [(i, c.degree) for i, c in enumerate(form.coeffs) if not c.is_zero]
+        for form in (phi.F, phi.G)
+    ]
+    d = phi.d
+    seen: set[int] = set()
+    m = None
+    while e not in seen:
+        if len(seen) == _MAX_E_VALUES:
+            return None
+        top_f, top_g = (_top_degree(t, e) for t in terms)
+        if top_f is None or top_g is None:
+            return None
+        m_e = max(top_f, top_g) - d * max(e, 0)
+        if m is not None and m_e != m:
+            return None
+        seen.add(e)
+        m = m_e
+        e = top_f - top_g
+    return m
+
+
+@lru_cache(maxsize=512)
+def _reduction_holes(phi: RationalMap) -> Optional[tuple[Poly, ZPoly, int]]:
+    """The finite part of the stable certificate of Orbit.height for phi:
+    (R, C, c) once checks (b) and (c) hold, else None, as when the Euclid
+    meets a zero divisor. R is the squarefree part of Res, 1 when Res is
+    constant (no holes), and C = gcd(F, G) over Q[t]/R up to a unit, as its
+    dehomogenized part and its degree c as a form.
+
+    A binary form over Q[t]/R is a pair (degree, dehomogenized part), the
+    part trimmed, with a unit leading coefficient. Everything is computed
+    up to units of Q[t]/R, by pseudo-division, so no inverse is needed. F1
+    and G1 are the pseudo-quotients of F and G by C with the same number of
+    steps, so they are F/C and G/C times one unit u, and C(F1, G1) changes
+    by u^c, Res(F1, G1) by u^(2d - 2c)."""
+    res = resultant(phi)
+    if res.is_constant:
+        return Poly.one(), ZPoly.one(), 0
+    R = res.exact_div(poly_gcd(res, res.derivative()))
+    F, G = _ring_trim(phi.F.coeffs, R), _ring_trim(phi.G.coeffs, R)
+    if F is None or G is None:
+        return None
+    d = phi.d
+    C = _form_gcd((d, F), (d, G), R)
+    if C is None:
+        return None
+    F1, G1 = _form_quotient((d, F), C, R), _form_quotient((d, G), C, R)
+    if not _is_unit(_form_resultant(F1, G1) % R, R):
+        return None
+    mons = BinaryMonomials(ZPoly(tuple(F1[1])), ZPoly(tuple(G1[1])), C[0])
+    P = (C[0] * F1[0], _ring_trim(ZPoly(tuple(C[1])).homogeneous_eval(mons).coeffs, R))
+    while P[1] and P[0] > 0:
+        g = _form_gcd(P, C, R)
+        if g is None or g[0] == 0:
+            return None
+        P = _form_quotient(P, g, R)
+    if not P[1]:  # None, after a zero divisor, or the zero form
+        return None
+    return R, ZPoly(tuple(C[1])), C[0]
+
+
+def _is_unit(a: Poly, R: Poly) -> bool:
+    """Whether a, reduced mod the squarefree R, is a unit mod R."""
+    return poly_gcd(a, R).degree == 0
+
+
+def _ring_trim(coeffs, R: Poly) -> Optional[list[Poly]]:
+    """The coefficients reduced mod R with zero leading ones dropped, or
+    None when the new leading coefficient is a zero divisor mod R."""
+    cs = [c % R for c in coeffs]
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    if cs and not _is_unit(cs[-1], R):
+        return None
+    return cs
+
+
+def _ring_pseudo_divmod(
+    a: list[Poly], b: list[Poly], R: Poly
+) -> tuple[list[Poly], list[Poly]]:
+    """(q, r) with lc(b)^k a = q b + r over Q[t]/R, k = len(a) - len(b) + 1
+    steps (none when that is not positive) and r not trimmed."""
+    m = len(b) - 1
+    lead = b[-1]
+    q = [Poly.zero()] * max(len(a) - m, 0)
+    for i in range(len(a) - m - 1, -1, -1):
+        c = a[i + m]
+        q = [(x * lead) % R for x in q]
+        q[i] = c
+        a = [(x * lead) % R for x in a]
+        for j in range(m + 1):
+            a[i + j] = (a[i + j] - c * b[j]) % R
+    return q, a[:m]
+
+
+def _form_gcd(f: tuple, g: tuple, R: Poly) -> Optional[tuple]:
+    """A gcd over Q[t]/R of two forms, not both zero: the pseudo-remainder
+    Euclid on their dehomogenized parts times the lower power of x1; None
+    when a remainder's leading coefficient is a zero divisor."""
+    (ef, a), (eg, b) = f, g
+    if not a:
+        (ef, a), (eg, b) = (eg, b), (ef, a)
+    x1_power = ef - len(a) + 1
+    if b:
+        x1_power = min(x1_power, eg - len(b) + 1)
+    while b:
+        a, b = b, _ring_trim(_ring_pseudo_divmod(a, b, R)[1], R)
+        if b is None:
+            return None
+    return len(a) - 1 + x1_power, a
+
+
+def _form_quotient(f: tuple, c: tuple, R: Poly) -> tuple:
+    """The pseudo-quotient of f by a form c that divides it over Q[t]/R:
+    f/c times lc(c)^k, k = deg f - deg c + 1, the same for every f of one
+    degree, as the part of f is padded to the length of its form minus the
+    power of x1 in c."""
+    (ef, a), (ec, b) = f, c
+    x1_power = ec - len(b) + 1
+    if ef - len(a) + 1 < x1_power:
+        raise RuntimeError("internal error: inexact division of forms")
+    padded = a + [Poly.zero()] * (ef - x1_power + 1 - len(a))
+    q, r = _ring_pseudo_divmod(padded, b, R)
+    if any(not x.is_zero for x in r):
+        raise RuntimeError("internal error: inexact division of forms")
+    while q and q[-1].is_zero:
+        q.pop()
+    return ef - ec, q
+
+
+def _form_resultant(f: tuple, g: tuple) -> Poly:
+    """Res(f, g) in Q[t], up to sign, for two forms of the same degree e:
+    the affine resultant times the leading coefficient of the side of
+    z-degree e to the degree gap, as in maps.resultant; 0 when neither side
+    has z-degree e (x1 divides both) or one form is 0, 1 for e = 0."""
+    (e, a), (_, b) = f, g
+    if e == 0:
+        return Poly.one()
+    if len(a) - 1 < e:
+        a, b = b, a
+    if len(a) - 1 < e or not b:
+        return Poly.zero()
+    return resultant_z(ZPoly(tuple(a)), ZPoly(tuple(b))) * a[-1] ** (e - len(b) + 1)
 
 
 # ---------------------------------------------------------------------------

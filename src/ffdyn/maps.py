@@ -184,18 +184,22 @@ def normalize_map(Fraw: ZPoly, Graw: ZPoly) -> RationalMap:
 
 def _normalize_coprime(F: ZPoly, G: ZPoly) -> RationalMap:
     """Normalized form of F/G for F, G coprime in K[z], not both zero."""
-    # joint k[t] content
-    cp = poly_gcd(F.content_poly(), G.content_poly())
-    if cp.degree > 0:
-        F = F.exact_div_poly(cp)
-        G = G.exact_div_poly(cp)
+    coeffs = F.coeffs + G.coeffs
+    # joint k[t] content, 1 when some coefficient is a nonzero constant
+    if not any(c.degree == 0 for c in coeffs):
+        cp = poly_gcd(F.content_poly(), G.content_poly())
+        if cp.degree > 0:
+            F = F.exact_div_poly(cp)
+            G = G.exact_div_poly(cp)
+            coeffs = F.coeffs + G.coeffs
     # joint rational content with positive leading constant
-    content = rational_content(F.coeffs + G.coeffs)
+    content = rational_content(coeffs)
     lead = (F if not F.is_zero else G).leading.leading
     if lead < 0:
         content = -content
-    F = F.scale(1 / content)
-    G = G.scale(1 / content)
+    if content != 1:
+        F = F.scale(1 / content)
+        G = G.scale(1 / content)
     d = max(F.degree, G.degree)
     return RationalMap(F, G, d)
 

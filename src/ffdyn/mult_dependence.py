@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from math import gcd
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, OrbitBudgetError
 from .function_field import (
@@ -98,6 +98,7 @@ class DependenceSearchReport:
     skipped: tuple[str, ...]
     zero_not_periodic: bool
     wandering_certified: bool
+    orbit: Optional[Orbit] = field(default=None, compare=False, repr=False)
 
 
 def _zero_is_periodic(zero_orbit: Orbit) -> bool:
@@ -180,6 +181,10 @@ def dependence_search(
     def place_ords(i: int) -> list[int]:
         return [ord_at(values[i], v) for v in finite]
 
+    @cache
+    def place_power(v: Place, e: int) -> Poly:
+        return v.poly**e
+
     def unit(i: int, j: int, r: int, s: int) -> FieldElement:
         """values[i]**r / values[j]**s for a solution (docstring above)."""
         num = Poly.constant(values[i].num.leading ** r / values[j].num.leading ** s)
@@ -187,9 +192,9 @@ def dependence_search(
         for v, ei, ej in zip(finite, place_ords(i), place_ords(j)):
             e = r * ei - s * ej
             if e > 0:
-                num = num * v.poly**e
+                num = num * place_power(v, e)
             elif e < 0:
-                den = den * v.poly ** (-e)
+                den = den * place_power(v, -e)
         return FieldElement.reduced(num, den)
 
     d = phi.d
@@ -222,6 +227,7 @@ def dependence_search(
         skipped=tuple(skipped),
         zero_not_periodic=not _zero_is_periodic(zero_orbit),
         wandering_certified=wandering_certified,
+        orbit=orbit,
     )
 
 
@@ -259,43 +265,64 @@ def poly_case_classifier(
 ) -> CaseEvidence:
     """Place a dependence solution for a polynomial map into the case split
     of the proof taxonomy: A.1-A.4 when alpha is integral away from S and the
-    bad-reduction places, else case B with its valuation-doubling pattern."""
+    bad-reduction places, else case B with its valuation-doubling pattern
+    (poly_case_split on a fresh Orbit of alpha)."""
+    return poly_case_split(Orbit(phi, solution.alpha, height_budget), S)(solution)
+
+
+def poly_case_split(
+    orbit: Orbit, S: PlaceSet
+) -> Callable[[DependenceSolution], CaseEvidence]:
+    """The classifier of poly_case_classifier for the solutions of one
+    search on orbit's base point alpha. The work that depends on alpha
+    alone is done here, once: the bad-reduction places (a factorization of
+    Res), the split of alpha by S_phi and the witness place. Case B reads
+    the valuations at the witness along orbit, each iterate once."""
+    phi = orbit.phi
     require_dynamical(phi)
     if not phi.is_polynomial:
         raise DomainError("classifier requires a polynomial map")
     S_phi = frozenset(S) | bad_reduction_places(phi)
-    alpha_elem = solution.alpha.affine()
+    alpha_elem = orbit[0].affine()
     if alpha_elem is None:
         raise DomainError("base point must be affine")
-    r, s = solution.r, solution.s
     b, o = Poly.one(), 0  # 0 is S_phi-integral
     if not alpha_elem.is_zero:
         _, b, o = s_free_part(alpha_elem, S_phi)
-    if b.degree > 0 or o < 0:
-        # Case B: a pole of alpha at a good-reduction place outside S_phi,
-        # the first factor of the S_phi-free denominator or else infinity
-        if b.degree > 0:
-            witness = Place(factor_tpoly(b)[1][0][0])
-        else:
-            witness = Place.infinity()
-        d = phi.d
+    if b.degree <= 0 and o >= 0:
+        return _integral_case
+    # Case B: a pole of alpha at a good-reduction place outside S_phi, the
+    # first factor of the S_phi-free denominator or else infinity
+    if b.degree > 0:
+        witness = Place(factor_tpoly(b)[1][0][0])
+    else:
+        witness = Place.infinity()
+    d = phi.d
+    v0 = ord_at(alpha_elem, witness)
+
+    @cache
+    def doubled(j: int) -> bool:
+        value = orbit[j].affine()
+        return value is not None and ord_at(value, witness) == d**j * v0
+
+    def case_b(solution: DependenceSolution) -> CaseEvidence:
         m = solution.n + solution.k
-        orbit = Orbit(phi, solution.alpha, height_budget)
-        values = [pt.affine() for pt in orbit.prefix(m)]
-        v0 = ord_at(alpha_elem, witness)
-        pattern_ok = all(
-            values[j] is not None and ord_at(values[j], witness) == d**j * v0
-            for j in range(1, m + 1)
-        )
-        shape_ok = r == 1 and s == d**solution.n
+        orbit.prefix(m)  # the budget applies before any valuation is read
         return CaseEvidence(
             label="B",
             alpha_integral=False,
             witness_place=witness,
-            valuation_pattern_ok=pattern_ok,
-            shape_ok=shape_ok,
+            valuation_pattern_ok=all(doubled(j) for j in range(1, m + 1)),
+            shape_ok=solution.r == 1 and solution.s == d**solution.n,
             detail=f"pole at witness place with ord {v0}",
         )
+
+    return case_b
+
+
+def _integral_case(solution: DependenceSolution) -> CaseEvidence:
+    """Cases A.1-A.4 of poly_case_classifier, read from r and s."""
+    r, s = solution.r, solution.s
     if s < 0:
         label, detail = "A.1", "s < 0: both orbit values are S-units up to the unit u"
     elif s >= 2:

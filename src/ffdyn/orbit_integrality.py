@@ -12,7 +12,7 @@ iterate can be S-integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -32,7 +32,6 @@ from .maps import (
     RationalMap,
     is_exceptional,
     is_polynomial_iterate,
-    require_dynamical,
     resultant,
 )
 from .polynomials import factor_tpoly
@@ -95,6 +94,7 @@ class IntegralScanReport:
     scanned_to: int
     certificate: Optional[PersistenceCertificate]
     warnings: tuple[str, ...]
+    orbit: Optional[Orbit] = field(default=None, compare=False, repr=False)
 
     @property
     def count(self) -> int:
@@ -174,6 +174,7 @@ def count_S_integral(
         scanned_to=N,
         certificate=certificate,
         warnings=tuple(warnings),
+        orbit=orbit,
     )
 
 
@@ -198,6 +199,7 @@ class GammaSetReport:
     depth: int
     in_indices: tuple[int, ...]
     undecided_indices: tuple[int, ...]
+    orbit: Optional[Orbit] = field(default=None, compare=False, repr=False)
 
     @property
     def max_in_index(self) -> Optional[int]:
@@ -273,6 +275,7 @@ def gamma_set(
         depth=depth,
         in_indices=tuple(in_idx),
         undecided_indices=tuple(undecided_idx),
+        orbit=orbit,
     )
 
 
@@ -281,12 +284,11 @@ def gamma_set(
 # ---------------------------------------------------------------------------
 
 
-def _positive_hhat(
-    phi: RationalMap, P: ProjectivePoint, depth: int, height_budget: int
-) -> HeightInterval:
-    """The depth-`depth` interval for hhat(P); an error unless its lower end
-    is positive, which the log^+ bounds divide by."""
-    hhat_P = canonical_height(phi, P, depth, height_budget)
+def _positive_hhat(orbit: Orbit, depth: int) -> HeightInterval:
+    """The depth-`depth` interval for hhat(P), P the orbit's base point; an
+    error unless its lower end is positive, which the log^+ bounds divide
+    by."""
+    hhat_P = orbit.hhat(depth)
     if hhat_P.lo <= 0:
         raise DomainError(
             "canonical height of the base point not certified positive; "
@@ -297,22 +299,22 @@ def _positive_hhat(
 
 def gamma_set_bound_rhs(
     params: BoundParams,
-    phi: RationalMap,
+    orbit: Orbit,
     A: ProjectivePoint,
-    P: ProjectivePoint,
     depth: int = 8,
-    height_budget: int = DEFAULT_HEIGHT_BUDGET,
 ) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of gamma1 + log_d^+((hhat(A) + h(phi)) / hhat(P)).
+    """Certified enclosure of gamma1 + log_d^+((hhat(A) + h(phi)) / hhat(P))
+    for the orbit of P under phi, such as the one a gamma_set report holds;
+    hhat(A) is computed under the orbit's height budget.
 
     Canonical heights enter as intervals, so the result is a lower/upper pair
     of exact rationals bracketing the bound; a preperiodic P (interval lower
     endpoint 0) is rejected."""
-    require_dynamical(phi)
+    phi = orbit.phi
     gamma1 = params.get("gamma1")
     h_phi = phi.coefficient_height()
-    hhat_A = canonical_height(phi, A, depth, height_budget)
-    hhat_P = _positive_hhat(phi, P, depth, height_budget)
+    hhat_A = canonical_height(phi, A, depth, orbit.height_budget)
+    hhat_P = _positive_hhat(orbit, depth)
     ratio_lo = (hhat_A.lo + h_phi) / hhat_P.hi
     ratio_hi = (hhat_A.hi + h_phi) / hhat_P.lo
     return (
@@ -323,17 +325,16 @@ def gamma_set_bound_rhs(
 
 def integral_count_bound_rhs(
     params: BoundParams,
-    phi: RationalMap,
-    P: ProjectivePoint,
+    orbit: Orbit,
     depth: int = 8,
-    height_budget: int = DEFAULT_HEIGHT_BUDGET,
 ) -> tuple[Fraction, Fraction]:
     """Certified enclosure of gamma1 + log_d^+(h(phi) / hhat(P)) bounding the
-    count of S-integral iterates for a wandering base point."""
-    require_dynamical(phi)
+    count of S-integral iterates for the wandering base point P of the
+    orbit, such as the one a count_S_integral report holds."""
+    phi = orbit.phi
     gamma1 = params.get("gamma1")
     h_phi = Fraction(phi.coefficient_height())
-    hhat_P = _positive_hhat(phi, P, depth, height_budget)
+    hhat_P = _positive_hhat(orbit, depth)
     return (
         gamma1 + floor_log_plus(phi.d, h_phi / hhat_P.hi),
         gamma1 + ceil_log_plus(phi.d, h_phi / hhat_P.lo),

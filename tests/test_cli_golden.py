@@ -30,6 +30,8 @@ INTEGRAL_COUNT = ["integral-count", "--map", "(z^2-t)/z", "--point", "t",
 MULTDEP = ["multdep", "--map", "t*z^2", "--point", "t", "--places", "t,inf",
            "--n-max", "2", "--k-max", "2", "--r-max", "2", "--s-max", "3"]
 CHOOSE_M = ["choose-m", "--map", "(z^2-t)/z", "--target", "0", "--epsilon", "1/2"]
+CANHEIGHT_STABLE = ["canheight", "--map", "(z^2-t)/z", "--point", "t", "--depth", "60",
+                    "--budget", "1000000000000000000000"]
 ESCAPE_COUNT = ["integral-count", "--map", "z^2+t", "--point", "1", "--places", "inf",
                 "--max-n", "12"]
 
@@ -85,6 +87,17 @@ CASES = {
     # a denominator of positive t-degree keeps the global path
     "canheight-t-denominator": ["canheight", "--map", "(z^2+1)/t", "--point", "t",
                                 "--depth", "8"],
+    # stable certificates: (z^2-t)/z at t from iterate 1, within the budget
+    # and past it at iterate 16 (height 2^15)
+    "canheight-stable": CANHEIGHT_STABLE,
+    "canheight-stable-budget": CANHEIGHT_STABLE[:-2],
+    # e = deg x0 - deg x1 is 0 at the base point and 1 from iterate 1 on
+    "canheight-stable-e-settles": ["canheight", "--map", "(z^2+2*t-3)/(3*z)",
+                                   "--point", "2", "--depth", "12"],
+    # no certificate: the reduced map moves its hole mod t^3 + 12
+    "canheight-no-certificate": ["canheight", "--map", "(3*z^2+t)/(t*z-2)",
+                                 "--point", "t+2/5", "--depth", "12",
+                                 "--budget", "1000000000"],
 }
 
 

@@ -58,12 +58,13 @@ def test_prefix_matches_plain_orbit_seeded():
         assert orbit[n] == plain_orbit(phi, P, n)[-1]
 
 
-# (map, point, n, iterates a fresh Orbit's height(n) builds): past the switch
-# index of the truncated state, escaped, and a preperiodic orbit
+# (map, point, n, iterates a fresh Orbit's height(n) builds): stable from
+# iterate 1, past the switch index of the truncated state, escaped, and a
+# preperiodic orbit
 @pytest.mark.parametrize(
     "map_text, point_text, n, fresh",
     [
-        ("(z^2-t)/z", "t", 8, 5),
+        ("(z^2-t)/z", "t", 8, 1),
         ("(3*z^2+t)/(t*z-2)", "t+2/5", 6, 2),
         ("z^2+t", "1", 8, 1),  # escaped at iterate 1
         ("z^2+t^3", "t", 6, 1),  # escaped at iterate 1, not 0
@@ -269,16 +270,14 @@ BUDGET_CASES = [
     (
         "gamma_set_bound_rhs",
         lambda b: gamma_set_bound_rhs(
-            GAMMA1, QUOT, pt("inf"), pt("t"), depth=8, height_budget=b
+            GAMMA1, Orbit(QUOT, pt("t"), b), pt("inf"), depth=8
         ),
         4,
         "orbit height 8 exceeds budget 4 at iterate 4",
     ),
     (
         "integral_count_bound_rhs",
-        lambda b: integral_count_bound_rhs(
-            GAMMA1, QUOT, pt("t"), depth=8, height_budget=b
-        ),
+        lambda b: integral_count_bound_rhs(GAMMA1, Orbit(QUOT, pt("t"), b), depth=8),
         4,
         "orbit height 8 exceeds budget 4 at iterate 4",
     ),

@@ -9,9 +9,18 @@ import pytest
 import ffdyn.heights
 from ffdyn import Orbit, canonical_height, parse_point, parse_rational_map
 from ffdyn.errors import DomainError, OrbitBudgetError
-from ffdyn.heights import HeightInterval
+from ffdyn.heights import HeightInterval, _local_constants, _switch_condition
 from ffdyn.polynomials import BinaryMonomials, poly_gcd
 from ffdyn.randgen import rand_map, rand_point
+
+
+def switch_index(orbit, n):
+    """The first j < n at which height(n) may switch to the truncated state,
+    or None."""
+    consts = _local_constants(orbit.phi)
+    return next(
+        (j for j in range(n) if _switch_condition(orbit[j].height, n - j, consts)), None
+    )
 
 
 def local_heights_agree(phi, P, n_max):
@@ -22,11 +31,11 @@ def local_heights_agree(phi, P, n_max):
     heights = [orbit[n].height for n in range(n_max + 1)]
     for n in range(n_max + 1):
         assert Orbit(phi, P).height(n) == heights[n], (str(phi), str(P), n)
-        first = orbit._switch_index(n)
+        first = switch_index(orbit, n)
         if first is not None:
             for j in range(first, n):
                 assert orbit._local_height(j, n) == heights[n], (str(phi), str(P), n, j)
-    return orbit, orbit._switch_index(n_max)
+    return orbit, switch_index(orbit, n_max)
 
 
 def step_losses(phi, Q):
@@ -99,7 +108,7 @@ def test_height_matches_global_iterates_adversarial(text, points, n_max, reached
 def test_height_before_any_switch(quad_poly_map):
     # infinity is fixed; heights stay below the switch threshold
     orbit = Orbit(quad_poly_map, parse_point("inf"))
-    assert orbit._switch_index(6) is None
+    assert switch_index(orbit, 6) is None
     assert orbit.height(6) == 0
     with pytest.raises(DomainError):
         orbit.height(-1)
@@ -122,7 +131,8 @@ def test_height_budget_matches_global_iterates(quad_poly_map):
 
 def test_canonical_height_depth_16_builds_few_iterates(monkeypatch):
     # h(phi^n t) = 2^(n-1) for (z^2 - t)/z; the global iterate at depth 14
-    # takes minutes. Iterates 1..6 are built, steps 7..16 are truncated.
+    # takes minutes. The stable certificate holds at iterate 1, so only it is
+    # built; the truncated state from iterate 6 (the switch index) agrees.
     calls = []
     apply_map = ffdyn.heights.apply_map
 
@@ -135,4 +145,8 @@ def test_canonical_height_depth_16_builds_few_iterates(monkeypatch):
     assert canonical_height(phi, parse_point("t"), 16) == HeightInterval(
         Fraction(32765, 65536), Fraction(32769, 65536)
     )
-    assert len(calls) == 6
+    assert len(calls) == 1
+    orbit = Orbit(phi, parse_point("t"))
+    assert switch_index(orbit, 16) == 6
+    assert orbit._local_height(6, 16) == 1 << 15
+    assert len(calls) == 7

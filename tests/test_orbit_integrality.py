@@ -196,26 +196,28 @@ def test_gamma_set_bound_rhs_example(quad_poly_map):
     # value is 3 + log_2^+(2) = 4.  The ratio sits exactly on a power of 2,
     # so the certified enclosure brackets 4 without collapsing to it.
     params = BoundParams.from_pairs([("gamma1", Fraction(3))])
-    lo, hi = gamma_set_bound_rhs(params, quad_poly_map, pt("inf"), pt("0"), depth=12)
+    lo, hi = gamma_set_bound_rhs(
+        params, Orbit(quad_poly_map, pt("0")), pt("inf"), depth=12
+    )
     assert lo <= 4 <= hi
     assert hi - lo <= 2
 
 
 def test_integral_count_bound_rhs(quad_poly_map):
     params = BoundParams.from_pairs([("gamma1", Fraction(3))])
-    lo, hi = integral_count_bound_rhs(params, quad_poly_map, pt("0"), depth=12)
+    lo, hi = integral_count_bound_rhs(params, Orbit(quad_poly_map, pt("0")), depth=12)
     assert lo <= 4 <= hi  # 3 + log_2^+(1 / (1/2)), again a boundary ratio
     assert hi - lo <= 2
     # height-zero map: ratio term vanishes identically, result is exact
     sq = parse_rational_map("z^2")
-    lo0, hi0 = integral_count_bound_rhs(params, sq, pt("t"), depth=8)
+    lo0, hi0 = integral_count_bound_rhs(params, Orbit(sq, pt("t")), depth=8)
     assert lo0 == hi0 == 3
 
 
 def test_bound_rhs_rejects_preperiodic(quad_poly_map):
     params = BoundParams.from_pairs([("gamma1", Fraction(3))])
     with pytest.raises(DomainError, match="preperiodic|positive"):
-        integral_count_bound_rhs(params, quad_poly_map, pt("inf"))
+        integral_count_bound_rhs(params, Orbit(quad_poly_map, pt("inf")))
 
 
 def test_hits_within_gamma_for_small_eps(quad_quotient_map, S_inf):
