@@ -231,13 +231,11 @@ class Orbit:
     iterate that exceeds the budget is still returned: it is already
     computed, so a caller that stops there does no extra work.
 
-    Recurrence certificates: once a certificate holds at an iterate k,
+    Once the recurrence certificate of height() holds at an iterate k,
     orbit.height(n) reads h(phi^(n+1) P) = d h(phi^n P) + m for n >= k and
     builds no further iterate; the height budget applies to these heights
-    as if each were built. When phi is a polynomial with a constant
-    denominator and P lies in Q[t], the certificate is the escape of
-    orbit.escape_index(n) (see there); otherwise it is the stable
-    certificate derived in height().
+    as if each were built. Once an iterate equals its predecessor, every
+    later index returns it: its height passed the budget check already.
     """
 
     def __init__(
@@ -250,11 +248,14 @@ class Orbit:
         self.phi = phi
         self.height_budget = height_budget
         self._points = [P]
-        in_qt = not P.x1.is_zero and P.x1.is_constant
-        self._escape_rule = _escape_rule(phi) if in_qt else None
+        self._fixed = False  # the last built iterate equals its predecessor
+        G = phi.G  # hole-free (height): G = c x1^d, c in Q*, and x1 constant
+        self._hole_free = G.degree == 0 and G.coeff(0).degree == 0 and P.x1.degree == 0
+        self._terms = None  # _term_degrees(phi), once a certificate is sought
         self._uncertified = 0  # no certificate holds at iterates below this
         self._increment = 0  # m of the certificate, once one holds
         self._recurrence_heights: list[int] = []  # from the certificate on
+        self._local_heights: dict[int, int] = {}  # by n, from the truncated state
 
     def _check_budget(self, height: int, n: int) -> None:
         if height > self.height_budget:
@@ -267,11 +268,12 @@ class Orbit:
         if n < 0:
             raise DomainError("negative iterate index")
         points = self._points
-        while len(points) <= n:
+        while len(points) <= n and not self._fixed:
             last = points[-1]
             self._check_budget(last.height, len(points) - 1)
             points.append(apply_map(self.phi, last))
-        return points[n]
+            self._fixed = points[-1] == last
+        return points[min(n, len(points) - 1)]
 
     def prefix(self, n: int) -> list[ProjectivePoint]:
         return [self[k] for k in range(n + 1)]
@@ -284,13 +286,14 @@ class Orbit:
         walk goes on, and reaching n gives the iterate itself. So no iterate
         is built that the switch route alone would not build.
 
-        The stable certificate is sought only when the walk could switch at
-        all: when some j < n meets the switch condition at the upper bound
-        of h(phi^j P) from displacement_bound (_may_switch). Otherwise the
-        walk builds iterates of moderate height only, which costs less than
-        the certificate's work per map: on the 180 maps of the fresh-maps
-        benchmark's canheight tasks, seeds 0-2 (deg Res 3 to 9), that took
-        0.35 ms per map on average, and no certificate held.
+        The certificate is sought only when the walk could switch at all:
+        when some j < n meets the switch condition at the upper bound of
+        h(phi^j P) from displacement_bound (_may_switch), or when the orbit
+        is hole-free (below), where the certificate needs no work per map.
+        Otherwise the walk builds iterates of moderate height only, which
+        costs less than the certificate's work per map: on the 180 maps of
+        the fresh-maps benchmark's canheight tasks, seeds 0-2 (deg Res 3 to
+        9), that took 0.35 ms per map on average, and no certificate held.
 
         Notation: phi = [F : G] of degree d and height h(phi), F = sum F_i
         x0^i x1^(d-i) and likewise G; Res is its resultant and L = 2d*h(phi)
@@ -365,10 +368,8 @@ class Orbit:
 
             h(phi^(n+1) P) = d h(phi^n P) + m.
 
-        For a polynomial phi with constant denominator at P in Q[t], the
-        certificate is escape_index's, with m = deg a_d. Otherwise it is the
-        stable certificate below, in two parts, checked by _stable_increment
-        on the built iterate k (DeMarco and Ghioca, "Rationality of dynamical
+        The certificate has two parts, checked by _stable_increment on the
+        built iterate k (DeMarco and Ghioca, "Rationality of dynamical
         canonical height", ETDS 39 (2019); Call and Silverman, Compositio
         Math. 89 (1993), for the split into local parts). Write x = (x0, x1)
         for an iterate, A = F(x), B = G(x) and g = gcd(A, B) as above.
@@ -382,11 +383,20 @@ class Orbit:
         its e' = top_F(e) - top_G(e) and its height is max(deg A, deg B) -
         deg g = d h + m(e) - deg g, with h = b + max(e, 0) and m(e) =
         max(top_F(e), top_G(e)) - d max(e, 0). The certificate takes for E
-        the values e_k, e_k', e_k'', ... until one repeats, and asks that
-        both tops be unique at every e in E and that m(e) = m on all of E.
-        Then every later iterate has nonzero coordinates and an e in E, and
-        h(phi^(n+1) P) = d h(phi^n P) + m - deg g_n. The walk through E is
-        given up after _MAX_E_VALUES values, as when e grows without bound.
+        the values e_k, e_k', e_k'', ... until one repeats or one meets the
+        interval rule below, and asks that both tops be unique at every e in
+        E and that m(e) = m on all of E. Then every later iterate has
+        nonzero coordinates and an e in E, and h(phi^(n+1) P) = d h(phi^n P)
+        + m - deg g_n. The walk through E is given up after _MAX_E_VALUES
+        values.
+
+        Interval rule: if e >= 0, the unique tops sit at i = d in F and at
+        the largest i_G with G_i != 0, d > i_G, and e' > e, then E may end
+        in [e, oo). Raising e by delta raises the top of F by d delta and
+        that of G by i_G delta, more than any other term of its form, so at
+        e' the tops stay put and e'' - e' = (d - i_G)(e' - e) > 0: e grows
+        strictly forever, and as top_F(e) - top_G(e) = e' > 0, m(e) =
+        top_F(e) - d e = deg F_d throughout.
 
         At the finite places. By (F2) g divides Res, so g = 1 unless an
         irreducible pi dividing Res divides A and B. Let R be the squarefree
@@ -416,6 +426,12 @@ class Orbit:
         reduced orbit never meets a hole, and with the part at infinity
         h(phi^(n+1) P) = d h(phi^n P) + m. Res is never factored.
 
+        Hole-free orbits: if G = c x1^d with c in Q* and x1 of x_k is a
+        nonzero constant, then B = G(x_k) is a nonzero constant, g_k = 1,
+        and x1 of x_(k+1) is a constant multiple of B. So g_n = 1 for every
+        n >= k with no check at the finite places, where _reduction_holes
+        gives up on t(t+1) z^2 + t z (zero divisors mod R = t(t+1)).
+
         Example: (z^2 - t)/z at t. F = x0^2 - t x1^2, G = x0 x1 and Res =
         t up to sign. At e = 1 the tops are x0^2 and x0 x1, e' = 1 and m =
         0. Mod t, C = x0, F1 = x0, G1 = x1 and C(F1, G1) = C. Iterate 0 = t
@@ -430,60 +446,40 @@ class Orbit:
         """
         if n < 0:
             raise DomainError("negative iterate index")
-        if n < len(self._points):
-            return self._points[n].height
+        if n < len(self._points) or self._fixed:
+            return self[n].height
+        if n in self._local_heights:
+            return self._local_heights[n]
         consts = _local_constants(self.phi)
         seek = (
             bool(self._recurrence_heights)
-            or self._escape_rule is not None
+            or self._hole_free
             or _may_switch(self._points[0].height, n, consts)
         )
         for j in range(n):
             if seek and self._certified_index(j) is not None:
                 return self._recurrence_height(n)
             if _switch_condition(self[j].height, n - j, consts):
-                return self._local_height(j, n)
+                return self._local_heights.setdefault(n, self._local_height(j, n))
         return self[n].height
 
     def escape_index(self, n: int) -> Optional[int]:
-        """The first k <= n at which the orbit has escaped to infinity, or
-        None. Builds the iterates up to that k, or up to n if there is none,
-        and none at all when the rule below does not apply.
+        """The index k <= n of the certificate of height() on a hole-free
+        orbit (see there) when (d - 1) h(phi^k P) + m > 0, else None. Builds
+        the iterates up to that k, or up to n if there is none, and none on
+        an orbit that is not hole-free.
 
-        The rule applies when phi = F/G with G a nonzero constant of Q and P
-        = [x0 : x1] with x1 a nonzero constant. Write F = sum a_i z^i with
-        a_i in Q[t]. Every iterate then has this form: G(x0, x1) = G x1^d is
-        a nonzero constant, so it is coprime to F(x0, x1). The height of
-        such an iterate is h = deg x0 (0 when x0 = 0).
-
-        Iterate k has escaped when h > 0 and (d - i) h > deg a_i - deg a_d
-        for every nonzero a_i with i < d.
-
-        Lemma: if iterate k has escaped, then h(phi^(k+1) P) = d h + deg a_d
-        and iterate k + 1 has escaped. The term a_d x0^d of F(x0, x1) has
-        degree d h + deg a_d; each other term a_i x0^i x1^(d-i) has degree
-        deg a_i + i h, smaller by the condition. So nothing cancels the
-        leading term, and h' = deg F(x0, x1) = d h + deg a_d. As d >= 2 and
-        h > 0, h' >= 2h > h, so h' > 0 and (d - i) h' > (d - i) h > deg a_i
-        - deg a_d.
-
-        Hence, for every n >= k:
-        - h(phi^(n+1) P) = d h(phi^n P) + deg a_d, which height() reads;
-        - the heights increase strictly, so phi^n P equals no other iterate:
-          an equality would make the orbit periodic from there on, with
-          bounded heights. P wanders;
-        - phi^n P = x0/x1 is a polynomial of positive degree. Its only pole
-          is at infinity, so it is S-integral iff infinity lies in S, and no
-          finite place gives it a persistence certificate.
-
-        A switch index j of height() is never below k, so the escape route
-        builds no iterate that the switch route would not. Here Res = G^d
-        a_d^d up to sign, so deg Res = d deg a_d <= d h(phi) and L >= 0. A
-        switch at j needs h > r L >= 0 and (d - 1) h >= (2d - 1) h(phi), so
-        h > 0, and h > h(phi) >= deg a_i - deg a_d unless h(phi) = 0, when
-        every deg a_i - deg a_d is 0. Either way iterate j has escaped.
+        From k on, h(phi^(n+1) P) - h(phi^n P) = (d - 1) h(phi^n P) + m > 0,
+        so no iterate repeats (P wanders), and for n > k, phi^n P = x0/x1 is
+        a polynomial of positive degree, as x1 is constant: it is S-integral
+        iff infinity lies in S, and no finite place gives it a persistence
+        certificate. With (d - 1) h(phi^k P) + m = 0 the heights stay
+        constant (z^2 at 2), and the callers look for a repeat.
         """
-        return None if self._escape_rule is None else self._certified_index(n)
+        if not self._hole_free or self._certified_index(n) is None:
+            return None
+        growth = (self.phi.d - 1) * self._recurrence_heights[0] + self._increment
+        return self._uncertified if growth > 0 else None
 
     def hhat(self, depth: int) -> HeightInterval:
         """Certified interval for the canonical height of P from the exact
@@ -526,14 +522,10 @@ class Orbit:
         building them up to that k, or up to n if there is none."""
         heights = self._recurrence_heights
         while not heights and self._uncertified <= n:
+            if self._terms is None:
+                self._terms = _term_degrees(self.phi)
             Q = self[self._uncertified]
-            if self._escape_rule is None:
-                m = _stable_increment(self.phi, Q)
-            else:
-                deg_ad, terms = self._escape_rule
-                h = Q.height
-                escaped = h > 0 and all(i * h > e for i, e in terms)
-                m = deg_ad if escaped else None
+            m = _stable_increment(self.phi, self._terms, Q, self._hole_free)
             if m is None:
                 self._uncertified += 1
             else:
@@ -604,20 +596,6 @@ class Orbit:
         return h
 
 
-def _escape_rule(phi: RationalMap) -> Optional[tuple[int, tuple[tuple[int, int], ...]]]:
-    """(deg a_d, the pairs (d - i, deg a_i - deg a_d) over the nonzero a_i
-    with i < d) for phi = (sum a_i z^i)/G with G a nonzero constant of Q, as
-    Orbit.escape_index reads them; None for any other phi."""
-    G = phi.G
-    if G.degree != 0 or G.coeff(0).degree != 0:
-        return None
-    d = phi.d
-    a = phi.F.coeffs
-    deg_ad = a[d].degree
-    terms = tuple((d - i, c.degree - deg_ad) for i, c in enumerate(a[:d]) if not c.is_zero)
-    return deg_ad, terms
-
-
 def _local_constants(phi: RationalMap) -> tuple[int, int, int, int]:
     """(d, h(phi), deg Res, L = 2d*h(phi) - deg Res) for Orbit.height."""
     h_phi = phi.coefficient_height()
@@ -657,14 +635,26 @@ def _may_switch(h0: int, n: int, consts: tuple[int, int, int, int]) -> bool:
 _MAX_E_VALUES = 8
 
 
-def _stable_increment(phi: RationalMap, Q: ProjectivePoint) -> Optional[int]:
-    """The m of the stable certificate of Orbit.height at the iterate Q, or
-    None when the certificate does not hold there."""
+def _term_degrees(phi: RationalMap) -> tuple[list, list]:
+    """The pairs (i, deg F_i) over the nonzero F_i, and likewise for G, in
+    increasing i: what _infinity_increment reads of phi."""
+    return tuple(
+        [(i, c.degree) for i, c in enumerate(form.coeffs) if not c.is_zero]
+        for form in (phi.F, phi.G)
+    )
+
+
+def _stable_increment(
+    phi: RationalMap, terms: tuple, Q: ProjectivePoint, hole_free: bool
+) -> Optional[int]:
+    """The m of the certificate of Orbit.height at the iterate Q, or None
+    when it does not hold there; terms is _term_degrees(phi), and hole_free
+    tells whether the orbit of Q is hole-free."""
     if Q.x0.is_zero or Q.x1.is_zero:
         return None
-    m = _infinity_increment(phi, Q.x0.degree - Q.x1.degree)
-    if m is None:
-        return None
+    m = _infinity_increment(terms, phi.d, Q.x0.degree - Q.x1.degree)
+    if m is None or hole_free:
+        return m
     holes = _reduction_holes(phi)
     if holes is None:
         return None
@@ -676,43 +666,45 @@ def _stable_increment(phi: RationalMap, Q: ProjectivePoint) -> Optional[int]:
     return m if _is_unit(value % R, R) else None
 
 
-def _top_degree(terms: list[tuple[int, int]], e: int) -> Optional[int]:
-    """The largest deg c_i + i*e over the pairs (i, deg c_i) when exactly one
-    pair attains it, else None."""
+def _top_term(terms: list[tuple[int, int]], e: int) -> Optional[tuple[int, int]]:
+    """(i, deg c_i + i*e) for the pair (i, deg c_i) with the largest deg c_i
+    + i*e when exactly one pair attains it, else None."""
     best, count = None, 0
     for i, deg in terms:
         value = deg + i * e
-        if best is None or value > best:
-            best, count = value, 1
-        elif value == best:
+        if best is None or value > best[1]:
+            best, count = (i, value), 1
+        elif value == best[1]:
             count += 1
     return best if count == 1 else None
 
 
-def _infinity_increment(phi: RationalMap, e: int) -> Optional[int]:
+def _infinity_increment(terms: tuple[list, list], d: int, e: int) -> Optional[int]:
     """The m of the part at infinity of the stable certificate for a point
-    with deg x0 - deg x1 = e: follow e -> e' = top_F(e) - top_G(e) until a
-    value repeats, each top unique and m(e) the same throughout; None if
-    that fails or takes more than _MAX_E_VALUES values."""
-    terms = [
-        [(i, c.degree) for i, c in enumerate(form.coeffs) if not c.is_zero]
-        for form in (phi.F, phi.G)
-    ]
-    d = phi.d
+    with deg x0 - deg x1 = e, from terms = _term_degrees(phi) of a phi of
+    degree d: follow e -> e' = top_F(e) - top_G(e), each top unique and
+    m(e) the same throughout, until a value repeats or one meets the
+    interval rule of Orbit.height; None if that fails or takes more than
+    _MAX_E_VALUES values."""
+    terms_f, terms_g = terms
     seen: set[int] = set()
     m = None
     while e not in seen:
         if len(seen) == _MAX_E_VALUES:
             return None
-        top_f, top_g = (_top_degree(t, e) for t in terms)
+        top_f, top_g = _top_term(terms_f, e), _top_term(terms_g, e)
         if top_f is None or top_g is None:
             return None
-        m_e = max(top_f, top_g) - d * max(e, 0)
+        (i_f, v_f), (i_g, v_g) = top_f, top_g
+        m_e = max(v_f, v_g) - d * max(e, 0)
         if m is not None and m_e != m:
             return None
+        e_next = v_f - v_g
+        if e >= 0 and i_f == d and i_g == terms_g[-1][0] < d and e_next > e:
+            return m_e  # the interval rule: e increases forever
         seen.add(e)
         m = m_e
-        e = top_f - top_g
+        e = e_next
     return m
 
 

@@ -34,9 +34,13 @@
 - GlobalOrbit, global_classify_preperiodic, global_count_S_integral: the
   budgeted orbit that builds every iterate it is asked for, and the loops of
   classify_preperiodic and count_S_integral on it, against
-  heights.Orbit.height, which reads the heights of an escaped polynomial
-  orbit from a recurrence, and the two library loops, which stop building
-  iterates at the escape index.
+  heights.Orbit.height, which reads the heights of a certified orbit from a
+  recurrence, and the two library loops, which stop building iterates at
+  the escape index.
+- oracle_escape_index: the first iterate of a polynomial orbit that meets
+  the escape inequality on the coefficients of phi, from GlobalOrbit,
+  against heights.Orbit.escape_index, whose certificate must hold there or
+  earlier.
 - symmetric_hhat_interval, symmetric_canonical_height: the canonical-height
   interval of radius B/(d^N (d - 1)) about h(phi^N P)/d^N with the
   symmetric B = (2d + 1) h(phi) + deg Res, against heights.canonical_height,
@@ -341,6 +345,35 @@ class GlobalOrbit:
                 )
             points.append(apply_map(self.phi, points[-1]))
         return points[n]
+
+
+def oracle_escape_index(
+    phi: RationalMap,
+    P: ProjectivePoint,
+    n: int,
+    height_budget: int = DEFAULT_HEIGHT_BUDGET,
+) -> Optional[int]:
+    """The first k <= n at which the orbit of P has escaped, or None. It
+    applies when phi = (sum a_i z^i)/G with G a nonzero constant of Q and P
+    lies in Q[t]; iterate k, of height h = deg x0, has escaped when h > 0
+    and (d - i) h > deg a_i - deg a_d for every nonzero a_i with i < d. Then
+    the leading term a_d x0^d of F(x0, x1) dominates, the next height is d h
+    + deg a_d > h, and the inequality holds again, so every later iterate
+    has escaped."""
+    if phi.G.degree != 0 or phi.G.coeff(0).degree != 0 or P.x1.degree != 0:
+        return None
+    d = phi.d
+    a = phi.F.coeffs
+    orbit = GlobalOrbit(phi, P, height_budget)
+    for k in range(n + 1):
+        h = orbit[k].height
+        if h > 0 and all(
+            (d - i) * h > c.degree - a[d].degree
+            for i, c in enumerate(a[:d])
+            if not c.is_zero
+        ):
+            return k
+    return None
 
 
 def symmetric_hhat_interval(phi: RationalMap, h: int, n: int) -> HeightInterval:

@@ -1,7 +1,8 @@
-"""Escape certificates for polynomial orbits: Orbit.height, the verdicts of
-classify_preperiodic and the reports of count_S_integral against the global
-loops of tests/oracles.py, which build every iterate, on seeded and on
-adversarial maps and points, and at budgets around each escape height."""
+"""Escaping polynomial orbits under the recurrence certificate: Orbit.height,
+the verdicts of classify_preperiodic and the reports of count_S_integral
+against the global loops of tests/oracles.py, which build every iterate, on
+seeded and on adversarial maps and points, and at budgets around each escape
+height; Orbit.escape_index at or before the oracle's escape index."""
 
 from fractions import Fraction
 from random import Random
@@ -21,10 +22,16 @@ from ffdyn import (
 )
 from ffdyn.errors import OrbitBudgetError
 from ffdyn.function_field import FieldElement
+from ffdyn.heights import _infinity_increment, _reduction_holes, _term_degrees
 from ffdyn.maps import ProjectivePoint
 from ffdyn.randgen import rand_map, rand_tpoly
 
-from oracles import GlobalOrbit, global_classify_preperiodic, global_count_S_integral
+from oracles import (
+    GlobalOrbit,
+    global_classify_preperiodic,
+    global_count_S_integral,
+    oracle_escape_index,
+)
 
 DEPTH = 10
 MAX_ITER = 12  # height-0 orbits that wander never stop under the default
@@ -45,6 +52,10 @@ ADVERSARIAL_MAPS = [
     "z^2+1",  # 0 wanders at height 0
     "(z^2+1)/t",  # denominator of positive t-degree: no escape rule
     "(z^2-t)/z",  # rational map: no escape rule
+    # leading coefficients that are zero divisors mod R = t (t + 1): only
+    # the hole-free clause certifies these orbits
+    "t*(t+1)*z^2+t*z",
+    "t*(t+1)*z^3+t*z^2+1",
 ]
 ADVERSARIAL_POINTS = ["0", "1", "2", "-1", "1/2", "t", "-t", "t^2", "t+1", "t^2-3",
                       "inf", "1/t", "t/(t+1)"]
@@ -74,7 +85,12 @@ def small_max_iter(monkeypatch):
 def check_against_oracles(phi, P, budget):
     """The heights up to DEPTH, asked of one Orbit in increasing and of
     another in decreasing order, the verdict, and the reports on each place
-    set, as values or error texts, equal the oracles'."""
+    set, as values or error texts, equal the oracles'; where the oracle
+    finds an escape index, Orbit.escape_index is at or before it."""
+    escape = outcome(lambda: oracle_escape_index(phi, P, DEPTH, budget))
+    if isinstance(escape, int):
+        k = outcome(lambda: Orbit(phi, P, budget).escape_index(DEPTH))
+        assert isinstance(k, int) and k <= escape, (str(phi), str(P), budget)
     expected = [outcome(lambda: GlobalOrbit(phi, P, budget)[n].height)
                 for n in range(DEPTH + 1)]
     up, down = Orbit(phi, P, budget), Orbit(phi, P, budget)
@@ -153,9 +169,12 @@ def test_escape_indices():
         ("z^2+t^3", "t^2", 0),
         ("t*z^3+z", "t", 0),
         ("t^2*z^2+t", "0", 1),
-        ("t^2*z^2+t", "3", 1),
+        ("t^2*z^2+t", "3", 0),  # the interval rule holds at e = 0
         ("z^3-t*z^2+z", "t", None),  # 1 * 1 > 1 fails, and t is fixed
-        ("z^2", "2", None),
+        ("z^2", "2", None),  # certified with m = 0: constant heights
+        ("z^2", "-1", None),
+        ("t*z^2", "2", 0),
+        ("t*(t+1)*z^2+t*z", "1", 0),  # hole-free, though R has zero divisors
         ("z^2-2", "2", None),
         ("z^2", "inf", None),
         ("z^2+t", "1/t", None),
@@ -225,3 +244,53 @@ def test_height_zero_wandering_orbits_with_a_small_max_iter(map_text, point_text
     expected = f"error: no classification within {MAX_ITER} iterates"
     assert outcome(lambda: classify_preperiodic(phi, P, MAX_ITER)) == expected
     assert outcome(lambda: global_classify_preperiodic(phi, P, MAX_ITER)) == expected
+
+
+@pytest.mark.parametrize("point_text", ["2", "-1"])
+def test_constant_heights_are_no_escape(point_text):
+    # the certificate holds at iterate 0 with m = 0 and h = 0, so the
+    # heights stay 0; the callers must still look for a repeat
+    phi, P = parse_rational_map("z^2"), parse_point(point_text)
+    orbit = Orbit(phi, P)
+    assert orbit._certified_index(0) == 0 and orbit._increment == 0
+    assert orbit.escape_index(DEPTH) is None
+    assert [orbit.height(n) for n in range(DEPTH + 1)] == [0] * (DEPTH + 1)
+    assert outcome(lambda: orbit.classify(MAX_ITER)) == outcome(
+        lambda: global_classify_preperiodic(phi, P, MAX_ITER)
+    )
+
+
+@pytest.mark.parametrize(
+    "map_text, e, m",
+    [
+        ("t*z^2", 0, 1),  # the rule holds at e = 0: m = deg F_d
+        ("z^2+t", 1, 0),
+        ("z^2+t", 0, None),  # m = 1 at e = 0, then 0 from e = 1 on
+        ("z^2+t", -1, None),
+        # e = 1, 2, 4, 8, ...: no value repeats, so only the rule decides
+        ("(z^3+t)/z", 1, 0),
+        # the tops sit at i = 2 in F at e = -1, but e < 0 is not in the rule:
+        # m = 3 there and 5 from e = 3 on
+        ("t^5*z^2+1", -1, None),
+        ("t^5*z^2+1", 3, 5),
+        # the top of G sits below its largest index: e goes 1, -2
+        ("z^3/(z^2+t^5)", 1, None),
+    ],
+)
+def test_interval_rule_at_infinity(map_text, e, m):
+    phi = parse_rational_map(map_text)
+    assert _infinity_increment(_term_degrees(phi), phi.d, e) == m
+
+
+def test_hole_free_orbit_needs_no_finite_part():
+    # mod R = t (t + 1) the leading coefficient is 0 and the next one, t, is
+    # a zero divisor, so the finite part cannot be checked; G = 1 and x1 = 1
+    # keep every B = G(x) a nonzero constant instead
+    phi, P = parse_rational_map("t*(t+1)*z^2+t*z"), parse_point("1")
+    assert _reduction_holes(phi) is None
+    orbit = Orbit(phi, P, 1 << 40)
+    assert orbit.escape_index(0) == 0 and orbit._increment == 2
+    expected = [GlobalOrbit(phi, P, 1 << 14)[n].height for n in range(7)]
+    assert [orbit.height(n) for n in range(7)] == expected
+    report = count_S_integral(phi, P, parse_places("inf"), 38, 10**12)
+    assert report.hits == tuple(range(1, 39))

@@ -60,7 +60,7 @@ def test_prefix_matches_plain_orbit_seeded():
 
 # (map, point, n, iterates a fresh Orbit's height(n) builds): stable from
 # iterate 1, past the switch index of the truncated state, escaped, and a
-# preperiodic orbit
+# preperiodic orbit, certified with m = 0 at iterate 0
 @pytest.mark.parametrize(
     "map_text, point_text, n, fresh",
     [
@@ -68,14 +68,18 @@ def test_prefix_matches_plain_orbit_seeded():
         ("(3*z^2+t)/(t*z-2)", "t+2/5", 6, 2),
         ("z^2+t", "1", 8, 1),  # escaped at iterate 1
         ("z^2+t^3", "t", 6, 1),  # escaped at iterate 1, not 0
-        ("z^2", "-1", 4, 4),
+        ("z^2", "-1", 4, 0),
     ],
 )
 def test_height_of_a_built_iterate_builds_nothing(
     map_text, point_text, n, fresh, monkeypatch
 ):
     phi, P = parse_rational_map(map_text), pt(point_text)
-    expected = [GlobalOrbit(phi, P, 1 << 14)[k].height for k in range(n + 1)]
+    oracle = GlobalOrbit(phi, P, 1 << 14)
+    expected = [oracle[k].height for k in range(n + 1)]
+    points = oracle.points
+    # prefix(n) builds iterates up to the first that equals its predecessor
+    built = next((k for k in range(1, n + 1) if points[k] == points[k - 1]), n)
     calls = []
     apply_map = ffdyn.heights.apply_map
 
@@ -87,8 +91,8 @@ def test_height_of_a_built_iterate_builds_nothing(
     assert Orbit(phi, P).height(n) == expected[n] and len(calls) == fresh
     calls.clear()
     orbit = Orbit(phi, P)
-    orbit.prefix(n)
-    assert len(calls) == n
+    assert orbit.prefix(n) == points[: n + 1]
+    assert len(calls) == built
     calls.clear()
     assert [orbit.height(k) for k in range(n, -1, -1)] == expected[::-1]
     assert [orbit.height(k) for k in range(n + 1)] == expected
@@ -129,6 +133,46 @@ def test_a_command_steps_each_point_once(argv, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli_main(argv) == 0
     assert steps and max(steps.values()) == 1, argv
+
+
+def test_a_fixed_iterate_is_stepped_once(tmp_path, monkeypatch):
+    # the target inf is fixed by phi: its depth-10 interval for the --params
+    # bound builds phi(inf) = inf once, where it built all ten iterates
+    params = tmp_path / "params.txt"
+    params.write_text("gamma1 = 1\n")
+    steps = Counter()
+    apply_map = ffdyn.heights.apply_map
+
+    def counting(phi, P):
+        steps[P] += 1
+        return apply_map(phi, P)
+
+    monkeypatch.setattr(ffdyn.heights, "apply_map", counting)
+    argv = WALK_ONCE_COMMANDS[0] + ["--params", str(params)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(argv) == 0
+    assert sum(steps.values()) == 5 and steps[pt("inf")] == 1
+
+
+def test_truncated_heights_are_kept(tmp_path, monkeypatch):
+    # gamma_set and the --params bound both ask P's Orbit for hhat(12), which
+    # the truncated state answers from iterate 3; the second ask reuses it
+    params = tmp_path / "params.txt"
+    params.write_text("gamma1 = 1\n")
+    runs = []
+    local_height = Orbit._local_height
+
+    def counting(orbit, j, n):
+        runs.append((orbit[0], j, n))
+        return local_height(orbit, j, n)
+
+    monkeypatch.setattr(Orbit, "_local_height", counting)
+    argv = ["orbit-scan", "--map", "(3*z^2+t)/(t*z-2)", "--point", "t+2/5",
+            "--places", "inf", "--target", "0", "--epsilon", "1/2", "--max-n", "3",
+            "--depth", "12", "--budget", "1000000000", "--params", str(params)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(argv) == 0
+    assert runs == [(pt("t+2/5"), 3, 12), (pt("0"), 4, 12)]
 
 
 def test_hmin_lattice_scan_steps_each_point_once_per_lattice_point(monkeypatch):

@@ -17,6 +17,7 @@ from ffdyn.heights import (
     _reduction_holes,
     _ring_trim,
     _stable_increment,
+    _term_degrees,
 )
 from ffdyn.maps import resultant
 from ffdyn.polynomials import BinaryMonomials, Poly, poly_gcd
@@ -70,8 +71,8 @@ def check_uncertified(phi, P, n_max):
     global heights there."""
     expected = global_heights(phi, P)[: n_max + 1]
     assert len(expected) == n_max + 1
-    assert all(_stable_increment(phi, GlobalOrbit(phi, P, 1 << 14)[n]) is None
-               for n in range(n_max + 1))
+    terms, orbit = _term_degrees(phi), GlobalOrbit(phi, P, 1 << 14)
+    assert all(_stable_increment(phi, terms, orbit[n], False) is None for n in range(n_max + 1))
     assert [Orbit(phi, P).height(n) for n in range(n_max + 1)] == expected
 
 
@@ -106,7 +107,7 @@ def test_recurrence_matches_global_heights_seeded():
             orbit = GlobalOrbit(phi, P, GLOBAL_BUDGET)
             assert all(
                 orbit[n].x0.degree - orbit[n].x1.degree == 1
-                and _infinity_increment(phi, 1) is None
+                and _infinity_increment(_term_degrees(phi), 2, 1) is None
                 for n in range(4)
             ), case
             continue
@@ -141,8 +142,9 @@ def test_late_hole_is_not_certified_early():
     at_hole = [((orbit[n].x0 - orbit[n].x1.scale(5)) % t).is_zero for n in range(8)]
     assert at_hole == [n == 5 for n in range(8)]
     assert losses(phi, P, 8) == [0, 0, 0, 0, 0, 1, 0, 0]
+    terms = _term_degrees(phi)
     assert all(
-        _infinity_increment(phi, orbit[n].x0.degree - orbit[n].x1.degree) == 0
+        _infinity_increment(terms, 2, orbit[n].x0.degree - orbit[n].x1.degree) == 0
         for n in range(8)
     )
     assert _reduction_holes(phi) is None  # (c): z + 1 moves the hole
@@ -154,8 +156,8 @@ def test_e_changes_once_before_it_settles():
     # at a constant point e = 0, where the constant term dominates (m = 1),
     # and e = 1 from iterate 1 on (m = 0): E = {0, 1} has two values of m
     phi, P = parse_rational_map("(z^2+2*t-3)/(3*z)"), parse_point("2")
-    assert _infinity_increment(phi, 0) is None
-    assert _infinity_increment(phi, 1) == 0
+    assert _infinity_increment(_term_degrees(phi), 2, 0) is None
+    assert _infinity_increment(_term_degrees(phi), 2, 1) == 0
     expected = global_heights(phi, P)
     assert expected[:4] == [0, 1, 2, 4]
     k, heights = recurrence_heights(phi, P)
