@@ -27,9 +27,9 @@ from .maps import (
     resultant,
 )
 from .polynomials import (
-    BinaryMonomials,
     Poly,
     ZPoly,
+    binary_form_values,
     poly_gcd,
     primitive_pair,
     resultant_z,
@@ -234,8 +234,9 @@ class Orbit:
     Once the recurrence certificate of height() holds at an iterate k,
     orbit.height(n) reads h(phi^(n+1) P) = d h(phi^n P) + m for n >= k and
     builds no further iterate; the height budget applies to these heights
-    as if each were built. Once an iterate equals its predecessor, every
-    later index returns it: its height passed the budget check already.
+    as if each were built. Once an iterate repeats an earlier one, every
+    later index is read from the cycle without applying phi: each point of
+    the cycle passed the budget check already.
     """
 
     def __init__(
@@ -248,7 +249,9 @@ class Orbit:
         self.phi = phi
         self.height_budget = height_budget
         self._points = [P]
-        self._fixed = False  # the last built iterate equals its predecessor
+        self._index = {P: 0}  # the index of each built iterate
+        # once found: phi maps the last built iterate to points[_cycle_start]
+        self._cycle_start: Optional[int] = None
         G = phi.G  # hole-free (height): G = c x1^d, c in Q*, and x1 constant
         self._hole_free = G.degree == 0 and G.coeff(0).degree == 0 and P.x1.degree == 0
         self._terms = None  # _term_degrees(phi), once a certificate is sought
@@ -268,12 +271,17 @@ class Orbit:
         if n < 0:
             raise DomainError("negative iterate index")
         points = self._points
-        while len(points) <= n and not self._fixed:
-            last = points[-1]
-            self._check_budget(last.height, len(points) - 1)
-            points.append(apply_map(self.phi, last))
-            self._fixed = points[-1] == last
-        return points[min(n, len(points) - 1)]
+        while len(points) <= n and self._cycle_start is None:
+            self._check_budget(points[-1].height, len(points) - 1)
+            Q = apply_map(self.phi, points[-1])
+            self._cycle_start = self._index.get(Q)
+            if self._cycle_start is None:
+                self._index[Q] = len(points)
+                points.append(Q)
+        if n < len(points):
+            return points[n]
+        start = self._cycle_start
+        return points[start + (n - start) % (len(points) - start)]
 
     def prefix(self, n: int) -> list[ProjectivePoint]:
         return [self[k] for k in range(n + 1)]
@@ -446,7 +454,7 @@ class Orbit:
         """
         if n < 0:
             raise DomainError("negative iterate index")
-        if n < len(self._points) or self._fixed:
+        if n < len(self._points) or self._cycle_start is not None:
             return self[n].height
         if n in self._local_heights:
             return self._local_heights[n]
@@ -461,6 +469,8 @@ class Orbit:
                 return self._recurrence_height(n)
             if _switch_condition(self[j].height, n - j, consts):
                 return self._local_heights.setdefault(n, self._local_height(j, n))
+            if self._cycle_start is not None:
+                break
         return self[n].height
 
     def escape_index(self, n: int) -> Optional[int]:
@@ -498,16 +508,14 @@ class Orbit:
         orbit has escaped (escape_index), no iterate repeats and the heights
         follow a recurrence, so no further iterate is built.
         """
-        seen = {self._points[0]: 0}
         d = self.phi.d
         h_phi = self.phi.coefficient_height()
         for n in range(1, max_iter + 1):
             if self.escape_index(n - 1) is None:
                 current = self[n]
-                if current in seen:
-                    tail = seen[current]
+                tail = self._index[current]
+                if tail < n:
                     return Preperiodic(tail=tail, cycle=n - tail)
-                seen[current] = n
                 h = current.height
             else:
                 h = self.height(n)
@@ -562,10 +570,9 @@ class Orbit:
             s = h - r * L
             D = d * h + h_phi
             c = D - r * L
-            mons = BinaryMonomials(*window, d)
             tops = [
-                form.homogeneous_eval(mons).drop_low(c - d * s)
-                for form in (phi.F, phi.G)
+                value.drop_low(c - d * s)
+                for value in binary_form_values((phi.F, phi.G), *window, d)
             ]
             M = c + max(top.degree for top in tops)
             if M < D - L:
@@ -574,8 +581,7 @@ class Orbit:
                 )
             g = Poly.one()
             if residues is not None:
-                mons = BinaryMonomials(*residues, d)
-                values = [form.homogeneous_eval(mons) % mod for form in (phi.F, phi.G)]
+                values = [v % mod for v in binary_form_values((phi.F, phi.G), *residues, d)]
                 g = common_factor(*values, res)
                 if g.degree:
                     values = [v.exact_div(g) for v in values]
@@ -662,7 +668,7 @@ def _stable_increment(
     if R.is_constant:  # no holes
         return m
     # check (a): C(x0, x1) is a unit mod R
-    value = C.homogeneous_eval(BinaryMonomials(Q.x0 % R, Q.x1 % R, c))
+    value = C.homogeneous_eval(Q.x0 % R, Q.x1 % R, c)
     return m if _is_unit(value % R, R) else None
 
 
@@ -736,8 +742,8 @@ def _reduction_holes(phi: RationalMap) -> Optional[tuple[Poly, ZPoly, int]]:
     F1, G1 = _form_quotient((d, F), C, R), _form_quotient((d, G), C, R)
     if not _is_unit(_form_resultant(F1, G1) % R, R):
         return None
-    mons = BinaryMonomials(ZPoly(tuple(F1[1])), ZPoly(tuple(G1[1])), C[0])
-    P = (C[0] * F1[0], _ring_trim(ZPoly(tuple(C[1])).homogeneous_eval(mons).coeffs, R))
+    value = ZPoly(tuple(C[1])).homogeneous_eval(ZPoly(tuple(F1[1])), ZPoly(tuple(G1[1])), C[0])
+    P = (C[0] * F1[0], _ring_trim(value.coeffs, R))
     while P[1] and P[0] > 0:
         g = _form_gcd(P, C, R)
         if g is None or g[0] == 0:

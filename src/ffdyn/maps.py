@@ -18,9 +18,9 @@ from typing import Optional
 from .errors import DomainError
 from .function_field import FieldElement, Place, PlaceSet
 from .polynomials import (
-    BinaryMonomials,
     Poly,
     ZPoly,
+    binary_form_values,
     factor_tpoly,
     poly_gcd,
     primitive_pair,
@@ -260,16 +260,14 @@ def apply_map(phi: RationalMap, P: ProjectivePoint) -> ProjectivePoint:
     """Evaluate phi at P with projective re-normalization.
 
     The coordinates of P and the coefficients of F and G are integers, so
-    every product runs on integers. F and G share one table of monomials
-    x0^i * x1^(d-i).
+    every product runs on integers. F and G share the powers and monomials
+    x0^i * x1^(d-i) (``binary_form_values``).
 
     Any common factor of the evaluated pair divides the resultant, so it is
     common_factor(A, B, Res): a gcd of remainders of degree below deg Res,
     much cheaper than a gcd of A and B at large orbit heights.
     """
-    mons = BinaryMonomials(P.x0, P.x1, phi.d)
-    A = phi.F.homogeneous_eval(mons)
-    B = phi.G.homogeneous_eval(mons)
+    A, B = binary_form_values((phi.F, phi.G), P.x0, P.x1, phi.d)
     if B.is_zero:
         return ProjectivePoint.infinity()
     if A.is_zero:
@@ -294,10 +292,7 @@ def compose(phi: RationalMap, psi: RationalMap) -> RationalMap:
     is normalized."""
     if phi.d < 1 or psi.d < 1:
         raise DomainError("composition requires degrees >= 1")
-    mons = BinaryMonomials(psi.F, psi.G, phi.d)
-    F = phi.F.homogeneous_eval(mons)
-    G = phi.G.homogeneous_eval(mons)
-    out = _normalize_coprime(F, G)
+    out = _normalize_coprime(*binary_form_values((phi.F, phi.G), psi.F, psi.G, phi.d))
     if out.d != phi.d * psi.d:
         raise DomainError("degenerate composition: degree dropped")
     return out
@@ -402,7 +397,7 @@ def max_fiber_ram(phi: RationalMap, m: int, A: ProjectivePoint) -> int:
     W = fiber_polynomial(phi, A)
     if m > 1:
         psi = power(phi, m - 1)
-        W = W.homogeneous_eval(BinaryMonomials(psi.F, psi.G, phi.d))
+        W = W.homogeneous_eval(psi.F, psi.G, phi.d)
     if W.degree > 0 and coprime_by_specialization(W, W.derivative_z()):
         # W is squarefree over K (characteristic 0): one part, multiplicity 1
         mults = [1]
@@ -485,13 +480,28 @@ class SpecialForm(Enum):
 
 
 def _pure_linear_power_root(W: ZPoly, d: int) -> Optional[FieldElement]:
-    """Root g with W = c*(z - g)^d, or None if W is not such a power."""
+    """Root g with W = c*(z - g)^d, or None if W is not such a power.
+
+    Decided by the identity in Q[t][z]
+
+        (d W_d)^d * W = W_d * (d W_d z + W_(d-1))^d.
+
+    If W = c (z - h)^d with c, h in K, then W_d = c and W_(d-1) = -d c h,
+    so h = -W_(d-1)/(d W_d) and d W_d z + W_(d-1) = d W_d (z - h): the
+    right side is W_d (d W_d)^d (z - h)^d, the left side. Conversely, if
+    the identity holds, dividing by (d W_d)^d != 0 gives W = W_d (z - h)^d
+    with that h. The power is one evaluation of the form x0^d at
+    (d W_d z + W_(d-1), 1); no element of K is built unless W is a power.
+    """
     if W.degree != d:
         return None
-    g = FieldElement.make(-W.coeff(d - 1), W.leading.scale(d))
-    if _linear_root_multiplicity(W, g) == d:
-        return g
-    return None
+    top, sub = W.coeffs[d], W.coeffs[d - 1]
+    lead = top.scale(d)
+    x0_power = ZPoly((Poly.zero(),) * d + (Poly.one(),))
+    power = x0_power.homogeneous_eval(ZPoly((sub, lead)), ZPoly.one(), d)
+    if W.scale_poly(lead**d) != power.scale_poly(top):
+        return None
+    return FieldElement.make(-sub, lead)
 
 
 def special_form_classify(phi: RationalMap) -> SpecialForm:

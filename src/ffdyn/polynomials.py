@@ -21,8 +21,16 @@ Kernels, all on the integer numerators:
 - multiply: the schoolbook product below a crossover, Kronecker substitution
   above it (Harvey, "Faster polynomial multiplication via multipoint
   Kronecker substitution", JSC 2009: pack each operand into one integer,
-  multiply once, unpack). The choice depends on the shorter operand's
-  length alone; see ``_KRONECKER_MIN_LEN`` for the measurement.
+  multiply once, unpack). The crossover depends on the shorter operand's
+  length and, for distinct operands, on the size of the top coefficients;
+  a schoolbook square takes each cross product once. See
+  ``_KRONECKER_MIN_LEN`` for the measurement.
+- binary-form evaluation (``binary_form_values``): the degree-d
+  homogenizations of several forms at one pair (a, b), both in Q[t] or both
+  in Q[t][z], on integer lists. The forms share the powers of a and b;
+  rational coordinates become integers by homogeneity, and a pair in
+  Q[t][z] is flattened by z -> t^L, so a composition of maps is one
+  evaluation in Q[t] and its long products take Kronecker substitution.
 - exact division: integer long division against the primitive integer form
   of the divisor, stopping at the first quotient coefficient that is not
   an integer. Gauss's lemma makes the early exit sound: let P in Z[t] be
@@ -59,24 +67,37 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd, isqrt, lcm
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError
 
 # Shortest operand length (number of coefficients) from which a product runs
-# through Kronecker substitution. Measured on Python 3.11 (2-core Xeon VM),
-# min of five timings per cell, balanced operands with random signed
-# coefficients, Kronecker time / schoolbook time:
-#   bits    8: n=12 1.47, n=16 1.07, n=20 0.74, n=24 0.58
-#   bits   64: n=12 1.09, n=16 0.76, n=20 0.68, n=24 0.57
-#   bits  700: n=12 1.48, n=16 1.17, n=20 0.62, n=24 1.06, n=32 0.81
-#   bits 1500: n=12 1.09, n=16 1.07, n=20 0.99, n=24 0.91, n=32 0.79
-# Squares cross over a little earlier (n=16: 0.60-1.16). Against a length-256
-# operand of 1000 bits, a 1000-bit operand of length m gives 1.15 at m=16
-# and 0.61 at m=32. Map coefficients and base points (a few coefficients)
-# stay on the schoolbook side; deep orbit iterates (hundreds of
-# coefficients) go through Kronecker.
+# through Kronecker substitution: _KRONECKER_MIN_LEN, or _KRONECKER_BIG_LEN
+# for distinct operands when a top coefficient has _KRONECKER_BIG_BITS bits
+# or more. Measured on Python 3.11 (2-core Xeon VM), balanced operands with
+# random signed coefficients of the given bits, min of seven interleaved
+# timings per cell: Kronecker time / schoolbook time for distinct operands,
+# then Kronecker square / schoolbook square, which takes each cross product
+# once:
+#   bits      8: n=3 4.88/3.83, n=8 1.85/1.86, n=12 1.26/1.40, n=16 0.95/1.13
+#   bits     64: n=3 4.35/3.39, n=8 1.43/1.55, n=12 1.00/1.17, n=16 0.74/0.91
+#   bits   1500: n=3 3.32/3.12, n=8 1.46/2.29, n=12 1.25/1.54, n=16 1.08/1.37
+#   bits   4096: n=3 1.52/1.82, n=8 1.12/1.62, n=12 0.93/1.26, n=16 0.93/1.21
+#   bits  10000: n=3 1.61/2.12, n=8 1.21/1.61, n=12 1.06/1.52, n=16 0.86/1.23
+#   bits  30000: n=3 1.28/1.62, n=8 1.09/1.44, n=12 0.98/1.29, n=16 0.80/1.16
+#   bits 100000: n=3 1.37/1.68, n=8 1.14/1.37, n=12 0.89/1.36, n=16 0.72/1.15
+# At n=20 the 8- and 64-bit rows read 0.74/0.92 and 0.58/0.80, the squares
+# of 4096 bits or more 0.98-1.20; the 1500-bit row reads 0.95/1.16 at n=24.
+# Taking each cross product once makes a schoolbook square 0.47-0.75 times
+# as long as the plain product of n >= 3 coefficients with itself. Map
+# coefficients and base points (a few small coefficients) stay on the
+# schoolbook side; the short windows of Orbit.height, with 10^4-10^5-bit
+# coefficients, square on it and multiply through Kronecker from length 16;
+# deep orbit iterates (hundreds of coefficients) go through Kronecker.
 _KRONECKER_MIN_LEN = 20
+_KRONECKER_BIG_LEN = 16
+_KRONECKER_BIG_BITS = 4096
 
 
 def _as_fraction(c) -> Fraction:
@@ -113,7 +134,18 @@ def _canon(ints: Sequence[int], den: int) -> "Poly":
 
 
 def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if len(a) == 1:
+        x = a[0]
+        return [x * y for y in b]
     out = [0] * (len(a) + len(b) - 1)
+    if a is b:  # a square: each cross product a_i a_j, i < j, once, doubled
+        for i, x in enumerate(a):
+            if x:
+                out[2 * i] += x * x
+                x += x
+                for j in range(i + 1, len(a)):
+                    out[i + j] += x * a[j]
+        return out
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
@@ -157,9 +189,14 @@ def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product in Z[t] of nonzero a, b: schoolbook below the crossover
+    """Product in Z[t] of nonzero a, b: schoolbook below the crossover of
     ``_KRONECKER_MIN_LEN``, Kronecker substitution from it on."""
-    if min(len(a), len(b)) >= _KRONECKER_MIN_LEN:
+    n = min(len(a), len(b))
+    if n >= _KRONECKER_MIN_LEN or (
+        n >= _KRONECKER_BIG_LEN
+        and a is not b
+        and max(a[-1].bit_length(), b[-1].bit_length()) >= _KRONECKER_BIG_BITS
+    ):
         return _kronecker(a, b)
     return _schoolbook(a, b)
 
@@ -1172,18 +1209,10 @@ class ZPoly:
         """Largest t-degree among z-coefficients; -1 for the zero polynomial."""
         return max((c.degree for c in self.coeffs), default=-1)
 
-    def homogeneous_eval(self, mons: "BinaryMonomials"):
-        """Evaluate the degree-d homogenization at (a, b), where
-        mons = BinaryMonomials(a, b, d)."""
-        if mons.d < self.degree:
-            raise DomainError("homogenization degree below z-degree")
-        acc = None
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                m = mons[i]
-                term = m * c if isinstance(m, Poly) else m.scale_poly(c)
-                acc = term if acc is None else acc + term
-        return mons.zero if acc is None else acc
+    def homogeneous_eval(self, a, b, d: int):
+        """The degree-d homogenization at (a, b), both Poly or both ZPoly
+        (``binary_form_values`` of this one form)."""
+        return binary_form_values((self,), a, b, d)[0]
 
     def content_poly(self) -> Poly:
         """Monic gcd in Q[t] of all z-coefficients; zero for the zero poly."""
@@ -1280,39 +1309,83 @@ def _bareiss_det(M: list[list[list[int]]]) -> list[int]:
     return det if sign > 0 else [-c for c in det]
 
 
-class BinaryMonomials:
-    """The monomials a^i * b^(d-i), i = 0..d, of a binary form of degree d
-    at (a, b), for a, b both Poly or both ZPoly.
+def binary_form_values(forms: Sequence[ZPoly], a, b, d: int) -> list:
+    """The values F(a, b) = sum F_i a^i b^(d-i) of the degree-d
+    homogenizations of the forms, at a, b both Poly or both ZPoly.
 
-    Each monomial and each power is computed on first use and kept, so the
-    numerator and denominator of a map, evaluated at one point, share their
-    products, and a monomial no form uses is never computed.
+    One integer kernel serves every form:
+
+    - rational inputs become integers by homogeneity: with a = A/alpha,
+      b = B/beta and m = lcm(alpha, beta), F(a, b) = F(A m/alpha,
+      B m/beta) / m^d, and each form's coefficients are put over one
+      denominator, which divides out at the end;
+    - ZPoly arguments are flattened by z -> t^L, a ring map from Q[t][z]
+      to Q[t]. With L above the t-degree of every value, deg F + d *
+      max(deg_t a, deg_t b), the z-coefficients of a value are the
+      length-L slices of its image, so a composition is one evaluation in
+      Q[t];
+    - the powers of a and b and each monomial a^i b^(d-i) are computed once,
+      on first use, and shared by the forms; every product goes through
+      ``_int_mul``;
+    - each value, or each z-coefficient of a ZPoly value, is put in
+      canonical form once.
     """
+    if d < 0:
+        raise DomainError("negative homogenization degree")
+    if any(len(f.coeffs) > d + 1 for f in forms):
+        raise DomainError("homogenization degree below z-degree")
+    flat = not isinstance(a, Poly)
+    if flat:
+        h_forms = max([0] + [f.max_coeff_tdegree() for f in forms])
+        L = 1 + h_forms + d * max(0, a.max_coeff_tdegree(), b.max_coeff_tdegree())
+        (A, alpha), (B, beta) = _flatten(a, L), _flatten(b, L)
+    else:
+        A, alpha, B, beta = a.ints, a.den, b.ints, b.den
+    m = alpha if alpha == beta else lcm(alpha, beta)
+    if m != alpha:
+        A = [c * (m // alpha) for c in A]
+    if m != beta:
+        B = [c * (m // beta) for c in B]
+    pa, pb = [[1], A], [[1], B]  # the powers of A and B computed so far
+    mons: dict[int, list[int]] = {}
+    values = []
+    for f in forms:
+        den = lcm(*(c.den for c in f.coeffs))
+        acc: list[int] = []
+        for i, c in enumerate(f.coeffs):
+            # A^i B^(d-i) = 0 when A = 0 and i > 0, or B = 0 and i < d
+            if not c.ints or (i and not A) or (i < d and not B):
+                continue
+            mon = mons.get(i)
+            if mon is None:
+                while len(pa) <= i:
+                    pa.append(_int_mul(pa[-1], A))
+                while len(pb) <= d - i:
+                    pb.append(_int_mul(pb[-1], B))
+                mon = pa[i] if i == d else pb[d] if i == 0 else _int_mul(pa[i], pb[d - i])
+                mons[i] = mon
+            ci = c.ints if c.den == den else [x * (den // c.den) for x in c.ints]
+            term = _int_mul(ci, mon)
+            if len(acc) < len(term):
+                acc.extend([0] * (len(term) - len(acc)))
+            acc[: len(term)] = map(add, acc, term)
+        den *= m**d
+        if flat:
+            values.append(
+                ZPoly(_ztrim([_canon(acc[k : k + L], den) for k in range(0, len(acc), L)]))
+            )
+        else:
+            values.append(_canon(acc, den))
+    return values
 
-    def __init__(self, a, b, d: int):
-        if d < 0:
-            raise DomainError("negative homogenization degree")
-        one = Poly.one() if isinstance(a, Poly) else ZPoly.one()
-        self.d = d
-        self.zero = Poly.zero() if isinstance(a, Poly) else ZPoly.zero()
-        self._pows = ([one, a], [one, b])
-        self._mons: dict[int, object] = {}
 
-    def _pow(self, k: int, e: int):
-        pows = self._pows[k]
-        while len(pows) <= e:
-            pows.append(pows[-1] * pows[1])
-        return pows[e]
-
-    def __getitem__(self, i: int):
-        m = self._mons.get(i)
-        if m is None:
-            j = self.d - i
-            if j == 0:
-                m = self._pow(0, i)
-            elif i == 0:
-                m = self._pow(1, j)
-            else:
-                m = self._pow(0, i) * self._pow(1, j)
-            self._mons[i] = m
-        return m
+def _flatten(f: ZPoly, L: int) -> tuple[list[int], int]:
+    """(the integer numerator, the denominator) of f(t, t^L) in Q[t]."""
+    den = lcm(*(c.den for c in f.coeffs))
+    out = [0] * (L * len(f.coeffs))
+    for k, c in enumerate(f.coeffs):
+        scale = den // c.den
+        out[k * L : k * L + len(c.ints)] = c.ints if scale == 1 else [x * scale for x in c.ints]
+    while out and not out[-1]:
+        out.pop()
+    return out, den

@@ -6,6 +6,12 @@
 - fraction_mul, fraction_divmod, fraction_gcd: schoolbook product, long
   division and Euclid's gcd on lists of Fractions, against the integer
   kernels of polynomials.Poly.
+- BinaryMonomials, monomial_table_eval: the degree-d homogenization of a
+  form evaluated at a pair (a, b), both Poly or both ZPoly, from a table of
+  the monomials a^i * b^(d-i) built by Poly and ZPoly arithmetic, one
+  canonical Poly per power, monomial, product and partial sum, against
+  polynomials.binary_form_values, the integer kernel that flattens ZPoly
+  pairs by z -> t^L.
 - sympy_poly_gcd: the monic gcd in Q[t] from sympy's ``dup_gcd`` over ZZ
   (its heuristic gcd with a PRS fallback), against the native
   polynomials.poly_gcd.
@@ -170,6 +176,50 @@ def fraction_gcd(a: Poly, b: Poly) -> Poly:
         if not b.is_zero:
             b = b.scale(1 / b.leading)
     return a.scale(1 / a.leading) if not a.is_zero else a
+
+
+class BinaryMonomials:
+    """The monomials a^i * b^(d-i), i = 0..d, of a binary form of degree d
+    at (a, b), for a, b both Poly or both ZPoly, each computed on first use
+    and kept."""
+
+    def __init__(self, a, b, d: int):
+        one = Poly.one() if isinstance(a, Poly) else ZPoly.one()
+        self.d = d
+        self.zero = Poly.zero() if isinstance(a, Poly) else ZPoly.zero()
+        self._pows = ([one, a], [one, b])
+        self._mons: dict[int, object] = {}
+
+    def _pow(self, k: int, e: int):
+        pows = self._pows[k]
+        while len(pows) <= e:
+            pows.append(pows[-1] * pows[1])
+        return pows[e]
+
+    def __getitem__(self, i: int):
+        m = self._mons.get(i)
+        if m is None:
+            j = self.d - i
+            if j == 0:
+                m = self._pow(0, i)
+            elif i == 0:
+                m = self._pow(1, j)
+            else:
+                m = self._pow(0, i) * self._pow(1, j)
+            self._mons[i] = m
+        return m
+
+
+def monomial_table_eval(form: ZPoly, a, b, d: int):
+    """sum form_i * a^i * b^(d-i) over the monomial table, d >= deg form."""
+    assert d >= form.degree
+    mons = BinaryMonomials(a, b, d)
+    acc = mons.zero
+    for i, c in enumerate(form.coeffs):
+        if not c.is_zero:
+            m = mons[i]
+            acc = acc + (m * c if isinstance(m, Poly) else m.scale_poly(c))
+    return acc
 
 
 def sympy_poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -49,7 +49,7 @@ from ffdyn.maps import (
     mobius_inverse,
 )
 from ffdyn import maps
-from ffdyn.polynomials import BinaryMonomials, Poly, ZPoly, poly_gcd
+from ffdyn.polynomials import Poly, ZPoly, poly_gcd
 from ffdyn.randgen import (
     rand_field_elem,
     rand_fraction,
@@ -61,6 +61,7 @@ from ffdyn.randgen import (
 from ffdyn.sympybridge import sqf_zpoly_over_k, zpoly_gcd_over_k
 from oracles import (
     exceptional_by_second_iterate,
+    monomial_table_eval,
     polynomial_iterate_by_power,
     resultant_sylvester,
 )
@@ -369,10 +370,23 @@ def test_readme_maps_and_compose_call_no_kz_gcd(count_calls):
         psi = compose(phi, phi)
         assert psi.d == phi.d**2
         assert psi == _normalize_by_gcd(
-            phi.F.homogeneous_eval(BinaryMonomials(phi.F, phi.G, phi.d)),
-            phi.G.homogeneous_eval(BinaryMonomials(phi.F, phi.G, phi.d)),
+            phi.F.homogeneous_eval(phi.F, phi.G, phi.d),
+            phi.G.homogeneous_eval(phi.F, phi.G, phi.d),
         )
     assert calls == []
+
+
+def test_compose_matches_the_monomial_table_route():
+    # the flattened kernel against the ZPoly monomial table, on composites
+    # of several degrees and heights
+    rng = Random(29)
+    phis = [parse_rational_map(text) for text in _README_MAPS]
+    phis += [rand_map(rng, d=rng.randint(2, 3), coeff_deg=3, cmax=9) for _ in range(6)]
+    phis.append(power(phis[0], 3))
+    for phi in phis:
+        for psi in rng.sample(phis, 4):
+            F, G = (monomial_table_eval(form, psi.F, psi.G, phi.d) for form in (phi.F, phi.G))
+            assert compose(phi, psi) == maps._normalize_coprime(F, G)
 
 
 def test_max_fiber_ram_matches_squarefree_decomposition():
@@ -711,6 +725,35 @@ def test_special_form_classify(quad_poly_map, monomial_map):
         == SpecialForm.QUOTIENT
     )
     assert special_form_classify(parse_rational_map("1/z^2")) == SpecialForm.MONOMIAL
+
+
+def _linear_power(c: Poly, g: FieldElement, d: int) -> ZPoly:
+    """c * (den(g) z - num(g))^d, a d-th power with root g."""
+    return (ZPoly.of(-g.num, g.den) ** d).scale_poly(c)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_pure_power_root_matches_synthetic_division(d):
+    # powers with a root outside Q[t], near misses that differ from one only
+    # in the constant term, and random forms, against the multiplicity of
+    # the only candidate root -W_(d-1)/(d W_d)
+    rng = Random(40 + d)
+    for _ in range(20):
+        g = rand_field_elem(rng, max_deg=2, nonzero=rng.random() < 0.8)
+        W = _linear_power(rand_tpoly(rng, 2, nonzero=True), g, d)
+        near = W + ZPoly.of(rand_tpoly(rng, 0, nonzero=True))
+        other = ZPoly.from_list(
+            [rand_tpoly(rng, 2) for _ in range(d)] + [rand_tpoly(rng, 2, nonzero=True)]
+        )
+        assert maps._pure_linear_power_root(W, d) == g
+        for V in (W, near, other):
+            root = FieldElement.make(-V.coeff(d - 1), V.leading.scale(d))
+            found = maps._pure_linear_power_root(V, d)
+            if maps._linear_root_multiplicity(V, root) == d:
+                assert found == root
+            else:
+                assert found is None
+        assert maps._pure_linear_power_root(near, d) is None
 
 
 def test_is_polynomial_iterate(quad_poly_map, quad_quotient_map):

@@ -35,7 +35,7 @@ from ffdyn import (
     unit_hits,
 )
 from ffdyn.errors import DomainError, OrbitBudgetError
-from ffdyn.heights import HeightInterval
+from ffdyn.heights import HeightInterval, Preperiodic
 from ffdyn.mult_dependence import DependenceSolution
 from ffdyn.randgen import rand_map, rand_point
 
@@ -152,6 +152,25 @@ def test_a_fixed_iterate_is_stepped_once(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli_main(argv) == 0
     assert sum(steps.values()) == 5 and steps[pt("inf")] == 1
+
+
+def test_a_periodic_cycle_is_stepped_once(monkeypatch):
+    # 0 -> -1 -> 0 under z^2 - 1: the depth-200 interval applies phi twice,
+    # as classify does, and reads every later iterate from the cycle
+    phi, P = parse_rational_map("z^2-1"), pt("0")
+    calls = []
+    apply_map = ffdyn.heights.apply_map
+
+    def counting(phi, Q):
+        calls.append(Q)
+        return apply_map(phi, Q)
+
+    monkeypatch.setattr(ffdyn.heights, "apply_map", counting)
+    orbit = Orbit(phi, P)
+    assert orbit.hhat(200) == HeightInterval(Fraction(0), Fraction(0))
+    assert calls == [pt("0"), pt("-1")]
+    assert [orbit[n] for n in (199, 200, 201)] == [pt("-1"), pt("0"), pt("-1")]
+    assert orbit.classify() == Preperiodic(tail=0, cycle=2) and len(calls) == 2
 
 
 def test_truncated_heights_are_kept(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ import ffdyn.heights
 from ffdyn import Orbit, canonical_height, parse_point, parse_rational_map
 from ffdyn.errors import DomainError, OrbitBudgetError
 from ffdyn.heights import HeightInterval, _local_constants, _switch_condition
-from ffdyn.polynomials import BinaryMonomials, poly_gcd
+from ffdyn.polynomials import poly_gcd
 from ffdyn.randgen import rand_map, rand_point
 
 
@@ -40,9 +40,8 @@ def local_heights_agree(phi, P, n_max):
 
 def step_losses(phi, Q):
     """(D - M, deg gcd(A, B)) for the step from Q, from the global iterate."""
-    mons = BinaryMonomials(Q.x0, Q.x1, phi.d)
-    A = phi.F.homogeneous_eval(mons)
-    B = phi.G.homogeneous_eval(mons)
+    A = phi.F.homogeneous_eval(Q.x0, Q.x1, phi.d)
+    B = phi.G.homogeneous_eval(Q.x0, Q.x1, phi.d)
     D = phi.d * Q.height + phi.coefficient_height()
     return D - max(A.degree, B.degree), poly_gcd(A, B).degree
 

@@ -19,10 +19,12 @@ from ffdyn.exprs import parse_rational_map
 from ffdyn.maps import resultant
 import ffdyn.polynomials as polynomials
 from ffdyn.polynomials import (
+    _KRONECKER_BIG_BITS,
+    _KRONECKER_BIG_LEN,
     _KRONECKER_MIN_LEN,
-    BinaryMonomials,
     Poly,
     ZPoly,
+    binary_form_values,
     factor_tpoly,
     is_irreducible_tpoly,
     poly_gcd,
@@ -34,6 +36,7 @@ from oracles import (
     fraction_divmod,
     fraction_gcd,
     fraction_mul,
+    monomial_table_eval,
     resultant_sylvester,
     sympy_dup_factor_tpoly,
     sympy_factor_tpoly,
@@ -189,6 +192,25 @@ def test_mul_matches_fraction_oracle(a, b):
     p = a * b
     assert p == fraction_mul(a, b)
     assert_canonical(p)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 3, _KRONECKER_BIG_LEN - 1, _KRONECKER_BIG_LEN, _KRONECKER_MIN_LEN - 1]
+)
+def test_big_coefficient_products_match_fraction_oracle(n):
+    # both sides of the size rule of _int_mul: a top coefficient of exactly
+    # _KRONECKER_BIG_BITS bits, and the schoolbook square below the crossover
+    rng = Random(n)
+    bound = 1 << _KRONECKER_BIG_BITS
+
+    def poly(length):
+        body = [rng.randrange(-bound, bound) for _ in range(length - 1)]
+        return Poly.from_list(body + [-(bound >> 1) - rng.randrange(bound >> 1)])
+
+    a, b = poly(n), poly(n + 2)
+    assert a.ints[-1].bit_length() == _KRONECKER_BIG_BITS
+    assert a * b == fraction_mul(a, b)
+    assert a * a == fraction_mul(a, a)
 
 
 @given(polys_of_length())
@@ -418,18 +440,53 @@ def test_homogeneous_eval_matches_substitution():
     f = ZPoly.of(Poly.t(), 0, 1)
     a, b = Poly.of(1, 1), Poly.of(0, 2)
     direct = a * a + Poly.t() * b * b
-    assert f.homogeneous_eval(BinaryMonomials(a, b, 2)) == direct
+    assert f.homogeneous_eval(a, b, 2) == direct
     # degree-3 homogenization multiplies by the extra power of b
-    assert f.homogeneous_eval(BinaryMonomials(a, b, 3)) == direct * b
+    assert f.homogeneous_eval(a, b, 3) == direct * b
 
 
 def test_homogeneous_eval_zpoly_arguments():
     # composing z^2 + t with itself through the homogeneous route
     f = ZPoly.of(Poly.t(), 0, 1)
-    F = f.homogeneous_eval(BinaryMonomials(f, ZPoly.one(), 2))
+    F = f.homogeneous_eval(f, ZPoly.one(), 2)
     # (z^2+t)^2 + t
     expected = f * f + ZPoly.of(Poly.t())
     assert F == expected
+
+
+# signed integers up to 2^300 and rationals, as the residue paths pass
+kernel_coeffs = st.one_of(
+    st.integers(-(1 << 300), 1 << 300),
+    st.integers(-9, 9),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+)
+kernel_polys = st.lists(kernel_coeffs, max_size=4).map(Poly.from_list)
+kernel_zpolys = st.lists(kernel_polys, max_size=3).map(ZPoly.from_list)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_binary_form_values_match_the_monomial_table(data):
+    # Poly and ZPoly pairs, d = 1..5, zero coordinates, forms of degree < d
+    d = data.draw(st.integers(1, 5), label="d")
+    form = st.lists(kernel_polys, max_size=d + 1).map(ZPoly.from_list)
+    forms = data.draw(st.lists(form, min_size=1, max_size=3), label="forms")
+    coordinates, zero = data.draw(
+        st.sampled_from(((kernel_polys, Poly.zero()), (kernel_zpolys, ZPoly.zero())))
+    )
+    a = data.draw(st.one_of(st.just(zero), coordinates), label="a")
+    b = data.draw(coordinates, label="b")
+    expected = [monomial_table_eval(f, a, b, d) for f in forms]
+    assert binary_form_values(forms, a, b, d) == expected
+    assert forms[0].homogeneous_eval(a, b, d) == expected[0]
+
+
+def test_homogeneous_eval_rejects_a_degree_below_the_form():
+    f = ZPoly.of(Poly.t(), 0, 1)
+    with pytest.raises(DomainError):
+        f.homogeneous_eval(Poly.one(), Poly.one(), 1)
+    with pytest.raises(DomainError):
+        binary_form_values((f,), Poly.one(), Poly.one(), -1)
 
 
 def test_zpoly_content_and_exact_div():

@@ -20,7 +20,7 @@ from ffdyn.heights import (
     _term_degrees,
 )
 from ffdyn.maps import resultant
-from ffdyn.polynomials import BinaryMonomials, Poly, poly_gcd
+from ffdyn.polynomials import Poly, poly_gcd
 
 from oracles import GlobalOrbit
 
@@ -51,8 +51,9 @@ def losses(phi, P, n_max):
     orbit = GlobalOrbit(phi, P, 1 << 14)
     out = []
     for n in range(n_max):
-        mons = BinaryMonomials(orbit[n].x0, orbit[n].x1, phi.d)
-        out.append(poly_gcd(phi.F.homogeneous_eval(mons), phi.G.homogeneous_eval(mons)).degree)
+        x0, x1 = orbit[n].x0, orbit[n].x1
+        A, B = (form.homogeneous_eval(x0, x1, phi.d) for form in (phi.F, phi.G))
+        out.append(poly_gcd(A, B).degree)
     return out
 
 
