@@ -30,9 +30,9 @@ from .polynomials import (
     Poly,
     ZPoly,
     binary_form_values,
+    form_resultant,
     poly_gcd,
     primitive_pair,
-    resultant_z,
 )
 
 DEFAULT_HEIGHT_BUDGET = 1 << 14
@@ -740,9 +740,10 @@ def _reduction_holes(phi: RationalMap) -> Optional[tuple[Poly, ZPoly, int]]:
     if C is None:
         return None
     F1, G1 = _form_quotient((d, F), C, R), _form_quotient((d, G), C, R)
-    if not _is_unit(_form_resultant(F1, G1) % R, R):
+    F1z, G1z = ZPoly(tuple(F1[1])), ZPoly(tuple(G1[1]))
+    if not _is_unit(form_resultant(F1z, G1z, F1[0]) % R, R):
         return None
-    value = ZPoly(tuple(C[1])).homogeneous_eval(ZPoly(tuple(F1[1])), ZPoly(tuple(G1[1])), C[0])
+    value = ZPoly(tuple(C[1])).homogeneous_eval(F1z, G1z, C[0])
     P = (C[0] * F1[0], _ring_trim(value.coeffs, R))
     while P[1] and P[0] > 0:
         g = _form_gcd(P, C, R)
@@ -821,21 +822,6 @@ def _form_quotient(f: tuple, c: tuple, R: Poly) -> tuple:
     while q and q[-1].is_zero:
         q.pop()
     return ef - ec, q
-
-
-def _form_resultant(f: tuple, g: tuple) -> Poly:
-    """Res(f, g) in Q[t], up to sign, for two forms of the same degree e:
-    the affine resultant times the leading coefficient of the side of
-    z-degree e to the degree gap, as in maps.resultant; 0 when neither side
-    has z-degree e (x1 divides both) or one form is 0, 1 for e = 0."""
-    (e, a), (_, b) = f, g
-    if e == 0:
-        return Poly.one()
-    if len(a) - 1 < e:
-        a, b = b, a
-    if len(a) - 1 < e or not b:
-        return Poly.zero()
-    return resultant_z(ZPoly(tuple(a)), ZPoly(tuple(b))) * a[-1] ** (e - len(b) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Optional
 
 from .errors import DomainError
@@ -22,10 +21,10 @@ from .polynomials import (
     ZPoly,
     binary_form_values,
     factor_tpoly,
+    form_resultant,
     poly_gcd,
     primitive_pair,
     rational_content,
-    resultant_z,
 )
 from .sympybridge import factor_zpoly_over_k, sqf_zpoly_over_k, zpoly_gcd_over_k
 
@@ -125,13 +124,12 @@ _SPECIALIZATION_POINTS = (1, -1, 2, -2, 3)
 def _specialize(f: ZPoly, t0: int) -> Poly:
     """f(t0, z) in Q[z] times the lcm of the denominators of f, as a Poly in
     the variable z; the positive factor changes neither degree nor gcd."""
-    m = lcm(*(p.den for p in f.coeffs))
     values = []
-    for p in f.coeffs:
+    for row in f.integer_rows[0]:
         v = 0
-        for c in reversed(p.ints):
+        for c in reversed(row):
             v = v * t0 + c
-        values.append(v * (m // p.den))
+        values.append(v)
     while values and not values[-1]:
         values.pop()
     return Poly(tuple(values), 1)
@@ -167,13 +165,18 @@ def _z_order(f: ZPoly) -> int:
 def normalize_map(Fraw: ZPoly, Graw: ZPoly) -> RationalMap:
     """Bring a fraction of z-polynomials over K into normalized form.
 
-    A common power of z is divided out first. The K[z] gcd is computed only
-    if ``coprime_by_specialization`` cannot then certify that F and G are
-    coprime."""
+    A zero side makes a constant map, 0/1 or 1/0, of degree 0. Otherwise a
+    common power of z is divided out first, and the K[z] gcd is computed
+    only if ``coprime_by_specialization`` cannot then certify that F and G
+    are coprime."""
     if Fraw.is_zero and Graw.is_zero:
         raise DomainError("numerator and denominator both zero")
     F, G = Fraw, Graw
-    if not F.is_zero and not G.is_zero:
+    if F.is_zero:
+        G = ZPoly.one()
+    elif G.is_zero:
+        F = ZPoly.one()
+    else:
         k = min(_z_order(F), _z_order(G))
         if k:
             F, G = ZPoly(F.coeffs[k:]), ZPoly(G.coeffs[k:])
@@ -216,19 +219,12 @@ def require_dynamical(phi: RationalMap) -> None:
 
 @lru_cache(maxsize=512)
 def resultant(phi: RationalMap) -> Poly:
-    """Res_z of the degree-d homogenizations of F and G; nonzero in k[t],
-    normalized primitive with positive leading coefficient.
-
-    Computed from the affine resultant with the standard correction
-    lc^(d - deg) for the side of exact degree d; a degree-d side always
-    exists since d = max(deg F, deg G)."""
-    d = phi.d
-    affine = resultant_z(phi.F, phi.G)
-    if phi.F.degree == d:
-        corr = phi.F.coeff(d) ** (d - phi.G.degree)
-    else:
-        corr = phi.G.coeff(d) ** (d - phi.F.degree)
-    det = affine * corr
+    """Res_z of the degree-d homogenizations of F and G (``form_resultant``;
+    a side of z-degree d exists since d = max(deg F, deg G)); nonzero in
+    k[t], normalized primitive with positive leading coefficient."""
+    if phi.F.is_zero or phi.G.is_zero:
+        raise DomainError("resultant of zero polynomial")
+    det = form_resultant(phi.F, phi.G, phi.d)
     if det.is_zero:
         raise DomainError("zero resultant: numerator and denominator share a root")
     return det.primitive()
@@ -327,12 +323,6 @@ class FiberDecomposition:
     infinity_multiplicity: int
     map_degree: int
 
-    def multiplicities(self) -> list[int]:
-        out = [m for _, m in self.factors]
-        if self.infinity_multiplicity > 0:
-            out.append(self.infinity_multiplicity)
-        return out
-
     def degree_sum(self) -> int:
         return (
             sum(f.degree * m for f, m in self.factors) + self.infinity_multiplicity
@@ -357,33 +347,20 @@ def fiber(phi: RationalMap, A: ProjectivePoint) -> FiberDecomposition:
     return fd
 
 
-def _linear_root_multiplicity(W: ZPoly, p: FieldElement) -> int:
-    """Multiplicity of z = p as a root of W, by synthetic division over K."""
-    coeffs = [FieldElement.from_poly(c) for c in W.coeffs]
-    e = 0
-    while len(coeffs) > 1:
-        acc = coeffs[-1]
-        quot = [acc]  # quotient coefficients, highest degree first
-        for c in reversed(coeffs[1:-1]):
-            acc = acc * p + c
-            quot.append(acc)
-        rem = acc * p + coeffs[0]
-        if not rem.is_zero:
-            return e
-        coeffs = list(reversed(quot))
-        e += 1
-    return e
-
-
 def ramification_index(phi: RationalMap, P: ProjectivePoint) -> int:
-    """Vanishing order e_P(phi) of phi(z) - phi(P) at P (>= 1)."""
+    """Vanishing order e_P(phi) of phi(z) - phi(P) at P (>= 1): at infinity
+    d - deg W for the fiber polynomial W over phi(P); at P = [x0 : x1]
+    finite, the multiplicity of the root x0/x1 of W, which is the z-order
+    of x1^n W(x0/x1 + z) = sum W_i (x0 + x1 z)^i x1^(n-i), n = deg W, one
+    binary-form evaluation at (x0 + x1 z, x1)."""
     if phi.d < 1:
         raise DomainError("ramification requires degree >= 1")
     A = apply_map(phi, P)
     W = fiber_polynomial(phi, A)
     if P.is_infinite:
         return phi.d - W.degree
-    e = _linear_root_multiplicity(W, P.affine())
+    shifted = W.homogeneous_eval(ZPoly((P.x0, P.x1)), ZPoly((P.x1,)), W.degree)
+    e = _z_order(shifted)
     assert e >= 1
     return e
 

@@ -376,6 +376,11 @@ def estimate_gamma(
     using the certified lower bound of the log term (conservative)."""
     if not instances:
         raise DomainError("no instances supplied")
+    # checked once here, as gamma_set would reject every instance alike
+    if not (0 < Fraction(eps) <= 1):
+        raise DomainError("eps must lie in (0, 1]")
+    if depth < 1:
+        raise DomainError("depth must be positive")
     if N < 0:
         raise DomainError("scan bound must be nonnegative")
     records = []

@@ -31,6 +31,7 @@ Kernels, all on the integer numerators:
   rational coordinates become integers by homogeneity, and a pair in
   Q[t][z] is flattened by z -> t^L, so a composition of maps is one
   evaluation in Q[t] and its long products take Kronecker substitution.
+  A product in Q[t][z] (``ZPoly.__mul__``) is one such flattened product.
 - exact division: integer long division against the primitive integer form
   of the divisor, stopping at the first quotient coefficient that is not
   an integer. Gauss's lemma makes the early exit sound: let P in Z[t] be
@@ -52,8 +53,12 @@ Kernels, all on the integer numerators:
   the Landau-Mignotte bound and recombination by exact division (von zur
   Gathen and Gerhard, "Modern Computer Algebra", Chapters 14 and 15).
 - resultant in z (``resultant_z``): a fraction-free Bareiss determinant
-  of the Sylvester matrix over Z[t] (the same book, Chapter 6).
+  of the Sylvester matrix over Z[t] (the same book, Chapter 6);
+  ``form_resultant`` corrects it to the resultant of two binary forms.
 - content, primitive part and monic associate: one pass each.
+
+A ``ZPoly`` in Q[t][z] holds Poly z-coefficients, lowest first; the
+kernels and the sympy bridge read its integer view ``integer_rows``.
 
 No sympy is imported here; ``sympybridge`` keeps the K[z] routines that
 still use it.
@@ -64,7 +69,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from math import gcd, isqrt, lcm
 from operator import add
@@ -635,7 +640,8 @@ def _eval_pow2(f: Sequence[int], k: int) -> int:
     r = max(1, -(-max(map(abs, f)).bit_length() // (8 * k)))
     if r == 1:
         return _pack(f, k)
-    return sum(_pack(f[j::r], r * k) << (8 * k * j) for j in range(r))
+    # the classes from len(f) on are empty and pack to 0
+    return sum(_pack(f[j::r], r * k) << (8 * k * j) for j in range(min(r, len(f))))
 
 
 def _gcd_degree_mod_p(f: Sequence[int], g: Sequence[int]) -> Optional[int]:
@@ -1109,6 +1115,18 @@ class ZPoly:
 
     coeffs: tuple[Poly, ...]
 
+    @cached_property
+    def integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, m): the integer numerators of m*f's z-coefficients, one
+        row per power of z, lowest first, with m the lcm of the
+        denominators. The one place where a ZPoly's denominators are
+        cleared; computed once per ZPoly (the cache sits in the instance
+        dict, outside the dataclass fields, so == and hash ignore it)."""
+        m = lcm(*(c.den for c in self.coeffs))
+        rows = tuple(c.ints if c.den == m else tuple(x * (m // c.den) for x in c.ints)
+                     for c in self.coeffs)
+        return rows, m
+
     @staticmethod
     def of(*coeffs) -> "ZPoly":
         out = []
@@ -1168,16 +1186,14 @@ class ZPoly:
         return self + (-other)
 
     def __mul__(self, other: "ZPoly") -> "ZPoly":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        """One product in Z[t] after z -> t^L, L above the t-degree of every
+        z-coefficient of the product (``binary_form_values``)."""
+        if self.is_zero or other.is_zero:
             return ZPoly(())
-        out = [Poly.zero()] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca.is_zero:
-                for j, cb in enumerate(b):
-                    if not cb.is_zero:
-                        out[i + j] = out[i + j] + ca * cb
-        return ZPoly(_ztrim(out))
+        L = self.max_coeff_tdegree() + other.max_coeff_tdegree() + 1
+        a, ma = _flatten(self, L)
+        b, mb = (a, ma) if other is self else _flatten(other, L)
+        return _unflatten(_int_mul(a, b), L, ma * mb)
 
     def scale_poly(self, p: Poly) -> "ZPoly":
         if p.is_zero:
@@ -1257,7 +1273,8 @@ def resultant_z(f: ZPoly, g: ZPoly) -> Poly:
         return g.coeffs[0] ** a
     if a < b:
         f, g, a, b = g, f, b, a
-    (F, mf), (G, mg) = _integral_rows(f), _integral_rows(g)
+    (F, mf), (G, mg) = f.integer_rows, g.integer_rows
+    F, G = [list(r) for r in reversed(F)], [list(r) for r in reversed(G)]
     n = a + b
     M = [[[]] * n for _ in range(n)]
     for r in range(b):
@@ -1267,11 +1284,26 @@ def resultant_z(f: ZPoly, g: ZPoly) -> Poly:
     return _canon(_bareiss_det(M), mf**b * mg**a)
 
 
-def _integral_rows(f: ZPoly) -> tuple[list[list[int]], int]:
-    """(the integer numerators of m*f's z-coefficients, highest z-degree
-    first, m) with m the lcm of their denominators."""
-    m = lcm(*(c.den for c in f.coeffs))
-    return [[x * (m // c.den) for x in c.ints] for c in reversed(f.coeffs)], m
+def form_resultant(f: ZPoly, g: ZPoly, d: int) -> Poly:
+    """Resultant of the degree-d homogenizations of f and g, up to sign:
+    ``resultant_z(f, g)`` times lc^(d-b) of the side of z-degree d, with b
+    the other side's z-degree (that side's degree-d form is x1^(d-b) times
+    its degree-b form, and Res(F, x1) = F(1, 0) = lc up to sign). 1 for
+    d = 0; 0 when neither side reaches z-degree d (x1 divides both forms)
+    or one side is 0."""
+    if any(h.degree > d for h in (f, g)):
+        raise DomainError("homogenization degree below z-degree")
+    if d == 0:
+        return _ONE
+    if f.is_zero or g.is_zero:
+        return _ZERO
+    if f.degree == d:
+        corr = f.leading ** (d - g.degree)
+    elif g.degree == d:
+        corr = g.leading ** (d - f.degree)
+    else:
+        return _ZERO
+    return resultant_z(f, g) * corr
 
 
 def _bareiss_det(M: list[list[list[int]]]) -> list[int]:
@@ -1322,8 +1354,8 @@ def binary_form_values(forms: Sequence[ZPoly], a, b, d: int) -> list:
     - ZPoly arguments are flattened by z -> t^L, a ring map from Q[t][z]
       to Q[t]. With L above the t-degree of every value, deg F + d *
       max(deg_t a, deg_t b), the z-coefficients of a value are the
-      length-L slices of its image, so a composition is one evaluation in
-      Q[t];
+      length-L slices of its image (``_unflatten``), so a composition is
+      one evaluation in Q[t];
     - the powers of a and b and each monomial a^i b^(d-i) are computed once,
       on first use, and shared by the forms; every product goes through
       ``_int_mul``;
@@ -1350,11 +1382,11 @@ def binary_form_values(forms: Sequence[ZPoly], a, b, d: int) -> list:
     mons: dict[int, list[int]] = {}
     values = []
     for f in forms:
-        den = lcm(*(c.den for c in f.coeffs))
+        rows, den = f.integer_rows
         acc: list[int] = []
-        for i, c in enumerate(f.coeffs):
+        for i, ci in enumerate(rows):
             # A^i B^(d-i) = 0 when A = 0 and i > 0, or B = 0 and i < d
-            if not c.ints or (i and not A) or (i < d and not B):
+            if not ci or (i and not A) or (i < d and not B):
                 continue
             mon = mons.get(i)
             if mon is None:
@@ -1364,28 +1396,29 @@ def binary_form_values(forms: Sequence[ZPoly], a, b, d: int) -> list:
                     pb.append(_int_mul(pb[-1], B))
                 mon = pa[i] if i == d else pb[d] if i == 0 else _int_mul(pa[i], pb[d - i])
                 mons[i] = mon
-            ci = c.ints if c.den == den else [x * (den // c.den) for x in c.ints]
             term = _int_mul(ci, mon)
             if len(acc) < len(term):
                 acc.extend([0] * (len(term) - len(acc)))
             acc[: len(term)] = map(add, acc, term)
         den *= m**d
-        if flat:
-            values.append(
-                ZPoly(_ztrim([_canon(acc[k : k + L], den) for k in range(0, len(acc), L)]))
-            )
-        else:
-            values.append(_canon(acc, den))
+        values.append(_unflatten(acc, L, den) if flat else _canon(acc, den))
     return values
 
 
 def _flatten(f: ZPoly, L: int) -> tuple[list[int], int]:
-    """(the integer numerator, the denominator) of f(t, t^L) in Q[t]."""
-    den = lcm(*(c.den for c in f.coeffs))
-    out = [0] * (L * len(f.coeffs))
-    for k, c in enumerate(f.coeffs):
-        scale = den // c.den
-        out[k * L : k * L + len(c.ints)] = c.ints if scale == 1 else [x * scale for x in c.ints]
+    """(the integer numerator, the denominator) of f(t, t^L) in Q[t], for L
+    above the t-degree of every z-coefficient of f."""
+    rows, den = f.integer_rows
+    out = [0] * (L * len(rows))
+    for k, row in enumerate(rows):
+        out[k * L : k * L + len(row)] = row
     while out and not out[-1]:
         out.pop()
     return out, den
+
+
+def _unflatten(acc: Sequence[int], L: int, den: int) -> ZPoly:
+    """The ZPoly whose image under z -> t^L is acc/den, for L above the
+    t-degree of its every z-coefficient: the length-L slices of acc, each
+    put in canonical form once."""
+    return ZPoly(_ztrim([_canon(acc[k : k + L], den) for k in range(0, len(acc), L)]))

@@ -265,4 +265,6 @@ def run_suite(name: str, samples: int, seed: int) -> SuiteResult:
     name = SUITE_ALIASES.get(name, name)
     if name not in _SUITES:
         raise KeyError(name)
+    if samples < 0:
+        raise DomainError("sample count must be nonnegative")
     return _SUITES[name](samples, seed)

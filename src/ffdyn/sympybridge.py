@@ -32,7 +32,6 @@ denominators changes only by units.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import DomainError
 from .polynomials import Poly, ZPoly, factor_tpoly, is_irreducible_tpoly, resultant_z
@@ -45,15 +44,9 @@ __all__ = [
 
 def _to_dense(f: ZPoly) -> tuple[list[list[int]], int]:
     """(m*f as a dense (z, t) list over ZZ, m) for nonzero f, with m the lcm
-    of the denominators of the z-coefficients."""
-    m = lcm(*(c.den for c in f.coeffs))
-    dense = []
-    for c in reversed(f.coeffs):
-        row = list(reversed(c.ints))
-        if c.den != m:
-            row = [x * (m // c.den) for x in row]
-        dense.append(row)
-    return dense, m
+    of the denominators of the z-coefficients (``ZPoly.integer_rows``)."""
+    rows, m = f.integer_rows
+    return [list(reversed(row)) for row in reversed(rows)], m
 
 
 def _from_dense(f: list[list[int]], scale: Fraction = Fraction(1)) -> ZPoly:

@@ -1,17 +1,27 @@
 """Slow independent routes that tests compare the fast ones against.
 
-- resultant_sylvester: the resultant of the degree-d homogenizations from
-  a fraction-free (Bareiss) Sylvester determinant over Q[t], against
-  maps.resultant (the native affine resultant with its correction).
+- resultant_sylvester, form_resultant_sylvester: the resultant of the
+  degree-d homogenizations from a fraction-free (Bareiss) Sylvester
+  determinant over Q[t], against maps.resultant and
+  polynomials.form_resultant (the native affine resultant with its
+  correction).
 - fraction_mul, fraction_divmod, fraction_gcd: schoolbook product, long
   division and Euclid's gcd on lists of Fractions, against the integer
   kernels of polynomials.Poly.
 - BinaryMonomials, monomial_table_eval: the degree-d homogenization of a
   form evaluated at a pair (a, b), both Poly or both ZPoly, from a table of
-  the monomials a^i * b^(d-i) built by Poly and ZPoly arithmetic, one
-  canonical Poly per power, monomial, product and partial sum, against
+  the monomials a^i * b^(d-i) built by Poly arithmetic and
+  zpoly_mul_by_coefficients, one canonical Poly per power, monomial,
+  product and partial sum, against
   polynomials.binary_form_values, the integer kernel that flattens ZPoly
   pairs by z -> t^L.
+- zpoly_mul_by_coefficients: the product in Q[t][z] as a double loop of
+  Poly products and sums over the z-coefficients, against ZPoly.__mul__,
+  one integer product after z -> t^L.
+- linear_root_multiplicity: the multiplicity of a root p in K of W in
+  K[z] by synthetic division with FieldElements, against
+  maps.ramification_index, which reads the z-order of x1^n W(x0/x1 + z)
+  from one binary-form evaluation.
 - sympy_poly_gcd: the monic gcd in Q[t] from sympy's ``dup_gcd`` over ZZ
   (its heuristic gcd with a PRS fallback), against the native
   polynomials.poly_gcd.
@@ -85,7 +95,6 @@ from ffdyn.heights import (
 from ffdyn.maps import (
     ProjectivePoint,
     RationalMap,
-    _linear_root_multiplicity,
     apply_map,
     fiber_polynomial,
     is_polynomial_iterate,
@@ -123,13 +132,49 @@ def bareiss_det(M: list[list[Poly]]) -> Poly:
     return det if sign == 1 else -det
 
 
+def zpoly_mul_by_coefficients(f: ZPoly, g: ZPoly) -> ZPoly:
+    """f*g in Q[t][z] by the schoolbook double loop over the
+    z-coefficients, one Poly product and sum per pair."""
+    a, b = f.coeffs, g.coeffs
+    if not a or not b:
+        return ZPoly(())
+    out = [Poly.zero()] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca.is_zero:
+            for j, cb in enumerate(b):
+                if not cb.is_zero:
+                    out[i + j] = out[i + j] + ca * cb
+    return ZPoly.from_list(out)
+
+
+def linear_root_multiplicity(W: ZPoly, p: FieldElement) -> int:
+    """Multiplicity of z = p as a root of W, by synthetic division over K."""
+    coeffs = [FieldElement.from_poly(c) for c in W.coeffs]
+    e = 0
+    while len(coeffs) > 1:
+        acc = coeffs[-1]
+        quot = [acc]  # quotient coefficients, highest degree first
+        for c in reversed(coeffs[1:-1]):
+            acc = acc * p + c
+            quot.append(acc)
+        rem = acc * p + coeffs[0]
+        if not rem.is_zero:
+            return e
+        coeffs = list(reversed(quot))
+        e += 1
+    return e
+
+
 def resultant_sylvester(phi: RationalMap) -> Poly:
-    """Resultant of the degree-d homogenizations via a fraction-free Sylvester
-    determinant over Q[t]; independent slow route kept as a cross-check for
-    maps.resultant."""
-    d = phi.d
-    f = [phi.F.coeff(d - i) for i in range(d + 1)]  # descending
-    g = [phi.G.coeff(d - i) for i in range(d + 1)]
+    """Resultant of the degree-d homogenizations of phi's F and G."""
+    return form_resultant_sylvester(phi.F, phi.G, phi.d)
+
+
+def form_resultant_sylvester(F: ZPoly, G: ZPoly, d: int) -> Poly:
+    """Resultant of the degree-d homogenizations of F and G via a
+    fraction-free Sylvester determinant over Q[t]; 1 for d = 0."""
+    f = [F.coeff(d - i) for i in range(d + 1)]  # descending
+    g = [G.coeff(d - i) for i in range(d + 1)]
     n = 2 * d
     M = [[Poly.zero()] * n for _ in range(n)]
     for r in range(d):
@@ -178,6 +223,11 @@ def fraction_gcd(a: Poly, b: Poly) -> Poly:
     return a.scale(1 / a.leading) if not a.is_zero else a
 
 
+def _product(x, y):
+    """x*y for Poly operands, the coefficient double loop for ZPoly ones."""
+    return x * y if isinstance(x, Poly) else zpoly_mul_by_coefficients(x, y)
+
+
 class BinaryMonomials:
     """The monomials a^i * b^(d-i), i = 0..d, of a binary form of degree d
     at (a, b), for a, b both Poly or both ZPoly, each computed on first use
@@ -193,7 +243,7 @@ class BinaryMonomials:
     def _pow(self, k: int, e: int):
         pows = self._pows[k]
         while len(pows) <= e:
-            pows.append(pows[-1] * pows[1])
+            pows.append(_product(pows[-1], pows[1]))
         return pows[e]
 
     def __getitem__(self, i: int):
@@ -205,7 +255,7 @@ class BinaryMonomials:
             elif i == 0:
                 m = self._pow(1, j)
             else:
-                m = self._pow(0, i) * self._pow(1, j)
+                m = _product(self._pow(0, i), self._pow(1, j))
             self._mons[i] = m
         return m
 
@@ -359,7 +409,7 @@ def exceptional_by_second_iterate(phi: RationalMap, A: ProjectivePoint) -> bool:
         return W.degree <= 0
     if W.degree != psi.d:
         return False  # infinity lies in the fiber
-    return _linear_root_multiplicity(W, A.affine()) == psi.d
+    return linear_root_multiplicity(W, A.affine()) == psi.d
 
 
 def polynomial_iterate_by_power(phi: RationalMap, j: int) -> bool:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from ffdyn.cli import main
+from ffdyn.suites import SUITE_NAMES, run_suite
 
 
 def run(capsys, *argv):
@@ -287,6 +288,23 @@ def test_verify_unknown_suite_is_config_error(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nope")
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_verify_negative_samples_from_env_is_domain_error(capsys, monkeypatch):
+    # FFDYN_SAMPLES goes through the check of --samples
+    monkeypatch.setenv("FFDYN_SAMPLES", "-3")
+    code, out, err = run(capsys, "verify", "--suite", "product-formula")
+    assert (code, out, err) == (1, "", "error: sample count must be nonnegative\n")
+    monkeypatch.setenv("FFDYN_SAMPLES", "0")
+    code, out, _ = run(capsys, "verify", "--suite", "product-formula")
+    assert code == 0 and jlines(out)[0]["checked"] == 0
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_suite_passes_on_a_few_samples(suite):
+    result = run_suite(suite, 6, 0)
+    assert result.passed, result.failures
+    assert result.checked > 0
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,18 @@ CASES = {
     "estimate-gamma-negative-max-n": ["estimate-gamma", "--instance", "(z^2-t)/z|inf|t",
                                       "--places", "inf", "--epsilon", "1/4",
                                       "--max-n", "-3"],
+    # eps and depth out of range are rejected once, as orbit-scan rejects them
+    "estimate-gamma-epsilon-out-of-range": ["estimate-gamma", "--instance",
+                                            "(z^2-t)/z|inf|t", "--places", "inf",
+                                            "--epsilon", "2", "--max-n", "2"],
+    "estimate-gamma-depth-zero": ["estimate-gamma", "--instance", "(z^2-t)/z|inf|t",
+                                  "--places", "inf", "--epsilon", "1/4", "--max-n", "2",
+                                  "--depth", "0"],
+    "verify-negative-samples": ["verify", "--suite", "product-formula", "--samples", "-3",
+                                "--seed", "0"],
+    # a zero numerator makes a constant map, whatever the denominator
+    "classify-zero-numerator": ["classify", "--map", "0*z/(z^2+t)", "--point", "1"],
+    "canheight-zero-numerator": ["canheight", "--map", "(z-z)/(z^2+1)", "--point", "1"],
     "output-json": ["--output", OUT, *ORBIT_SCAN],
     "output-csv": ["--format", "csv", "--output", OUT, *MULTDEP],
     # t/z^2 is not a polynomial, but its second iterate z^4/t is

@@ -337,6 +337,10 @@ PARSE_ERRORS = [
     (parse_field_elem, "((t)", "expected ')' at position 4", 4),
     (parse_rational_map, "t + 1", "constant map", None),
     (parse_rational_map, "0", "constant map", None),
+    # a zero numerator is the constant map 0, whatever the denominator
+    (parse_rational_map, "0*z/(z^2+t)", "constant map", None),
+    (parse_rational_map, "(z-z)/(z^2+1)", "constant map", None),
+    (parse_rational_map, "0/z^2", "constant map", None),
     (parse_rational_map, "z/(z-z)", "division by zero at position 1", 1),
     (parse_rational_map, "(z^2+1)/((t-t)*z)", "division by zero at position 7", 7),
     (parse_rational_map, "z^2 + y", "unexpected character 'y' at position 6", 6),

@@ -61,6 +61,7 @@ from ffdyn.randgen import (
 from ffdyn.sympybridge import sqf_zpoly_over_k, zpoly_gcd_over_k
 from oracles import (
     exceptional_by_second_iterate,
+    linear_root_multiplicity,
     monomial_table_eval,
     polynomial_iterate_by_power,
     resultant_sylvester,
@@ -245,6 +246,14 @@ def test_normalize_map_regression(F, G, printed):
 def test_normalize_sign_convention():
     phi = parse_rational_map("(-z^2 - t)/(-1)")
     assert map_text(phi) == "z^2 + t"
+
+
+def test_zero_side_normalizes_to_a_constant_map():
+    G = ZPoly.of(Poly.t(), 0, 1)  # z^2 + t
+    assert normalize_map(ZPoly.zero(), G) == maps.RationalMap(ZPoly.zero(), ZPoly.one(), 0)
+    assert normalize_map(G, ZPoly.zero()) == maps.RationalMap(ZPoly.one(), ZPoly.zero(), 0)
+    with pytest.raises(DomainError, match="resultant of zero polynomial"):
+        resultant(normalize_map(ZPoly.zero(), G))
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +582,47 @@ def test_ramification_index(quad_poly_map, quad_quotient_map):
     assert ramification_index(quad_quotient_map, pt("inf")) == 1
 
 
+def _ramification_by_synthetic_division(phi, P):
+    W = maps.fiber_polynomial(phi, apply_map(phi, P))
+    return linear_root_multiplicity(W, P.affine())
+
+
+def test_ramification_index_matches_synthetic_division():
+    # random maps at random finite points, then maps built as F = a*G + W
+    # with W divisible by (x1 z - x0)^e, e >= 2, at P = [x0 : x1] with
+    # deg x1 >= 1, so that phi(P) = a and P has multiplicity e or more
+    rng = Random(83)
+    for _ in range(30):
+        phi = rand_map(rng, d=rng.choice([2, 3]), coeff_deg=1, cmax=3)
+        P = rand_point(rng, max_deg=2, cmax=3)
+        if not P.is_infinite:
+            assert ramification_index(phi, P) == _ramification_by_synthetic_division(phi, P)
+    checked = 0
+    while checked < 15:
+        d = rng.choice([2, 3, 4])
+        e = rng.randint(2, d)
+        P = ProjectivePoint.make(rand_tpoly(rng, 2, cmax=3), rand_tpoly(rng, 2, cmax=3))
+        if P.x1.degree < 1:
+            continue
+        cofactor = ZPoly.from_list([rand_tpoly(rng, 1, cmax=3) for _ in range(d - e)]
+                                   + [rand_tpoly(rng, 1, cmax=3, nonzero=True)])
+        W = ZPoly.of(-P.x0, P.x1) ** e * cofactor
+        G = ZPoly.from_list([rand_tpoly(rng, 1, cmax=3) for _ in range(d)])
+        if G.is_zero:
+            continue
+        phi = normalize_map(G.scale_poly(rand_tpoly(rng, 1, cmax=3)) + W, G)
+        try:
+            resultant(phi)
+        except DomainError:
+            continue
+        if phi.d != d:
+            continue
+        expected = _ramification_by_synthetic_division(phi, P)
+        assert expected >= e
+        assert ramification_index(phi, P) == expected
+        checked += 1
+
+
 def test_ramification_multiplicativity(quad_poly_map):
     rng = Random(9)
     sq = power(quad_poly_map, 2)
@@ -749,7 +799,7 @@ def test_pure_power_root_matches_synthetic_division(d):
         for V in (W, near, other):
             root = FieldElement.make(-V.coeff(d - 1), V.leading.scale(d))
             found = maps._pure_linear_power_root(V, d)
-            if maps._linear_root_multiplicity(V, root) == d:
+            if linear_root_multiplicity(V, root) == d:
                 assert found == root
             else:
                 assert found is None

@@ -405,6 +405,34 @@ def test_estimate_gamma_excludes_instances_past_the_budget():
     assert full.warnings == () and full.records[1] == report.records[1]
 
 
+def test_estimate_gamma_exclusions_and_tied_witnesses():
+    # inf is fixed by (z^2-t)/z; the scan of t towards inf at eps = 1/2 ties
+    # at index 2 (proximity 1 = eps * 2 hhat(t)); the orbit of t^3 passes
+    # the budget at iterate 1; the last two instances tie with contribution
+    # 2 - floor log_2((hhat(t).lo + 1)/hhat(t).hi) = 1
+    instances = [(QUOT, pt("t"), pt("inf")), (QUOT, pt("inf"), pt("t")),
+                 (QUOT, pt("t"), pt("t^3")), (QUOT, pt("t"), pt("t")),
+                 (QUOT, pt("t"), pt("t"))]
+    report = estimate_gamma(instances, S_INF, Fraction(1, 2), 2, depth=4, height_budget=4)
+    assert report.warnings == (
+        "instance 0 excluded: base point is preperiodic; orbit scan requires wandering",
+        "instance 1 excluded: undecided indices [2] at depth 4",
+        "instance 2 excluded: orbit height 5 exceeds budget 4 at iterate 1",
+    )
+    assert [rec.excluded for rec in report.records] == [True, True, True, False, False]
+    assert (report.gamma_hat, report.witnesses) == (1, (3, 4))
+
+
+@pytest.mark.parametrize("eps, depth, message", [
+    (Fraction(2), 4, "eps must lie in \\(0, 1\\]"),
+    (Fraction(0), 4, "eps must lie in \\(0, 1\\]"),
+    (Fraction(1, 2), 0, "depth must be positive"),
+])
+def test_estimate_gamma_rejects_out_of_range_parameters(eps, depth, message):
+    with pytest.raises(DomainError, match=message):
+        estimate_gamma([(QUOT, pt("t"), pt("t"))], S_INF, eps, 2, depth=depth)
+
+
 @pytest.mark.parametrize(
     "call, budget, message",
     [case[1:] for case in BUDGET_CASES],

@@ -26,6 +26,7 @@ from ffdyn.polynomials import (
     ZPoly,
     binary_form_values,
     factor_tpoly,
+    form_resultant,
     is_irreducible_tpoly,
     poly_gcd,
     primitive_pair,
@@ -33,6 +34,7 @@ from ffdyn.polynomials import (
     resultant_z,
 )
 from oracles import (
+    form_resultant_sylvester,
     fraction_divmod,
     fraction_gcd,
     fraction_mul,
@@ -42,6 +44,7 @@ from oracles import (
     sympy_factor_tpoly,
     sympy_poly_gcd,
     sympy_resultant_z,
+    zpoly_mul_by_coefficients,
 )
 
 fractions = st.fractions(
@@ -479,6 +482,81 @@ def test_binary_form_values_match_the_monomial_table(data):
     expected = [monomial_table_eval(f, a, b, d) for f in forms]
     assert binary_form_values(forms, a, b, d) == expected
     assert forms[0].homogeneous_eval(a, b, d) == expected[0]
+
+
+# z-coefficients with zeros among them (gaps in degree), constants in z,
+# rationals and wide integers
+mul_zpolys = st.lists(st.one_of(st.just(Poly.zero()), kernel_polys), max_size=5).map(
+    ZPoly.from_list
+)
+
+
+@given(mul_zpolys, mul_zpolys)
+@settings(max_examples=150, deadline=None)
+def test_zpoly_mul_matches_the_coefficient_double_loop(f, g):
+    assert f * g == zpoly_mul_by_coefficients(f, g)
+    assert f * f == zpoly_mul_by_coefficients(f, f)
+
+
+def test_zpoly_mul_edge_cases():
+    t = Poly.t()
+    gap = ZPoly.of(Fraction(1, 3), 0, 0, t)  # t z^3 + 1/3
+    const = ZPoly.of(Poly.of(Fraction(-2, 5), 0, 1))  # t^2 - 2/5, constant in z
+    zero = ZPoly.zero()
+    for a, b in [(gap, zero), (zero, gap), (zero, zero), (gap, const), (const, gap),
+                 (const, const), (gap, gap), (gap, ZPoly.z()), (ZPoly.one(), gap)]:
+        assert a * b == zpoly_mul_by_coefficients(a, b)
+    assert gap * ZPoly.one() == gap
+
+
+def test_integer_rows_clear_the_denominators_once():
+    f = ZPoly.of(Poly.of(Fraction(1, 2), 1), 0, Poly.of(0, Fraction(2, 3)))
+    g = ZPoly.of(Poly.of(Fraction(1, 2), 1), 0, Poly.of(0, Fraction(2, 3)))
+    assert f.integer_rows == (((3, 6), (), (0, 4)), 6)
+    assert f.integer_rows is f.integer_rows
+    # the cached view is no field: equality and hash ignore it
+    assert f == g and hash(f) == hash(g)
+    assert ZPoly.zero().integer_rows == ((), 1)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_form_resultant_matches_the_sylvester_determinant(data):
+    # sides of z-degree below d on either side, zero sides, d = 0
+    d = data.draw(st.integers(0, 4), label="d")
+    form = st.lists(rat_tpolys, max_size=d + 1).map(ZPoly.from_list)
+    f, g = data.draw(form, label="f"), data.draw(form, label="g")
+    slow = form_resultant_sylvester(f, g, d)
+    assert form_resultant(f, g, d) in (slow, -slow)
+
+
+def test_form_resultant_conventions():
+    t = Poly.t()
+    f = ZPoly.of(t, 0, 1)  # z^2 + t
+    g = ZPoly.of(1, t)  # t z + 1
+    assert form_resultant(ZPoly.zero(), ZPoly.zero(), 0) == Poly.one()
+    assert form_resultant(ZPoly.of(2), ZPoly.of(Poly.t()), 0) == Poly.one()
+    assert form_resultant(f, ZPoly.zero(), 2).is_zero
+    assert form_resultant(ZPoly.zero(), f, 2).is_zero
+    assert form_resultant(g, ZPoly.of(3), 2).is_zero  # x1 divides both forms
+    # deg g < d: Res(x0^2 + t x1^2, t x0 x1 + x1^2) = lc(f) * Res_z(f, g)
+    assert form_resultant(f, g, 2) == resultant_z(f, g) == Poly.of(1, 0, 0, 1)
+    assert form_resultant(g, f, 2) == resultant_z(g, f)
+    with pytest.raises(DomainError):
+        form_resultant(f, g, 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_eval_pow2_matches_the_direct_sum_for_coefficients_past_the_point(k):
+    # coefficients of about 40 slots of 8k bits: r residue classes, r >> len f
+    rng = Random(k)
+    for n in (1, 2, 3, 7):
+        f = [rng.choice((-1, 1)) * rng.getrandbits(8 * k * 40 + 5) for _ in range(n)]
+        f[0] = 0 if n > 2 else f[0]
+        r = -(-max(map(abs, f)).bit_length() // (8 * k))
+        assert r > 4 * n
+        direct = sum(c * (1 << (8 * k * i)) for i, c in enumerate(f))
+        assert polynomials._eval_pow2(f, k) == direct
 
 
 def test_homogeneous_eval_rejects_a_degree_below_the_form():
