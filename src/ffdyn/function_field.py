@@ -190,16 +190,13 @@ def support(x: FieldElement) -> list[Place]:
     """All finite places in the support of nonzero x (num and den factors)."""
     if x.is_zero:
         raise DomainError("support of zero undefined")
-    places = []
-    seen = set()
-    for p in (x.num, x.den):
-        if p.degree > 0:
-            _, factors = factor_tpoly(p)
-            for q, _ in factors:
-                if q not in seen:
-                    seen.add(q)
-                    places.append(Place(q))
-    return places
+    # num and den are coprime, so no factor repeats
+    return [
+        Place(q)
+        for p in (x.num, x.den)
+        if p.degree > 0
+        for q, _ in factor_tpoly(p)[1]
+    ]
 
 
 def height_elem(x: FieldElement) -> int:

@@ -9,6 +9,7 @@ and the true value always lies inside.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -246,6 +247,8 @@ class Orbit:
         height_budget: int = DEFAULT_HEIGHT_BUDGET,
     ):
         require_dynamical(phi)
+        if height_budget < 0:
+            raise DomainError("height budget must be nonnegative")
         self.phi = phi
         self.height_budget = height_budget
         self._points = [P]
@@ -508,6 +511,8 @@ class Orbit:
         orbit has escaped (escape_index), no iterate repeats and the heights
         follow a recurrence, so no further iterate is built.
         """
+        if max_iter < 0:
+            raise DomainError("max-iter must be nonnegative")
         d = self.phi.d
         h_phi = self.phi.coefficient_height()
         for n in range(1, max_iter + 1):
@@ -897,24 +902,12 @@ def hmin_lattice_scan(
         for q in range(1, coeff_height_bound + 1):
             grid.add(Fraction(p, q))
             grid.add(Fraction(-p, q))
-    values = sorted(grid)
-    points = []
-    seen = set()
-
-    def add(pt: ProjectivePoint) -> None:
-        if pt not in seen:
-            seen.add(pt)
-            points.append(pt)
-
-    def extend(prefix: list[Fraction], k: int) -> None:
-        if k > deg_bound:
-            add(ProjectivePoint.from_field(FieldElement.from_poly(Poly.from_list(prefix))))
-            return
-        for v in values:
-            extend(prefix + [v], k + 1)
-
-    extend([], 0)
-    add(ProjectivePoint.infinity())
+    # distinct coefficient tuples give distinct points
+    points = [
+        ProjectivePoint.from_field(FieldElement.from_poly(Poly.from_list(coeffs)))
+        for coeffs in itertools.product(sorted(grid), repeat=deg_bound + 1)
+    ]
+    points.append(ProjectivePoint.infinity())
     best: Optional[Fraction] = None
     witness: Optional[ProjectivePoint] = None
     certified = 0

@@ -119,13 +119,18 @@ def _zero_is_periodic(zero_orbit: Orbit) -> bool:
     return isinstance(verdict, Preperiodic) and verdict.tail == 0
 
 
-def _coprime_pairs(r_max: int, s_max: int):
-    """(r, s) with r > 0, s != 0, gcd(r, |s|) = 1 within the box."""
-    for r in range(1, r_max + 1):
-        for a in range(1, s_max + 1):
-            if gcd(r, a) == 1:
-                yield r, a
-                yield r, -a
+def _exponent_ratio(u: tuple, w: tuple) -> Optional[tuple[int, int]]:
+    """The one coprime (r, m) with r, m >= 1 and r*u = m*w, or None, for
+    integer vectors u and w not both zero. Their first nonzero entries fix
+    r/m = |w_i|/|u_i|; every other entry must agree with it."""
+    x, y = next((x, y) for x, y in zip(u, w) if x or y)
+    if x * y <= 0:
+        return None
+    g = gcd(x, y)
+    r, m = abs(y) // g, abs(x) // g
+    if any(r * ui != m * wi for ui, wi in zip(u, w)):
+        return None
+    return r, m
 
 
 def dependence_search(
@@ -134,15 +139,19 @@ def dependence_search(
     wandering_attested: bool = False,
     height_budget: int = DEFAULT_HEIGHT_BUDGET,
 ) -> DependenceSearchReport:
-    """Exhaustive exact search of the box for multiplicative dependences.
+    """Exact search of the box for multiplicative dependences.
 
     f**r / g**s is an S-unit exactly when f**r and g**s have the same
-    S-free part (`s_free_part`). Those parts are powers of the parts of f
-    and g, which are computed once per orbit value, and each power once.
-    Equal parts have equal degrees, so a pair (r, s) is compared only when
-    the degrees of the parts agree, which needs no power: with (a, b, o)
-    the part of f and (a', b', o') that of g, with a' and b' swapped when
-    s < 0, r*deg a = |s|*deg a', r*deg b = |s|*deg b' and r*o = s*o'.
+    S-free part (`s_free_part`). With (a, b, o) the part of f and
+    (a', b', o') that of g, the part of g**s is (a'^s, b'^s, s*o') for
+    s > 0 and (b'^|s|, a'^|s|, s*o') for s < 0. Equal parts have equal
+    degrees, so with u = (deg a, deg b, o) and w the degree vector of
+    (a', b', o'), or of (b', a', -o') for s < 0, a solution has
+    r*u = |s|*w. Hence for each (n, k) and each sign of s:
+    - if u = w = 0, both parts are (1, 1, 0) and every coprime pair solves;
+    - if exactly one of u and w is 0, no pair does;
+    - otherwise only the one coprime r/|s| of `_exponent_ratio` can, and
+      one comparison of powers decides it.
 
     For a solution the parts cancel, so u = f**r / g**s needs no gcd. A
     nonzero x with monic denominator is lc(x.num) * prod_v pi_v^ord_v(x)
@@ -158,22 +167,30 @@ def dependence_search(
         wandering_certified = True
     values = [pt.affine() for pt in orbit.prefix(q.n_max + q.k_max)]
     parts = [None if x is None or x.is_zero else s_free_part(x, q.S) for x in values]
+    unit_part = (Poly.one(), Poly.one(), 0)
 
-    def signed_part(i: int, e: int) -> tuple:
-        """parts[i] with numerator and denominator swapped when e < 0."""
+    def exponent_pairs(i: int, j: int) -> list[tuple[int, int]]:
+        """The coprime (r, s) of the box whose parts of values[i]**r and
+        values[j]**s agree (docstring above)."""
+        if parts[i] == parts[j] == unit_part:
+            return [
+                (r, sign * m)
+                for r in range(1, q.r_max + 1)
+                for m in range(1, q.s_max + 1)
+                if gcd(r, m) == 1
+                for sign in (1, -1)
+            ]
         a, b, o = parts[i]
-        return (b, a, o) if e < 0 else (a, b, o)
-
-    @cache
-    def power_part(i: int, e: int) -> tuple:
-        """s_free_part(values[i] ** e, S) from parts[i], for e != 0."""
-        a, b, o = signed_part(i, e)
-        return a ** abs(e), b ** abs(e), e * o
-
-    def part_degrees(i: int, e: int) -> tuple:
-        """The degrees of power_part(i, e), without the power."""
-        a, b, o = signed_part(i, e)
-        return abs(e) * a.degree, abs(e) * b.degree, e * o
+        a2, b2, o2 = parts[j]
+        pairs = []
+        for sign, (num, den, og) in ((1, parts[j]), (-1, (b2, a2, -o2))):
+            ratio = _exponent_ratio((a.degree, b.degree, o), (num.degree, den.degree, og))
+            if ratio is None:
+                continue
+            r, m = ratio
+            if r <= q.r_max and m <= q.s_max and a**r == num**m and b**r == den**m:
+                pairs.append((r, sign * m))
+        return pairs
 
     finite = [v for v in q.S if not v.is_infinite]
 
@@ -210,15 +227,12 @@ def dependence_search(
             if f.is_zero or g.is_zero:
                 skipped.append(f"(n={n}, k={k}): iterate is zero, u undefined")
                 continue
-            for r, s in _coprime_pairs(q.r_max, q.s_max):
-                if part_degrees(n + k, r) != part_degrees(k, s):
-                    continue
-                if power_part(n + k, r) == power_part(k, s):
-                    rho = math.log(abs(s) / r) / math.log(d) + 1
-                    u = unit(n + k, k, r, s)
-                    solutions.append(
-                        DependenceSolution(n=n, k=k, r=r, s=s, u=u, alpha=q.alpha, rho=rho)
-                    )
+            for r, s in exponent_pairs(n + k, k):
+                rho = math.log(abs(s) / r) / math.log(d) + 1
+                u = unit(n + k, k, r, s)
+                solutions.append(
+                    DependenceSolution(n=n, k=k, r=r, s=s, u=u, alpha=q.alpha, rho=rho)
+                )
     solutions.sort(key=lambda sol: (sol.n, sol.k, sol.r, sol.s))
     zero = ProjectivePoint.zero()
     zero_orbit = orbit if q.alpha == zero else Orbit(phi, zero, height_budget)

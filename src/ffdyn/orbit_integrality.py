@@ -284,17 +284,25 @@ def gamma_set(
 # ---------------------------------------------------------------------------
 
 
-def _positive_hhat(orbit: Orbit, depth: int) -> HeightInterval:
-    """The depth-`depth` interval for hhat(P), P the orbit's base point; an
-    error unless its lower end is positive, which the log^+ bounds divide
-    by."""
+def _log_term(
+    gamma1: Fraction, orbit: Orbit, depth: int, x_lo: Fraction, x_hi: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Certified enclosure of gamma1 + log_d^+(X / hhat(P)) for X in
+    [x_lo, x_hi], P the orbit's base point: (gamma1 + floor log_d^+(x_lo /
+    hhat(P).hi), gamma1 + ceil log_d^+(x_hi / hhat(P).lo)) from the
+    depth-`depth` interval for hhat(P). An error unless that interval's
+    lower end is positive, which the bound divides by."""
     hhat_P = orbit.hhat(depth)
     if hhat_P.lo <= 0:
         raise DomainError(
             "canonical height of the base point not certified positive; "
             "increase depth or the point is preperiodic"
         )
-    return hhat_P
+    d = orbit.phi.d
+    return (
+        gamma1 + floor_log_plus(d, x_lo / hhat_P.hi),
+        gamma1 + ceil_log_plus(d, x_hi / hhat_P.lo),
+    )
 
 
 def gamma_set_bound_rhs(
@@ -314,13 +322,7 @@ def gamma_set_bound_rhs(
     gamma1 = params.get("gamma1")
     h_phi = phi.coefficient_height()
     hhat_A = canonical_height(phi, A, depth, orbit.height_budget)
-    hhat_P = _positive_hhat(orbit, depth)
-    ratio_lo = (hhat_A.lo + h_phi) / hhat_P.hi
-    ratio_hi = (hhat_A.hi + h_phi) / hhat_P.lo
-    return (
-        gamma1 + floor_log_plus(phi.d, ratio_lo),
-        gamma1 + ceil_log_plus(phi.d, ratio_hi),
-    )
+    return _log_term(gamma1, orbit, depth, hhat_A.lo + h_phi, hhat_A.hi + h_phi)
 
 
 def integral_count_bound_rhs(
@@ -331,14 +333,8 @@ def integral_count_bound_rhs(
     """Certified enclosure of gamma1 + log_d^+(h(phi) / hhat(P)) bounding the
     count of S-integral iterates for the wandering base point P of the
     orbit, such as the one a count_S_integral report holds."""
-    phi = orbit.phi
-    gamma1 = params.get("gamma1")
-    h_phi = Fraction(phi.coefficient_height())
-    hhat_P = _positive_hhat(orbit, depth)
-    return (
-        gamma1 + floor_log_plus(phi.d, h_phi / hhat_P.hi),
-        gamma1 + ceil_log_plus(phi.d, h_phi / hhat_P.lo),
-    )
+    h_phi = Fraction(orbit.phi.coefficient_height())
+    return _log_term(params.get("gamma1"), orbit, depth, h_phi, h_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +369,10 @@ def estimate_gamma(
 ) -> GammaEstimateReport:
     """Smallest integer gamma making the index bound hold on every instance:
     max over (phi, A, P) of max(Gamma-set) - log_d^+((hhat A + h phi)/hhat P),
-    using the certified lower bound of the log term (conservative)."""
+    using the certified lower bound of the log term (conservative), the
+    lower end of gamma_set_bound_rhs with gamma1 = 0. An instance whose
+    scan, bound or Gamma-set cannot be certified is excluded with a
+    warning."""
     if not instances:
         raise DomainError("no instances supplied")
     # checked once here, as gamma_set would reject every instance alike
@@ -383,46 +382,32 @@ def estimate_gamma(
         raise DomainError("depth must be positive")
     if N < 0:
         raise DomainError("scan bound must be nonnegative")
+    if height_budget < 0:
+        raise DomainError("height budget must be nonnegative")
     records = []
     warnings = []
     gamma_hat = 0
     witnesses = []
+    no_gamma1 = BoundParams.from_pairs([("gamma1", 0)])
     for i, (phi, A, P) in enumerate(instances):
         try:
             report = gamma_set(
                 phi, S, A, P, eps, N, depth=depth, height_budget=height_budget
             )
+            if report.undecided_indices:
+                raise DomainError(
+                    f"undecided indices {list(report.undecided_indices)} "
+                    f"at depth {depth}"
+                )
+            m_star = report.max_in_index
+            if m_star is None:
+                records.append(GammaEstimateRecord(i, None, 0, 0, False))
+                continue
+            log_lower = int(gamma_set_bound_rhs(no_gamma1, report.orbit, A, depth)[0])
         except (DomainError, OrbitBudgetError) as exc:
             warnings.append(f"instance {i} excluded: {exc}")
             records.append(GammaEstimateRecord(i, None, 0, 0, True))
             continue
-        if report.undecided_indices:
-            warnings.append(
-                f"instance {i} excluded: undecided indices "
-                f"{list(report.undecided_indices)} at depth {depth}"
-            )
-            records.append(GammaEstimateRecord(i, None, 0, 0, True))
-            continue
-        m_star = report.max_in_index
-        if m_star is None:
-            records.append(GammaEstimateRecord(i, None, 0, 0, False))
-            continue
-        h_phi = phi.coefficient_height()
-        hhat_P = report.records[0].hhat  # hhat(phi^0 P), from the scan
-        try:
-            hhat_A = canonical_height(phi, A, depth, height_budget)
-        except OrbitBudgetError as exc:
-            warnings.append(f"instance {i} excluded: {exc}")
-            records.append(GammaEstimateRecord(i, None, 0, 0, True))
-            continue
-        if hhat_P.lo <= 0:
-            warnings.append(
-                f"instance {i} excluded: base point canonical height not "
-                "certified positive"
-            )
-            records.append(GammaEstimateRecord(i, None, 0, 0, True))
-            continue
-        log_lower = floor_log_plus(phi.d, (hhat_A.lo + h_phi) / hhat_P.hi)
         contribution = max(0, m_star - log_lower)
         records.append(GammaEstimateRecord(i, m_star, log_lower, contribution, False))
         if contribution > gamma_hat:

@@ -73,6 +73,19 @@ CASES = {
                                   "--depth", "0"],
     "verify-negative-samples": ["verify", "--suite", "product-formula", "--samples", "-3",
                                 "--seed", "0"],
+    # negative limits are rejected, not reported as exhausted
+    "canheight-negative-budget": ["canheight", "--map", "z^2+t", "--point", "0",
+                                  "--budget", "-5"],
+    "classify-negative-max-iter": ["classify", "--map", "z^2+t", "--point", "0",
+                                   "--max-iter", "-3"],
+    "estimate-gamma-negative-budget": ["estimate-gamma", "--instance", "(z^2-t)/z|inf|t",
+                                       "--places", "inf", "--epsilon", "1/4",
+                                       "--max-n", "2", "--depth", "4", "--budget", "-1"],
+    "canheight-negative-budget-env": ["canheight", "--map", "z^2+t", "--point", "0"],
+    # the depth-1 interval for hhat(t) has lower end 0
+    "estimate-gamma-hhat-not-positive": ["estimate-gamma", "--instance", "(z^2-t)/z|inf|t",
+                                         "--places", "inf", "--epsilon", "1/4",
+                                         "--max-n", "2", "--depth", "1"],
     # a zero numerator makes a constant map, whatever the denominator
     "classify-zero-numerator": ["classify", "--map", "0*z/(z^2+t)", "--point", "1"],
     "canheight-zero-numerator": ["canheight", "--map", "(z-z)/(z^2+1)", "--point", "1"],
@@ -112,6 +125,9 @@ CASES = {
                                  "--budget", "1000000000"],
 }
 
+# FFDYN_ variables set for a case
+ENV = {"canheight-negative-budget-env": {"FFDYN_BUDGET": "-5"}}
+
 
 def run_case(argv, out_path=None) -> dict:
     """Run main in-process on argv, with OUT standing for out_path; return
@@ -133,7 +149,9 @@ def clean_env(monkeypatch):
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_cli_golden(name, tmp_path, clean_env):
+def test_cli_golden(name, tmp_path, clean_env, monkeypatch):
+    for key, value in ENV.get(name, {}).items():
+        monkeypatch.setenv(key, value)
     expected = json.loads(GOLDEN.read_text())[name]
     assert run_case(CASES[name], tmp_path / "report") == expected
 
@@ -204,7 +222,11 @@ if __name__ == "__main__":
     for name in list(os.environ):
         if name.startswith("FFDYN_"):
             del os.environ[name]
+    goldens = {}
     with tempfile.TemporaryDirectory() as tmp:
-        goldens = {name: run_case(argv, Path(tmp) / "report")
-                   for name, argv in CASES.items()}
+        for name, argv in CASES.items():
+            os.environ.update(ENV.get(name, {}))
+            goldens[name] = run_case(argv, Path(tmp) / "report")
+            for key in ENV.get(name, {}):
+                del os.environ[key]
     GOLDEN.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")

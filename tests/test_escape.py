@@ -20,7 +20,7 @@ from ffdyn import (
     parse_point,
     parse_rational_map,
 )
-from ffdyn.errors import OrbitBudgetError
+from ffdyn.errors import DomainError, OrbitBudgetError
 from ffdyn.function_field import FieldElement
 from ffdyn.heights import _infinity_increment, _reduction_holes, _term_degrees
 from ffdyn.maps import ProjectivePoint
@@ -158,6 +158,10 @@ def test_budgets_around_each_escape_height(map_text, point_text, small_max_iter)
     for n in range(k, 6):
         h = GlobalOrbit(phi, P, SMALL_BUDGET)[n].height
         for budget in (h - 1, h, h + 1):
+            if budget < 0:  # an escape at height 0 has no budget below it
+                with pytest.raises(DomainError, match="budget must be nonnegative"):
+                    Orbit(phi, P, budget)
+                continue
             check_against_oracles(phi, P, budget)
 
 

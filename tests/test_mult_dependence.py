@@ -173,11 +173,16 @@ ORACLE_CASES = [
     ("z^2+t", "0", "inf", (3, 3, 3, 3)),
     ("(z^2-t)/z", "t", "t,inf", (2, 2, 3, 3)),
     ("t*z^3", "t", "t,inf", (1, 2, 3, 4)),
+    # exactly one of phi^(n+k)(alpha) and phi^k(alpha) an S-unit; solutions
+    # with s < 0 on a rational map; a solution (r, s) outside the box
+    ("z^2+t", "0", "t,inf", (2, 2, 3, 3)),
+    ("1/z^2", "t+1", "inf", (2, 2, 4, 4)),
+    ("z^2", "t+1", "inf", (2, 2, 3, 3)),
 ]
 
-# Cases for the degree prefilter: larger exponent boxes, where most pairs
-# fail it, and 1/z^2 at t with infinity outside S, whose orbit t^((-2)^n)
-# has solutions with s < 0 and ord_inf of both signs
+# Larger exponent boxes, where the degree vectors of most (n, k) are not
+# proportional, and 1/z^2 at t with infinity outside S, whose orbit
+# t^((-2)^n) has solutions with s < 0 and ord_inf of both signs
 PREFILTER_CASES = [
     ("(z^2-t)/z", "t", "t,inf", (3, 3, 6, 6)),
     ("t*z^2", "t", "t,inf", (3, 3, 6, 6)),
@@ -211,6 +216,42 @@ def test_search_matches_quotient_oracle_prefilter_cases(case):
     )
 
 
+def _report(text, point, places, box):
+    q = DependenceQuery(pt(point), parse_places(places), *box)
+    return dependence_search(parse_rational_map(text), q, wandering_attested=True)
+
+
+def test_oracle_cases_reach_every_branch_of_the_lattice(monkeypatch):
+    # u and w are the degree vectors of the S-free parts of phi^(n+k)(alpha)
+    # and phi^k(alpha); u = w = 0: every pair of the box solves
+    pairs = {(r, s) for r in range(1, 4) for s in range(-5, 6)
+             if s != 0 and gcd(r, abs(s)) == 1}
+    assert len(_report("t*z^2", "t", "t,inf", (2, 2, 3, 5)).solutions) == 4 * len(pairs)
+    # phi^k = (t + 1)^((-2)^k): s < 0 for n = 1
+    report = _report("1/z^2", "t+1", "inf", (2, 2, 4, 4))
+    assert {(sol.n, sol.k, sol.r, sol.s) for sol in report.solutions} == {
+        (1, 1, 1, -2), (1, 2, 1, -2), (2, 1, 1, 4), (2, 2, 1, 4)}
+    # phi^(n+k) = (phi^k)^(2^n): the one pair (1, 4) of n = 2 leaves the box
+    report = _report("z^2", "t+1", "inf", (2, 2, 3, 3))
+    assert {(sol.n, sol.r, sol.s) for sol in report.solutions} == {(1, 1, 2)}
+    # proportional degree vectors, decided by one comparison of powers:
+    # at (1, 1) phi(0) = t is an S-unit and t^2 + t is not (w = 0 != u);
+    # at (1, 2) the parts t^3 + 2t^2 + t + 1 and t + 1 have proportional
+    # degrees, but (t + 1)^3 differs; over {inf}, t^2 + t != t^2
+    powers = []
+    power = Poly.__pow__
+
+    def recording(self, n):
+        powers.append(self.degree)
+        return power(self, n)
+
+    monkeypatch.setattr(Poly, "__pow__", recording)
+    for places in ("t,inf", "inf"):
+        powers.clear()
+        assert _report("z^2+t", "0", places, (2, 2, 3, 3)).solutions == ()
+        assert any(degree > 0 for degree in powers)
+
+
 def test_quotient_oracle_cases_reach_every_branch():
     found = []
     skipped = []
@@ -236,8 +277,8 @@ def test_search_matches_quotient_oracle_seeded(seed):
 
 def test_degree_prefilter_builds_no_powers(monkeypatch):
     # (z^2-t)/z at t: orbit values of degree up to 2^10 and no solution in
-    # the box; the degrees of the S-free parts rule out every pair, so no
-    # power of a nonconstant polynomial is built
+    # the box; no (n, k) has proportional degree vectors of its S-free
+    # parts, so no power is built at all
     powers = []
     power = Poly.__pow__
 
@@ -249,7 +290,7 @@ def test_degree_prefilter_builds_no_powers(monkeypatch):
     q = DependenceQuery(pt("t"), S_T_INF, n_max=5, k_max=5, r_max=10, s_max=10)
     report = dependence_search(parse_rational_map("(z^2-t)/z"), q, wandering_attested=True)
     assert report.solutions == ()
-    assert all(degree <= 0 for degree in powers)
+    assert powers == []
 
 
 def test_search_builds_u_only_for_solutions(monkeypatch, quad_poly_map, monomial_map):

@@ -34,7 +34,7 @@ from ffdyn import (
     split_multilinear_zero_scan,
     unit_hits,
 )
-from ffdyn.errors import DomainError, OrbitBudgetError
+from ffdyn.errors import ConfigError, DomainError, OrbitBudgetError
 from ffdyn.heights import HeightInterval, Preperiodic
 from ffdyn.mult_dependence import DependenceSolution
 from ffdyn.randgen import rand_map, rand_point
@@ -431,6 +431,51 @@ def test_estimate_gamma_exclusions_and_tied_witnesses():
 def test_estimate_gamma_rejects_out_of_range_parameters(eps, depth, message):
     with pytest.raises(DomainError, match=message):
         estimate_gamma([(QUOT, pt("t"), pt("t"))], S_INF, eps, 2, depth=depth)
+
+
+def test_estimate_gamma_excludes_a_base_height_not_certified_positive():
+    # the depth-1 interval for hhat(t) under (z^2-t)/z has lower end 0; the
+    # warning is the one gamma_set_bound_rhs raises
+    report = estimate_gamma([(QUOT, pt("inf"), pt("t"))], S_INF, Fraction(1, 4), 2, depth=1)
+    assert report.warnings == (
+        "instance 0 excluded: canonical height of the base point not certified "
+        "positive; increase depth or the point is preperiodic",
+    )
+    assert [rec.excluded for rec in report.records] == [True]
+    assert report.gamma_hat == 0
+
+
+def test_bound_rhs_errors_in_order():
+    # gamma1 is read first, then hhat(A) under the orbit's budget, and only
+    # then is hhat(P) required positive: at depth 2 and budget 2 hhat(t) is
+    # not certified positive and the orbit of t^2 passes the budget
+    orbit = Orbit(QUOT, pt("t"), 2)
+    with pytest.raises(ConfigError, match="gamma1"):
+        gamma_set_bound_rhs(BoundParams(), orbit, pt("t^2"), depth=2)
+    with pytest.raises(ConfigError, match="gamma1"):
+        integral_count_bound_rhs(BoundParams(), orbit, depth=2)
+    with pytest.raises(OrbitBudgetError, match="orbit height 3 exceeds budget 2"):
+        gamma_set_bound_rhs(GAMMA1, orbit, pt("t^2"), depth=2)
+    for call in (
+        lambda: gamma_set_bound_rhs(GAMMA1, orbit, pt("inf"), depth=2),
+        lambda: integral_count_bound_rhs(GAMMA1, orbit, depth=2),
+    ):
+        with pytest.raises(DomainError, match="not certified positive"):
+            call()
+
+
+def test_negative_budget_and_max_iter_are_rejected():
+    with pytest.raises(DomainError, match="height budget must be nonnegative"):
+        Orbit(QUAD, pt("0"), -5)
+    with pytest.raises(DomainError, match="height budget must be nonnegative"):
+        estimate_gamma(
+            [(QUOT, pt("inf"), pt("t"))], S_INF, Fraction(1, 4), 2, height_budget=-1
+        )
+    orbit = Orbit(QUAD, pt("0"), 0)  # a zero budget is a limit, not an error
+    with pytest.raises(DomainError, match="max-iter must be nonnegative"):
+        orbit.classify(max_iter=-3)
+    with pytest.raises(OrbitBudgetError, match="no classification within 0 iterates"):
+        orbit.classify(max_iter=0)
 
 
 @pytest.mark.parametrize(
