@@ -30,9 +30,9 @@ from .maps import (
 from .polynomials import (
     Poly,
     ZPoly,
+    _odd_primes,
     binary_form_values,
-    form_resultant,
-    poly_gcd,
+    factor_tpoly,
     primitive_pair,
 )
 
@@ -79,18 +79,9 @@ class Wandering:
     depth: int
 
 
-_BOUND_KEYS = (
-    "gamma1",
-    "gamma2",
-    "gamma3",
-    "gamma4",
-    "kappa1",
-    "kappa2",
-    "c1",
-    "c2",
-    "c3",
-    "c4",
-)
+# The names a bound-parameter file may set: those a bound reads
+# (orbit_integrality.gamma_set_bound_rhs and integral_count_bound_rhs).
+_BOUND_KEYS = ("gamma1",)
 
 
 @dataclass(frozen=True)
@@ -409,47 +400,50 @@ class Orbit:
         strictly forever, and as top_F(e) - top_G(e) = e' > 0, m(e) =
         top_F(e) - d e = deg F_d throughout.
 
-        At the finite places. By (F2) g divides Res, so g = 1 unless an
-        irreducible pi dividing Res divides A and B. Let R be the squarefree
-        part of Res: Q[t]/R is the product of the fields k_pi = Q[t]/pi over
-        the pi dividing Res. The reduction of x mod pi is a point of
-        P^1(k_pi), as x0, x1 are coprime, and pi divides A and B iff that
-        point is a common zero ("hole") of the reduced forms F_pi and G_pi.
-        A form over a field vanishes at a rational point iff the linear form
-        of the point divides it, so this happens iff gcd(F_pi, G_pi) vanishes
-        at the point. _reduction_holes computes C = gcd(F, G) over Q[t]/R,
-        the Euclid on the dehomogenized forms with the powers of x1 apart.
-        It gives up when a leading coefficient is not a unit mod R (a zero
-        divisor); otherwise each of its steps reduces mod pi to the same
-        step over k_pi, and C mod pi is gcd(F_pi, G_pi) for every pi. With F
-        = C F1 and G = C G1 over Q[t]/R, and c = deg C, the certificate asks:
-        (a) C(x_k) is a unit mod R, so g_k = 1;
-        (b) Res(F1, G1) is a unit mod R: F1 and G1 are coprime mod every pi.
-            That follows from C being the gcd; it is checked so that a fault
-            in the Euclid cannot pass for a certificate;
-        (c) C(F1, G1) divides a power of C over Q[t]/R: gcds with C are
-            divided out of it until a unit is left.
-        Induction: if C(x_n) is a unit mod R, then g_n = 1 and x_(n+1) =
-        lambda (A_n, B_n) with lambda in Q*. Mod R, A_n = C(x_n) F1(x_n) and
-        B_n = C(x_n) G1(x_n), so C(x_(n+1)) = lambda^c C(x_n)^c C(F1,
-        G1)(x_n). By (c) the last factor divides a power of C(x_n), so it is
-        a unit, and so is C(x_(n+1)). Hence g_n = 1 for every n >= k: the
-        reduced orbit never meets a hole, and with the part at infinity
-        h(phi^(n+1) P) = d h(phi^n P) + m. Res is never factored.
+        At the finite places, by reduction modulo a prime (Silverman and
+        Voloch, Acta Arith. 137 (2009); Benedetto et al., Math. Ann. 355
+        (2013)). By (F2) g divides Res, so g = 1 unless an irreducible pi
+        dividing Res divides A and B. Take pi primitive in Z[t] and a prime
+        ideal I = (p, t - w) of Z[t] that contains it: p a prime that
+        divides neither lc(pi) nor a denominator of F or G, and w a root of
+        pi mod p. Scaled by one rational constant prime to p, F and G have
+        coefficients in Z[t]; F_I and G_I are their reductions mod I. For
+        every pi the certificate asks that some (p, w) pass this test at the
+        built iterate x_k: x_k mod I is not (0, 0), and its orbit under
+        [F_I : G_I] on P^1(F_p) never reaches (0, 0) before a point repeats
+        (at most p + 1 steps). Proof, with x_n primitive in Z[t]^2 (the
+        normal form of ProjectivePoint), A = F(x_n) and B = G(x_n):
+        1. By Gauss's lemma (A, B) = u x_(n+1) with u in Z[t], as x_(n+1)
+           is the primitive pair of (A, B).
+        2. If pi divides gcd(A, B), then pi divides u, as x_(n+1) has
+           coprime coordinates. So u lies in pi Z[t], inside I, and A = B =
+           0 mod I.
+        3. If instead (A, B) mod I is not (0, 0), then u is not in I, so pi
+           does not divide g_n, x_(n+1) mod I is not (0, 0), and x_(n+1) mod
+           I = [A mod I : B mod I], the image of x_n mod I under [F_I : G_I].
+        By induction on n from x_k, and as the reduced orbit repeats after
+        the points checked (pigeonhole on P^1(F_p)), g_n = 1 for every n >=
+        k, and with the part at infinity h(phi^(n+1) P) = d h(phi^n P) + m.
+        The test is incomplete: a pi that none of the pairs tried passes
+        gives no certificate at k, loss or not. _reductions factors Res and
+        lists at most _MAX_REDUCTIONS pairs per pi, once per map and only
+        when a certificate is sought.
 
         Hole-free orbits: if G = c x1^d with c in Q* and x1 of x_k is a
         nonzero constant, then B = G(x_k) is a nonzero constant, g_k = 1,
         and x1 of x_(k+1) is a constant multiple of B. So g_n = 1 for every
-        n >= k with no check at the finite places, where _reduction_holes
-        gives up on t(t+1) z^2 + t z (zero divisors mod R = t(t+1)).
+        n >= k with no check at the finite places and no factoring of Res:
+        the shortcut costs nothing per map.
 
         Example: (z^2 - t)/z at t. F = x0^2 - t x1^2, G = x0 x1 and Res =
         t up to sign. At e = 1 the tops are x0^2 and x0 x1, e' = 1 and m =
-        0. Mod t, C = x0, F1 = x0, G1 = x1 and C(F1, G1) = C. Iterate 0 = t
-        has C(t, 1) = t, not a unit (indeed g_0 = t); iterate 1 = t - 1 has
-        C = t - 1, a unit mod t. So h(phi^(n+1) t) = 2 h(phi^n t) from n = 1.
-        No certificate holds for (3z^2 + t)/(tz - 2): mod t^3 + 12 the
-        reduced map moves its hole, and (c) fails.
+        0. Mod I = (2, t) the reduced forms are x0^2 and x0 x1. Iterate 0 =
+        t reduces to [0 : 1], which goes to (0, 0) (indeed g_0 = t);
+        iterate 1 = t - 1 reduces to [1 : 1], which is fixed. So h(phi^(n+1)
+        t) = 2 h(phi^n t) from n = 1. For (3z^2 + t)/(tz - 2) at t + 2/5,
+        Res = t^3 + 12: iterate 1 reaches (0, 0) mod (2, t) and mod (11,
+        t - 10), though no factor is lost, and passes mod (3, t), so the
+        certificate holds from iterate 1.
 
         An iterate n that is already built gives its height directly. The
         budget checks are unchanged: iterate n is built only after iterates
@@ -666,15 +660,10 @@ def _stable_increment(
     m = _infinity_increment(terms, phi.d, Q.x0.degree - Q.x1.degree)
     if m is None or hole_free:
         return m
-    holes = _reduction_holes(phi)
-    if holes is None:
-        return None
-    R, C, c = holes
-    if R.is_constant:  # no holes
-        return m
-    # check (a): C(x0, x1) is a unit mod R
-    value = C.homogeneous_eval(Q.x0 % R, Q.x1 % R, c)
-    return m if _is_unit(value % R, R) else None
+    for tries in _reductions(phi):
+        if not any(_reduced_orbit_avoids_zero(Q, *reduction) for reduction in tries):
+            return None
+    return m
 
 
 def _top_term(terms: list[tuple[int, int]], e: int) -> Optional[tuple[int, int]]:
@@ -719,114 +708,74 @@ def _infinity_increment(terms: tuple[list, list], d: int, e: int) -> Optional[in
     return m
 
 
+# The pairs (p, w) that the finite part of the stable certificate
+# (Orbit.height) tries at each place: the first _MAX_REDUCTIONS of them, by
+# p and then w, with p in _REDUCTION_PRIMES. On the 213 orbits of the index
+# tables of tests/test_stable_orbit.py, the first pair that passed at each
+# place had p <= 7.
+_REDUCTION_PRIMES = tuple(
+    itertools.takewhile(lambda p: p < 30, itertools.chain((2,), _odd_primes()))
+)
+_MAX_REDUCTIONS = 6
+
+
 @lru_cache(maxsize=512)
-def _reduction_holes(phi: RationalMap) -> Optional[tuple[Poly, ZPoly, int]]:
-    """The finite part of the stable certificate of Orbit.height for phi:
-    (R, C, c) once checks (b) and (c) hold, else None, as when the Euclid
-    meets a zero divisor. R is the squarefree part of Res, 1 when Res is
-    constant (no holes), and C = gcd(F, G) over Q[t]/R up to a unit, as its
-    dehomogenized part and its degree c as a form.
-
-    A binary form over Q[t]/R is a pair (degree, dehomogenized part), the
-    part trimmed, with a unit leading coefficient. Everything is computed
-    up to units of Q[t]/R, by pseudo-division, so no inverse is needed. F1
-    and G1 are the pseudo-quotients of F and G by C with the same number of
-    steps, so they are F/C and G/C times one unit u, and C(F1, G1) changes
-    by u^c, Res(F1, G1) by u^(2d - 2c)."""
-    res = resultant(phi)
-    if res.is_constant:
-        return Poly.one(), ZPoly.one(), 0
-    R = res.exact_div(poly_gcd(res, res.derivative()))
-    F, G = _ring_trim(phi.F.coeffs, R), _ring_trim(phi.G.coeffs, R)
-    if F is None or G is None:
-        return None
-    d = phi.d
-    C = _form_gcd((d, F), (d, G), R)
-    if C is None:
-        return None
-    F1, G1 = _form_quotient((d, F), C, R), _form_quotient((d, G), C, R)
-    F1z, G1z = ZPoly(tuple(F1[1])), ZPoly(tuple(G1[1]))
-    if not _is_unit(form_resultant(F1z, G1z, F1[0]) % R, R):
-        return None
-    value = ZPoly(tuple(C[1])).homogeneous_eval(F1z, G1z, C[0])
-    P = (C[0] * F1[0], _ring_trim(value.coeffs, R))
-    while P[1] and P[0] > 0:
-        g = _form_gcd(P, C, R)
-        if g is None or g[0] == 0:
-            return None
-        P = _form_quotient(P, g, R)
-    if not P[1]:  # None, after a zero divisor, or the zero form
-        return None
-    return R, ZPoly(tuple(C[1])), C[0]
+def _reductions(phi: RationalMap) -> tuple[tuple[tuple[int, int, tuple], ...], ...]:
+    """The reductions that the finite part of the stable certificate of
+    Orbit.height tries for phi: for each irreducible pi dividing Res, up to
+    _MAX_REDUCTIONS triples (p, w, (F mod I, G mod I)) with I = (p, t - w),
+    a prime ideal of Z[t] that contains the primitive pi. p runs through the
+    _REDUCTION_PRIMES that divide neither lc(pi) nor a denominator of F or
+    G, and w through the roots of pi mod p. Each reduced form is its d + 1
+    coefficients in F_p, lowest power of x0 first; F and G are reduced in
+    Z_(p)[t], which scales both by one constant."""
+    forms = (phi.F, phi.G)
+    denominators = [form.integer_rows[1] for form in forms]
+    places = []
+    for pi, _ in factor_tpoly(resultant(phi))[1]:
+        pi = pi.primitive().ints
+        tries = [
+            (p, w, tuple(_reduced_form(form, p, w, phi.d) for form in forms))
+            for p in _REDUCTION_PRIMES
+            if all(m % p for m in (pi[-1], *denominators))
+            for w in range(p)
+            if not _value_mod(pi, w, p)
+        ]
+        places.append(tuple(tries[:_MAX_REDUCTIONS]))
+    return tuple(places)
 
 
-def _is_unit(a: Poly, R: Poly) -> bool:
-    """Whether a, reduced mod the squarefree R, is a unit mod R."""
-    return poly_gcd(a, R).degree == 0
+def _value_mod(coeffs, w: int, p: int) -> int:
+    """The integer polynomial with these coefficients, lowest first, at w,
+    mod p."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * w + c) % p
+    return acc
 
 
-def _ring_trim(coeffs, R: Poly) -> Optional[list[Poly]]:
-    """The coefficients reduced mod R with zero leading ones dropped, or
-    None when the new leading coefficient is a zero divisor mod R."""
-    cs = [c % R for c in coeffs]
-    while cs and cs[-1].is_zero:
-        cs.pop()
-    if cs and not _is_unit(cs[-1], R):
-        return None
-    return cs
+def _reduced_form(form: ZPoly, p: int, w: int, d: int) -> tuple[int, ...]:
+    """The coefficients in F_p of a degree-d form over Z_(p)[t] mod (p, t - w),
+    lowest power of x0 first."""
+    rows, m = form.integer_rows
+    inverse = pow(m, -1, p)
+    values = [_value_mod(row, w, p) * inverse % p for row in rows]
+    return tuple(values + [0] * (d + 1 - len(values)))
 
 
-def _ring_pseudo_divmod(
-    a: list[Poly], b: list[Poly], R: Poly
-) -> tuple[list[Poly], list[Poly]]:
-    """(q, r) with lc(b)^k a = q b + r over Q[t]/R, k = len(a) - len(b) + 1
-    steps (none when that is not positive) and r not trimmed."""
-    m = len(b) - 1
-    lead = b[-1]
-    q = [Poly.zero()] * max(len(a) - m, 0)
-    for i in range(len(a) - m - 1, -1, -1):
-        c = a[i + m]
-        q = [(x * lead) % R for x in q]
-        q[i] = c
-        a = [(x * lead) % R for x in a]
-        for j in range(m + 1):
-            a[i + j] = (a[i + j] - c * b[j]) % R
-    return q, a[:m]
-
-
-def _form_gcd(f: tuple, g: tuple, R: Poly) -> Optional[tuple]:
-    """A gcd over Q[t]/R of two forms, not both zero: the pseudo-remainder
-    Euclid on their dehomogenized parts times the lower power of x1; None
-    when a remainder's leading coefficient is a zero divisor."""
-    (ef, a), (eg, b) = f, g
-    if not a:
-        (ef, a), (eg, b) = (eg, b), (ef, a)
-    x1_power = ef - len(a) + 1
-    if b:
-        x1_power = min(x1_power, eg - len(b) + 1)
-    while b:
-        a, b = b, _ring_trim(_ring_pseudo_divmod(a, b, R)[1], R)
-        if b is None:
-            return None
-    return len(a) - 1 + x1_power, a
-
-
-def _form_quotient(f: tuple, c: tuple, R: Poly) -> tuple:
-    """The pseudo-quotient of f by a form c that divides it over Q[t]/R:
-    f/c times lc(c)^k, k = deg f - deg c + 1, the same for every f of one
-    degree, as the part of f is padded to the length of its form minus the
-    power of x1 in c."""
-    (ef, a), (ec, b) = f, c
-    x1_power = ec - len(b) + 1
-    if ef - len(a) + 1 < x1_power:
-        raise RuntimeError("internal error: inexact division of forms")
-    padded = a + [Poly.zero()] * (ef - x1_power + 1 - len(a))
-    q, r = _ring_pseudo_divmod(padded, b, R)
-    if any(not x.is_zero for x in r):
-        raise RuntimeError("internal error: inexact division of forms")
-    while q and q[-1].is_zero:
-        q.pop()
-    return ef - ec, q
+def _reduced_orbit_avoids_zero(Q: ProjectivePoint, p: int, w: int, forms: tuple) -> bool:
+    """Whether Q = [x0 : x1] mod (p, t - w) is not (0, 0) and its orbit under
+    the reduced forms never reaches (0, 0), followed on P^1(F_p) until a
+    point repeats (at most p + 1 steps)."""
+    a, b = _value_mod(Q.x0.ints, w, p), _value_mod(Q.x1.ints, w, p)
+    seen = set()
+    while a or b:
+        y = a * pow(b, -1, p) % p if b else p  # [y : 1], or p for [1 : 0]
+        if y in seen:
+            return True
+        seen.add(y)
+        a, b = (form[-1] if y == p else _value_mod(form, y, p) for form in forms)
+    return False
 
 
 # ---------------------------------------------------------------------------

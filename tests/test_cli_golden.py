@@ -22,6 +22,7 @@ from ffdyn.suites import SuiteResult
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 OUT = "{out}"  # stands for the --output file in an argv
+PARAMS = "{params}"  # stands for a bound-parameter file with the text of PARAMS_TEXT
 
 ORBIT_SCAN = ["orbit-scan", "--map", "(z^2-t)/z", "--point", "t", "--places", "inf",
               "--target", "inf", "--epsilon", "1/2", "--max-n", "4", "--depth", "10"]
@@ -119,22 +120,32 @@ CASES = {
     # e = deg x0 - deg x1 is 0 at the base point and 1 from iterate 1 on
     "canheight-stable-e-settles": ["canheight", "--map", "(z^2+2*t-3)/(3*z)",
                                    "--point", "2", "--depth", "12"],
-    # no certificate: the reduced map moves its hole mod t^3 + 12
+    # once without a certificate (the reduced map moves its hole mod t^3 +
+    # 12); the reduction mod (3, t) certifies it at iterate 1, same output
     "canheight-no-certificate": ["canheight", "--map", "(3*z^2+t)/(t*z-2)",
                                  "--point", "t+2/5", "--depth", "12",
                                  "--budget", "1000000000"],
+    # a bound-parameter file may set only gamma1, the one name a bound reads
+    "orbit-scan-params-unknown-key": [*ORBIT_SCAN, "--params", PARAMS],
 }
 
 # FFDYN_ variables set for a case
 ENV = {"canheight-negative-budget-env": {"FFDYN_BUDGET": "-5"}}
+PARAMS_TEXT = "gamma1 = 3\nkappa2 = 1/2\n"
 
 
 def run_case(argv, out_path=None) -> dict:
-    """Run main in-process on argv, with OUT standing for out_path; return
-    its exit code, stdout, stderr and, for an --output run, the file's text."""
+    """Run main in-process on argv, with OUT standing for out_path and PARAMS
+    for a file beside it that holds PARAMS_TEXT; return its exit code,
+    stdout, stderr and, for an --output run, the file's text."""
+    files = {}
+    if out_path is not None:
+        params = Path(out_path).with_name("params")
+        params.write_text(PARAMS_TEXT)
+        files = {OUT: str(out_path), PARAMS: str(params)}
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([str(out_path) if a == OUT else a for a in argv])
+        code = cli.main([files.get(a, a) for a in argv])
     result = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
     if OUT in argv:
         result["file"] = Path(out_path).read_text()

@@ -22,7 +22,7 @@ from ffdyn import (
 )
 from ffdyn.errors import DomainError, OrbitBudgetError
 from ffdyn.function_field import FieldElement
-from ffdyn.heights import _infinity_increment, _reduction_holes, _term_degrees
+from ffdyn.heights import _infinity_increment, _term_degrees
 from ffdyn.maps import ProjectivePoint
 from ffdyn.randgen import rand_map, rand_tpoly
 
@@ -286,15 +286,17 @@ def test_interval_rule_at_infinity(map_text, e, m):
     assert _infinity_increment(_term_degrees(phi), phi.d, e) == m
 
 
-def test_hole_free_orbit_needs_no_finite_part():
-    # mod R = t (t + 1) the leading coefficient is 0 and the next one, t, is
-    # a zero divisor, so the finite part cannot be checked; G = 1 and x1 = 1
-    # keep every B = G(x) a nonzero constant instead
+def test_hole_free_orbit_needs_no_finite_part(monkeypatch):
+    # G = 1 and x1 = 1 keep every B = G(x) a nonzero constant, so the
+    # certificate never reads the finite places and Res = t^2 (t + 1)^2 is
+    # never factored
+    calls = []
+    monkeypatch.setattr(ffdyn.heights, "_reductions", calls.append)
     phi, P = parse_rational_map("t*(t+1)*z^2+t*z"), parse_point("1")
-    assert _reduction_holes(phi) is None
     orbit = Orbit(phi, P, 1 << 40)
     assert orbit.escape_index(0) == 0 and orbit._increment == 2
     expected = [GlobalOrbit(phi, P, 1 << 14)[n].height for n in range(7)]
     assert [orbit.height(n) for n in range(7)] == expected
     report = count_S_integral(phi, P, parse_places("inf"), 38, 10**12)
     assert report.hits == tuple(range(1, 39))
+    assert calls == []

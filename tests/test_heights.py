@@ -131,13 +131,16 @@ def test_classify_budget():
 
 def test_bound_params_file(tmp_path):
     cfg = tmp_path / "bounds.cfg"
-    cfg.write_text("gamma1 = 3\nkappa2 = 1/2  # comment\n\n# full-line comment\n")
+    cfg.write_text("gamma1 = 3/2  # comment\n\n# full-line comment\n")
     params = BoundParams.from_file(cfg)
-    assert params.get("gamma1") == 3
-    assert params.get("kappa2") == Fraction(1, 2)
+    assert params.get("gamma1") == Fraction(3, 2)
     assert params.has("gamma1") and not params.has("gamma2")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="not supplied"):
         params.get("gamma2")
+    # only gamma1 is read by a bound, so no other name is accepted
+    cfg.write_text("gamma1 = 3\nkappa2 = 1/2  # comment\n")
+    with pytest.raises(ConfigError, match="^unknown bound parameter 'kappa2'$"):
+        BoundParams.from_file(cfg)
 
 
 def test_bound_params_rejects_bad_input(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ffdyn.heights
 from ffdyn import (
     Orbit,
     Place,
@@ -495,14 +496,19 @@ def test_common_factor_examples():
     ],
 )
 def test_orbit_paths_do_not_factor(count_calls, text, point, depth):
+    # nothing on the orbit paths is factored, but for the resultant, which
+    # the finite part of the stable certificate factors once per map
     phi = parse_rational_map(text)
     P = pt(point)
     assert resultant(phi).degree > 0
+    ffdyn.heights._reductions.cache_clear()
     calls = count_calls("factor_tpoly")
     apply_map(phi, P)
-    canonical_height(phi, P, depth)
     classify_preperiodic(phi, P)
     assert calls == []
+    canonical_height(phi, P, depth)
+    canonical_height(phi, pt("t"), depth)
+    assert calls in ([], [(resultant(phi),)])
 
 
 # ---------------------------------------------------------------------------

@@ -59,13 +59,15 @@ def test_prefix_matches_plain_orbit_seeded():
 
 
 # (map, point, n, iterates a fresh Orbit's height(n) builds): stable from
-# iterate 1, past the switch index of the truncated state, escaped, and a
-# preperiodic orbit, certified with m = 0 at iterate 0
+# iterate 1 (twice), past the switch index of the truncated state (a tie at
+# infinity: no certificate), escaped, and a preperiodic orbit, certified with
+# m = 0 at iterate 0
 @pytest.mark.parametrize(
     "map_text, point_text, n, fresh",
     [
         ("(z^2-t)/z", "t", 8, 1),
-        ("(3*z^2+t)/(t*z-2)", "t+2/5", 6, 2),
+        ("(3*z^2+t)/(t*z-2)", "t+2/5", 6, 1),
+        ("(3*z^2+t^2+t)/(t*z-2)", "t+2/5", 6, 4),
         ("z^2+t", "1", 8, 1),  # escaped at iterate 1
         ("z^2+t^3", "t", 6, 1),  # escaped at iterate 1, not 0
         ("z^2", "-1", 4, 0),
@@ -175,7 +177,8 @@ def test_a_periodic_cycle_is_stepped_once(monkeypatch):
 
 def test_truncated_heights_are_kept(tmp_path, monkeypatch):
     # gamma_set and the --params bound both ask P's Orbit for hhat(12), which
-    # the truncated state answers from iterate 3; the second ask reuses it
+    # the truncated state answers from iterate 5 (a tie at infinity leaves
+    # this orbit without a certificate); the second ask reuses it
     params = tmp_path / "params.txt"
     params.write_text("gamma1 = 1\n")
     runs = []
@@ -186,12 +189,12 @@ def test_truncated_heights_are_kept(tmp_path, monkeypatch):
         return local_height(orbit, j, n)
 
     monkeypatch.setattr(Orbit, "_local_height", counting)
-    argv = ["orbit-scan", "--map", "(3*z^2+t)/(t*z-2)", "--point", "t+2/5",
+    argv = ["orbit-scan", "--map", "(3*z^2+t^2+t)/(t*z-2)", "--point", "t+2/5",
             "--places", "inf", "--target", "0", "--epsilon", "1/2", "--max-n", "3",
             "--depth", "12", "--budget", "1000000000", "--params", str(params)]
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli_main(argv) == 0
-    assert runs == [(pt("t+2/5"), 3, 12), (pt("0"), 4, 12)]
+    assert runs == [(pt("t+2/5"), 5, 12), (pt("0"), 5, 12)]
 
 
 def test_hmin_lattice_scan_steps_each_point_once_per_lattice_point(monkeypatch):

@@ -1,8 +1,10 @@
 """Stable certificates of Orbit.height: the heights it reads from h_(n+1) =
 d h_n + m against the global iterates of tests/oracles.py (GlobalOrbit), on
-seeded (z^2 + a(t))/(b z) maps and on adversarial maps built to defeat each
-part of the certificate."""
+seeded (z^2 + a(t))/(b z) maps, on the rational maps of the orbit-deep
+benchmark and on adversarial maps built to defeat each part of the
+certificate."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -12,14 +14,14 @@ from ffdyn import Orbit, parse_point, parse_rational_map
 from ffdyn.errors import OrbitBudgetError
 from ffdyn.exprs import point_text
 from ffdyn.heights import (
-    _form_gcd,
     _infinity_increment,
-    _reduction_holes,
-    _ring_trim,
+    _reduced_orbit_avoids_zero,
+    _reductions,
     _stable_increment,
     _term_degrees,
+    _value_mod,
 )
-from ffdyn.maps import resultant
+from ffdyn.maps import RationalMap, resultant
 from ffdyn.polynomials import Poly, poly_gcd
 
 from oracles import GlobalOrbit
@@ -96,6 +98,98 @@ def seeded_cases():
     return cases
 
 
+# The first certificate index k <= CERTIFY_MAX (None for none) of each case
+# of seeded_cases(), a row per map, and of the rational certify orbits of the
+# orbit-deep benchmark, seeds 0-2 ("point:k" in the benchmark's order),
+# recorded before the finite part of the certificate became a reduction mod
+# p. A later index is a regression.
+CERTIFY_MAX = 6
+SEEDED_INDICES = [
+    (1, None, 0, 1, 1),  # (z^2 + t^2 + 1)/(-2*z)
+    (1, 0, 0, 1, 1),  # (z^2 - t - 3)/(-z)
+    (1, 0, 0, 1, 1),  # (z^2 - 2*t - 3)/(3*z)
+    (1, None, 0, 1, 1),  # (z^2 + t^2 + 3*t - 2)/(z)
+    (1, 0, 0, 1, 1),  # (z^2 + 2*t - 3)/(-z)
+    (1, 0, 0, 1, 1),  # (z^2 - t - 2)/(-3*z)
+    (1, 2, 0, 1, 1),  # (z^2 - t^2 + 3*t - 1)/(-z)
+    (1, 0, 0, 1, 1),  # (z^2 + 2*t + 2)/(-2*z)
+    (1, 1, 0, 1, 1),  # (z^2 + 3*t - 3)/(2*z)
+]
+DEEP_INDICES = {
+    "(z^2 + (t + 2))/(-2*z)": (
+        "-1/3:1 -3*t-1:0 -1/2:1 2/3:1 t+2:1 -t+3:0 3*t+2:0 "
+        "-2*t+1:0 -3/2:1 -2:1 t+1:0 -3:1 -1:1 -2*t+3:0"
+    ),
+    "(z^2 + (3*t - 1))/(1*z)": (
+        "3/2:1 -2:1 -3*t+2:0 -1/3:1 2*t-3:0 3*t-1:1 -t+2:0 "
+        "t+3:0 -3:1 2*t+1:0 -t-1:0 -1:1 2/3:1 -1/2:1"
+    ),
+    "(z^2 + (2*t + 1))/(3*z)": (
+        "-2*t+1:0 2*t-3:0 -3*t-2:0 -3:1 -t-1:0 1/2:1 2/3:1 "
+        "-1:1 -3/2:1 1/3:1 2:1 t-3:0 -t+2:0 -3*t+1:0"
+    ),
+    "(z^2 + (t + 3))/(1*z)": (
+        "-t-2:0 2/3:1 -2*t+3:0 1/3:1 2*t+1:0 -1/2:1 -t+3:0 "
+        "2:1 3:1 3/2:1 -3*t+1:0 1:1 -3*t+2:0 -t-1:0"
+    ),
+    "(z^2 + (t + 2))/(2*z)": (
+        "1:1 3*t-2:0 -2/3:1 2*t-3:0 -3/2:1 -t+1:0 -3*t+1:0 "
+        "3:1 t+3:0 -1/2:1 -t-2:1 -2:1 -2*t+1:0 -1/3:1"
+    ),
+    "(z^2 + (3*t - 1))/(-1*z)": (
+        "3/2:1 1/2:1 -2/3:1 t+3:0 -3*t+1:1 -2:1 -t-2:0 "
+        "-t+1:0 2*t+1:0 -2*t+3:0 3:1 -3*t-2:0 -1/3:1 1:1"
+    ),
+    "(z^2 + (-2*t - 1))/(3*z)": (
+        "t+2:0 -1/2:1 -2/3:1 -2:1 -2*t+3:0 t+1:0 3:1 "
+        "1:1 3/2:1 -1/3:1 -3*t-1:0 -2*t+1:0 -3*t-2:0 t+3:0"
+    ),
+    "(z^2 + (t - 3))/(-1*z)": (
+        "-3/2:1 -3*t+1:0 -t+2:0 -1/2:1 -t+1:0 2*t-3:0 3:1 "
+        "2:1 -t+3:1 3*t-2:0 -2*t-1:0 -1:1 -2/3:1 1/3:1"
+    ),
+    "(z^2 + (-t + 2))/(-2*z)": (
+        "-t+2:1 -t-3:0 1/3:1 3*t-2:0 -3/2:1 -1:1 -3*t+1:0 "
+        "-2*t+3:0 2*t-1:0 2/3:1 2:1 1/2:1 -3:1 -t-1:0"
+    ),
+    "(z^2 + (-3*t - 1))/(1*z)": (
+        "-2/3:1 -t-1:0 -1/3:1 -3*t-2:0 -2*t-1:0 -3/2:1 -t-3:0 "
+        "2*t-3:0 -1:1 3*t+1:1 -3:1 -t+2:0 -2:1 -1/2:1"
+    ),
+    "(z^2 + (-2*t + 1))/(3*z)": (
+        "-3/2:1 1/3:1 3*t-2:0 -2/3:1 1/2:1 -2*t-3:0 2:1 "
+        "-3*t-1:0 1:1 2*t+1:0 3:1 t-1:0 -t-3:0 -t+2:0"
+    ),
+    "(z^2 + (t - 3))/(1*z)": (
+        "-3/2:1 3*t-2:0 -2:1 -t-3:0 1:1 2*t+1:0 -1/3:1 "
+        "-1/2:1 t-2:0 -3*t+1:0 t-1:0 -3:1 -2/3:1 -2*t+3:0"
+    ),
+}
+
+
+def test_seeded_certificate_indices():
+    indices = [Orbit(phi, P, 1 << 20)._certified_index(CERTIFY_MAX) for phi, P in seeded_cases()]
+    assert indices == [k for row in SEEDED_INDICES for k in row]
+
+
+@pytest.mark.parametrize("map_text", DEEP_INDICES)
+def test_orbit_deep_certificate_indices(map_text):
+    phi = parse_rational_map(map_text)
+    for entry in DEEP_INDICES[map_text].split():
+        point, k = entry.rsplit(":", 1)
+        orbit = Orbit(phi, parse_point(point), 1 << 20)
+        assert orbit._certified_index(CERTIFY_MAX) == int(k), entry
+
+
+def check_new_certificate(phi, P, k):
+    """The certificate holds first at k, and the heights it reads agree with
+    the global iterates up to n = 10."""
+    expected = [GlobalOrbit(phi, P, 1 << 12)[n].height for n in range(11)]
+    index, heights = recurrence_heights(phi, P, k_max=CERTIFY_MAX)
+    assert index == k
+    assert heights[: 11 - k] == expected[k:]
+
+
 def test_recurrence_matches_global_heights_seeded():
     certified = []
     for phi, P in seeded_cases():
@@ -148,9 +242,17 @@ def test_late_hole_is_not_certified_early():
         _infinity_increment(terms, 2, orbit[n].x0.degree - orbit[n].x1.degree) == 0
         for n in range(8)
     )
-    assert _reduction_holes(phi) is None  # (c): z + 1 moves the hole
-    check_uncertified(phi, P, 8)
+    # every pair tried has w = 0, where the reduced map walks y -> y + 1
+    # into the hole 5 mod p from any y
+    (tries,) = _reductions(phi)
+    assert [(p, w) for p, w, _ in tries] == [(p, 0) for p in (2, 3, 5, 7, 11, 13)]
+    check_uncertified(phi, P, 5)
     assert global_heights(phi, P)[5:8] == [32, 63, 126]
+    # past the hole x_6 is (0, 0) mod (p, t) for p = 2, 3, 5, and [1 : 0],
+    # which the reduced map fixes, mod (7, t) and (11, t)
+    assert [_reduced_orbit_avoids_zero(orbit[6], *reduction) for reduction in tries] == [
+        False, False, False, True, True, False]
+    check_new_certificate(phi, P, 6)
 
 
 def test_e_changes_once_before_it_settles():
@@ -167,32 +269,81 @@ def test_e_changes_once_before_it_settles():
 
 
 @pytest.mark.parametrize(
-    "map_text, point_text_",
+    "map_text, point_text_, k",
     [
-        # the leading coefficient t is a zero divisor mod R = t (t - 1)
-        ("(t*z^2+1)/((t-1)*z)", "t+2"),
-        # mod t the gcd is z^2, mod t - 1 it is z + 1: no C over Q[t]/R
-        ("(z^3+(t+1)*z^2+t*z)/(z^2-t)", "t+2"),
+        # Res = t (t - 1)^2; its leading coefficient t is a zero divisor mod
+        # t (t - 1), so no gcd of F and G exists over Q[t]/(t (t - 1))
+        pytest.param("(t*z^2+1)/((t-1)*z)", "t+2", 0, id="(t*z^2+1)/((t-1)*z)-t+2"),
+        # Res = t^2 (t - 1)^2. Mod t the map is z^2 (z + 1)/z^2, whose hole
+        # 0 the reduced map z + 1 walks into from any point mod p
+        pytest.param("(z^3+(t+1)*z^2+t*z)/(z^2-t)", "t+2", None,
+                     id="(z^3+(t+1)*z^2+t*z)/(z^2-t)-t+2"),
     ],
 )
-def test_zero_divisor_gives_up(map_text, point_text_):
+def test_two_bad_places(map_text, point_text_, k):
     phi, P = parse_rational_map(map_text), parse_point(point_text_)
     res = resultant(phi)
-    R = res.exact_div(poly_gcd(res, res.derivative()))
-    assert R == Poly.of(0, -1, 1)
-    F, G = _ring_trim(phi.F.coeffs, R), _ring_trim(phi.G.coeffs, R)
-    assert F is None or _form_gcd((phi.d, F), (phi.d, G), R) is None
-    assert _reduction_holes(phi) is None
-    check_uncertified(phi, P, 5 if phi.d == 3 else 8)
+    assert res.exact_div(poly_gcd(res, res.derivative())) == Poly.of(0, -1, 1)
+    # one list per place, t - 1 then t, each with the root of its own factor
+    places = _reductions(phi)
+    assert [[(p, w) for p, w, _ in tries] for tries in places] == [
+        [(p, w) for p in (2, 3, 5, 7, 11, 13)] for w in (1, 0)]
+    if k is None:
+        check_uncertified(phi, P, 5)
+    else:
+        check_new_certificate(phi, P, k)
 
 
-def test_moving_hole_gets_no_certificate():
-    # mod t^3 + 12 the reduced map is affine with a multiplier of norm 9/4,
-    # so its hole has preimages outside the holes
+def test_moving_hole_is_certified_at_iterate_1():
+    # Res = t^3 + 12. x_1 reaches (0, 0) mod (2, t) and mod (11, t - 10),
+    # though no factor is ever lost, and passes mod (3, t)
     phi, P = parse_rational_map("(3*z^2+t)/(t*z-2)"), parse_point("t+2/5")
-    assert _reduction_holes(phi) is None
-    check_uncertified(phi, P, 7)
-    assert Orbit(phi, P, 1 << 20)._certified_index(7) is None
+    (tries,) = _reductions(phi)
+    x1 = GlobalOrbit(phi, P, 1 << 12)[1]
+    passes = {(p, w): _reduced_orbit_avoids_zero(x1, p, w, forms) for p, w, forms in tries}
+    assert passes[2, 0] is False and passes[11, 10] is False and passes[3, 0] is True
+    check_new_certificate(phi, P, 1)
+
+
+def test_new_certificate_with_a_place_of_degree_2():
+    # Res = (t + 1)(t^2 - t + 1)
+    phi, P = parse_rational_map("(z^2+t)/(t*z+1)"), parse_point("2*t-1")
+    assert len(_reductions(phi)) == 2
+    check_new_certificate(phi, P, 1)
+
+
+def test_iterate_at_zero_mod_p_is_not_a_pass():
+    # x_0 = (t - 1, 3) is (0, 0) mod (3, t - 1), and phi loses t - 1 at the
+    # step from it: mod t - 1 the map is [x0 (x0 + x1) : x0 x1], whose hole 0
+    # the reduced map z + 1 walks into from any point mod p. Read as [1 : 0],
+    # fixed mod (3, t - 1), the pair (0, 0) would pass, and with (3, t + 1)
+    # for the place t + 1 the certificate would hold at iterate 0
+    phi, P = parse_rational_map("(z^2+t^2*z+t-1)/(t*z+t-1)"), parse_point("(t-1)/3")
+    assert (P.x0, P.x1) == (Poly.of(-1, 1), Poly.of(3))
+    place_t_minus_1, place_t_plus_1 = _reductions(phi)
+    reductions = {(p, w): forms for p, w, forms in place_t_minus_1}
+    assert not _reduced_orbit_avoids_zero(P, 3, 1, reductions[3, 1])
+    assert any(_reduced_orbit_avoids_zero(P, *reduction) for reduction in place_t_plus_1)
+    assert losses(phi, P, 3) == [1, 0, 0]
+    check_uncertified(phi, P, 5)
+
+
+def test_primes_of_bad_reduction_are_skipped():
+    # pi = 3 t^2 + t + 1 reduces to t + 1 mod 3, with the root 2, but 3
+    # divides lc(pi); [F/5 : G/5] is phi with denominators 5
+    phi = parse_rational_map("(z^2+3*t^2+t+1)/z")
+    assert resultant(phi) == Poly.of(1, 1, 3) and _value_mod((1, 1, 3), 2, 3) == 0
+    scaled = RationalMap(phi.F.scale(Fraction(1, 5)), phi.G.scale(Fraction(1, 5)), 2)
+    assert [[(p, w) for p, w, _ in tries] for tries in _reductions(phi)] == [
+        [(5, 1), (5, 2), (11, 9), (23, 6), (23, 9)]]
+    assert [[(p, w) for p, w, _ in tries] for tries in _reductions(scaled)] == [
+        [(11, 9), (23, 6), (23, 9)]]
+    for text, k in (("2", 1), ("t^2", 0), ("1/t", 1)):
+        P = parse_point(text)
+        expected = global_heights(phi, P)[:9]
+        for psi in (phi, scaled):
+            assert Orbit(psi, P, 1 << 20)._certified_index(CERTIFY_MAX) == k
+            assert [Orbit(psi, P, 1 << 20).height(n) for n in range(9)] == expected
 
 
 def test_recurrence_keeps_the_budget_text():
