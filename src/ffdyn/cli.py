@@ -29,6 +29,7 @@ from .exprs import (
     field_elem_text,
     form_text,
     map_text,
+    parse_at,
     parse_place,
     parse_places,
     parse_point,
@@ -502,9 +503,10 @@ def _run_estimate_gamma(args) -> list[dict]:
         parts = raw.split("|")
         if len(parts) != 3:
             raise ConfigError(f"instance must be 'MAP|TARGET|POINT': {raw!r}")
-        instances.append(
-            (parse_rational_map(parts[0]), parse_point(parts[1]), parse_point(parts[2]))
-        )
+        # each part parsed alone, its error positions counted in raw
+        offsets = (0, len(parts[0]) + 1, len(parts[0]) + len(parts[1]) + 2)
+        parsers = (parse_rational_map, parse_point, parse_point)
+        instances.append(tuple(map(parse_at, parsers, parts, offsets)))
     S = parse_places(args.places)
     report = estimate_gamma(
         instances,

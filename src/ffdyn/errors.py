@@ -25,6 +25,16 @@ class ParseError(FFDynError):
         super().__init__(message)
         self.position = position
 
+    def shifted(self, offset: int) -> "ParseError":
+        """The same error in a text that holds this one's text at offset:
+        the position, and the position its message ends with, move by
+        offset."""
+        if self.position is None or not offset:
+            return self
+        message = str(self).removesuffix(f" at position {self.position}")
+        position = self.position + offset
+        return ParseError(f"{message} at position {position}", position)
+
 
 class ConfigError(FFDynError):
     """Malformed configuration file or CLI flag combination."""

@@ -4,8 +4,7 @@ Grammar (EBNF), whitespace-insensitive:
 
     expr     = term { ("+" | "-") term } ;
     term     = factor { ("*" | "/") factor } ;
-    factor   = "-" factor | power ;
-    power    = atom [ "^" integer ] ;
+    factor   = { "-" } atom [ "^" integer ] ;
     atom     = "t" | "z" | variable | integer | "(" expr ")" ;
     integer  = digit { digit } ;
     variable = "T" integer ;            (split multilinear forms only)
@@ -13,7 +12,17 @@ Grammar (EBNF), whitespace-insensitive:
 Precedence: ^ above unary minus above * / above + -; binary operators are
 left associative, exponents are nonnegative integer literals. Canonical
 printing is descending in z then descending in t, so equal values print to
-identical bytes and parse(print(x)) = x."""
+identical bytes and parse(print(x)) = x.
+
+A text becomes a list of token strings by one ``re.findall``, and the
+parser runs one loop for sums and one for products over that list, keeping
+only a token index. Positions are found on the error path alone: a
+ParseError rescans the text for the position of the token it names, and a
+token that no text of the mode may hold (a character outside the grammar,
+a T<i> outside forms) is reported first, wherever it stands, as a
+character-by-character tokenizer would. A list of places, or an
+estimate-gamma instance, is parsed one part at a time; ``parse_at`` counts
+an error's position from the start of the whole argument."""
 
 from __future__ import annotations
 
@@ -22,57 +31,63 @@ from math import gcd
 
 from .errors import DomainError, ParseError
 from .function_field import FieldElement, Place
-from .polynomials import Poly, ZPoly
+from .maps import ProjectivePoint, normalize_map
+from .polynomials import Poly, ZPoly, primitive_pair
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Tokens
 # ---------------------------------------------------------------------------
 
-
-class _Token:
-    __slots__ = ("kind", "text", "pos", "value")
-
-    def __init__(self, kind: str, text: str, pos: int, value: int = 0):
-        self.kind = kind  # INT | T | Z | VAR | OP | END
-        self.text = text
-        self.pos = pos
-        self.value = value
+# One token per match: an integer, a variable T<i> (digits optional, so that
+# a bare T is reported), or any other character that is not whitespace.
+# Whitespace matches nothing and is skipped.
+_TOKEN_RE = re.compile(r"\d+|T\d*|\S")
+_CHARS = frozenset("tz+-*/^()")
 
 
-# One token per match after optional whitespace: an integer, a variable T<i>
-# (digits optional, so that a bare T is reported), a one-character token, or
-# any other character that is not whitespace, which is an error.
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(T\d*)|([tz+\-*/^()])|(\S))")
-_CHAR_KINDS = {"t": "T", "z": "Z"}
+def _error(reason: str, pos: int) -> ParseError:
+    return ParseError(f"{reason} at position {pos}", pos)
 
 
-def _tokenize(text: str, allow_vars: bool) -> list[_Token]:
-    tokens = []
+def _position(text: str, index: int) -> int:
+    """Position in text of the token at index, or len(text) for the end."""
+    for k, m in enumerate(_TOKEN_RE.finditer(text)):
+        if k == index:
+            return m.start()
+    return len(text)
+
+
+def _character_error(text: str, mode: str):
+    """The ParseError of the first token that no mode-``mode`` text may hold,
+    or None: a character outside the grammar, a variable outside "form"
+    mode, or a T without its index. Such a token is reported before any
+    syntax error of the text, wherever it stands."""
     for m in _TOKEN_RE.finditer(text):
-        digits, var, char, _ = m.groups()
-        i = m.start(m.lastindex)
-        if digits is not None:
-            tokens.append(_Token("INT", digits, i, int(digits)))
-        elif char is not None:
-            tokens.append(_Token(_CHAR_KINDS.get(char, "OP"), char, i))
-        elif var is not None and allow_vars:
-            if len(var) == 1:
-                raise ParseError(f"variable index expected after 'T' at position {i}", i)
-            tokens.append(_Token("VAR", var, i, int(var[1:])))
+        tok = m.group()
+        if tok[0] == "T":
+            if mode != "form":
+                reason = "unexpected character 'T'"
+            elif len(tok) == 1:
+                reason = "variable index expected after 'T'"
+            else:
+                continue
+        elif tok in _CHARS or tok.isdecimal():
+            continue
         else:
-            raise ParseError(f"unexpected character {text[i]!r} at position {i}", i)
-    tokens.append(_Token("END", "", len(text)))
-    return tokens
+            reason = f"unexpected character {tok!r}"
+        return _error(reason, m.start())
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Parser over an abstract value domain
 # ---------------------------------------------------------------------------
 #
-# The same recursive-descent core serves three targets (field elements,
-# rational maps, split forms) through a small value algebra: values support
-# add, neg, mul, div and pow by a nonnegative integer, and the class builds
-# the atoms (const, t, z, variable).
+# The same parser serves three targets (field elements, rational maps, split
+# forms) through a small value algebra: values support add, neg, mul, div
+# and pow by a nonnegative integer, and the class builds the atoms (const,
+# t, z, variable). A quotient the algebra cannot form raises _DivisionError,
+# to which the parser adds the position of its '/'.
 #
 # Maps and field elements are built as sparse term dicts
 # {(z-degree, t-degree): coefficient} with the zero terms dropped. The atoms
@@ -81,6 +96,10 @@ def _tokenize(text: str, allow_vars: bool) -> list[_Token]:
 # the end of the parse.
 
 _ONE_TERMS = {(0, 0): 1}
+
+
+class _DivisionError(Exception):
+    """Division by zero, or by a form; the message names which."""
 
 
 def _terms_add(a: dict, b: dict) -> dict:
@@ -117,22 +136,34 @@ def _terms_pow(a: dict, n: int) -> dict:
     return result
 
 
-def _terms_tpoly(terms: dict, z_degree: int = 0) -> Poly:
-    """The coefficient of z^z_degree of a term dict with integer coefficients."""
-    row = {j: c for (i, j), c in terms.items() if i == z_degree}
-    if not row:
-        return Poly.zero()
+def _row_poly(row: dict) -> Poly:
+    """The Poly of {t-degree: nonzero integer}."""
     ints = [0] * (max(row) + 1)
     for j, c in row.items():
         ints[j] = c
     return Poly(tuple(ints), 1)
 
 
+def _terms_tpoly(terms: dict) -> Poly:
+    """The Poly of a term dict free of z."""
+    return _row_poly({j: c for (_, j), c in terms.items()}) if terms else Poly.zero()
+
+
 def _terms_zpoly(terms: dict) -> ZPoly:
-    if not terms:
+    """The ZPoly of a term dict, its z-rows grouped in one pass."""
+    rows: dict = {}
+    for (i, j), c in terms.items():
+        row = rows.get(i)
+        if row is None:
+            rows[i] = {j: c}
+        else:
+            row[j] = c
+    if not rows:
         return ZPoly.zero()
-    top = max(i for i, _ in terms)
-    return ZPoly(tuple(_terms_tpoly(terms, i) for i in range(top + 1)))
+    coeffs = [Poly.zero()] * (max(rows) + 1)
+    for i, row in rows.items():
+        coeffs[i] = _row_poly(row)
+    return ZPoly(tuple(coeffs))
 
 
 class _RatFunc:
@@ -175,9 +206,9 @@ class _RatFunc:
             return _RatFunc(num, _ONE_TERMS)
         return _RatFunc(num, _terms_mul(self.den, other.den))
 
-    def div(self, other: "_RatFunc", pos: int) -> "_RatFunc":
+    def div(self, other: "_RatFunc") -> "_RatFunc":
         if not other.num:
-            raise ParseError(f"division by zero at position {pos}", pos)
+            raise _DivisionError("division by zero")
         return _RatFunc(_terms_mul(self.num, other.den), _terms_mul(self.den, other.num))
 
     def pow(self, k: int) -> "_RatFunc":
@@ -233,12 +264,12 @@ class _FormVal:
                 out[key] = out.get(key, FieldElement.zero()) + va * vb
         return _FormVal(out)
 
-    def div(self, other: "_FormVal", pos: int) -> "_FormVal":
+    def div(self, other: "_FormVal") -> "_FormVal":
         if list(other.terms.keys()) not in ([], [()]):
-            raise ParseError(f"division by a form at position {pos}", pos)
+            raise _DivisionError("division by a form")
         c = other.terms.get((), FieldElement.zero())
         if c.is_zero:
-            raise ParseError(f"division by zero at position {pos}", pos)
+            raise _DivisionError("division by zero")
         return _FormVal({k: v / c for k, v in self.terms.items()})
 
     def pow(self, k: int) -> "_FormVal":
@@ -249,109 +280,104 @@ class _FormVal:
 
 
 class _Parser:
-    # value class of the "elem" and "map" modes, and the tokenizer
-    ratfunc = _RatFunc
-    tokenize = staticmethod(_tokenize)
+    """The parser of one text in one mode: "elem" (no z), "map" (z allowed)
+    or "form" (T<i> allowed, no z).
+
+    It walks the token list with two precedence loops, one for sums and one
+    for products; a factor reads its unary minus signs, its atom and its
+    exponent. It keeps a token index, not a position: the position of the
+    token a ParseError names is found only when the error is raised."""
 
     def __init__(self, text: str, mode: str):
-        # mode: "elem" (no z), "map" (z allowed), "form" (T<i> allowed, no z)
         self.text = text
         self.mode = mode
-        self.values = _FormVal if mode == "form" else self.ratfunc
-        self.tokens = self.tokenize(text, allow_vars=(mode == "form"))
+        self.values = _FormVal if mode == "form" else _RatFunc
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append("")  # the end of input
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == op:
-            self.next()
-            return
-        raise ParseError(f"expected {op!r} at position {tok.pos}", tok.pos)
-
     def parse(self):
-        value = self.expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise ParseError(
-                f"unexpected token {tok.text!r} at position {tok.pos}", tok.pos
-            )
+        try:
+            value = self._sum()
+            if self.tokens[self.i]:
+                self._fail(f"unexpected token {self.tokens[self.i]!r}", self.i)
+        except ParseError:
+            first = _character_error(self.text, self.mode)
+            if first is None:
+                raise
+            raise first from None
         return value
 
-    def expr(self):
-        value = self.term()
+    def _fail(self, reason: str, index: int):
+        raise _error(reason, _position(self.text, index))
+
+    def _sum(self):
+        value = self._product()
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.next()
-                rhs = self.term()
-                value = value.add(rhs.neg() if tok.text == "-" else rhs)
+            op = tokens[self.i]
+            if op == "+":
+                self.i += 1
+                value = value.add(self._product())
+            elif op == "-":
+                self.i += 1
+                value = value.add(self._product().neg())
             else:
                 return value
 
-    def term(self):
-        value = self.factor()
+    def _product(self):
+        value = self._factor()
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "*/":
-                self.next()
-                rhs = self.factor()
-                value = value.mul(rhs) if tok.text == "*" else value.div(rhs, tok.pos)
+            op = tokens[self.i]
+            if op == "*":
+                self.i += 1
+                value = value.mul(self._factor())
+            elif op == "/":
+                at = self.i
+                self.i += 1
+                rhs = self._factor()
+                try:
+                    value = value.div(rhs)
+                except _DivisionError as exc:
+                    self._fail(str(exc), at)
             else:
                 return value
 
-    def factor(self):
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
-            self.next()
-            return self.factor().neg()
-        return self.power()
-
-    def power(self):
-        value = self.atom()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "^":
-            self.next()
-            exp = self.peek()
-            if exp.kind != "INT":
-                raise ParseError(
-                    f"nonnegative integer exponent expected at position {exp.pos}",
-                    exp.pos,
-                )
-            self.next()
-            return value.pow(exp.value)
-        return value
-
-    def atom(self):
-        tok = self.next()
-        if tok.kind == "INT":
-            return self.values.const(tok.value)
-        if tok.kind == "T":
-            return self.values.t()
-        if tok.kind == "Z":
+    def _factor(self):
+        # factor = { "-" } atom [ "^" integer ]; the signs apply after "^"
+        tokens = self.tokens
+        i = self.i
+        negate = False
+        while tokens[i] == "-":
+            negate = not negate
+            i += 1
+        tok = tokens[i]
+        self.i = i + 1
+        if tok.isdecimal():
+            value = self.values.const(int(tok))
+        elif tok == "z":
             if self.mode != "map":
-                raise ParseError(
-                    f"map context required for 'z' at position {tok.pos}", tok.pos
-                )
-            return self.values.z()
-        if tok.kind == "VAR":
-            return self.values.variable(tok.value)
-        if tok.kind == "OP" and tok.text == "(":
-            value = self.expr()
-            self.expect_op(")")
-            return value
-        raise ParseError(
-            f"unexpected {'end of input' if tok.kind == 'END' else repr(tok.text)} "
-            f"at position {tok.pos}",
-            tok.pos,
-        )
+                self._fail("map context required for 'z'", i)
+            value = self.values.z()
+        elif tok == "t":
+            value = self.values.t()
+        elif tok == "(":
+            value = self._sum()
+            if tokens[self.i] != ")":
+                self._fail("expected ')'", self.i)
+            self.i += 1
+        elif len(tok) > 1 and self.mode == "form":  # T<i>
+            value = self.values.variable(int(tok[1:]))
+        else:
+            self._fail(f"unexpected {repr(tok) if tok else 'end of input'}", i)
+        if tokens[self.i] == "^":
+            exp = tokens[self.i + 1]
+            if not exp.isdecimal():
+                self._fail("nonnegative integer exponent expected", self.i + 1)
+            value = value.pow(int(exp))
+            self.i += 2
+        return value.neg() if negate else value
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +392,6 @@ def parse_field_elem(text: str) -> FieldElement:
 
 
 def parse_rational_map(text: str):
-    from .maps import normalize_map
-
     phi = normalize_map(*_Parser(text, "map").parse().zpolys())
     if phi.d == 0:
         raise ParseError("constant map")
@@ -375,11 +399,16 @@ def parse_rational_map(text: str):
 
 
 def parse_point(text: str):
-    from .maps import ProjectivePoint
-
+    """The point [x : 1] of the text x, or infinity for "inf". A constant
+    denominator c is coprime to the numerator, so [num : c] goes straight
+    to its normal form, with no gcd and no Fraction."""
     if text.strip() == "inf":
         return ProjectivePoint.infinity()
-    return ProjectivePoint.from_field(parse_field_elem(text))
+    value = _Parser(text, "elem").parse()
+    num, den = _terms_tpoly(value.num), _terms_tpoly(value.den)
+    if den.degree == 0:
+        return ProjectivePoint(*primitive_pair(num, den))
+    return ProjectivePoint.make(num, den)
 
 
 def parse_place(text: str) -> Place:
@@ -391,11 +420,25 @@ def parse_place(text: str) -> Place:
     return Place.finite(x.num.monic())
 
 
+def parse_at(parse, text: str, offset: int):
+    """parse(text) for a text cut from an argument at offset: a ParseError
+    gives its position in the whole argument."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise exc.shifted(offset) from None
+
+
 def parse_places(text: str) -> frozenset:
-    text = text.strip()
-    if not text:
+    body = text.strip()
+    if not body:
         return frozenset()
-    return frozenset(parse_place(part) for part in text.split(","))
+    offset = len(text) - len(text.lstrip())
+    places = []
+    for part in body.split(","):
+        places.append(parse_at(parse_place, part, offset))
+        offset += len(part) + 1
+    return frozenset(places)
 
 
 def parse_split_form(text: str):

@@ -801,10 +801,13 @@ def _hhat_interval(h: int, n: int, d: int, h_phi: int) -> HeightInterval:
     hhat(P) = h/d^n + sum over k >= n of (h(phi^(k+1) P) - d h(phi^k P))/d^(k+1),
     each numerator lies in [-(2d - 1) h_phi, h_phi] (displacement_bound), and
     the sum of 1/d^(k+1) over k >= n is 1/(d^n (d - 1)). The lower end is
-    clipped at 0."""
-    center = Fraction(h, d**n)
-    unit = Fraction(h_phi, d**n * (d - 1))
-    return HeightInterval(max(Fraction(0), center - (2 * d - 1) * unit), center + unit)
+    clipped at 0. Over the common denominator d^n (d - 1) each end is one
+    integer numerator, so each is built as one Fraction."""
+    den = d**n * (d - 1)
+    top = h * (d - 1)
+    return HeightInterval(
+        Fraction(max(0, top - (2 * d - 1) * h_phi), den), Fraction(top + h_phi, den)
+    )
 
 
 def classify_preperiodic(

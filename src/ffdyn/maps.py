@@ -157,6 +157,11 @@ def coprime_by_specialization(F: ZPoly, G: ZPoly) -> bool:
     return False
 
 
+def _is_monomial(f: ZPoly) -> bool:
+    """Whether the nonzero f is c*z^k, one term in z."""
+    return all(c.is_zero for c in f.coeffs[:-1])
+
+
 def _z_order(f: ZPoly) -> int:
     """Largest k with z^k dividing the nonzero f."""
     return next(k for k, c in enumerate(f.coeffs) if not c.is_zero)
@@ -166,9 +171,14 @@ def normalize_map(Fraw: ZPoly, Graw: ZPoly) -> RationalMap:
     """Bring a fraction of z-polynomials over K into normalized form.
 
     A zero side makes a constant map, 0/1 or 1/0, of degree 0. Otherwise a
-    common power of z is divided out first, and the K[z] gcd is computed
-    only if ``coprime_by_specialization`` cannot then certify that F and G
-    are coprime."""
+    common power of z is divided out first, when z divides both sides.
+
+    Then a side with one term c*z^k (c nonzero in Q[t]) needs no gcd: c is a
+    unit of K[z], so a common factor of F and G divides z^k. If k = 0 there
+    is none; if k > 0 the other side has a nonzero z^0 coefficient, since z
+    no longer divides both, so it is prime to z^k. Otherwise the K[z] gcd
+    is computed only if ``coprime_by_specialization`` cannot certify that F
+    and G are coprime."""
     if Fraw.is_zero and Graw.is_zero:
         raise DomainError("numerator and denominator both zero")
     F, G = Fraw, Graw
@@ -177,10 +187,10 @@ def normalize_map(Fraw: ZPoly, Graw: ZPoly) -> RationalMap:
     elif G.is_zero:
         F = ZPoly.one()
     else:
-        k = min(_z_order(F), _z_order(G))
-        if k:
+        if F.coeffs[0].is_zero and G.coeffs[0].is_zero:
+            k = min(_z_order(F), _z_order(G))
             F, G = ZPoly(F.coeffs[k:]), ZPoly(G.coeffs[k:])
-        if not coprime_by_specialization(F, G):
+        if not (_is_monomial(F) or _is_monomial(G) or coprime_by_specialization(F, G)):
             _, F, G = zpoly_gcd_over_k(F, G)
     return _normalize_coprime(F, G)
 
@@ -197,8 +207,7 @@ def _normalize_coprime(F: ZPoly, G: ZPoly) -> RationalMap:
             coeffs = F.coeffs + G.coeffs
     # joint rational content with positive leading constant
     content = rational_content(coeffs)
-    lead = (F if not F.is_zero else G).leading.leading
-    if lead < 0:
+    if (F if not F.is_zero else G).leading.ints[-1] < 0:
         content = -content
     if content != 1:
         F = F.scale(1 / content)

@@ -35,12 +35,18 @@
   ``dup_factor_list`` over ZZ on the integer numerators (its Zassenhaus),
   against the native polynomials.factor_tpoly on large inputs.
 - char_tokenize, ZPolyRatFunc, CharParser: the expression parser as it
-  was, a character-by-character tokenizer and a value algebra that builds
-  ZPoly values at every atom and operation, against the term-dict values
-  and the regular-expression tokenizer of exprs.
+  was, a character-by-character tokenizer into position-carrying tokens, a
+  recursive descent with one method per precedence level (expr, term,
+  factor, power, atom), and a value algebra that builds ZPoly values at
+  every atom and operation, against exprs._Parser: token strings from one
+  regular expression, two precedence loops and term-dict values.
 - fraction_poly_text, fraction_zpoly_text, fraction_map_text: canonical
   printing through a Fraction per coefficient, zeros included, against the
   printer of exprs, which reads the integer numerators.
+- specialization_normalize_map: the normalized form of F/G through the
+  route that the exit of maps.normalize_map for a side c*z^k skips: the
+  common power of z divided out, then coprime_by_specialization, then the
+  K[z] gcd when the specializations cannot decide.
 - exceptional_by_second_iterate, polynomial_iterate_by_power: whether a
   point is exceptional, from the fiber of phi^2 over it, and whether phi^j
   is a polynomial, from phi^j itself, against maps.is_exceptional and
@@ -57,6 +63,10 @@
   the escape inequality on the coefficients of phi, from GlobalOrbit,
   against heights.Orbit.escape_index, whose certificate must hold there or
   earlier.
+- fraction_hhat_interval: the one-sided canonical-height interval as
+  center h/d^n and unit h(phi)/(d^n (d - 1)) with the ends built by
+  Fraction arithmetic and the lower end clipped at Fraction(0), against
+  heights._hhat_interval, which builds each end from one integer numerator.
 - symmetric_hhat_interval, symmetric_canonical_height: the canonical-height
   interval of radius B/(d^N (d - 1)) about h(phi^N P)/d^N with the
   symmetric B = (2d + 1) h(phi) + deg Res, against heights.canonical_height,
@@ -82,7 +92,7 @@ from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.factortools import dup_factor_list
 
 from ffdyn.errors import OrbitBudgetError, ParseError
-from ffdyn.exprs import _Parser, _Token
+from ffdyn.exprs import _DivisionError, _FormVal
 from ffdyn.function_field import FieldElement, Place, PlaceSet, is_S_integer, log_abs
 from ffdyn.heights import (
     DEFAULT_HEIGHT_BUDGET,
@@ -95,7 +105,9 @@ from ffdyn.heights import (
 from ffdyn.maps import (
     ProjectivePoint,
     RationalMap,
+    _normalize_coprime,
     apply_map,
+    coprime_by_specialization,
     fiber_polynomial,
     is_polynomial_iterate,
     power,
@@ -107,6 +119,7 @@ from ffdyn.orbit_integrality import (
     _certificate_at,
 )
 from ffdyn.polynomials import Poly, ZPoly, rational_content
+from ffdyn.sympybridge import zpoly_gcd_over_k
 
 
 def bareiss_det(M: list[list[Poly]]) -> Poly:
@@ -401,6 +414,15 @@ def sympy_zpoly_gcd_over_k(f: ZPoly, g: ZPoly) -> ZPoly:
     return _canonical_kz(h)
 
 
+def specialization_normalize_map(F: ZPoly, G: ZPoly) -> RationalMap:
+    """normalize_map for nonzero F and G with no exit for a side c*z^k."""
+    k = min(next(i for i, c in enumerate(f.coeffs) if not c.is_zero) for f in (F, G))
+    F, G = ZPoly(F.coeffs[k:]), ZPoly(G.coeffs[k:])
+    if not coprime_by_specialization(F, G):
+        _, F, G = zpoly_gcd_over_k(F, G)
+    return _normalize_coprime(F, G)
+
+
 def exceptional_by_second_iterate(phi: RationalMap, A: ProjectivePoint) -> bool:
     """True iff the fiber of phi^2 over A is supported on A alone."""
     psi = power(phi, 2)
@@ -474,6 +496,14 @@ def oracle_escape_index(
         ):
             return k
     return None
+
+
+def fraction_hhat_interval(h: int, n: int, d: int, h_phi: int) -> HeightInterval:
+    """[h/d^n - (2d - 1) h_phi/(d^n (d - 1)), h/d^n + h_phi/(d^n (d - 1))],
+    the lower end clipped at 0, in Fraction arithmetic."""
+    center = Fraction(h, d**n)
+    unit = Fraction(h_phi, d**n * (d - 1))
+    return HeightInterval(max(Fraction(0), center - (2 * d - 1) * unit), center + unit)
 
 
 def symmetric_hhat_interval(phi: RationalMap, h: int, n: int) -> HeightInterval:
@@ -635,6 +665,16 @@ def lambda_v_by_logmax(
     return -log_abs(FieldElement.from_poly(cross), v) + logmax(P) + logmax(Q)
 
 
+class _Token:
+    __slots__ = ("kind", "text", "pos", "value")
+
+    def __init__(self, kind: str, text: str, pos: int, value: int = 0):
+        self.kind = kind  # INT | T | Z | VAR | OP | END
+        self.text = text
+        self.pos = pos
+        self.value = value
+
+
 def char_tokenize(text: str, allow_vars: bool) -> list[_Token]:
     """Tokens of text, read one character at a time."""
     tokens = []
@@ -714,9 +754,9 @@ class ZPolyRatFunc:
     def mul(self, other: "ZPolyRatFunc") -> "ZPolyRatFunc":
         return ZPolyRatFunc(self.num * other.num, self.den * other.den)
 
-    def div(self, other: "ZPolyRatFunc", pos: int) -> "ZPolyRatFunc":
+    def div(self, other: "ZPolyRatFunc") -> "ZPolyRatFunc":
         if other.num.is_zero:
-            raise ParseError(f"division by zero at position {pos}", pos)
+            raise _DivisionError("division by zero")
         return ZPolyRatFunc(self.num * other.den, self.den * other.num)
 
     def pow(self, k: int) -> "ZPolyRatFunc":
@@ -726,11 +766,115 @@ class ZPolyRatFunc:
         return self.num, self.den
 
 
-class CharParser(_Parser):
-    """The parser of exprs on char_tokenize and ZPolyRatFunc."""
+class CharParser:
+    """The recursive descent over char_tokenize, one method per precedence
+    level, on ZPolyRatFunc values (exprs._FormVal in "form" mode)."""
 
-    ratfunc = ZPolyRatFunc
-    tokenize = staticmethod(char_tokenize)
+    def __init__(self, text: str, mode: str):
+        # mode: "elem" (no z), "map" (z allowed), "form" (T<i> allowed, no z)
+        self.text = text
+        self.mode = mode
+        self.values = _FormVal if mode == "form" else ZPolyRatFunc
+        self.tokens = char_tokenize(text, allow_vars=(mode == "form"))
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str) -> None:
+        tok = self.peek()
+        if tok.kind == "OP" and tok.text == op:
+            self.next()
+            return
+        raise ParseError(f"expected {op!r} at position {tok.pos}", tok.pos)
+
+    def parse(self):
+        value = self.expr()
+        tok = self.peek()
+        if tok.kind != "END":
+            raise ParseError(
+                f"unexpected token {tok.text!r} at position {tok.pos}", tok.pos
+            )
+        return value
+
+    def expr(self):
+        value = self.term()
+        while True:
+            tok = self.peek()
+            if tok.kind == "OP" and tok.text in "+-":
+                self.next()
+                rhs = self.term()
+                value = value.add(rhs.neg() if tok.text == "-" else rhs)
+            else:
+                return value
+
+    def term(self):
+        value = self.factor()
+        while True:
+            tok = self.peek()
+            if tok.kind == "OP" and tok.text in "*/":
+                self.next()
+                rhs = self.factor()
+                if tok.text == "*":
+                    value = value.mul(rhs)
+                    continue
+                try:
+                    value = value.div(rhs)
+                except _DivisionError as exc:
+                    raise ParseError(f"{exc} at position {tok.pos}", tok.pos) from None
+            else:
+                return value
+
+    def factor(self):
+        tok = self.peek()
+        if tok.kind == "OP" and tok.text == "-":
+            self.next()
+            return self.factor().neg()
+        return self.power()
+
+    def power(self):
+        value = self.atom()
+        tok = self.peek()
+        if tok.kind == "OP" and tok.text == "^":
+            self.next()
+            exp = self.peek()
+            if exp.kind != "INT":
+                raise ParseError(
+                    f"nonnegative integer exponent expected at position {exp.pos}",
+                    exp.pos,
+                )
+            self.next()
+            return value.pow(exp.value)
+        return value
+
+    def atom(self):
+        tok = self.next()
+        if tok.kind == "INT":
+            return self.values.const(tok.value)
+        if tok.kind == "T":
+            return self.values.t()
+        if tok.kind == "Z":
+            if self.mode != "map":
+                raise ParseError(
+                    f"map context required for 'z' at position {tok.pos}", tok.pos
+                )
+            return self.values.z()
+        if tok.kind == "VAR":
+            return self.values.variable(tok.value)
+        if tok.kind == "OP" and tok.text == "(":
+            value = self.expr()
+            self.expect_op(")")
+            return value
+        raise ParseError(
+            f"unexpected {'end of input' if tok.kind == 'END' else repr(tok.text)} "
+            f"at position {tok.pos}",
+            tok.pos,
+        )
 
 
 def _frac_text(c: Fraction) -> str:

@@ -318,6 +318,27 @@ def test_parse_error_exit_2(capsys):
     assert "position 4" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["integral-count", "--map", "z^2+t", "--point", "1", "--places", "t + 1,inf, 2*x",
+          "--max-n", "3"], "unexpected character 'x' at position 13"),
+        (["estimate-gamma", "--instance", "z^2+t|inf|1 + y", "--places", "inf",
+          "--epsilon", "1/2", "--max-n", "3"], "unexpected character 'y' at position 14"),
+        (["estimate-gamma", "--instance", "z^2+t|t/(|1", "--places", "inf",
+          "--epsilon", "1/2", "--max-n", "3"], "unexpected end of input at position 9"),
+        (["estimate-gamma", "--instance", "z^^2|inf|1", "--places", "inf",
+          "--epsilon", "1/2", "--max-n", "3"],
+         "nonnegative integer exponent expected at position 2"),
+    ],
+)
+def test_parse_error_position_in_the_whole_argument(capsys, argv, message):
+    # --places and --instance parse each part alone; the position counts
+    # from the start of the argument
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_domain_error_exit_1(capsys):
     # exceptional target for the orbit scan
     code, _, err = run(

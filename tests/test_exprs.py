@@ -30,7 +30,7 @@ from ffdyn.exprs import (
     poly_text,
     zpoly_text,
 )
-from ffdyn.maps import normalize_map
+from ffdyn.maps import ProjectivePoint, normalize_map
 from ffdyn.polynomials import Poly, ZPoly
 from ffdyn.randgen import (
     rand_field_elem,
@@ -124,6 +124,48 @@ def test_parse_split_form():
         parse_split_form("t + 1")  # no variables
     with pytest.raises(ParseError):
         parse_split_form("T1 - T1")  # identically zero
+
+
+# A constant denominator goes straight to the normal form of [num : c].
+CONSTANT_DENOMINATOR_POINTS = [
+    "3/2",
+    "-3/2",
+    "0/5",
+    "(2*t+2)/4",
+    "-(t-1/2)^2/4",
+    "123456789012345678901234567890*t - 7",
+    "3/(-2)",
+    "(t+1)/(1-3)",
+    "-t/(-6)",
+    "t^2/(-4) + 2/(-6)",
+]
+
+
+def _oracle_pair(text):
+    num, den = CharParser(text, "elem").parse().zpolys()
+    return num.coeff(0), den.coeff(0)
+
+
+@pytest.mark.parametrize("text", CONSTANT_DENOMINATOR_POINTS)
+def test_point_with_constant_denominator_matches_make(text, count_calls):
+    num, den = _oracle_pair(text)
+    assert den.degree == 0
+    gcds = count_calls("poly_gcd")
+    P = parse_point(text)
+    assert gcds == []
+    assert P == ProjectivePoint.make(num, den)
+    assert P == ProjectivePoint.from_field(parse_field_elem(text))
+
+
+def test_points_seeded():
+    rng = Random(79)
+    for _ in range(300):
+        P = rand_point(rng)
+        assert parse_point(point_text(P)) == P
+        num = rand_field_elem(rng).num
+        c = rng.choice([-1, 1]) * rng.randint(1, 30)
+        for text in (f"({poly_text(num)})/({c})", f"({poly_text(num)})/({c}*t + 1)"):
+            assert parse_point(text) == ProjectivePoint.make(*_oracle_pair(text))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +403,12 @@ PARSE_ERRORS = [
     (parse_place, "t/(t+1)", "place must be a nonconstant polynomial or 'inf': 't/(t+1)'",
      None),
     (parse_place, "t,", "unexpected character ',' at position 1", 1),
+    # a part of a list reports its position in the whole text
+    (parse_places, "t + 1,inf, 2*x", "unexpected character 'x' at position 13", 13),
+    (parse_places, "  t,,inf", "unexpected end of input at position 4", 4),
+    (parse_places, "t,(t+1", "expected ')' at position 6", 6),
+    (parse_places, "inf, t/0", "division by zero at position 6", 6),
+    (parse_places, "t, 3", "place must be a nonconstant polynomial or 'inf': ' 3'", None),
 ]
 
 

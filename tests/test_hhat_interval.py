@@ -23,10 +23,12 @@ from ffdyn import (
     parse_rational_map,
 )
 from ffdyn.errors import DomainError, OrbitBudgetError
+from ffdyn.heights import _hhat_interval
 from ffdyn.randgen import rand_map, rand_point, rand_tpoly
 from ffdyn.suites import run_suite
 
 from oracles import (
+    fraction_hhat_interval,
     global_classify_preperiodic,
     symmetric_canonical_height,
     symmetric_hhat_interval,
@@ -64,6 +66,22 @@ def test_displacement_bound_is_sharp(map_text, point, delta):
     assert phi.coefficient_height() == 1
     assert apply_map(phi, P).height - phi.d * P.height == delta
     assert delta in (-(2 * phi.d - 1), 1)
+
+
+def test_integer_interval_matches_fraction_oracle_seeded():
+    rng = Random(71)
+    cases = [(0, 0, 2, 0), (0, 3, 2, 1), (1, 0, 2, 1), (3, 0, 2, 1), (5, 1, 3, 1),
+             (2**40, 40, 2, 7)]
+    cases += [(rng.randint(0, 3**rng.randint(0, 12)), rng.randint(0, 12), rng.randint(2, 5),
+               rng.randint(0, 4)) for _ in range(2000)]
+    clipped = 0
+    for h, n, d, h_phi in cases:
+        expected = fraction_hhat_interval(h, n, d, h_phi)
+        got = _hhat_interval(h, n, d, h_phi)
+        assert (got.lo, got.hi) == (expected.lo, expected.hi), (h, n, d, h_phi)
+        assert type(got.lo) is type(got.hi) is Fraction
+        clipped += got.lo == 0 < h
+    assert clipped > 100  # the clip at 0 is reached with h > 0
 
 
 def seeded_pairs(seed, count):

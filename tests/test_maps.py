@@ -61,11 +61,13 @@ from ffdyn.randgen import (
 )
 from ffdyn.sympybridge import sqf_zpoly_over_k, zpoly_gcd_over_k
 from oracles import (
+    CharParser,
     exceptional_by_second_iterate,
     linear_root_multiplicity,
     monomial_table_eval,
     polynomial_iterate_by_power,
     resultant_sylvester,
+    specialization_normalize_map,
 )
 
 
@@ -333,6 +335,59 @@ def test_common_power_of_z_is_divided_out_natively(text, count_calls):
     assert calls == []
     F, G = _Parser(text, "map").parse().zpolys()
     assert phi == _normalize_by_gcd(F, G)
+
+
+# One side is a single term c*z^k: after the common power of z, no gcd and no
+# specialization is needed.
+MONOMIAL_SIDE = [
+    "(z^3+t*z)/(2*z)",
+    "(t*z^2)/(3*z)",
+    "z^2/(0*z+3)",
+    "(z^2+t)/(t*z)",
+    "z/(z^2+1)",
+    "z^2/(t+1)",
+    "(t^2-1)*z^3/((t+1)*z^2+(t-1)*z)",
+    "(z^2+t*z)/((t^2+1)*z^3)",
+    "-z^2/(-2*t*z)",
+]
+
+
+@pytest.mark.parametrize("text", MONOMIAL_SIDE)
+def test_monomial_side_matches_specialization_route(text, count_calls):
+    F, G = CharParser(text, "map").parse().zpolys()
+    expected = specialization_normalize_map(F, G)
+    calls = count_calls("coprime_by_specialization")
+    gcds = count_calls("zpoly_gcd_over_k")
+    phi = parse_rational_map(text)
+    assert (calls, gcds) == ([], [])
+    assert phi == expected == _normalize_by_gcd(F, G)
+    assert normalize_map(G, F) == specialization_normalize_map(G, F)
+
+
+def test_monomial_side_seeded(count_calls):
+    # F/(c*z^k) and (c*z^k)/F, each times a common z^j, against the route
+    # the exit skips
+    rng = Random(73)
+    calls = count_calls("coprime_by_specialization")
+    shifted = 0
+    for _ in range(300):
+        F = ZPoly.from_list([rand_tpoly(rng, 2, 4) for _ in range(rng.randint(1, 4))])
+        if F.is_zero:
+            continue
+        k, j = rng.randint(0, 3), rng.choice([0, 0, 1, 2])
+        c = rand_tpoly(rng, 2, 4, nonzero=True)
+        G = ZPoly.from_list([Poly.zero()] * k + [c])
+        zj = ZPoly.from_list([Poly.zero()] * j + [Poly.one()])
+        F, G = F * zj, G * zj
+        if rng.random() < 0.5:
+            F, G = G, F
+        shifted += F.coeffs[0].is_zero and G.coeffs[0].is_zero
+        assert normalize_map(F, G) == specialization_normalize_map(F, G)
+    assert calls == [] and shifted > 50
+    # rand_map normalizes through either route; the oracle must agree
+    for _ in range(100):
+        phi = rand_map(rng, d=rng.choice([1, 2, 3]))
+        assert specialization_normalize_map(phi.F, phi.G) == phi
 
 
 def test_common_power_of_z_loads_no_sympy():
