@@ -267,11 +267,17 @@ def _plain(value):
     return value
 
 
+# One encoder for every JSON record; default=str writes a Fraction as its
+# text, as _plain does
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
 def _emit(args, records: list[dict]) -> None:
-    records = [_plain(r) for r in records]
     if args.format == "json":
-        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        text = "".join(_JSON_ENCODER.encode(r) + "\n" for r in records)
     else:
+        # a top-level Fraction is written as its text, unquoted
+        records = [_plain(r) for r in records]
         keys = sorted({k for r in records for k in r})
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")

@@ -226,26 +226,43 @@ def product_formula_defect(x: FieldElement) -> int:
     return total
 
 
-def _strip_finite_places(p: Poly, S: PlaceSet) -> Poly:
+def _split_places(p: Poly, S: PlaceSet) -> tuple[Poly, list[int]]:
+    """(p / prod_v pi_v^e_v, [e_v]) for nonzero p, with e_v the
+    multiplicity of pi_v in p (`_split_place`), over the finite places v
+    of S in the iteration order of S."""
+    es = []
     for v in S:
         if not v.is_infinite:
-            p = _split_place(p, v.poly)[1]
-    return p
+            e, p = _split_place(p, v.poly)
+            es.append(e)
+    return p, es
+
+
+def s_split(x: FieldElement, S: PlaceSet) -> tuple[tuple[Poly, Poly, int], list[int]]:
+    """(a, b, o) of ``s_free_part`` and the list of ord_v(x) over the
+    finite places v of S, in the iteration order of S, for nonzero x.
+
+    One trial-division pass over x.num and x.den finds both: ord_v(x) is
+    the multiplicity of pi_v in x.num minus that in x.den, and the
+    quotients left are a and b."""
+    if x.is_zero:
+        raise DomainError("valuation of zero undefined")
+    a, ea = _split_places(x.num, S)
+    b, eb = _split_places(x.den, S)
+    o = 0 if Place.infinity() in S else x.den.degree - x.num.degree
+    # x.den is monic, and so is its quotient by monic place polynomials
+    return (a.monic(), b, o), [i - j for i, j in zip(ea, eb)]
 
 
 def s_free_part(x: FieldElement, S: PlaceSet) -> tuple[Poly, Poly, int]:
     """(a, b, o) for nonzero x: a and b are x's numerator and denominator
     made monic with every finite place of S divided out, and o = ord_inf(x),
-    or 0 when infinity lies in S.
+    or 0 when infinity lies in S; the first half of ``s_split``.
 
     a and b are coprime, so the triple holds ord_v(x) at every place v
     outside S and nothing else: two nonzero elements have equal triples
     exactly when their quotient is an S-unit."""
-    if x.is_zero:
-        raise DomainError("valuation of zero undefined")
-    o = 0 if Place.infinity() in S else x.den.degree - x.num.degree
-    # x.den is monic, and so is its quotient by monic place polynomials
-    return _strip_finite_places(x.num, S).monic(), _strip_finite_places(x.den, S), o
+    return s_split(x, S)[0]
 
 
 def is_S_integer(x: FieldElement, S: PlaceSet) -> bool:
@@ -256,7 +273,7 @@ def is_S_integer(x: FieldElement, S: PlaceSet) -> bool:
         return True
     if Place.infinity() not in S and x.den.degree < x.num.degree:
         return False
-    return _strip_finite_places(x.den, S).is_constant
+    return _split_places(x.den, S)[0].is_constant
 
 
 def is_S_unit(x: FieldElement, S: PlaceSet) -> bool:

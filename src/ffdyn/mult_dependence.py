@@ -24,6 +24,7 @@ from .function_field import (
     is_S_unit,
     ord_at,
     s_free_part,
+    s_split,
 )
 from .heights import DEFAULT_HEIGHT_BUDGET, Orbit, Preperiodic
 from .maps import (
@@ -32,7 +33,7 @@ from .maps import (
     bad_reduction_places,
     require_dynamical,
 )
-from .polynomials import Poly, factor_tpoly
+from .polynomials import Poly, _canon, _int_mul, factor_tpoly
 
 # ---------------------------------------------------------------------------
 # S-unit hits
@@ -157,8 +158,16 @@ def dependence_search(
     nonzero x with monic denominator is lc(x.num) * prod_v pi_v^ord_v(x)
     times its S-free quotient, over the finite places v of S, and lc and
     ord_v are multiplicative (lc(x**-1) = 1/lc(x.num)). Hence u =
-    lc(f.num)^r / lc(g.num)^s * prod_v pi_v^(r*ord_v(f) - s*ord_v(g)), the
-    ord_v computed once per orbit value."""
+    lc(f.num)^r / lc(g.num)^s * prod_v pi_v^e_v with e_v = r*ord_v(f) -
+    s*ord_v(g); `s_split` reads the S-free part and every ord_v of an
+    orbit value from one trial-division pass. u is built on integer rows:
+    pi_v = P_v / m_v with P_v the integer row of pi_v and m_v its leading
+    coefficient, and the constant is one integer fraction c / m. The
+    numerator is c times the P_v^e_v with e_v > 0, over m times their
+    m_v^e_v; the denominator is the product of the P_v^-e_v with e_v < 0
+    over that of their m_v^-e_v, which is monic. Each side is made
+    canonical once. The rows P_v^e come from one table per place, grown by
+    one product by P_v per exponent, so a search builds each power once."""
     orbit = Orbit(phi, q.alpha, height_budget)
     wandering_certified = False
     if not wandering_attested:
@@ -166,7 +175,9 @@ def dependence_search(
             raise DomainError("base point is preperiodic; search requires wandering")
         wandering_certified = True
     values = [pt.affine() for pt in orbit.prefix(q.n_max + q.k_max)]
-    parts = [None if x is None or x.is_zero else s_free_part(x, q.S) for x in values]
+    splits = [None if x is None or x.is_zero else s_split(x, q.S) for x in values]
+    parts = [split and split[0] for split in splits]
+    ords = [split and split[1] for split in splits]
     unit_part = (Poly.one(), Poly.one(), 0)
 
     def exponent_pairs(i: int, j: int) -> list[tuple[int, int]]:
@@ -192,27 +203,33 @@ def dependence_search(
                 pairs.append((r, sign * m))
         return pairs
 
-    finite = [v for v in q.S if not v.is_infinite]
+    finite = [v.poly for v in q.S if not v.is_infinite]
+    # powers[v][e] = P_v^e for P_v = finite[v].ints (docstring above)
+    powers = [[(1,)] for _ in finite]
 
-    @cache
-    def place_ords(i: int) -> list[int]:
-        return [ord_at(values[i], v) for v in finite]
-
-    @cache
-    def place_power(v: Place, e: int) -> Poly:
-        return v.poly**e
+    def place_power(v: int, e: int) -> Sequence[int]:
+        table = powers[v]
+        while len(table) <= e:
+            table.append(_int_mul(finite[v].ints, table[-1]))
+        return table[e]
 
     def unit(i: int, j: int, r: int, s: int) -> FieldElement:
         """values[i]**r / values[j]**s for a solution (docstring above)."""
-        num = Poly.constant(values[i].num.leading ** r / values[j].num.leading ** s)
-        den = Poly.one()
-        for v, ei, ej in zip(finite, place_ords(i), place_ords(j)):
+        f, g = values[i].num, values[j].num
+        if s > 0:
+            c, m = f.ints[-1] ** r * g.den**s, f.den**r * g.ints[-1] ** s
+        else:
+            c, m = f.ints[-1] ** r * g.ints[-1] ** -s, f.den**r * g.den**-s
+        num, den, den_m = [c], [1], 1
+        for v, (ei, ej) in enumerate(zip(ords[i], ords[j])):
             e = r * ei - s * ej
             if e > 0:
-                num = num * place_power(v, e)
+                num = _int_mul(num, place_power(v, e))
+                m *= finite[v].den ** e
             elif e < 0:
-                den = den * place_power(v, -e)
-        return FieldElement.reduced(num, den)
+                den = _int_mul(den, place_power(v, -e))
+                den_m *= finite[v].den ** -e
+        return FieldElement(_canon(num, m), _canon(den, den_m))
 
     d = phi.d
     solutions = []

@@ -78,10 +78,20 @@
   against mult_dependence.dependence_search, which compares S-free parts.
 - lambda_v_by_logmax: lambda_v from its definition with logmax_v of both
   points, against local_geometry.lambda_v, which reads the cross term alone.
+- s_split_by_factoring: the S-free part and the ord_v at the finite places
+  of S from the irreducible factors of numerator and denominator, against
+  function_field.s_split, one trial-division pass per place.
+- per_term_signed_terms: the printed terms of a Poly with a gcd and a
+  division per term, against exprs._poly_signed_terms, which skips both
+  for integer coefficients.
+- plain_json_lines: each record walked by cli._plain and written by
+  json.dumps(..., sort_keys=True), which builds an encoder per record,
+  against cli._emit's one encoder with default=str.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
@@ -91,8 +101,9 @@ from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.factortools import dup_factor_list
 
+from ffdyn.cli import _plain
 from ffdyn.errors import OrbitBudgetError, ParseError
-from ffdyn.exprs import _DivisionError, _FormVal
+from ffdyn.exprs import _DivisionError, _FormVal, _signed_term
 from ffdyn.function_field import FieldElement, Place, PlaceSet, is_S_integer, log_abs
 from ffdyn.heights import (
     DEFAULT_HEIGHT_BUDGET,
@@ -118,7 +129,7 @@ from ffdyn.orbit_integrality import (
     IntegralScanReport,
     _certificate_at,
 )
-from ffdyn.polynomials import Poly, ZPoly, rational_content
+from ffdyn.polynomials import Poly, ZPoly, factor_tpoly, rational_content
 from ffdyn.sympybridge import zpoly_gcd_over_k
 
 
@@ -620,6 +631,27 @@ def quotient_is_S_unit(u: FieldElement, S: PlaceSet) -> bool:
     return Place.infinity() in S or u.num.degree == u.den.degree
 
 
+def s_split_by_factoring(
+    x: FieldElement, S: PlaceSet
+) -> tuple[tuple[Poly, Poly, int], list[int]]:
+    """((a, b, o), [ord_v(x) for the finite v of S, in the iteration order
+    of S]) for nonzero x: a and b are the products of the monic irreducible
+    factors of x.num and x.den outside S, with their multiplicities, and
+    o = ord_inf(x), or 0 when infinity lies in S."""
+    ords = {v.poly: 0 for v in S if not v.is_infinite}
+    free = []
+    for p, sign in ((x.num, 1), (x.den, -1)):
+        part = Poly.one()
+        for q, mult in factor_tpoly(p)[1]:
+            if q in ords:
+                ords[q] += sign * mult
+            else:
+                part = part * q**mult
+        free.append(part)
+    o = 0 if Place.infinity() in S else x.den.degree - x.num.degree
+    return (free[0], free[1], o), list(ords.values())
+
+
 def quotient_dependence_search(
     orbit: list[Optional[FieldElement]],
     S: PlaceSet,
@@ -938,3 +970,16 @@ def fraction_map_text(phi: RationalMap) -> str:
     if phi.G == ZPoly.one():
         return num
     return f"({num})/({fraction_zpoly_text(phi.G)})"
+
+
+def per_term_signed_terms(p: Poly) -> list[tuple[str, str]]:
+    """Descending (sign, body) pairs for the nonzero terms of p, each term
+    reduced by its own gcd with p.den."""
+    ints, den = p.ints, p.den
+    return [_signed_term(ints[k], den, k) for k in range(len(ints) - 1, -1, -1) if ints[k]]
+
+
+def plain_json_lines(records: list[dict]) -> str:
+    """One line per record: the record with every Fraction replaced by its
+    text (cli._plain), written by json.dumps with sorted keys."""
+    return "".join(json.dumps(_plain(r), sort_keys=True) + "\n" for r in records)

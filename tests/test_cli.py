@@ -1,13 +1,17 @@
 """End-to-end CLI tests: golden outputs, exit codes, formats, determinism."""
 
+import argparse
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from ffdyn.cli import main
+from ffdyn.cli import _emit, main
 from ffdyn.suites import SUITE_NAMES, run_suite
+
+from oracles import plain_json_lines
 
 
 def run(capsys, *argv):
@@ -481,6 +485,20 @@ def test_csv_round_trip(capsys, argv):
             assert json.loads(rec[key]) == value
     if "certificate" in expected:
         assert isinstance(json.loads(rec["certificate"]), dict)
+
+
+def test_json_lines_match_the_plain_walk(capsys):
+    # one encoder with default=str writes the bytes that json.dumps wrote
+    # for each record after _plain had replaced its Fractions by text
+    records = [
+        {"schema": "x", "lo": Fraction(3, 2), "hi": Fraction(4), "rho": 2.584962500721156},
+        {"nested": (Fraction(-1, 3), [Fraction(5), None, True], {"b": Fraction(7, 9),
+                                                                  "a": (1, 2.5, False)})},
+        {"z": None, "y": True, "x": False, "w": [], "v": {}, "u": "1/2", "t": -0.0},
+        {"certificate": {"index": 3, "bound": Fraction(-10, 4), "places": ("t", "inf")}},
+    ]
+    _emit(argparse.Namespace(format="json", output=None), records)
+    assert capsys.readouterr().out == plain_json_lines(records)
 
 
 def test_output_file(capsys, tmp_path):

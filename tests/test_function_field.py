@@ -23,9 +23,11 @@ from ffdyn import (
     support,
 )
 from ffdyn.errors import DomainError
-from ffdyn.function_field import poly_ord
+from ffdyn.function_field import poly_ord, s_split
 from ffdyn.polynomials import Poly
 from ffdyn.randgen import rand_field_elem
+
+from oracles import s_split_by_factoring
 
 T = Poly.t()
 INF = Place.infinity()
@@ -196,6 +198,41 @@ def test_s_free_part_examples():
     assert s_free_part(elem(Poly.of(0, 3)), place_set([])) == (T, Poly.one(), -1)
     with pytest.raises(DomainError):
         s_free_part(FieldElement.zero(), place_set([INF]))
+    # s_split adds the orders at the finite places of S: 2 at t, -3 at t - 1
+    S = place_set([P_T, Place.finite(Poly.of(-1, 1)), INF])
+    part, ords = s_split(x, S)
+    assert part == (Poly.of(1, 1), Poly.one(), 0)
+    assert sorted(ords) == [-3, 2]
+    assert s_split(elem(Poly.of(0, 3)), place_set([])) == ((T, Poly.one(), -1), [])
+
+
+# places for s_split: t (the low-zeros path of _split_place), linear places
+# with integer and rational roots, and places of degree 2
+_SPLIT_PLACES = (
+    P_T,
+    P_T1,
+    Place.finite(Poly.of(Fraction(-3, 2), 1)),
+    Place.finite(Poly.of(1, 0, 1)),
+    Place.finite(Poly.of(Fraction(1, 3), 1, 1)),
+    INF,
+)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_s_split_is_s_free_part_and_ord_at_seeded(seed):
+    rng = Random(4300 + seed)
+    # a random element times place powers of both signs, so that orders
+    # are positive, negative and zero
+    x = rand_field_elem(rng, max_deg=2, cmax=5, nonzero=True)
+    for v in _SPLIT_PLACES[:-1]:
+        e = rng.randint(-3, 3)
+        factor = FieldElement.from_poly(v.poly)
+        x = x * factor**e
+    S = place_set(rng.sample(_SPLIT_PLACES, rng.randint(0, len(_SPLIT_PLACES))))
+    part, ords = s_split(x, S)
+    assert part == s_free_part(x, S)
+    assert ords == [ord_at(x, v) for v in S if not v.is_infinite]
+    assert (part, ords) == s_split_by_factoring(x, S)
 
 
 # products of a few place polynomials, so that quotients are often S-units

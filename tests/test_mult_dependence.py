@@ -27,6 +27,8 @@ from ffdyn import (
     split_multilinear_zero_scan,
     unit_hits,
 )
+import ffdyn.function_field as function_field
+import ffdyn.mult_dependence as mult_dependence
 from ffdyn.errors import DomainError
 from ffdyn.heights import Preperiodic, classify_preperiodic
 from ffdyn.maps import ProjectivePoint, apply_map, conjugate
@@ -178,6 +180,11 @@ ORACLE_CASES = [
     ("z^2+t", "0", "t,inf", (2, 2, 3, 3)),
     ("1/z^2", "t+1", "inf", (2, 2, 4, 4)),
     ("z^2", "t+1", "inf", (2, 2, 3, 3)),
+    # the two dearest multdep benchmark shapes: every coprime pair solves;
+    # two finite places, one with a rational coefficient, and witnesses
+    # with e_v > 0 at two places and e_v < 0 at one
+    ("(t+2)*z^2", "2*t-3", "t+2,inf,t-3/2", (2, 1, 2, 3)),
+    ("(t-1)*z^2", "-2*t+2", "t-1,inf", (2, 1, 2, 3)),
 ]
 
 # Larger exponent boxes, where the degree vectors of most (n, k) are not
@@ -311,6 +318,34 @@ def test_search_builds_u_only_for_solutions(monkeypatch, quad_poly_map, monomial
     report = dependence_search(monomial_map, q)
     assert len(report.solutions) > 0
     assert calls == []
+
+
+def test_witnesses_read_no_valuations_and_build_no_powers(monkeypatch):
+    # once s_split has split each orbit value, the witnesses u come from
+    # its orders and the per-place power tables: no ord_at, no poly_ord and
+    # no Poly.__pow__ (the exponent comparison of non-unit parts is the only
+    # caller of __pow__ in the search, and these parts are all units)
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for module in (function_field, mult_dependence):
+        for name in ("ord_at", "poly_ord"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    monkeypatch.setattr(Poly, "__pow__", recording("pow", Poly.__pow__))
+    report = _report("(t+2)*z^2", "2*t-3", "t+2,inf,t-3/2", (2, 1, 2, 3))
+    assert len(report.solutions) == 20
+    assert calls == []
+    # e_v = ord_v(u) of both signs at the finite places, so both sides of u
+    # read the tables
+    S = parse_places("t+2,inf,t-3/2")
+    orders = {ord_at(sol.u, v) for sol in report.solutions for v in S if not v.is_infinite}
+    assert min(orders) < 0 < max(orders)
 
 
 def test_zero_not_periodic_flag(quad_poly_map, monomial_map, S_inf):
