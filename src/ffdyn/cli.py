@@ -267,9 +267,16 @@ def _plain(value):
     return value
 
 
-# One encoder for every JSON record; default=str writes a Fraction as its
-# text, as _plain does
-_JSON_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+def _fraction_text(value):
+    """The JSON encoder's default: a Fraction as its text, as _plain
+    writes it; any other object json cannot encode is an error."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# One encoder for every JSON record
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True, default=_fraction_text)
 
 
 def _emit(args, records: list[dict]) -> None:

@@ -487,14 +487,7 @@ def _signed_term(c: int, den: int, k: int) -> tuple[str, str]:
 def _poly_signed_terms(p: Poly) -> list[tuple[str, str]]:
     """Descending (sign, body) pairs for the nonzero terms of p."""
     ints, den = p.ints, p.den
-    degrees = range(len(ints) - 1, -1, -1)
-    if den == 1:  # integer coefficients: no gcd and no division per term
-        return [
-            ("-", _t_mono_text(-c, 1, k)) if c < 0 else ("+", _t_mono_text(c, 1, k))
-            for k in degrees
-            if (c := ints[k])
-        ]
-    return [_signed_term(ints[k], den, k) for k in degrees if ints[k]]
+    return [_signed_term(ints[k], den, k) for k in range(len(ints) - 1, -1, -1) if ints[k]]
 
 
 def _join_terms(terms: list[tuple[str, str]]) -> str:

@@ -166,8 +166,11 @@ def dependence_search(
     numerator is c times the P_v^e_v with e_v > 0, over m times their
     m_v^e_v; the denominator is the product of the P_v^-e_v with e_v < 0
     over that of their m_v^-e_v, which is monic. Each side is made
-    canonical once. The rows P_v^e come from one table per place, grown by
-    one product by P_v per exponent, so a search builds each power once."""
+    canonical once. P_v^e is built by binary powering from the squares
+    P_v^(2^i), which a search builds once per place: O(log e) products for
+    any e, and none at the place t, where P_v^e is t^e. ord_v of an orbit
+    value grows like d^(n+k), so e can run to thousands within the default
+    height budget."""
     orbit = Orbit(phi, q.alpha, height_budget)
     wandering_certified = False
     if not wandering_attested:
@@ -204,14 +207,22 @@ def dependence_search(
         return pairs
 
     finite = [v.poly for v in q.S if not v.is_infinite]
-    # powers[v][e] = P_v^e for P_v = finite[v].ints (docstring above)
-    powers = [[(1,)] for _ in finite]
+    # squares[v][i] = P_v^(2^i) for P_v = finite[v].ints (docstring above)
+    squares = [[v.ints] for v in finite]
 
     def place_power(v: int, e: int) -> Sequence[int]:
-        table = powers[v]
-        while len(table) <= e:
-            table.append(_int_mul(finite[v].ints, table[-1]))
-        return table[e]
+        """P_v^e for e > 0, by binary powering on squares[v]."""
+        row = finite[v].ints
+        if not any(row[:-1]):  # the place t: P_v = t
+            return (0,) * e + (1,)
+        sq = squares[v]
+        while len(sq) < e.bit_length():
+            sq.append(_int_mul(sq[-1], sq[-1]))
+        power = None
+        for i in range(e.bit_length()):
+            if e >> i & 1:
+                power = sq[i] if power is None else _int_mul(power, sq[i])
+        return power
 
     def unit(i: int, j: int, r: int, s: int) -> FieldElement:
         """values[i]**r / values[j]**s for a solution (docstring above)."""

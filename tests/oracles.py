@@ -81,12 +81,10 @@
 - s_split_by_factoring: the S-free part and the ord_v at the finite places
   of S from the irreducible factors of numerator and denominator, against
   function_field.s_split, one trial-division pass per place.
-- per_term_signed_terms: the printed terms of a Poly with a gcd and a
-  division per term, against exprs._poly_signed_terms, which skips both
-  for integer coefficients.
 - plain_json_lines: each record walked by cli._plain and written by
   json.dumps(..., sort_keys=True), which builds an encoder per record,
-  against cli._emit's one encoder with default=str.
+  against cli._emit's one encoder, whose default writes a Fraction as its
+  text.
 """
 
 from __future__ import annotations
@@ -103,7 +101,7 @@ from sympy.polys.factortools import dup_factor_list
 
 from ffdyn.cli import _plain
 from ffdyn.errors import OrbitBudgetError, ParseError
-from ffdyn.exprs import _DivisionError, _FormVal, _signed_term
+from ffdyn.exprs import _DivisionError, _FormVal
 from ffdyn.function_field import FieldElement, Place, PlaceSet, is_S_integer, log_abs
 from ffdyn.heights import (
     DEFAULT_HEIGHT_BUDGET,
@@ -970,13 +968,6 @@ def fraction_map_text(phi: RationalMap) -> str:
     if phi.G == ZPoly.one():
         return num
     return f"({num})/({fraction_zpoly_text(phi.G)})"
-
-
-def per_term_signed_terms(p: Poly) -> list[tuple[str, str]]:
-    """Descending (sign, body) pairs for the nonzero terms of p, each term
-    reduced by its own gcd with p.den."""
-    ints, den = p.ints, p.den
-    return [_signed_term(ints[k], den, k) for k in range(len(ints) - 1, -1, -1) if ints[k]]
 
 
 def plain_json_lines(records: list[dict]) -> str:

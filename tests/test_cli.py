@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from ffdyn import Place, parse_field_elem
 from ffdyn.cli import _emit, main
 from ffdyn.suites import SUITE_NAMES, run_suite
 
@@ -488,8 +489,8 @@ def test_csv_round_trip(capsys, argv):
 
 
 def test_json_lines_match_the_plain_walk(capsys):
-    # one encoder with default=str writes the bytes that json.dumps wrote
-    # for each record after _plain had replaced its Fractions by text
+    # one encoder that writes a Fraction as its text writes the bytes that
+    # json.dumps wrote for each record after _plain had replaced them
     records = [
         {"schema": "x", "lo": Fraction(3, 2), "hi": Fraction(4), "rho": 2.584962500721156},
         {"nested": (Fraction(-1, 3), [Fraction(5), None, True], {"b": Fraction(7, 9),
@@ -499,6 +500,16 @@ def test_json_lines_match_the_plain_walk(capsys):
     ]
     _emit(argparse.Namespace(format="json", output=None), records)
     assert capsys.readouterr().out == plain_json_lines(records)
+
+
+@pytest.mark.parametrize("value", [Place.infinity(), parse_field_elem("t"), {1, 2}, b"t"])
+def test_json_records_with_non_json_objects_raise(capsys, value):
+    # only a Fraction is written as its text; any other object json cannot
+    # encode is a bug in the record, as it was under json.dumps
+    args = argparse.Namespace(format="json", output=None)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _emit(args, [{"ok": Fraction(1, 2), "nested": [{"bad": value}]}])
+    assert capsys.readouterr().out == ""
 
 
 def test_output_file(capsys, tmp_path):

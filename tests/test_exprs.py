@@ -21,7 +21,6 @@ from ffdyn import (
 from ffdyn.errors import ParseError
 from ffdyn.exprs import (
     _Parser,
-    _poly_signed_terms,
     field_elem_text,
     form_text,
     map_text,
@@ -41,13 +40,7 @@ from ffdyn.randgen import (
     rand_split_fiber_instance,
 )
 
-from oracles import (
-    CharParser,
-    fraction_map_text,
-    fraction_poly_text,
-    fraction_zpoly_text,
-    per_term_signed_terms,
-)
+from oracles import CharParser, fraction_map_text, fraction_poly_text, fraction_zpoly_text
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -451,32 +444,3 @@ def test_printers_match_on_seeded_maps():
     for p in (Poly.of(Fraction(-7, 3)), Poly.of(0, 0, Fraction(1, 5)), Poly.t() ** 40,
               Poly.of(Fraction(6, 4), 0, Fraction(-1, 6))):
         assert poly_text(p) == fraction_poly_text(p)
-
-
-def _seeded_integer_poly(rng: Random) -> Poly:
-    """Integer coefficients: +-1 at t^0, t^1 and t^k, runs of zeros, and
-    sometimes 100-digit coefficients and a negative leading coefficient."""
-    k = rng.randint(2, 12)
-    ints = [0] * (k + 1)
-    for i in (0, 1, k):
-        ints[i] = rng.choice((1, -1, 0))
-    for i in rng.sample(range(k + 1), rng.randint(0, 3)):
-        ints[i] = rng.choice((-1, 1)) * rng.randint(2, 10**100)
-    ints[k] = ints[k] or rng.choice((1, -1))
-    if rng.random() < 0.5:
-        ints[k] = -abs(ints[k])
-    return Poly.from_list(ints)
-
-
-@pytest.mark.parametrize("seed", range(30))
-def test_integer_poly_terms_match_the_per_term_path(seed):
-    rng = Random(8800 + seed)
-    for _ in range(20):
-        p = _seeded_integer_poly(rng)
-        assert p.den == 1
-        assert _poly_signed_terms(p) == per_term_signed_terms(p)
-        # a rational multiple takes the general path
-        q = p.scale(Fraction(1, rng.randint(2, 9)))
-        assert _poly_signed_terms(q) == per_term_signed_terms(q)
-    for p in (Poly.zero(), Poly.one(), -Poly.one(), Poly.t(), -Poly.t(), Poly.of(1, -1)):
-        assert _poly_signed_terms(p) == per_term_signed_terms(p)

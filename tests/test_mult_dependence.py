@@ -322,9 +322,10 @@ def test_search_builds_u_only_for_solutions(monkeypatch, quad_poly_map, monomial
 
 def test_witnesses_read_no_valuations_and_build_no_powers(monkeypatch):
     # once s_split has split each orbit value, the witnesses u come from
-    # its orders and the per-place power tables: no ord_at, no poly_ord and
-    # no Poly.__pow__ (the exponent comparison of non-unit parts is the only
-    # caller of __pow__ in the search, and these parts are all units)
+    # its orders and integer powers of the place polynomials: no ord_at, no
+    # poly_ord and no Poly.__pow__ (the exponent comparison of non-unit
+    # parts is the only caller of __pow__ in the search, and these parts
+    # are all units)
     calls = []
 
     def recording(name, fn):
@@ -342,10 +343,45 @@ def test_witnesses_read_no_valuations_and_build_no_powers(monkeypatch):
     assert len(report.solutions) == 20
     assert calls == []
     # e_v = ord_v(u) of both signs at the finite places, so both sides of u
-    # read the tables
+    # take powers of place polynomials
     S = parse_places("t+2,inf,t-3/2")
     orders = {ord_at(sol.u, v) for sol in report.solutions for v in S if not v.is_infinite}
     assert min(orders) < 0 < max(orders)
+
+
+@pytest.mark.parametrize("point, places, box", [
+    # phi^m(t) = t^(2^m): e up to 2*2^12 + 2^6 = 8256 at the place t
+    ("t", "t,inf", (6, 6, 2, 2)),
+    # phi^m(t+1) = (t+1)^(2^m): e up to 2^9 + 2 = 514 at the place t + 1
+    ("t+1", "t+1,inf", (8, 1, 1, 1)),
+])
+def test_witness_powers_take_log_e_products(monkeypatch, point, places, box):
+    # every u is pi_v^e; P_v^e costs O(log e) products by binary powering,
+    # and none at the place t, where P_v^e is t^e
+    calls = []
+    int_mul = mult_dependence._int_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return int_mul(a, b)
+
+    monkeypatch.setattr(mult_dependence, "_int_mul", counting)
+    report = _report("z^2", point, places, box)
+    (v,) = [v for v in parse_places(places) if not v.is_infinite]
+    es = [ord_at(sol.u, v) for sol in report.solutions]
+    for sol, e in zip(report.solutions, es):
+        power = FieldElement.from_poly(v.poly ** abs(e))
+        assert sol.u == (power if e >= 0 else power.inverse())
+    big = max(abs(e) for e in es)
+    if v.poly == Poly.t():
+        assert big == 8256
+        # one product per witness: the constant times t^e
+        assert len(calls) <= len(report.solutions)
+    else:
+        assert big == 514
+        # the squares once, then one product per set bit of each e
+        bound = big.bit_length() + sum(abs(e).bit_length() for e in es)
+        assert len(calls) <= bound < big
 
 
 def test_zero_not_periodic_flag(quad_poly_map, monomial_map, S_inf):
