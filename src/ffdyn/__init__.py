@@ -19,30 +19,27 @@ _EXPORTS = {
     ),
     "function_field": (
         "FieldElement", "Place", "PlaceSet", "height_elem", "height_elem_place_sum",
-        "is_S_integer", "is_S_unit", "log_abs", "ord_at", "place_set",
-        "product_formula_defect", "quasi_integral", "s_free_part", "support",
+        "is_S_integer", "is_S_unit", "log_abs", "ord_at", "product_formula_defect",
+        "s_free_part", "support",
     ),
     "heights": (
-        "BoundParams", "HeightInterval", "Orbit", "Preperiodic", "Wandering",
-        "canonical_height", "classify_preperiodic", "displacement_bound",
-        "hmin_lattice_scan", "iterate_height_check",
+        "HeightInterval", "Orbit", "Preperiodic", "Wandering", "canonical_height",
+        "classify_preperiodic", "displacement_bound", "iterate_height_check",
     ),
     "local_geometry": (
         "LocalHeightValue", "contact_comparison", "fiber_pullback_defect", "lambda_sum",
         "lambda_v",
     ),
     "maps": (
-        "FiberDecomposition", "ProjectivePoint", "RationalMap", "SpecialForm",
-        "apply_map", "bad_reduction_places", "choose_m", "compose", "fiber",
-        "is_exceptional", "is_polynomial_iterate", "isotriviality_heuristic",
-        "max_fiber_ram", "normalize_map", "power", "preimage_count_zero_infty",
-        "ramification_index", "ramification_totals", "resultant",
-        "special_form_classify", "wronskian",
+        "FiberDecomposition", "ProjectivePoint", "RationalMap", "apply_map",
+        "bad_reduction_places", "choose_m", "compose", "fiber", "is_exceptional",
+        "is_polynomial_iterate", "isotriviality_heuristic", "max_fiber_ram",
+        "normalize_map", "power", "ramification_index", "ramification_totals",
+        "resultant", "wronskian",
     ),
     "mult_dependence": (
         "DependenceQuery", "SplitMultilinearForm", "dependence_search",
-        "poly_case_classifier", "poly_case_split", "saturate_exponents",
-        "split_multilinear_zero_scan", "unit_hits",
+        "poly_case_split", "split_multilinear_zero_scan", "unit_hits",
     ),
     "orbit_integrality": (
         "ceil_log_plus", "count_S_integral", "floor_log_plus", "estimate_gamma",

@@ -3,7 +3,8 @@ CSV) records: identical configuration and seed give byte-identical output.
 
 Exit codes: 0 success, 1 domain error (exceptional target, preperiodic point
 where a wandering one is required, budget exhaustion, failed verification),
-2 parse or configuration error.
+2 parse or configuration error, including a --params file that cannot be
+read and an --output file that cannot be written.
 
 Defaults can be overridden with FFDYN_-prefixed environment variables
 (FFDYN_SEED, FFDYN_FORMAT, FFDYN_OUTPUT, FFDYN_DEPTH, FFDYN_SAMPLES,
@@ -22,6 +23,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, DomainError, ParseError
@@ -30,7 +32,6 @@ from .exprs import (
     form_text,
     map_text,
     parse_at,
-    parse_place,
     parse_places,
     parse_point,
     parse_rational_map,
@@ -40,9 +41,7 @@ from .exprs import (
 )
 from .heights import (
     DEFAULT_HEIGHT_BUDGET,
-    BoundParams,
     Preperiodic,
-    Wandering,
     canonical_height,
     classify_preperiodic,
 )
@@ -100,6 +99,41 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad rational {text!r}") from exc
+
+
+def _read_gamma1(path: str) -> Fraction:
+    """The constant gamma1 of the bounds, from a --params file of lines
+    'gamma1 = p/q'; '#' starts a comment. Every line is parsed before any
+    name or value is checked, and gamma1 is the only name a bound reads."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise ConfigError(f"cannot read bound-parameter file {path}: {reason}") from exc
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'name = p/q'")
+        key, _, val = line.partition("=")
+        try:
+            pairs.append((key.strip(), Fraction(val.strip())))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad rational {val.strip()!r}") from exc
+    gamma1 = None
+    for key, value in pairs:
+        if key != "gamma1":
+            raise ConfigError(f"unknown bound parameter {key!r}")
+        if gamma1 is not None:
+            raise ConfigError(f"duplicate bound parameter {key!r}")
+        if value < 0:
+            raise ConfigError(f"bound parameter {key!r} must be nonnegative")
+        gamma1 = value
+    if gamma1 is None:
+        raise ConfigError("bound parameter 'gamma1' not supplied")
+    return gamma1
 
 
 @cache
@@ -299,11 +333,15 @@ def _emit(args, records: list[dict]) -> None:
 
 def _write(args, text: str) -> None:
     """Write text to the --output file, or to stdout without one."""
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        reason = exc.strerror
+        raise ConfigError(f"cannot write report to {args.output}: {reason}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +424,8 @@ def _run_orbit_scan(args) -> list[dict]:
         "max_in_index": report.max_in_index,
     }
     if args.params:
-        params = BoundParams.from_file(args.params)
         summary["bound_rhs_lo"], summary["bound_rhs_hi"] = gamma_set_bound_rhs(
-            params, report.orbit, A, depth=args.depth
+            _read_gamma1(args.params), report.orbit, A, depth=args.depth
         )
     return records + [summary]
 
@@ -412,9 +449,8 @@ def _run_integral_count(args) -> list[dict]:
             "place": place_text(report.certificate.place),
         }
     if args.params:
-        params = BoundParams.from_file(args.params)
         record["bound_rhs_lo"], record["bound_rhs_hi"] = integral_count_bound_rhs(
-            params, report.orbit, depth=args.depth
+            _read_gamma1(args.params), report.orbit, depth=args.depth
         )
     return [record]
 
@@ -569,13 +605,14 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         _resolve_env_defaults(args)
         records = _HANDLERS[args.command](args)
+        if args.command == "height":  # a bare number, in either format
+            _write(args, f"{records[0]['height']}\n")
+        else:
+            stamp = {"schema": SCHEMA, "command": args.command}
+            _emit(args, [{**stamp, **r} for r in records])
     except (ParseError, ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, DomainError) else 2
-    if args.command == "height":  # a bare number, in either format
-        _write(args, f"{records[0]['height']}\n")
-        return 0
-    _emit(args, [{"schema": SCHEMA, "command": args.command, **r} for r in records])
     return 1 if any(r.get("passed") is False for r in records) else 0  # failed verify
 
 

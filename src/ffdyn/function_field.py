@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Optional
 
 from .errors import DomainError
 from .polynomials import Poly, factor_tpoly, is_irreducible_tpoly, poly_gcd
@@ -144,10 +144,6 @@ class Place:
 PlaceSet = FrozenSet[Place]
 
 
-def place_set(places: Iterable[Place]) -> PlaceSet:
-    return frozenset(places)
-
-
 def _split_place(p: Poly, pi: Poly) -> tuple[int, Poly]:
     """(e, p / pi^e) for nonzero p, with e the multiplicity of the
     irreducible pi in p (by trial division)."""
@@ -279,15 +275,3 @@ def is_S_integer(x: FieldElement, S: PlaceSet) -> bool:
 def is_S_unit(x: FieldElement, S: PlaceSet) -> bool:
     """True iff x != 0 and ord_v(x) = 0 at every place outside S."""
     return not x.is_zero and s_free_part(x, S) == (Poly.one(), Poly.one(), 0)
-
-
-def quasi_integral(x: FieldElement, S: PlaceSet, eps: Fraction) -> bool:
-    """Quasi-(S, eps)-integrality: the S-part of the height is at least
-    an eps fraction of the total height (exact rational comparison)."""
-    eps = Fraction(eps)
-    if not (0 < eps <= 1):
-        raise DomainError("eps must lie in (0, 1]")
-    if x.is_zero:
-        return True
-    s_part = sum(max(log_abs(x, v), 0) for v in S)
-    return s_part >= eps * height_elem(x)

@@ -13,11 +13,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 from typing import Optional, Union
 
-from .errors import ConfigError, DomainError, OrbitBudgetError
-from .function_field import FieldElement
+from .errors import DomainError, OrbitBudgetError
 from .maps import (
     ProjectivePoint,
     RationalMap,
@@ -40,7 +38,7 @@ DEFAULT_HEIGHT_BUDGET = 1 << 14
 
 
 # ---------------------------------------------------------------------------
-# Intervals and tunable constants
+# Intervals and verdicts
 # ---------------------------------------------------------------------------
 
 
@@ -79,66 +77,6 @@ class Wandering:
     depth: int
 
 
-# The names a bound-parameter file may set: those a bound reads
-# (orbit_integrality.gamma_set_bound_rhs and integral_count_bound_rhs).
-_BOUND_KEYS = ("gamma1",)
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Explicit rational constants for the quantitative orbit bounds.
-
-    The theory guarantees such constants exist but does not pin them down;
-    they are supplied as data so bound evaluations stay exact and auditable.
-    """
-
-    values: tuple[tuple[str, Fraction], ...] = ()
-
-    def get(self, key: str) -> Fraction:
-        for k, v in self.values:
-            if k == key:
-                return v
-        raise ConfigError(f"bound parameter {key!r} not supplied")
-
-    def has(self, key: str) -> bool:
-        return any(k == key for k, _ in self.values)
-
-    @staticmethod
-    def from_pairs(pairs) -> "BoundParams":
-        out = []
-        seen = set()
-        for key, value in pairs:
-            if key not in _BOUND_KEYS:
-                raise ConfigError(f"unknown bound parameter {key!r}")
-            if key in seen:
-                raise ConfigError(f"duplicate bound parameter {key!r}")
-            seen.add(key)
-            value = Fraction(value)
-            if value < 0:
-                raise ConfigError(f"bound parameter {key!r} must be nonnegative")
-            out.append((key, value))
-        out.sort()
-        return BoundParams(tuple(out))
-
-    @staticmethod
-    def from_file(path: Union[str, Path]) -> "BoundParams":
-        pairs = []
-        text = Path(path).read_text()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'name = p/q'")
-            key, _, val = line.partition("=")
-            try:
-                value = Fraction(val.strip())
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad rational {val.strip()!r}") from exc
-            pairs.append((key.strip(), value))
-        return BoundParams.from_pairs(pairs)
-
-
 # ---------------------------------------------------------------------------
 # Basic heights
 # ---------------------------------------------------------------------------
@@ -171,21 +109,15 @@ def displacement_bound(phi: RationalMap) -> int:
 
 @dataclass(frozen=True)
 class IterateHeightRecord:
-    """h(phi^n) against the sharp geometric-series bound and a looser
-    closed-form bound with the rational constant 21/10 replacing log 8."""
+    """h(phi^n) against the sharp geometric-series bound."""
 
     n: int
     lhs: int
     sharp_rhs: int
-    loose_rhs: Fraction
 
     @property
     def holds_sharp(self) -> bool:
         return self.lhs <= self.sharp_rhs
-
-    @property
-    def holds_loose(self) -> bool:
-        return Fraction(self.lhs) <= self.loose_rhs
 
 
 def iterate_height_check(phi: RationalMap, n: int) -> IterateHeightRecord:
@@ -193,12 +125,9 @@ def iterate_height_check(phi: RationalMap, n: int) -> IterateHeightRecord:
     if n < 1:
         raise DomainError("iterate index must be positive")
     d = phi.d
-    h = phi.coefficient_height()
     lhs = power(phi, n).coefficient_height()
-    geo = (d**n - 1) // (d - 1)
-    sharp = geo * h
-    loose = Fraction(sharp) + Fraction(21, 10) * d * d * ((d ** (n - 1) - 1) // (d - 1))
-    return IterateHeightRecord(n, lhs, sharp, loose)
+    sharp = (d**n - 1) // (d - 1) * phi.coefficient_height()
+    return IterateHeightRecord(n, lhs, sharp)
 
 
 # ---------------------------------------------------------------------------
@@ -818,68 +747,3 @@ def classify_preperiodic(
 ) -> Union[Preperiodic, Wandering]:
     """Decide preperiodic vs wandering with a certificate (Orbit.classify)."""
     return Orbit(phi, P, height_budget).classify(max_iter)
-
-
-# ---------------------------------------------------------------------------
-# Minimum positive canonical height over a search lattice
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HminScanReport:
-    min_positive_upper: Fraction
-    witness: ProjectivePoint
-    scanned: int
-    certified_wandering: int
-
-
-def hmin_lattice_scan(
-    phi: RationalMap,
-    deg_bound: int,
-    coeff_height_bound: int,
-    depth: int,
-    height_budget: int = DEFAULT_HEIGHT_BUDGET,
-) -> HminScanReport:
-    """Scan polynomial points with bounded degree and coefficient size, and
-    the point at infinity, for the smallest certified upper bound on a
-    positive canonical height.
-
-    A point whose classification or depth-`depth` interval would apply phi
-    past the height budget is skipped and not counted as certified."""
-    require_dynamical(phi)
-    if deg_bound < 0 or coeff_height_bound < 1:
-        raise DomainError("empty search lattice")
-    grid = {Fraction(0)}
-    for p in range(1, coeff_height_bound + 1):
-        for q in range(1, coeff_height_bound + 1):
-            grid.add(Fraction(p, q))
-            grid.add(Fraction(-p, q))
-    # distinct coefficient tuples give distinct points
-    points = [
-        ProjectivePoint.from_field(FieldElement.from_poly(Poly.from_list(coeffs)))
-        for coeffs in itertools.product(sorted(grid), repeat=deg_bound + 1)
-    ]
-    points.append(ProjectivePoint.infinity())
-    best: Optional[Fraction] = None
-    witness: Optional[ProjectivePoint] = None
-    certified = 0
-    for pt in points:
-        orbit = Orbit(phi, pt, height_budget)
-        try:
-            if isinstance(orbit.classify(max_iter=depth), Preperiodic):
-                continue
-            hi = orbit.hhat(depth).hi
-        except OrbitBudgetError:
-            continue
-        certified += 1
-        if best is None or hi < best:
-            best = hi
-            witness = pt
-    if best is None:
-        raise DomainError("no wandering point certified in the search lattice")
-    return HminScanReport(
-        min_positive_upper=best,
-        witness=witness,
-        scanned=len(points),
-        certified_wandering=certified,
-    )

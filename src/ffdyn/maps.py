@@ -395,6 +395,31 @@ def max_fiber_ram(phi: RationalMap, m: int, A: ProjectivePoint) -> int:
     return max(mults)
 
 
+def _pure_linear_power_root(W: ZPoly, d: int) -> Optional[FieldElement]:
+    """Root g with W = c*(z - g)^d, or None if W is not such a power.
+
+    Decided by the identity in Q[t][z]
+
+        (d W_d)^d * W = W_d * (d W_d z + W_(d-1))^d.
+
+    If W = c (z - h)^d with c, h in K, then W_d = c and W_(d-1) = -d c h,
+    so h = -W_(d-1)/(d W_d) and d W_d z + W_(d-1) = d W_d (z - h): the
+    right side is W_d (d W_d)^d (z - h)^d, the left side. Conversely, if
+    the identity holds, dividing by (d W_d)^d != 0 gives W = W_d (z - h)^d
+    with that h. The power is one evaluation of the form x0^d at
+    (d W_d z + W_(d-1), 1); no element of K is built unless W is a power.
+    """
+    if W.degree != d:
+        return None
+    top, sub = W.coeffs[d], W.coeffs[d - 1]
+    lead = top.scale(d)
+    x0_power = ZPoly((Poly.zero(),) * d + (Poly.one(),))
+    power = x0_power.homogeneous_eval(ZPoly((sub, lead)), ZPoly.one(), d)
+    if W.scale_poly(lead**d) != power.scale_poly(top):
+        return None
+    return FieldElement.make(-sub, lead)
+
+
 def _sole_preimage(phi: RationalMap, A: ProjectivePoint) -> Optional[ProjectivePoint]:
     """B with phi^-1(A) = {B}, so that A is totally ramified over B, or None
     when the fiber over A has two points or more."""
@@ -440,75 +465,6 @@ def choose_m(
         if Fraction(e) <= eps * phi.d**m / 5:
             return m
     raise DomainError(f"no admissible level found up to cap {cap}")
-
-
-def preimage_count_zero_infty(phi: RationalMap) -> int:
-    """Number of distinct geometric points in phi^(-1)({0, infinity})."""
-    count = 0
-    for zpoly in (phi.F, phi.G):
-        if zpoly.degree > 0:
-            count += sum(part.degree for part, _ in sqf_zpoly_over_k(zpoly))
-    if phi.F.degree < phi.d or phi.G.degree < phi.d:
-        count += 1  # infinity maps to 0 or infinity
-    return count
-
-
-# ---------------------------------------------------------------------------
-# Structural classification
-# ---------------------------------------------------------------------------
-
-
-class SpecialForm(Enum):
-    POWER = "PowerForm"
-    QUOTIENT = "QuotientForm"
-    MONOMIAL = "MonomialForm"
-    NONE = "None"
-
-
-def _pure_linear_power_root(W: ZPoly, d: int) -> Optional[FieldElement]:
-    """Root g with W = c*(z - g)^d, or None if W is not such a power.
-
-    Decided by the identity in Q[t][z]
-
-        (d W_d)^d * W = W_d * (d W_d z + W_(d-1))^d.
-
-    If W = c (z - h)^d with c, h in K, then W_d = c and W_(d-1) = -d c h,
-    so h = -W_(d-1)/(d W_d) and d W_d z + W_(d-1) = d W_d (z - h): the
-    right side is W_d (d W_d)^d (z - h)^d, the left side. Conversely, if
-    the identity holds, dividing by (d W_d)^d != 0 gives W = W_d (z - h)^d
-    with that h. The power is one evaluation of the form x0^d at
-    (d W_d z + W_(d-1), 1); no element of K is built unless W is a power.
-    """
-    if W.degree != d:
-        return None
-    top, sub = W.coeffs[d], W.coeffs[d - 1]
-    lead = top.scale(d)
-    x0_power = ZPoly((Poly.zero(),) * d + (Poly.one(),))
-    power = x0_power.homogeneous_eval(ZPoly((sub, lead)), ZPoly.one(), d)
-    if W.scale_poly(lead**d) != power.scale_poly(top):
-        return None
-    return FieldElement.make(-sub, lead)
-
-
-def special_form_classify(phi: RationalMap) -> SpecialForm:
-    """Detect the shapes f*(X-g)^{+-d}, f*(X-g)^d/(X-h)^d and f*X^{+-d}."""
-    require_dynamical(phi)
-    d = phi.d
-    if phi.G.degree == 0:
-        g = _pure_linear_power_root(phi.F, d)
-        if g is not None:
-            return SpecialForm.MONOMIAL if g.is_zero else SpecialForm.POWER
-        return SpecialForm.NONE
-    if phi.F.degree == 0:
-        g = _pure_linear_power_root(phi.G, d)
-        if g is not None:
-            return SpecialForm.MONOMIAL if g.is_zero else SpecialForm.POWER
-        return SpecialForm.NONE
-    gf = _pure_linear_power_root(phi.F, d)
-    gg = _pure_linear_power_root(phi.G, d)
-    if gf is not None and gg is not None and gf != gg:
-        return SpecialForm.QUOTIENT
-    return SpecialForm.NONE
 
 
 def is_polynomial_iterate(phi: RationalMap, j: int) -> bool:

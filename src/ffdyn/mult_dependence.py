@@ -273,17 +273,6 @@ def dependence_search(
     )
 
 
-def saturate_exponents(r: int, s: int) -> tuple[int, int]:
-    """Divide out gcd and normalize the sign so the first exponent is positive."""
-    if r == 0 or s == 0:
-        raise DomainError("exponents must be nonzero")
-    g = gcd(r, s)
-    r, s = r // g, s // g
-    if r < 0:
-        r, s = -r, -s
-    return r, s
-
-
 # ---------------------------------------------------------------------------
 # Polynomial-case classifier
 # ---------------------------------------------------------------------------
@@ -299,27 +288,17 @@ class CaseEvidence:
     detail: str = ""
 
 
-def poly_case_classifier(
-    phi: RationalMap,
-    solution: DependenceSolution,
-    S: PlaceSet,
-    height_budget: int = DEFAULT_HEIGHT_BUDGET,
-) -> CaseEvidence:
-    """Place a dependence solution for a polynomial map into the case split
-    of the proof taxonomy: A.1-A.4 when alpha is integral away from S and the
-    bad-reduction places, else case B with its valuation-doubling pattern
-    (poly_case_split on a fresh Orbit of alpha)."""
-    return poly_case_split(Orbit(phi, solution.alpha, height_budget), S)(solution)
-
-
 def poly_case_split(
     orbit: Orbit, S: PlaceSet
 ) -> Callable[[DependenceSolution], CaseEvidence]:
-    """The classifier of poly_case_classifier for the solutions of one
-    search on orbit's base point alpha. The work that depends on alpha
-    alone is done here, once: the bad-reduction places (a factorization of
-    Res), the split of alpha by S_phi and the witness place. Case B reads
-    the valuations at the witness along orbit, each iterate once."""
+    """Place each dependence solution of one search on orbit's base point
+    alpha, for a polynomial map, into the case split of the proof taxonomy:
+    A.1-A.4 when alpha is integral away from S and the bad-reduction places,
+    else case B with its valuation-doubling pattern. The work that depends
+    on alpha alone is done here, once: the bad-reduction places (a
+    factorization of Res), the split of alpha by S_phi and the witness
+    place. Case B reads the valuations at the witness along orbit, each
+    iterate once."""
     phi = orbit.phi
     require_dynamical(phi)
     if not phi.is_polynomial:
@@ -363,7 +342,7 @@ def poly_case_split(
 
 
 def _integral_case(solution: DependenceSolution) -> CaseEvidence:
-    """Cases A.1-A.4 of poly_case_classifier, read from r and s."""
+    """Cases A.1-A.4 of poly_case_split, read from r and s."""
     r, s = solution.r, solution.s
     if s < 0:
         label, detail = "A.1", "s < 0: both orbit values are S-units up to the unit u"

@@ -20,7 +20,6 @@ from .errors import DomainError, OrbitBudgetError
 from .function_field import FieldElement, Place, PlaceSet, is_S_integer
 from .heights import (
     DEFAULT_HEIGHT_BUDGET,
-    BoundParams,
     HeightInterval,
     Orbit,
     Preperiodic,
@@ -306,27 +305,28 @@ def _log_term(
 
 
 def gamma_set_bound_rhs(
-    params: BoundParams,
+    gamma1: Fraction,
     orbit: Orbit,
     A: ProjectivePoint,
     depth: int = 8,
 ) -> tuple[Fraction, Fraction]:
     """Certified enclosure of gamma1 + log_d^+((hhat(A) + h(phi)) / hhat(P))
     for the orbit of P under phi, such as the one a gamma_set report holds;
-    hhat(A) is computed under the orbit's height budget.
+    hhat(A) is computed under the orbit's height budget. The theory proves
+    that a constant gamma1 exists but does not pin it down, so the caller
+    supplies it as an exact rational.
 
     Canonical heights enter as intervals, so the result is a lower/upper pair
     of exact rationals bracketing the bound; a preperiodic P (interval lower
     endpoint 0) is rejected."""
     phi = orbit.phi
-    gamma1 = params.get("gamma1")
     h_phi = phi.coefficient_height()
     hhat_A = canonical_height(phi, A, depth, orbit.height_budget)
     return _log_term(gamma1, orbit, depth, hhat_A.lo + h_phi, hhat_A.hi + h_phi)
 
 
 def integral_count_bound_rhs(
-    params: BoundParams,
+    gamma1: Fraction,
     orbit: Orbit,
     depth: int = 8,
 ) -> tuple[Fraction, Fraction]:
@@ -334,7 +334,7 @@ def integral_count_bound_rhs(
     count of S-integral iterates for the wandering base point P of the
     orbit, such as the one a count_S_integral report holds."""
     h_phi = Fraction(orbit.phi.coefficient_height())
-    return _log_term(params.get("gamma1"), orbit, depth, h_phi, h_phi)
+    return _log_term(gamma1, orbit, depth, h_phi, h_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +388,6 @@ def estimate_gamma(
     warnings = []
     gamma_hat = 0
     witnesses = []
-    no_gamma1 = BoundParams.from_pairs([("gamma1", 0)])
     for i, (phi, A, P) in enumerate(instances):
         try:
             report = gamma_set(
@@ -403,7 +402,7 @@ def estimate_gamma(
             if m_star is None:
                 records.append(GammaEstimateRecord(i, None, 0, 0, False))
                 continue
-            log_lower = int(gamma_set_bound_rhs(no_gamma1, report.orbit, A, depth)[0])
+            log_lower = int(gamma_set_bound_rhs(Fraction(0), report.orbit, A, depth)[0])
         except (DomainError, OrbitBudgetError) as exc:
             warnings.append(f"instance {i} excluded: {exc}")
             records.append(GammaEstimateRecord(i, None, 0, 0, True))

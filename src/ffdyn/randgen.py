@@ -9,7 +9,7 @@ from fractions import Fraction
 from random import Random
 
 from .errors import DomainError
-from .function_field import FieldElement, Place, PlaceSet
+from .function_field import FieldElement, Place
 from .maps import (
     ProjectivePoint,
     RationalMap,
@@ -69,10 +69,6 @@ def rand_place(rng: Random, max_deg: int = 2) -> Place:
             return Place.finite(p)
         except DomainError:
             continue
-
-
-def rand_place_set(rng: Random, size: int = 2) -> PlaceSet:
-    return frozenset(rand_place(rng) for _ in range(size))
 
 
 def rand_map(

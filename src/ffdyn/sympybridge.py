@@ -7,10 +7,9 @@ re-exported below. Three K[z] routines still go through sympy, each behind a
 certificate or on a path of its own: ``zpoly_gcd_over_k`` runs only when
 ``maps.normalize_map`` cannot show F and G coprime by specializing t,
 ``sqf_zpoly_over_k`` in ``maps.max_fiber_ram`` only when the same test
-cannot show the fiber polynomial squarefree (and in
-``maps.preimage_count_zero_infty``), and ``factor_zpoly_over_k`` only for
-explicit fibers (``maps.fiber``). Each imports sympy in its own body, so
-importing this module, and ``ffdyn.cli``, loads no sympy.
+cannot show the fiber polynomial squarefree, and ``factor_zpoly_over_k``
+only for explicit fibers (``maps.fiber``). Each imports sympy in its own
+body, so importing this module, and ``ffdyn.cli``, loads no sympy.
 
 sympy is used as the engine only; all public data stays in the package's own
 exact types. Every call converts its operands straight to sympy's dense

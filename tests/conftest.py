@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffdyn import Place, place_set, parse_point, parse_rational_map
+from ffdyn import Place, parse_point, parse_rational_map
 from ffdyn.polynomials import Poly
 
 
@@ -32,12 +32,12 @@ def place_t():
 
 @pytest.fixture
 def S_inf():
-    return place_set([Place.infinity()])
+    return frozenset([Place.infinity()])
 
 
 @pytest.fixture
 def S_t_inf(place_t):
-    return place_set([place_t, Place.infinity()])
+    return frozenset([place_t, Place.infinity()])
 
 
 @pytest.fixture

@@ -28,7 +28,6 @@ from ffdyn import (
     iterate_height_check,
     parse_point,
     parse_rational_map,
-    place_set,
     power,
     product_formula_defect,
     ramification_index,
@@ -48,8 +47,8 @@ from ffdyn.randgen import (
 
 from oracles import plain_orbit
 
-S_INF = place_set([Place.infinity()])
-S_T_INF = place_set([Place.finite(Poly.t()), Place.infinity()])
+S_INF = frozenset([Place.infinity()])
+S_T_INF = frozenset([Place.finite(Poly.t()), Place.infinity()])
 
 
 def report(name: str, ok: bool) -> None:

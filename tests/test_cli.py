@@ -538,6 +538,43 @@ def test_height_output_file(capsys, tmp_path):
     assert target.read_text() == "2\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["height", "t"],
+        ["choose-m", "--map", "(z^2-t)/z", "--target", "0", "--epsilon", "1/2"],
+    ],
+    ids=["height", "choose-m"],
+)
+def test_unwritable_output_exits_2(capsys, monkeypatch, tmp_path, command):
+    # a path in a missing directory and a directory, from the option and
+    # from FFDYN_OUTPUT: one error line naming the path, nothing on stdout
+    for target, reason in [
+        (tmp_path / "missing" / "out", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+    ]:
+        expected = (2, "", f"error: cannot write report to {target}: {reason}\n")
+        assert run(capsys, "--output", str(target), *command) == expected
+        monkeypatch.setenv("FFDYN_OUTPUT", str(target))
+        assert run(capsys, *command) == expected
+        monkeypatch.delenv("FFDYN_OUTPUT")
+
+
+def test_unreadable_params_file_exits_2(capsys, tmp_path):
+    # a missing path, a directory and bytes that are not UTF-8
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"gamma1 = 1  # \xff\n")
+    argv = ["integral-count", "--map", "(z^2-t)/z", "--point", "t", "--places", "inf",
+            "--max-n", "3", "--params"]
+    for path, reason in [
+        (tmp_path / "missing", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+        (binary, "not UTF-8 text"),
+    ]:
+        expected = (2, "", f"error: cannot read bound-parameter file {path}: {reason}\n")
+        assert run(capsys, *argv, str(path)) == expected
+
+
 def test_byte_identical_reruns(capsys):
     argv = [
         "orbit-scan",

@@ -22,7 +22,8 @@ from ffdyn.suites import SuiteResult
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 OUT = "{out}"  # stands for the --output file in an argv
-PARAMS = "{params}"  # stands for a bound-parameter file with the text of PARAMS_TEXT
+PARAMS = "{params}"  # stands for a bound-parameter file with the case's PARAMS_TEXT
+MISSING = "{missing}"  # stands for a path where no file exists
 
 ORBIT_SCAN = ["orbit-scan", "--map", "(z^2-t)/z", "--point", "t", "--places", "inf",
               "--target", "inf", "--epsilon", "1/2", "--max-n", "4", "--depth", "10"]
@@ -125,28 +126,49 @@ CASES = {
     "canheight-no-certificate": ["canheight", "--map", "(3*z^2+t)/(t*z-2)",
                                  "--point", "t+2/5", "--depth", "12",
                                  "--budget", "1000000000"],
-    # a bound-parameter file may set only gamma1, the one name a bound reads
+    # a bound-parameter file sets gamma1, the one name a bound reads
+    "integral-count-params": [*INTEGRAL_COUNT, "--params", PARAMS],
+    # a file is read after the scan, and each way it is rejected exits 2
     "orbit-scan-params-unknown-key": [*ORBIT_SCAN, "--params", PARAMS],
+    "integral-count-params-no-gamma1": [*INTEGRAL_COUNT, "--params", PARAMS],
+    "integral-count-params-duplicate": [*INTEGRAL_COUNT, "--params", PARAMS],
+    "orbit-scan-params-negative": [*ORBIT_SCAN, "--params", PARAMS],
+    "integral-count-params-bad-rational": [*INTEGRAL_COUNT, "--params", PARAMS],
+    "integral-count-params-missing-file": [*INTEGRAL_COUNT, "--params", MISSING],
 }
 
 # FFDYN_ variables set for a case
 ENV = {"canheight-negative-budget-env": {"FFDYN_BUDGET": "-5"}}
-PARAMS_TEXT = "gamma1 = 3\nkappa2 = 1/2\n"
+# the text of the file PARAMS stands for, per case
+PARAMS_TEXT = {
+    "orbit-scan-params-unknown-key": "gamma1 = 3\nkappa2 = 1/2\n",
+    "integral-count-params": "gamma1 = 3/2  # comment\n",
+    "integral-count-params-no-gamma1": "# gamma1 left out\n",
+    "integral-count-params-duplicate": "gamma1 = 1\ngamma1 = 2\n",
+    "orbit-scan-params-negative": "gamma1 = -1/2\n",
+    "integral-count-params-bad-rational": "gamma1 = 1/x\n",
+}
 
 
-def run_case(argv, out_path=None) -> dict:
-    """Run main in-process on argv, with OUT standing for out_path and PARAMS
-    for a file beside it that holds PARAMS_TEXT; return its exit code,
-    stdout, stderr and, for an --output run, the file's text."""
+def run_case(argv, out_path=None, params_text="") -> dict:
+    """Run main in-process on argv, with OUT standing for out_path, PARAMS
+    for a file beside it that holds params_text and MISSING for a path
+    beside it where no file is; return its exit code, stdout, stderr and,
+    for an --output run, the file's text. A path in stdout or stderr is
+    written as its placeholder."""
     files = {}
     if out_path is not None:
         params = Path(out_path).with_name("params")
-        params.write_text(PARAMS_TEXT)
-        files = {OUT: str(out_path), PARAMS: str(params)}
+        params.write_text(params_text)
+        missing = Path(out_path).with_name("missing")
+        files = {OUT: str(out_path), PARAMS: str(params), MISSING: str(missing)}
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([files.get(a, a) for a in argv])
     result = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    for placeholder, path in files.items():
+        for key in ("stdout", "stderr"):
+            result[key] = result[key].replace(path, placeholder)
     if OUT in argv:
         result["file"] = Path(out_path).read_text()
     return result
@@ -164,7 +186,8 @@ def test_cli_golden(name, tmp_path, clean_env, monkeypatch):
     for key, value in ENV.get(name, {}).items():
         monkeypatch.setenv(key, value)
     expected = json.loads(GOLDEN.read_text())[name]
-    assert run_case(CASES[name], tmp_path / "report") == expected
+    result = run_case(CASES[name], tmp_path / "report", PARAMS_TEXT.get(name, ""))
+    assert result == expected
 
 
 # integral-count whose persistence certificate factors a degree-7 denominator,
@@ -237,7 +260,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in CASES.items():
             os.environ.update(ENV.get(name, {}))
-            goldens[name] = run_case(argv, Path(tmp) / "report")
+            params_text = PARAMS_TEXT.get(name, "")
+            goldens[name] = run_case(argv, Path(tmp) / "report", params_text)
             for key in ENV.get(name, {}):
                 del os.environ[key]
     GOLDEN.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n")

@@ -35,7 +35,7 @@ from ffdyn.polynomials import Poly, ZPoly
 from ffdyn.randgen import (
     rand_field_elem,
     rand_map,
-    rand_place_set,
+    rand_place,
     rand_point,
     rand_split_fiber_instance,
 )
@@ -218,7 +218,7 @@ def test_point_and_places_round_trip_seeded():
     for _ in range(200):
         P = rand_point(rng)
         assert parse_point(point_text(P)) == P
-        S = rand_place_set(rng)
+        S = frozenset({rand_place(rng), rand_place(rng)})
         assert parse_places(places_text(S)) == S
 
 

@@ -6,18 +6,17 @@ from random import Random
 import pytest
 
 from ffdyn import (
-    BoundParams,
     Preperiodic,
     Wandering,
     apply_map,
     canonical_height,
     classify_preperiodic,
     displacement_bound,
-    hmin_lattice_scan,
     iterate_height_check,
     parse_point,
     parse_rational_map,
 )
+from ffdyn.cli import _read_gamma1
 from ffdyn.errors import ConfigError, DomainError, OrbitBudgetError
 from ffdyn.heights import HeightInterval
 from ffdyn.randgen import rand_map, rand_point
@@ -98,7 +97,7 @@ def test_canonical_height_functional_equation_seeded():
 def test_iterate_height_check(quad_poly_map):
     rec = iterate_height_check(quad_poly_map, 2)
     assert rec.lhs == 2 and rec.sharp_rhs == 3
-    assert rec.holds_sharp and rec.holds_loose
+    assert rec.holds_sharp
     rec3 = iterate_height_check(quad_poly_map, 3)
     assert rec3.sharp_rhs == 7
     assert rec3.holds_sharp
@@ -132,33 +131,29 @@ def test_classify_budget():
 def test_bound_params_file(tmp_path):
     cfg = tmp_path / "bounds.cfg"
     cfg.write_text("gamma1 = 3/2  # comment\n\n# full-line comment\n")
-    params = BoundParams.from_file(cfg)
-    assert params.get("gamma1") == Fraction(3, 2)
-    assert params.has("gamma1") and not params.has("gamma2")
-    with pytest.raises(ConfigError, match="not supplied"):
-        params.get("gamma2")
+    assert _read_gamma1(str(cfg)) == Fraction(3, 2)
+    cfg.write_text("# no constants\n")
+    with pytest.raises(ConfigError, match="^bound parameter 'gamma1' not supplied$"):
+        _read_gamma1(str(cfg))
     # only gamma1 is read by a bound, so no other name is accepted
     cfg.write_text("gamma1 = 3\nkappa2 = 1/2  # comment\n")
     with pytest.raises(ConfigError, match="^unknown bound parameter 'kappa2'$"):
-        BoundParams.from_file(cfg)
+        _read_gamma1(str(cfg))
 
 
 def test_bound_params_rejects_bad_input(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("nope = 1\n")
-    with pytest.raises(ConfigError):
-        BoundParams.from_file(bad)
-    bad.write_text("gamma1 = x\n")
-    with pytest.raises(ConfigError):
-        BoundParams.from_file(bad)
-    with pytest.raises(ConfigError):
-        BoundParams.from_pairs([("gamma1", 1), ("gamma1", 2)])
-
-
-def test_hmin_lattice_scan(quad_poly_map):
-    report = hmin_lattice_scan(quad_poly_map, deg_bound=0, coeff_height_bound=1, depth=8)
-    assert report.min_positive_upper > 0
-    assert report.certified_wandering >= 1
-    # the witness's canonical height interval really sits above zero
-    iv = canonical_height(quad_poly_map, report.witness, 8)
-    assert iv.hi == report.min_positive_upper
+    for text, message in [
+        ("nope = 1\n", "unknown bound parameter 'nope'"),
+        ("gamma1 = x\n", f"{bad}:1: bad rational 'x'"),
+        ("gamma1 3\n", f"{bad}:1: expected 'name = p/q'"),
+        ("gamma1 = 1\ngamma1 = 2\n", "duplicate bound parameter 'gamma1'"),
+        ("gamma1 = -1/2\n", "bound parameter 'gamma1' must be nonnegative"),
+        # every line is parsed before any name or value is checked
+        ("kappa2 = 1\ngamma1 = 1/0\n", f"{bad}:2: bad rational '1/0'"),
+        ("gamma1 = -1\ngamma1 = 2\n", "bound parameter 'gamma1' must be nonnegative"),
+    ]:
+        bad.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            _read_gamma1(str(bad))
+        assert str(info.value) == message

@@ -13,7 +13,6 @@ from ffdyn import (
     lambda_v,
     parse_field_elem,
     parse_point,
-    place_set,
     support,
 )
 from ffdyn.errors import DomainError
@@ -92,7 +91,7 @@ def test_lambda_matches_logmax_oracle_when_pi_divides_x0():
 
 def test_lambda_sum_example():
     # points t and 0 over S = {(t), infinity}: contact at (t) only
-    S = place_set([P_T, INF])
+    S = frozenset([P_T, INF])
     total = lambda_sum(pt("t"), pt("0"), S)
     assert total.value == 1
     assert lambda_v(pt("t"), pt("0"), P_T).value == 1
@@ -100,7 +99,7 @@ def test_lambda_sum_example():
 
 
 def test_lambda_sum_infinite_on_equal_points():
-    S = place_set([INF])
+    S = frozenset([INF])
     assert lambda_sum(pt("t"), pt("t"), S).is_infinite
 
 
@@ -167,7 +166,7 @@ def test_fiber_pullback_example(quad_poly_map, S_inf):
 
 
 def test_fiber_pullback_empty_S(quad_poly_map):
-    rec = fiber_pullback_defect(quad_poly_map, 1, pt("t"), pt("1"), place_set([]))
+    rec = fiber_pullback_defect(quad_poly_map, 1, pt("t"), pt("1"), frozenset())
     assert rec.lhs == rec.rhs == rec.defect == 0
 
 

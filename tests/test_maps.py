@@ -32,18 +32,15 @@ from ffdyn import (
     parse_point,
     parse_rational_map,
     power,
-    preimage_count_zero_infty,
     ramification_index,
     ramification_totals,
     resultant,
-    special_form_classify,
 )
 from ffdyn.errors import DomainError
 from ffdyn.exprs import _Parser, field_elem_text, map_text
 from ffdyn.function_field import FieldElement
 from ffdyn.maps import (
     ProjectivePoint,
-    SpecialForm,
     IsotrivialityVerdict,
     common_factor,
     conjugate,
@@ -810,32 +807,9 @@ def test_exceptional_matches_second_iterate_seeded(seed):
             assert is_polynomial_iterate(phi, j) == polynomial_iterate_by_power(phi, j)
 
 
-def test_preimage_count(quad_poly_map, quad_quotient_map, monomial_map):
-    # z^2+t: zeros of F (2 distinct), infinity -> infinity: 3 points
-    assert preimage_count_zero_infty(quad_poly_map) == 3
-    # (z^2-t)/z: zeros +-sqrt(t) distinct, pole 0, infinity -> infinity: 4
-    assert preimage_count_zero_infty(quad_quotient_map) == 4
-    # t z^2: {0, infinity} only
-    assert preimage_count_zero_infty(monomial_map) == 2
-
-
 # ---------------------------------------------------------------------------
 # Structural classification
 # ---------------------------------------------------------------------------
-
-
-def test_special_form_classify(quad_poly_map, monomial_map):
-    assert special_form_classify(monomial_map) == SpecialForm.MONOMIAL
-    assert special_form_classify(quad_poly_map) == SpecialForm.NONE
-    assert special_form_classify(parse_rational_map("t*(z-1)^2")) == SpecialForm.POWER
-    assert (
-        special_form_classify(parse_rational_map("t/(z-1)^2")) == SpecialForm.POWER
-    )
-    assert (
-        special_form_classify(parse_rational_map("(z-1)^2/(z+1)^2"))
-        == SpecialForm.QUOTIENT
-    )
-    assert special_form_classify(parse_rational_map("1/z^2")) == SpecialForm.MONOMIAL
 
 
 def _linear_power(c: Poly, g: FieldElement, d: int) -> ZPoly:

@@ -21,9 +21,7 @@ from ffdyn import (
     parse_point,
     parse_rational_map,
     parse_split_form,
-    place_set,
-    poly_case_classifier,
-    saturate_exponents,
+    poly_case_split,
     split_multilinear_zero_scan,
     unit_hits,
 )
@@ -34,7 +32,7 @@ from ffdyn.heights import Preperiodic, classify_preperiodic
 from ffdyn.maps import ProjectivePoint, apply_map, conjugate
 from ffdyn.mult_dependence import _zero_is_periodic
 from ffdyn.polynomials import Poly
-from ffdyn.randgen import rand_field_elem, rand_map, rand_place_set
+from ffdyn.randgen import rand_field_elem, rand_map, rand_place
 
 from oracles import plain_orbit, quotient_dependence_search
 
@@ -48,7 +46,7 @@ def affine_orbit(phi, alpha, n):
     return [x.affine() for x in plain_orbit(phi, alpha, n)]
 
 
-S_T_INF = place_set([Place.finite(Poly.t()), Place.infinity()])
+S_T_INF = frozenset([Place.finite(Poly.t()), Place.infinity()])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +276,7 @@ def test_search_matches_quotient_oracle_seeded(seed):
     rng = Random(9100 + seed)
     phi = rand_map(rng, d=2, coeff_deg=1, cmax=3)
     alpha = ProjectivePoint.from_field(rand_field_elem(rng, max_deg=1, cmax=3))
-    S = rand_place_set(rng, size=rng.randint(0, 3))
+    S = frozenset(rand_place(rng) for _ in range(rng.randint(0, 3)))
     _check_against_quotient_oracle(phi, alpha, S, (2, 2, 3, 3))
 
 
@@ -309,7 +307,7 @@ def test_search_builds_u_only_for_solutions(monkeypatch, quad_poly_map, monomial
         return divide(self, other)
 
     monkeypatch.setattr(FieldElement, "__truediv__", counting)
-    S_inf = place_set([Place.infinity()])
+    S_inf = frozenset([Place.infinity()])
     q = DependenceQuery(pt("0"), S_inf, n_max=3, k_max=3, r_max=3, s_max=3)
     assert dependence_search(quad_poly_map, q).solutions == ()
     assert calls == []
@@ -403,17 +401,6 @@ def test_zero_periodic_at_large_height():
     assert _zero_is_periodic(Orbit(psi, zero))
 
 
-def test_saturate_exponents():
-    assert saturate_exponents(4, -6) == (2, -3)
-    assert saturate_exponents(-1, 5) == (1, -5)
-    assert saturate_exponents(3, 7) == (3, 7)
-    assert saturate_exponents(-2, -4) == (1, 2)
-    with pytest.raises(DomainError):
-        saturate_exponents(0, 5)
-    with pytest.raises(DomainError):
-        saturate_exponents(5, 0)
-
-
 # ---------------------------------------------------------------------------
 # Polynomial-case classifier
 # ---------------------------------------------------------------------------
@@ -423,9 +410,10 @@ def test_classifier_cases_A(monomial_map):
     # alpha = t is integral away from S_phi, so only the exponent shape matters
     q = DependenceQuery(pt("t"), S_T_INF, n_max=2, k_max=2, r_max=3, s_max=4)
     report = dependence_search(monomial_map, q)
+    case_split = poly_case_split(report.orbit, S_T_INF)
     seen = {}
     for sol in report.solutions:
-        ev = poly_case_classifier(monomial_map, sol, S_T_INF)
+        ev = case_split(sol)
         assert ev.alpha_integral
         if sol.s < 0:
             assert ev.label == "A.1"
@@ -453,7 +441,8 @@ def test_classifier_case_B(quad_poly_map, S_inf):
     sol = DependenceSolution(
         n=1, k=1, r=1, s=2, u=orbit[2] / orbit[1] ** 2, alpha=alpha, rho=2.0
     )
-    ev = poly_case_classifier(quad_poly_map, sol, S_inf)
+    case_split = poly_case_split(Orbit(quad_poly_map, alpha), S_inf)
+    ev = case_split(sol)
     assert ev.label == "B"
     assert not ev.alpha_integral
     assert ev.witness_place == Place.finite(Poly.t())
@@ -463,7 +452,7 @@ def test_classifier_case_B(quad_poly_map, S_inf):
     assert [ord_at(x, v) for x in orbit] == [-1, -2, -4]
     # usable directly on any found solutions too
     for found in report.solutions:
-        assert poly_case_classifier(quad_poly_map, found, S_inf).label == "B"
+        assert case_split(found).label == "B"
 
 
 def test_classifier_case_B_with_pole_at_infinity():
@@ -474,7 +463,7 @@ def test_classifier_case_B_with_pole_at_infinity():
     q = DependenceQuery(pt("t"), S, n_max=1, k_max=1, r_max=1, s_max=2)
     report = dependence_search(sq, q)
     assert [(sol.r, sol.s) for sol in report.solutions] == [(1, 2)]
-    ev = poly_case_classifier(sq, report.solutions[0], S)
+    ev = poly_case_split(report.orbit, S)(report.solutions[0])
     assert ev.label == "B"
     assert not ev.alpha_integral
     assert ev.witness_place == Place.infinity()
@@ -483,20 +472,17 @@ def test_classifier_case_B_with_pole_at_infinity():
 
 
 def test_classifier_requires_polynomial(quad_quotient_map, S_inf):
-    from ffdyn.mult_dependence import DependenceSolution
-
-    sol = DependenceSolution(
-        n=1, k=1, r=1, s=1, u=FieldElement.one(), alpha=pt("t"), rho=1.0
-    )
     with pytest.raises(DomainError, match="polynomial"):
-        poly_case_classifier(quad_quotient_map, sol, S_inf)
+        poly_case_split(Orbit(quad_quotient_map, pt("t")), S_inf)
 
 
 def test_classifier_total_on_monomial_box(monomial_map):
     # every solution in the box receives exactly one label
     q = DependenceQuery(pt("t"), S_T_INF, n_max=2, k_max=2, r_max=2, s_max=4)
-    for sol in dependence_search(monomial_map, q).solutions:
-        ev = poly_case_classifier(monomial_map, sol, S_T_INF)
+    report = dependence_search(monomial_map, q)
+    case_split = poly_case_split(report.orbit, S_T_INF)
+    for sol in report.solutions:
+        ev = case_split(sol)
         assert ev.label in {"A.1", "A.2", "A.3", "A.4", "B"}
 
 

@@ -12,7 +12,6 @@ import pytest
 
 import ffdyn.heights
 from ffdyn import (
-    BoundParams,
     DependenceQuery,
     Orbit,
     Wandering,
@@ -23,18 +22,17 @@ from ffdyn import (
     estimate_gamma,
     gamma_set,
     gamma_set_bound_rhs,
-    hmin_lattice_scan,
     integral_count_bound_rhs,
     parse_field_elem,
     parse_places,
     parse_point,
     parse_rational_map,
     parse_split_form,
-    poly_case_classifier,
+    poly_case_split,
     split_multilinear_zero_scan,
     unit_hits,
 )
-from ffdyn.errors import ConfigError, DomainError, OrbitBudgetError
+from ffdyn.errors import DomainError, OrbitBudgetError
 from ffdyn.heights import HeightInterval, Preperiodic
 from ffdyn.mult_dependence import DependenceSolution
 from ffdyn.randgen import rand_map, rand_point
@@ -197,30 +195,6 @@ def test_truncated_heights_are_kept(tmp_path, monkeypatch):
     assert runs == [(pt("t+2/5"), 5, 12), (pt("0"), 5, 12)]
 
 
-def test_hmin_lattice_scan_steps_each_point_once_per_lattice_point(monkeypatch):
-    # orbits of different lattice points may meet, so each step is counted
-    # under its base point, the point of the latest Orbit built
-    bases = []
-    init = Orbit.__init__
-
-    def tracking(orbit, phi, P, *rest):
-        bases.append(P)
-        init(orbit, phi, P, *rest)
-
-    monkeypatch.setattr(Orbit, "__init__", tracking)
-    steps = Counter()
-    apply_map = ffdyn.heights.apply_map
-
-    def counting(phi, P):
-        steps[bases[-1], P] += 1
-        return apply_map(phi, P)
-
-    monkeypatch.setattr(ffdyn.heights, "apply_map", counting)
-    report = hmin_lattice_scan(QUAD, 1, 1, 4)
-    assert report.scanned == len(set(bases)) == 10
-    assert steps and max(steps.values()) == 1
-
-
 def test_iterates_are_computed_once(quad_quotient_map, monkeypatch):
     calls = []
     apply_map = ffdyn.heights.apply_map
@@ -302,7 +276,7 @@ def _case_b_solution():
 S_INF = parse_places("inf")
 QUAD = parse_rational_map("z^2+t")
 QUOT = parse_rational_map("(z^2-t)/z")
-GAMMA1 = BoundParams.from_pairs([("gamma1", 1)])
+GAMMA1 = Fraction(1)
 
 # (entry point, call with the given budget, budget, expected message)
 BUDGET_CASES = [
@@ -363,10 +337,10 @@ BUDGET_CASES = [
         "orbit height 4 exceeds budget 3 at iterate 2",
     ),
     (
-        "poly_case_classifier",
-        lambda b: poly_case_classifier(
-            parse_rational_map("z^2"), _case_b_solution(), S_INF, height_budget=b
-        ),
+        "poly_case_split",
+        lambda b: poly_case_split(
+            Orbit(parse_rational_map("z^2"), pt("1/(t+1)"), b), S_INF
+        )(_case_b_solution()),
         1,
         "orbit height 2 exceeds budget 1 at iterate 1",
     ),
@@ -379,18 +353,6 @@ BUDGET_CASES = [
         "orbit height 4 exceeds budget 3 at iterate 3",
     ),
 ]
-
-
-def test_hmin_lattice_scan_skips_points_past_the_budget():
-    # constants reach depth 4 within budget 7 (heights 0, 1, 2, 4, 8); the
-    # degree-1 points are certified wandering at iterate 2 but their depth-4
-    # interval would apply the map to height 8
-    full = hmin_lattice_scan(QUAD, 1, 1, 4)
-    small = hmin_lattice_scan(QUAD, 1, 1, 4, height_budget=7)
-    assert (full.scanned, full.certified_wandering) == (10, 9)
-    assert (small.scanned, small.certified_wandering) == (10, 3)
-    assert small.min_positive_upper == full.min_positive_upper == Fraction(9, 16)
-    assert small.witness == full.witness
 
 
 def test_estimate_gamma_excludes_instances_past_the_budget():
@@ -449,14 +411,10 @@ def test_estimate_gamma_excludes_a_base_height_not_certified_positive():
 
 
 def test_bound_rhs_errors_in_order():
-    # gamma1 is read first, then hhat(A) under the orbit's budget, and only
-    # then is hhat(P) required positive: at depth 2 and budget 2 hhat(t) is
-    # not certified positive and the orbit of t^2 passes the budget
+    # hhat(A) is computed under the orbit's budget before hhat(P) is
+    # required positive: at depth 2 and budget 2 hhat(t) is not certified
+    # positive and the orbit of t^2 passes the budget
     orbit = Orbit(QUOT, pt("t"), 2)
-    with pytest.raises(ConfigError, match="gamma1"):
-        gamma_set_bound_rhs(BoundParams(), orbit, pt("t^2"), depth=2)
-    with pytest.raises(ConfigError, match="gamma1"):
-        integral_count_bound_rhs(BoundParams(), orbit, depth=2)
     with pytest.raises(OrbitBudgetError, match="orbit height 3 exceeds budget 2"):
         gamma_set_bound_rhs(GAMMA1, orbit, pt("t^2"), depth=2)
     for call in (

@@ -7,7 +7,6 @@ from random import Random
 import pytest
 
 from ffdyn import (
-    BoundParams,
     Orbit,
     Place,
     canonical_height,
@@ -22,7 +21,6 @@ from ffdyn import (
     parse_point,
     parse_places,
     parse_rational_map,
-    place_set,
 )
 from ffdyn.errors import DomainError, OrbitBudgetError
 from ffdyn.polynomials import Poly
@@ -105,7 +103,7 @@ def test_count_budget_error(quad_poly_map):
     # empty S, polynomial map: no certificate at any pole-free iterate,
     # so the scan must walk the orbit and hit the budget
     with pytest.raises(OrbitBudgetError):
-        count_S_integral(quad_poly_map, pt("0"), place_set([]), 30, height_budget=64)
+        count_S_integral(quad_poly_map, pt("0"), frozenset(), 30, height_budget=64)
 
 
 def test_count_validates_range(quad_quotient_map, S_inf):
@@ -151,7 +149,7 @@ def test_gamma_set_eps_validation(quad_quotient_map, S_inf):
 def test_gamma_set_empty_S(quad_quotient_map, half):
     # no places means zero proximity everywhere: nothing is in
     report = gamma_set(
-        quad_quotient_map, place_set([]), pt("inf"), pt("t"), half, 3, depth=10
+        quad_quotient_map, frozenset(), pt("inf"), pt("t"), half, 3, depth=10
     )
     assert report.in_indices == ()
     assert report.undecided_indices == ()
@@ -195,29 +193,27 @@ def test_gamma_set_bound_rhs_example(quad_poly_map):
     # gamma1 = 3, h(phi) = 1, hhat(A) = 0, hhat(P) = 1/2, d = 2: the true
     # value is 3 + log_2^+(2) = 4.  The ratio sits exactly on a power of 2,
     # so the certified enclosure brackets 4 without collapsing to it.
-    params = BoundParams.from_pairs([("gamma1", Fraction(3))])
     lo, hi = gamma_set_bound_rhs(
-        params, Orbit(quad_poly_map, pt("0")), pt("inf"), depth=12
+        Fraction(3), Orbit(quad_poly_map, pt("0")), pt("inf"), depth=12
     )
     assert lo <= 4 <= hi
     assert hi - lo <= 2
 
 
 def test_integral_count_bound_rhs(quad_poly_map):
-    params = BoundParams.from_pairs([("gamma1", Fraction(3))])
-    lo, hi = integral_count_bound_rhs(params, Orbit(quad_poly_map, pt("0")), depth=12)
+    gamma1 = Fraction(3)
+    lo, hi = integral_count_bound_rhs(gamma1, Orbit(quad_poly_map, pt("0")), depth=12)
     assert lo <= 4 <= hi  # 3 + log_2^+(1 / (1/2)), again a boundary ratio
     assert hi - lo <= 2
     # height-zero map: ratio term vanishes identically, result is exact
     sq = parse_rational_map("z^2")
-    lo0, hi0 = integral_count_bound_rhs(params, Orbit(sq, pt("t")), depth=8)
+    lo0, hi0 = integral_count_bound_rhs(gamma1, Orbit(sq, pt("t")), depth=8)
     assert lo0 == hi0 == 3
 
 
 def test_bound_rhs_rejects_preperiodic(quad_poly_map):
-    params = BoundParams.from_pairs([("gamma1", Fraction(3))])
     with pytest.raises(DomainError, match="preperiodic|positive"):
-        integral_count_bound_rhs(params, Orbit(quad_poly_map, pt("inf")))
+        integral_count_bound_rhs(Fraction(3), Orbit(quad_poly_map, pt("inf")))
 
 
 def test_hits_within_gamma_for_small_eps(quad_quotient_map, S_inf):
