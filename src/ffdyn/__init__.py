@@ -27,8 +27,7 @@ _EXPORTS = {
         "classify_preperiodic", "displacement_bound", "iterate_height_check",
     ),
     "local_geometry": (
-        "LocalHeightValue", "contact_comparison", "fiber_pullback_defect", "lambda_sum",
-        "lambda_v",
+        "contact_comparison", "fiber_pullback_defect", "lambda_sum", "lambda_v",
     ),
     "maps": (
         "FiberDecomposition", "ProjectivePoint", "RationalMap", "apply_map",

@@ -103,10 +103,12 @@ def _fraction(text: str) -> Fraction:
 
 def _read_gamma1(path: str) -> Fraction:
     """The constant gamma1 of the bounds, from a --params file of lines
-    'gamma1 = p/q'; '#' starts a comment. Every line is parsed before any
-    name or value is checked, and gamma1 is the only name a bound reads."""
+    'gamma1 = p/q' in UTF-8, a leading byte-order mark skipped; '#' starts a
+    comment. Every line is parsed before any name or value is checked, and
+    gamma1 is the only name a bound reads. A handler reads it before it
+    builds the orbit, so a bad file fails before the scan."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
         raise ConfigError(f"cannot read bound-parameter file {path}: {reason}") from exc
@@ -393,6 +395,7 @@ def _run_orbit_scan(args) -> list[dict]:
     P = parse_point(args.point)
     A = parse_point(args.target)
     S = parse_places(args.places)
+    gamma1 = _read_gamma1(args.params) if args.params else None
     report = gamma_set(
         phi,
         S,
@@ -423,9 +426,9 @@ def _run_orbit_scan(args) -> list[dict]:
         "undecided_indices": report.undecided_indices,
         "max_in_index": report.max_in_index,
     }
-    if args.params:
+    if gamma1 is not None:
         summary["bound_rhs_lo"], summary["bound_rhs_hi"] = gamma_set_bound_rhs(
-            _read_gamma1(args.params), report.orbit, A, depth=args.depth
+            gamma1, report.orbit, A, depth=args.depth
         )
     return records + [summary]
 
@@ -434,6 +437,7 @@ def _run_integral_count(args) -> list[dict]:
     phi = parse_rational_map(args.map)
     P = parse_point(args.point)
     S = parse_places(args.places)
+    gamma1 = _read_gamma1(args.params) if args.params else None
     report = count_S_integral(phi, P, S, args.max_n, height_budget=args.budget)
     record = {
         "map": map_text(phi),
@@ -448,9 +452,9 @@ def _run_integral_count(args) -> list[dict]:
             "start": report.certificate.start,
             "place": place_text(report.certificate.place),
         }
-    if args.params:
+    if gamma1 is not None:
         record["bound_rhs_lo"], record["bound_rhs_hi"] = integral_count_bound_rhs(
-            _read_gamma1(args.params), report.orbit, depth=args.depth
+            gamma1, report.orbit, depth=args.depth
         )
     return [record]
 

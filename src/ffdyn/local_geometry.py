@@ -33,56 +33,36 @@ from .maps import (
 )
 
 
-@dataclass(frozen=True)
-class LocalHeightValue:
-    """Value of a local height: an exact integer or +infinity (value None)."""
-
-    value: Optional[int]
-
-    @staticmethod
-    def finite(value: int) -> "LocalHeightValue":
-        return LocalHeightValue(value)
-
-    @staticmethod
-    def infinite() -> "LocalHeightValue":
-        return LocalHeightValue(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __add__(self, other: "LocalHeightValue") -> "LocalHeightValue":
-        if self.is_infinite or other.is_infinite:
-            return LocalHeightValue(None)
-        return LocalHeightValue(self.value + other.value)
-
-    def __str__(self) -> str:
-        return "inf" if self.is_infinite else str(self.value)
-
-
-def lambda_v(P: ProjectivePoint, Q: ProjectivePoint, v: Place) -> LocalHeightValue:
-    """Chordal local height of the pair (P, Q) at v; >= 0, infinite iff P = Q.
-
-    With cross = x0*y1 - y0*x1 it is deg v * ord_pi(cross) at a finite place
-    v = (pi), and h(P) + h(Q) - deg(cross) at infinity. Proof, from the module
+def _cross_sum(P: ProjectivePoint, Q: ProjectivePoint, places) -> Optional[int]:
+    """Sum of lambda_v(P, Q) over `places`, each read from the one cross
+    term cross = x0*y1 - y0*x1: deg v * ord_pi(cross) at a finite place
+    v = (pi), and h(P) + h(Q) - deg(cross) at infinity. None (+infinity)
+    when P = Q, as then cross = 0; the empty sum is 0. Proof, from the module
     formula: coprime coordinates are not both divisible by pi, so logmax_v = 0
     at a finite v; at infinity log|c| = deg c, so logmax is h(P), resp. h(Q)."""
+    if not places:
+        return 0
     cross = P.x0 * Q.x1 - Q.x0 * P.x1
     if cross.is_zero:
-        return LocalHeightValue.infinite()
-    if v.is_infinite:
-        return LocalHeightValue.finite(P.height + Q.height - cross.degree)
-    return LocalHeightValue.finite(v.degree * poly_ord(cross, v.poly))
+        return None
+    return sum(
+        P.height + Q.height - cross.degree
+        if v.is_infinite
+        else v.degree * poly_ord(cross, v.poly)
+        for v in places
+    )
 
 
-def lambda_sum(P: ProjectivePoint, Q: ProjectivePoint, S: PlaceSet) -> LocalHeightValue:
-    """Sum of lambda_v(P, Q) over the places in S."""
-    total = LocalHeightValue.finite(0)
-    for v in S:
-        total = total + lambda_v(P, Q, v)
-        if total.is_infinite:
-            break
-    return total
+def lambda_v(P: ProjectivePoint, Q: ProjectivePoint, v: Place) -> Optional[int]:
+    """Chordal local height of the pair (P, Q) at v: an int >= 0, or None
+    (+infinity) exactly when P = Q."""
+    return _cross_sum(P, Q, (v,))
+
+
+def lambda_sum(P: ProjectivePoint, Q: ProjectivePoint, S: PlaceSet) -> Optional[int]:
+    """Sum of lambda_v(P, Q) over the places in S, from one cross term: an
+    int >= 0, or None (+infinity) when P = Q and S is not empty."""
+    return _cross_sum(P, Q, S)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +79,7 @@ class ContactComparisonRecord:
 
     applicable: bool
     lower: int
-    middle: Optional[int]
+    middle: int
     upper: int
 
     @property
@@ -116,12 +96,8 @@ def contact_comparison(
         raise DomainError("contact comparison requires distinct elements")
     px = ProjectivePoint.from_field(x)
     py = ProjectivePoint.from_field(y)
-    inf = ProjectivePoint.infinity()
-    lam_xy = lambda_v(px, py, v).value
-    lam_y_inf = lambda_v(py, inf, v)
-    if lam_y_inf.is_infinite:
-        raise DomainError("y must be finite")
-    lower = lam_y_inf.value
+    lam_xy = lambda_v(px, py, v)  # both finite: x != y, and y is not infinity
+    lower = lambda_v(py, ProjectivePoint.infinity(), v)
     applicable = lam_xy > lower
     middle = lam_xy + log_abs(x - y, v)
     return ContactComparisonRecord(
@@ -188,16 +164,11 @@ def fiber_pullback_defect(
     for pt, _ in fiber_pts:
         if pt == P:
             raise DomainError("P lies in the fiber; comparison undefined")
-    image = apply_map(psi, P)
-    lhs = 0
-    rhs = 0
-    for v in S:
-        best = 0
-        for pt, mult in fiber_pts:
-            lam = lambda_v(P, pt, v).value
-            best = max(best, mult * lam)
-        lhs += best
-        rhs += lambda_v(image, A, v).value
+    lhs = sum(
+        max((mult * lambda_v(P, pt, v) for pt, mult in fiber_pts), default=0)
+        for v in S
+    )
+    rhs = lambda_sum(apply_map(psi, P), A, S)  # finite: P is not in the fiber
     normalizer = A.height + psi.coefficient_height() + 1
     return FiberPullbackRecord(
         lhs=lhs,

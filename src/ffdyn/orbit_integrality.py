@@ -58,18 +58,10 @@ def floor_log_plus(d: int, x: Fraction) -> int:
 
 
 def ceil_log_plus(d: int, x: Fraction) -> int:
-    """Smallest integer e >= 0 with d^e >= x; 0 when x <= 1."""
-    if d < 2:
-        raise DomainError("log base must be at least 2")
-    x = Fraction(x)
-    if x <= 1:
-        return 0
-    e = 0
-    power = Fraction(1)
-    while power < x:
-        e += 1
-        power *= d
-    return e
+    """Smallest integer e >= 0 with d^e >= x; 0 when x <= 1. It is
+    floor_log_plus(d, x), plus 1 unless x <= 1 or that power equals x."""
+    e = floor_log_plus(d, x)
+    return e if x <= 1 or d**e == x else e + 1
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +239,9 @@ def gamma_set(
         elem = x.affine()
         s_integral = elem is not None and is_S_integer(elem, S)
         prox = lambda_sum(x, A, S)
-        if prox.is_infinite:
+        if prox is None or prox >= eps * hhat.hi:
             membership = "in"
-        elif Fraction(prox.value) >= eps * hhat.hi:
-            membership = "in"
-        elif Fraction(prox.value) < eps * hhat.lo:
+        elif prox < eps * hhat.lo:
             membership = "out"
         else:
             membership = "undecided"
@@ -262,7 +252,7 @@ def gamma_set(
         records.append(
             GammaRecord(
                 n=n,
-                proximity=prox.value,
+                proximity=prox,
                 hhat=hhat,
                 membership=membership,
                 s_integral=s_integral,
@@ -403,7 +393,7 @@ def estimate_gamma(
                 records.append(GammaEstimateRecord(i, None, 0, 0, False))
                 continue
             log_lower = int(gamma_set_bound_rhs(Fraction(0), report.orbit, A, depth)[0])
-        except (DomainError, OrbitBudgetError) as exc:
+        except DomainError as exc:  # OrbitBudgetError included
             warnings.append(f"instance {i} excluded: {exc}")
             records.append(GammaEstimateRecord(i, None, 0, 0, True))
             continue

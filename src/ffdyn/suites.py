@@ -40,16 +40,6 @@ from .randgen import (
     rand_split_fiber_instance,
 )
 
-SUITE_NAMES = (
-    "product-formula",
-    "displacement",
-    "prop23",
-    "lemma22",
-    "lemma26",
-    "rh",
-    "roundtrip",
-)
-
 
 @dataclass
 class SuiteResult:
@@ -250,6 +240,7 @@ _SUITES: dict[str, Callable[[int, int], SuiteResult]] = {
     "rh": _suite_rh,
     "roundtrip": _suite_roundtrip,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 # descriptive aliases for the short historical suite tokens

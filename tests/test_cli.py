@@ -575,6 +575,20 @@ def test_unreadable_params_file_exits_2(capsys, tmp_path):
         assert run(capsys, *argv, str(path)) == expected
 
 
+@pytest.mark.parametrize("command", ["orbit-scan", "integral-count"])
+def test_missing_params_file_builds_no_iterate(capsys, count_calls, tmp_path, command):
+    # the file is read before the orbit is built, so the scan never starts
+    calls = count_calls("apply_map")
+    argv = [command, "--map", "(z^2-t)/z", "--point", "t", "--places", "inf",
+            "--max-n", "13", "--params", str(tmp_path / "missing")]
+    if command == "orbit-scan":
+        argv += ["--target", "inf", "--epsilon", "1/2"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read bound-parameter file")
+    assert calls == []
+
+
 def test_byte_identical_reruns(capsys):
     argv = [
         "orbit-scan",

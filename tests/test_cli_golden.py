@@ -34,6 +34,8 @@ MULTDEP = ["multdep", "--map", "t*z^2", "--point", "t", "--places", "t,inf",
 CHOOSE_M = ["choose-m", "--map", "(z^2-t)/z", "--target", "0", "--epsilon", "1/2"]
 CANHEIGHT_STABLE = ["canheight", "--map", "(z^2-t)/z", "--point", "t", "--depth", "60",
                     "--budget", "1000000000000000000000"]
+DOMAIN_ERROR = ["orbit-scan", "--map", "z^2+t", "--point", "0", "--places", "inf",
+                "--target", "inf", "--epsilon", "1/2", "--max-n", "2"]
 ESCAPE_COUNT = ["integral-count", "--map", "z^2+t", "--point", "1", "--places", "inf",
                 "--max-n", "12"]
 
@@ -59,8 +61,7 @@ CASES = {
     "csv-integral-count": ["--format", "csv", *INTEGRAL_COUNT],
     "csv-choose-m": ["--format", "csv", *CHOOSE_M],
     "parse-error": ["height", "t/(t"],
-    "domain-error": ["orbit-scan", "--map", "z^2+t", "--point", "0", "--places",
-                     "inf", "--target", "inf", "--epsilon", "1/2", "--max-n", "2"],
+    "domain-error": DOMAIN_ERROR,
     # a negative scan bound is rejected before the orbit is walked
     "orbit-scan-negative-max-n": [*ORBIT_SCAN[:12], "-1", *ORBIT_SCAN[13:]],
     "estimate-gamma-negative-max-n": ["estimate-gamma", "--instance", "(z^2-t)/z|inf|t",
@@ -128,13 +129,17 @@ CASES = {
                                  "--budget", "1000000000"],
     # a bound-parameter file sets gamma1, the one name a bound reads
     "integral-count-params": [*INTEGRAL_COUNT, "--params", PARAMS],
-    # a file is read after the scan, and each way it is rejected exits 2
+    # a file is read before the scan, and each way it is rejected exits 2
     "orbit-scan-params-unknown-key": [*ORBIT_SCAN, "--params", PARAMS],
     "integral-count-params-no-gamma1": [*INTEGRAL_COUNT, "--params", PARAMS],
     "integral-count-params-duplicate": [*INTEGRAL_COUNT, "--params", PARAMS],
     "orbit-scan-params-negative": [*ORBIT_SCAN, "--params", PARAMS],
     "integral-count-params-bad-rational": [*INTEGRAL_COUNT, "--params", PARAMS],
     "integral-count-params-missing-file": [*INTEGRAL_COUNT, "--params", MISSING],
+    # so a bad file wins over the scan's domain error (the exceptional target)
+    "domain-error-params-missing-file": [*DOMAIN_ERROR, "--params", MISSING],
+    # a UTF-8 byte-order mark before the first name is skipped
+    "integral-count-params-bom": [*INTEGRAL_COUNT, "--params", PARAMS],
 }
 
 # FFDYN_ variables set for a case
@@ -147,6 +152,7 @@ PARAMS_TEXT = {
     "integral-count-params-duplicate": "gamma1 = 1\ngamma1 = 2\n",
     "orbit-scan-params-negative": "gamma1 = -1/2\n",
     "integral-count-params-bad-rational": "gamma1 = 1/x\n",
+    "integral-count-params-bom": "\ufeffgamma1 = 1\n",
 }
 
 
@@ -159,7 +165,7 @@ def run_case(argv, out_path=None, params_text="") -> dict:
     files = {}
     if out_path is not None:
         params = Path(out_path).with_name("params")
-        params.write_text(params_text)
+        params.write_text(params_text, encoding="utf-8")
         missing = Path(out_path).with_name("missing")
         files = {OUT: str(out_path), PARAMS: str(params), MISSING: str(missing)}
     out, err = io.StringIO(), io.StringIO()

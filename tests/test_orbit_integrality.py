@@ -57,6 +57,20 @@ def test_log_plus_bracket_seeded():
             assert Fraction(d) ** lo <= x <= Fraction(d) ** hi
 
 
+def test_ceil_log_plus_brute_force():
+    # against its definition, the smallest e >= 0 with d^e >= x (0 when x <= 1)
+    for d in range(2, 7):
+        for q in range(1, 40):
+            for p in range(300):
+                x = Fraction(p, q)
+                e = 0
+                while x > 1 and d**e < x:
+                    e += 1
+                assert ceil_log_plus(d, x) == e, (d, x)
+    with pytest.raises(DomainError):
+        ceil_log_plus(1, Fraction(5))
+
+
 # ---------------------------------------------------------------------------
 # S-integral points in orbits
 # ---------------------------------------------------------------------------
@@ -180,8 +194,7 @@ def test_gamma_set_matches_exact_envelope(quad_quotient_map, S_inf, half):
     )
     orbit = Orbit(quad_quotient_map, pt("t")).prefix(4)
     for rec, P in zip(report.records, orbit):
-        val = lambda_sum(P, pt("inf"), S_inf)
-        assert rec.proximity == val.value
+        assert rec.proximity == lambda_sum(P, pt("inf"), S_inf)
 
 
 # ---------------------------------------------------------------------------
