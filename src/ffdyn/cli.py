@@ -41,6 +41,7 @@ from .exprs import (
 )
 from .heights import (
     DEFAULT_HEIGHT_BUDGET,
+    Orbit,
     Preperiodic,
     canonical_height,
     classify_preperiodic,
@@ -293,42 +294,37 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _plain(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
-
-
 def _fraction_text(value):
-    """The JSON encoder's default: a Fraction as its text, as _plain
-    writes it; any other object json cannot encode is an error."""
+    """The JSON encoders' default: a Fraction as its text; any other object
+    json cannot encode is an error."""
     if isinstance(value, Fraction):
         return str(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-# One encoder for every JSON record
+# One encoder for every JSON record, and one for every CSV cell
 _JSON_ENCODER = json.JSONEncoder(sort_keys=True, default=_fraction_text)
+_CSV_ENCODER = json.JSONEncoder(default=_fraction_text)
+
+
+def _csv_cell(value) -> str:
+    """A str or Fraction as its text, unquoted; any other value as JSON,
+    its dicts in their own order."""
+    if isinstance(value, (str, Fraction)):
+        return str(value)
+    return _CSV_ENCODER.encode(value)
 
 
 def _emit(args, records: list[dict]) -> None:
     if args.format == "json":
         text = "".join(_JSON_ENCODER.encode(r) + "\n" for r in records)
     else:
-        # a top-level Fraction is written as its text, unquoted
-        records = [_plain(r) for r in records]
         keys = sorted({k for r in records for k in r})
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
         writer.writeheader()
         for r in records:
-            writer.writerow(
-                {k: v if isinstance(v, str) else json.dumps(v) for k, v in r.items()}
-            )
+            writer.writerow({k: _csv_cell(v) for k, v in r.items()})
         text = buf.getvalue()
     _write(args, text)
 
@@ -396,16 +392,15 @@ def _run_orbit_scan(args) -> list[dict]:
     A = parse_point(args.target)
     S = parse_places(args.places)
     gamma1 = _read_gamma1(args.params) if args.params else None
+    orbit = Orbit(phi, P, args.budget)
     report = gamma_set(
-        phi,
+        orbit,
         S,
         A,
-        P,
         args.epsilon,
         args.max_n,
         depth=args.depth,
         wandering_attested=args.wandering_attested,
-        height_budget=args.budget,
     )
     records = [
         {
@@ -428,7 +423,7 @@ def _run_orbit_scan(args) -> list[dict]:
     }
     if gamma1 is not None:
         summary["bound_rhs_lo"], summary["bound_rhs_hi"] = gamma_set_bound_rhs(
-            gamma1, report.orbit, A, depth=args.depth
+            gamma1, orbit, A, depth=args.depth
         )
     return records + [summary]
 
@@ -438,7 +433,8 @@ def _run_integral_count(args) -> list[dict]:
     P = parse_point(args.point)
     S = parse_places(args.places)
     gamma1 = _read_gamma1(args.params) if args.params else None
-    report = count_S_integral(phi, P, S, args.max_n, height_budget=args.budget)
+    orbit = Orbit(phi, P, args.budget)
+    report = count_S_integral(orbit, S, args.max_n)
     record = {
         "map": map_text(phi),
         "point": point_text(P),
@@ -454,7 +450,7 @@ def _run_integral_count(args) -> list[dict]:
         }
     if gamma1 is not None:
         record["bound_rhs_lo"], record["bound_rhs_hi"] = integral_count_bound_rhs(
-            gamma1, report.orbit, depth=args.depth
+            gamma1, orbit, depth=args.depth
         )
     return [record]
 
@@ -463,7 +459,7 @@ def _run_units_in_orbit(args) -> list[dict]:
     phi = parse_rational_map(args.map)
     P = parse_point(args.point)
     S = parse_places(args.places)
-    hits = unit_hits(phi, P, S, args.max_n, height_budget=args.budget)
+    hits = unit_hits(Orbit(phi, P, args.budget), S, args.max_n)
     return [
         {
             "map": map_text(phi),
@@ -480,21 +476,18 @@ def _run_multdep(args) -> list[dict]:
     alpha = parse_point(args.point)
     S = parse_places(args.places)
     query = DependenceQuery(
-        alpha=alpha,
         S=S,
         n_max=args.n_max,
         k_max=args.k_max,
         r_max=args.r_max,
         s_max=args.s_max,
     )
-    report = dependence_search(
-        phi, query, wandering_attested=args.wandering_attested,
-        height_budget=args.budget,
-    )
+    orbit = Orbit(phi, alpha, args.budget)
+    report = dependence_search(orbit, query, wandering_attested=args.wandering_attested)
     records = []
     case_split = None
     if phi.is_polynomial and report.solutions:
-        case_split = poly_case_split(report.orbit, S)
+        case_split = poly_case_split(orbit, S)
     for sol in report.solutions:
         rec = {
             "n": sol.n,
@@ -505,7 +498,7 @@ def _run_multdep(args) -> list[dict]:
             "rho": sol.rho,
         }
         if case_split is not None:
-            rec["case_label"] = case_split(sol).label
+            rec["case_label"] = case_split(sol)
         records.append(rec)
     summary = {
         "summary": True,
@@ -522,7 +515,7 @@ def _run_split_form_scan(args) -> list[dict]:
     alpha = parse_point(args.point)
     form = parse_split_form(args.form)
     report = split_multilinear_zero_scan(
-        form, phi, alpha, args.max_n, height_budget=args.budget
+        form, Orbit(phi, alpha, args.budget), args.max_n
     )
     return [
         {

@@ -24,6 +24,7 @@ from .function_field import (
     poly_ord,
 )
 from .maps import (
+    FiberDecomposition,
     ProjectivePoint,
     RationalMap,
     apply_map,
@@ -127,26 +128,6 @@ class FiberPullbackRecord:
         return Fraction(self.defect, self.normalizer)
 
 
-def _fiber_points_with_multiplicity(
-    psi: RationalMap, A: ProjectivePoint
-) -> list[tuple[ProjectivePoint, int]]:
-    """Fiber of psi over A as K-rational points; error if any factor is
-    irreducible of higher degree (the point then lives in an extension)."""
-    fd = fiber(psi, A)
-    out = []
-    for factor, mult in fd.factors:
-        if factor.degree != 1:
-            raise DomainError(
-                "fiber point requires extension: irreducible factor of z-degree "
-                f"{factor.degree}"
-            )
-        root = FieldElement.make(-factor.coeff(0), factor.coeff(1))
-        out.append((ProjectivePoint.from_field(root), mult))
-    if fd.infinity_multiplicity > 0:
-        out.append((ProjectivePoint.infinity(), fd.infinity_multiplicity))
-    return out
-
-
 def fiber_pullback_defect(
     phi: RationalMap,
     m: int,
@@ -160,7 +141,30 @@ def fiber_pullback_defect(
     if m < 1:
         raise DomainError("fiber level must be positive")
     psi = power(phi, m)
-    fiber_pts = _fiber_points_with_multiplicity(psi, A)
+    return _fiber_pullback_defect(psi, fiber(psi, A), A, P, S)
+
+
+def _fiber_pullback_defect(
+    psi: RationalMap,
+    fd: FiberDecomposition,
+    A: ProjectivePoint,
+    P: ProjectivePoint,
+    S: PlaceSet,
+) -> FiberPullbackRecord:
+    """fiber_pullback_defect for psi = phi^m, given its fiber fd over A. The
+    fiber points are K-rational: an irreducible factor of higher degree is an
+    error (the point then lives in an extension)."""
+    fiber_pts = []
+    for factor, mult in fd.factors:
+        if factor.degree != 1:
+            raise DomainError(
+                "fiber point requires extension: irreducible factor of z-degree "
+                f"{factor.degree}"
+            )
+        root = FieldElement.make(-factor.coeff(0), factor.coeff(1))
+        fiber_pts.append((ProjectivePoint.from_field(root), mult))
+    if fd.infinity_multiplicity > 0:
+        fiber_pts.append((ProjectivePoint.infinity(), fd.infinity_multiplicity))
     for pt, _ in fiber_pts:
         if pt == P:
             raise DomainError("P lies in the fiber; comparison undefined")

@@ -11,46 +11,33 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Optional, Sequence
 
 from .errors import DomainError, OrbitBudgetError
 from .function_field import (
     FieldElement,
-    Place,
     PlaceSet,
     is_S_unit,
-    ord_at,
     s_free_part,
     s_split,
 )
-from .heights import DEFAULT_HEIGHT_BUDGET, Orbit, Preperiodic
-from .maps import (
-    ProjectivePoint,
-    RationalMap,
-    bad_reduction_places,
-    require_dynamical,
-)
-from .polynomials import Poly, _canon, _int_mul, factor_tpoly
+from .heights import Orbit, Preperiodic
+from .maps import ProjectivePoint, bad_reduction_places
+from .polynomials import Poly, _canon, _int_mul
 
 # ---------------------------------------------------------------------------
 # S-unit hits
 # ---------------------------------------------------------------------------
 
 
-def unit_hits(
-    phi: RationalMap,
-    alpha: ProjectivePoint,
-    S: PlaceSet,
-    N: int,
-    height_budget: int = DEFAULT_HEIGHT_BUDGET,
-) -> list[int]:
-    """Indices 1 <= n <= N with phi^n(alpha) an S-unit (infinity never is)."""
+def unit_hits(orbit: Orbit, S: PlaceSet, N: int) -> list[int]:
+    """Indices 1 <= n <= N with phi^n(alpha) an S-unit (infinity never is),
+    for the orbit of alpha under phi."""
     if N < 1:
         raise DomainError("scan bound must be positive")
-    values = [pt.affine() for pt in Orbit(phi, alpha, height_budget).prefix(N)]
+    values = [pt.affine() for pt in orbit.prefix(N)]
     return [
         n for n in range(1, N + 1) if values[n] is not None and is_S_unit(values[n], S)
     ]
@@ -65,7 +52,6 @@ def unit_hits(
 class DependenceQuery:
     """Search box for phi^{n+k}(alpha)^r = u * phi^k(alpha)^s with u an S-unit."""
 
-    alpha: ProjectivePoint
     S: PlaceSet
     n_max: int
     k_max: int
@@ -75,8 +61,6 @@ class DependenceQuery:
     def __post_init__(self):
         if min(self.n_max, self.k_max, self.r_max, self.s_max) < 1:
             raise DomainError("all search bounds must be at least 1")
-        if self.alpha.is_infinite:
-            raise DomainError("base point must be affine")
 
 
 @dataclass(frozen=True)
@@ -86,7 +70,6 @@ class DependenceSolution:
     r: int
     s: int
     u: FieldElement
-    alpha: ProjectivePoint
     rho: float  # log(|s|/|r|)/log d + 1 for the witnessing pair
 
     def verify(self, S: PlaceSet) -> bool:
@@ -99,7 +82,6 @@ class DependenceSearchReport:
     skipped: tuple[str, ...]
     zero_not_periodic: bool
     wandering_certified: bool
-    orbit: Optional[Orbit] = field(default=None, compare=False, repr=False)
 
 
 def _zero_is_periodic(zero_orbit: Orbit) -> bool:
@@ -135,12 +117,10 @@ def _exponent_ratio(u: tuple, w: tuple) -> Optional[tuple[int, int]]:
 
 
 def dependence_search(
-    phi: RationalMap,
-    q: DependenceQuery,
-    wandering_attested: bool = False,
-    height_budget: int = DEFAULT_HEIGHT_BUDGET,
+    orbit: Orbit, q: DependenceQuery, wandering_attested: bool = False
 ) -> DependenceSearchReport:
-    """Exact search of the box for multiplicative dependences.
+    """Exact search of the box for multiplicative dependences on the orbit
+    of alpha under phi; alpha must be affine.
 
     f**r / g**s is an S-unit exactly when f**r and g**s have the same
     S-free part (`s_free_part`). With (a, b, o) the part of f and
@@ -171,7 +151,9 @@ def dependence_search(
     any e, and none at the place t, where P_v^e is t^e. ord_v of an orbit
     value grows like d^(n+k), so e can run to thousands within the default
     height budget."""
-    orbit = Orbit(phi, q.alpha, height_budget)
+    alpha = orbit[0]
+    if alpha.is_infinite:
+        raise DomainError("base point must be affine")
     wandering_certified = False
     if not wandering_attested:
         if isinstance(orbit.classify(), Preperiodic):
@@ -242,6 +224,7 @@ def dependence_search(
                 den_m *= finite[v].den ** -e
         return FieldElement(_canon(num, m), _canon(den, den_m))
 
+    phi = orbit.phi
     d = phi.d
     solutions = []
     skipped = []
@@ -259,17 +242,16 @@ def dependence_search(
                 rho = math.log(abs(s) / r) / math.log(d) + 1
                 u = unit(n + k, k, r, s)
                 solutions.append(
-                    DependenceSolution(n=n, k=k, r=r, s=s, u=u, alpha=q.alpha, rho=rho)
+                    DependenceSolution(n=n, k=k, r=r, s=s, u=u, rho=rho)
                 )
     solutions.sort(key=lambda sol: (sol.n, sol.k, sol.r, sol.s))
     zero = ProjectivePoint.zero()
-    zero_orbit = orbit if q.alpha == zero else Orbit(phi, zero, height_budget)
+    zero_orbit = orbit if alpha == zero else Orbit(phi, zero, orbit.height_budget)
     return DependenceSearchReport(
         solutions=tuple(solutions),
         skipped=tuple(skipped),
         zero_not_periodic=not _zero_is_periodic(zero_orbit),
         wandering_certified=wandering_certified,
-        orbit=orbit,
     )
 
 
@@ -278,81 +260,34 @@ def dependence_search(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseEvidence:
-    label: str  # one of "A.1", "A.2", "A.3", "A.4", "B"
-    alpha_integral: bool
-    witness_place: Optional[Place] = None
-    valuation_pattern_ok: Optional[bool] = None
-    shape_ok: Optional[bool] = None
-    detail: str = ""
-
-
-def poly_case_split(
-    orbit: Orbit, S: PlaceSet
-) -> Callable[[DependenceSolution], CaseEvidence]:
-    """Place each dependence solution of one search on orbit's base point
-    alpha, for a polynomial map, into the case split of the proof taxonomy:
-    A.1-A.4 when alpha is integral away from S and the bad-reduction places,
-    else case B with its valuation-doubling pattern. The work that depends
-    on alpha alone is done here, once: the bad-reduction places (a
-    factorization of Res), the split of alpha by S_phi and the witness
-    place. Case B reads the valuations at the witness along orbit, each
-    iterate once."""
+def poly_case_split(orbit: Orbit, S: PlaceSet) -> Callable[[DependenceSolution], str]:
+    """The labeler of the proof taxonomy's case split for the dependence
+    solutions of one search on orbit's base point alpha, for a polynomial
+    map: "A.1"-"A.4", read from r and s, when alpha is integral away from S
+    and the bad-reduction places, else "B". The split of alpha by S_phi,
+    which needs the bad-reduction places (a factorization of Res), is done
+    here, once."""
     phi = orbit.phi
-    require_dynamical(phi)
     if not phi.is_polynomial:
         raise DomainError("classifier requires a polynomial map")
-    S_phi = frozenset(S) | bad_reduction_places(phi)
-    alpha_elem = orbit[0].affine()
-    if alpha_elem is None:
+    alpha = orbit[0].affine()
+    if alpha is None:
         raise DomainError("base point must be affine")
-    b, o = Poly.one(), 0  # 0 is S_phi-integral
-    if not alpha_elem.is_zero:
-        _, b, o = s_free_part(alpha_elem, S_phi)
-    if b.degree <= 0 and o >= 0:
-        return _integral_case
-    # Case B: a pole of alpha at a good-reduction place outside S_phi, the
-    # first factor of the S_phi-free denominator or else infinity
-    if b.degree > 0:
-        witness = Place(factor_tpoly(b)[1][0][0])
-    else:
-        witness = Place.infinity()
-    d = phi.d
-    v0 = ord_at(alpha_elem, witness)
-
-    @cache
-    def doubled(j: int) -> bool:
-        value = orbit[j].affine()
-        return value is not None and ord_at(value, witness) == d**j * v0
-
-    def case_b(solution: DependenceSolution) -> CaseEvidence:
-        m = solution.n + solution.k
-        orbit.prefix(m)  # the budget applies before any valuation is read
-        return CaseEvidence(
-            label="B",
-            alpha_integral=False,
-            witness_place=witness,
-            valuation_pattern_ok=all(doubled(j) for j in range(1, m + 1)),
-            shape_ok=solution.r == 1 and solution.s == d**solution.n,
-            detail=f"pole at witness place with ord {v0}",
-        )
-
-    return case_b
+    if not alpha.is_zero:  # 0 is S_phi-integral
+        _, b, o = s_free_part(alpha, frozenset(S) | bad_reduction_places(phi))
+        if b.degree > 0 or o < 0:
+            return lambda solution: "B"
+    return _integral_case
 
 
-def _integral_case(solution: DependenceSolution) -> CaseEvidence:
+def _integral_case(solution: DependenceSolution) -> str:
     """Cases A.1-A.4 of poly_case_split, read from r and s."""
     r, s = solution.r, solution.s
     if s < 0:
-        label, detail = "A.1", "s < 0: both orbit values are S-units up to the unit u"
-    elif s >= 2:
-        label, detail = "A.2", "s >= 2"
-    elif r >= 2:
-        label, detail = "A.3", "s = 1, r >= 2"
-    else:
-        label, detail = "A.4", "r = s = 1"
-    return CaseEvidence(label=label, alpha_integral=True, detail=detail)
+        return "A.1"  # both orbit values are S-units up to the unit u
+    if s >= 2:
+        return "A.2"
+    return "A.3" if r >= 2 else "A.4"  # s = 1
 
 
 # ---------------------------------------------------------------------------
@@ -411,19 +346,16 @@ class ZeroScanReport:
 
 
 def split_multilinear_zero_scan(
-    form: SplitMultilinearForm,
-    phi: RationalMap,
-    alpha: ProjectivePoint,
-    N: int,
-    height_budget: int = DEFAULT_HEIGHT_BUDGET,
+    form: SplitMultilinearForm, orbit: Orbit, N: int
 ) -> ZeroScanReport:
     """All strictly decreasing index tuples n_1 > ... > n_k in [0, N] where
-    the form vanishes at (phi^{n_1} alpha, ..., phi^{n_k} alpha); exact."""
+    the form vanishes at (phi^{n_1} alpha, ..., phi^{n_k} alpha), for the
+    orbit of alpha under phi; exact."""
     if N < 1:
         raise DomainError("scan bound must be positive")
-    if alpha.is_infinite:
+    if orbit[0].is_infinite:
         raise DomainError("base point must be affine")
-    values = [pt.affine() for pt in Orbit(phi, alpha, height_budget).prefix(N)]
+    values = [pt.affine() for pt in orbit.prefix(N)]
     zero_tuples = []
     skipped = []
     scanned = 0

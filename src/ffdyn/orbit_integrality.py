@@ -12,7 +12,7 @@ iterate can be S-integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -82,10 +82,8 @@ class PersistenceCertificate:
 @dataclass(frozen=True)
 class IntegralScanReport:
     hits: tuple[int, ...]
-    scanned_to: int
     certificate: Optional[PersistenceCertificate]
     warnings: tuple[str, ...]
-    orbit: Optional[Orbit] = field(default=None, compare=False, repr=False)
 
     @property
     def count(self) -> int:
@@ -111,14 +109,9 @@ def _certificate_at(
     return None
 
 
-def count_S_integral(
-    phi: RationalMap,
-    P: ProjectivePoint,
-    S: PlaceSet,
-    N: int,
-    height_budget: int = DEFAULT_HEIGHT_BUDGET,
-) -> IntegralScanReport:
-    """Indices 1 <= n <= N with phi^n(P) an S-integer (infinity never counts).
+def count_S_integral(orbit: Orbit, S: PlaceSet, N: int) -> IntegralScanReport:
+    """Indices 1 <= n <= N with phi^n(P) an S-integer (infinity never counts),
+    for the orbit of P under phi.
 
     Once a persistence certificate is found the remaining range is certified
     pole-bound without computing further iterates. Once the orbit has
@@ -128,7 +121,7 @@ def count_S_integral(
     heights. Otherwise the scan computes every iterate and enforces the
     height budget.
     """
-    orbit = Orbit(phi, P, height_budget)
+    phi = orbit.phi
     if N < 0:
         raise DomainError("scan bound must be nonnegative")
     warnings = []
@@ -162,10 +155,8 @@ def count_S_integral(
                 break
     return IntegralScanReport(
         hits=tuple(hits),
-        scanned_to=N,
         certificate=certificate,
         warnings=tuple(warnings),
-        orbit=orbit,
     )
 
 
@@ -190,7 +181,6 @@ class GammaSetReport:
     depth: int
     in_indices: tuple[int, ...]
     undecided_indices: tuple[int, ...]
-    orbit: Optional[Orbit] = field(default=None, compare=False, repr=False)
 
     @property
     def max_in_index(self) -> Optional[int]:
@@ -198,18 +188,16 @@ class GammaSetReport:
 
 
 def gamma_set(
-    phi: RationalMap,
+    orbit: Orbit,
     S: PlaceSet,
     A: ProjectivePoint,
-    P: ProjectivePoint,
     eps,
     N: int,
     depth: int = 6,
     wandering_attested: bool = False,
-    height_budget: int = DEFAULT_HEIGHT_BUDGET,
 ) -> GammaSetReport:
-    """Three-valued scan of the indices n <= N where phi^n(P) is
-    (S, eps)-close to A: proximity >= eps * hhat(phi^n P).
+    """Three-valued scan of the indices n <= N where phi^n(P), for the orbit
+    of P under phi, is (S, eps)-close to A: proximity >= eps * hhat(phi^n P).
 
     Membership is decided by comparing the exact proximity integer with eps
     times a certified canonical-height interval; indices whose interval
@@ -217,7 +205,6 @@ def gamma_set(
     per-index intervals come from the exact functional equation
     hhat(phi^n P) = d^n * hhat(P), so only one base interval is computed.
     """
-    orbit = Orbit(phi, P, height_budget)
     eps = Fraction(eps)
     if not (0 < eps <= 1):
         raise DomainError("eps must lie in (0, 1]")
@@ -225,11 +212,11 @@ def gamma_set(
         raise DomainError("depth must be positive")
     if N < 0:
         raise DomainError("scan bound must be nonnegative")
-    if is_exceptional(phi, A):
+    if is_exceptional(orbit.phi, A):
         raise DomainError("exceptional target")
     if not wandering_attested and isinstance(orbit.classify(), Preperiodic):
         raise DomainError("base point is preperiodic; orbit scan requires wandering")
-    d = phi.d
+    d = orbit.phi.d
     hhat_P = orbit.hhat(depth)
     records = []
     in_idx = []
@@ -264,7 +251,6 @@ def gamma_set(
         depth=depth,
         in_indices=tuple(in_idx),
         undecided_indices=tuple(undecided_idx),
-        orbit=orbit,
     )
 
 
@@ -301,8 +287,8 @@ def gamma_set_bound_rhs(
     depth: int = 8,
 ) -> tuple[Fraction, Fraction]:
     """Certified enclosure of gamma1 + log_d^+((hhat(A) + h(phi)) / hhat(P))
-    for the orbit of P under phi, such as the one a gamma_set report holds;
-    hhat(A) is computed under the orbit's height budget. The theory proves
+    for the orbit of P under phi, the one gamma_set scanned; hhat(A) is
+    computed under the orbit's height budget. The theory proves
     that a constant gamma1 exists but does not pin it down, so the caller
     supplies it as an exact rational.
 
@@ -322,7 +308,7 @@ def integral_count_bound_rhs(
 ) -> tuple[Fraction, Fraction]:
     """Certified enclosure of gamma1 + log_d^+(h(phi) / hhat(P)) bounding the
     count of S-integral iterates for the wandering base point P of the
-    orbit, such as the one a count_S_integral report holds."""
+    orbit, the one count_S_integral scanned."""
     h_phi = Fraction(orbit.phi.coefficient_height())
     return _log_term(gamma1, orbit, depth, h_phi, h_phi)
 
@@ -380,9 +366,8 @@ def estimate_gamma(
     witnesses = []
     for i, (phi, A, P) in enumerate(instances):
         try:
-            report = gamma_set(
-                phi, S, A, P, eps, N, depth=depth, height_budget=height_budget
-            )
+            orbit = Orbit(phi, P, height_budget)
+            report = gamma_set(orbit, S, A, eps, N, depth=depth)
             if report.undecided_indices:
                 raise DomainError(
                     f"undecided indices {list(report.undecided_indices)} "
@@ -392,7 +377,7 @@ def estimate_gamma(
             if m_star is None:
                 records.append(GammaEstimateRecord(i, None, 0, 0, False))
                 continue
-            log_lower = int(gamma_set_bound_rhs(Fraction(0), report.orbit, A, depth)[0])
+            log_lower = int(gamma_set_bound_rhs(Fraction(0), orbit, A, depth)[0])
         except DomainError as exc:  # OrbitBudgetError included
             warnings.append(f"instance {i} excluded: {exc}")
             records.append(GammaEstimateRecord(i, None, 0, 0, True))

@@ -16,7 +16,7 @@ from .function_field import (
     product_formula_defect,
 )
 from .heights import displacement_bound, iterate_height_check
-from .local_geometry import contact_comparison, fiber_pullback_defect
+from .local_geometry import _fiber_pullback_defect, contact_comparison
 from .maps import (
     ProjectivePoint,
     apply_map,
@@ -161,8 +161,8 @@ def _suite_lemma26(samples: int, seed: int) -> SuiteResult:
                 f"sample {i}: fiber degree sum {fd.degree_sum()} != {phi.d} "
                 f"for phi = {map_text(phi)}"
             )
-        try:
-            rec = fiber_pullback_defect(phi, 1, A, P, S)
+        try:  # fiber_pullback_defect at m = 1, on the fiber factored above
+            rec = _fiber_pullback_defect(phi, fd, A, P, S)
         except DomainError as exc:
             res.failures.append(f"sample {i}: {exc} for phi = {map_text(phi)}")
             continue

@@ -81,14 +81,18 @@
 - s_split_by_factoring: the S-free part and the ord_v at the finite places
   of S from the irreducible factors of numerator and denominator, against
   function_field.s_split, one trial-division pass per place.
-- plain_json_lines: each record walked by cli._plain and written by
-  json.dumps(..., sort_keys=True), which builds an encoder per record,
-  against cli._emit's one encoder, whose default writes a Fraction as its
-  text.
+- plain_json_lines: each record walked with every Fraction replaced by its
+  text and written by json.dumps(..., sort_keys=True), which builds an
+  encoder per record, against cli._emit's one encoder, whose default writes
+  a Fraction as its text.
+- plain_csv: the same walk with each cell that is not text written by
+  json.dumps, against cli._emit's one CSV-cell encoder.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from fractions import Fraction
 from math import gcd
@@ -99,7 +103,6 @@ from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.factortools import dup_factor_list
 
-from ffdyn.cli import _plain
 from ffdyn.errors import OrbitBudgetError, ParseError
 from ffdyn.exprs import _DivisionError, _FormVal
 from ffdyn.function_field import FieldElement, Place, PlaceSet, is_S_integer, log_abs
@@ -602,7 +605,6 @@ def global_count_S_integral(
                 break
     return IntegralScanReport(
         hits=tuple(hits),
-        scanned_to=N,
         certificate=certificate,
         warnings=tuple(warnings),
     )
@@ -970,7 +972,35 @@ def fraction_map_text(phi: RationalMap) -> str:
     return f"({num})/({fraction_zpoly_text(phi.G)})"
 
 
+def _plain(value):
+    """value with every Fraction in it replaced by its text."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
 def plain_json_lines(records: list[dict]) -> str:
     """One line per record: the record with every Fraction replaced by its
-    text (cli._plain), written by json.dumps with sorted keys."""
+    text, written by json.dumps with sorted keys."""
     return "".join(json.dumps(_plain(r), sort_keys=True) + "\n" for r in records)
+
+
+def plain_csv(records: list[dict]) -> str:
+    """The records as CSV, columns sorted, each record with every Fraction
+    replaced by its text: a str cell written as it is, any other by
+    json.dumps."""
+    records = [_plain(r) for r in records]
+    buf = io.StringIO()
+    writer = csv.DictWriter(
+        buf, fieldnames=sorted({k for r in records for k in r}), lineterminator="\n"
+    )
+    writer.writeheader()
+    for r in records:
+        writer.writerow(
+            {k: v if isinstance(v, str) else json.dumps(v) for k, v in r.items()}
+        )
+    return buf.getvalue()

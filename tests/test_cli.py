@@ -12,7 +12,7 @@ from ffdyn import Place, parse_field_elem
 from ffdyn.cli import _emit, main
 from ffdyn.suites import SUITE_NAMES, run_suite
 
-from oracles import plain_json_lines
+from oracles import plain_csv, plain_json_lines
 
 
 def run(capsys, *argv):
@@ -488,18 +488,27 @@ def test_csv_round_trip(capsys, argv):
         assert isinstance(json.loads(rec["certificate"]), dict)
 
 
+PLAIN_WALK_RECORDS = [
+    {"schema": "x", "lo": Fraction(3, 2), "hi": Fraction(4), "rho": 2.584962500721156},
+    {"nested": (Fraction(-1, 3), [Fraction(5), None, True], {"b": Fraction(7, 9),
+                                                              "a": (1, 2.5, False)})},
+    {"z": None, "y": True, "x": False, "w": [], "v": {}, "u": "1/2", "t": -0.0},
+    {"certificate": {"index": 3, "bound": Fraction(-10, 4), "places": ("t", "inf")}},
+]
+
+
 def test_json_lines_match_the_plain_walk(capsys):
     # one encoder that writes a Fraction as its text writes the bytes that
-    # json.dumps wrote for each record after _plain had replaced them
-    records = [
-        {"schema": "x", "lo": Fraction(3, 2), "hi": Fraction(4), "rho": 2.584962500721156},
-        {"nested": (Fraction(-1, 3), [Fraction(5), None, True], {"b": Fraction(7, 9),
-                                                                  "a": (1, 2.5, False)})},
-        {"z": None, "y": True, "x": False, "w": [], "v": {}, "u": "1/2", "t": -0.0},
-        {"certificate": {"index": 3, "bound": Fraction(-10, 4), "places": ("t", "inf")}},
-    ]
-    _emit(argparse.Namespace(format="json", output=None), records)
-    assert capsys.readouterr().out == plain_json_lines(records)
+    # json.dumps wrote for each record after the oracle's walk had replaced them
+    _emit(argparse.Namespace(format="json", output=None), PLAIN_WALK_RECORDS)
+    assert capsys.readouterr().out == plain_json_lines(PLAIN_WALK_RECORDS)
+
+
+def test_csv_cells_match_the_plain_walk(capsys):
+    # the same for CSV cells, whose encoder keeps the order of a dict's keys;
+    # a top-level Fraction is written as its text, unquoted
+    _emit(argparse.Namespace(format="csv", output=None), PLAIN_WALK_RECORDS)
+    assert capsys.readouterr().out == plain_csv(PLAIN_WALK_RECORDS)
 
 
 @pytest.mark.parametrize("value", [Place.infinity(), parse_field_elem("t"), {1, 2}, b"t"])

@@ -102,7 +102,8 @@ def check_against_oracles(phi, P, budget):
     ), (str(phi), str(P), budget)
     for S in PLACE_SETS:
         for N in (1, DEPTH):
-            assert outcome(lambda: count_S_integral(phi, P, S, N, budget)) == outcome(
+            scan = lambda: count_S_integral(Orbit(phi, P, budget), S, N)
+            assert outcome(scan) == outcome(
                 lambda: global_count_S_integral(phi, P, S, N, budget, MAX_ITER)
             ), (str(phi), str(P), sorted(map(str, S)), N, budget)
 
@@ -211,7 +212,7 @@ def test_no_iterate_past_the_escape_index(monkeypatch):
     assert classify_preperiodic(quad, one) == global_classify_preperiodic(quad, one)
     assert len(calls) == 3
     # the classification and the scan share one Orbit: iterate 1 is built once
-    report = count_S_integral(quad, one, parse_places("inf"), 40, 1 << 40)
+    report = count_S_integral(Orbit(quad, one, 1 << 40), parse_places("inf"), 40)
     assert report.hits == tuple(range(1, 41)) and len(calls) == 4
     # z^2 + t^3 at t escapes at iterate 1 (h = 3), not at iterate 0 (h = 1)
     orbit = Orbit(parse_rational_map("z^2+t^3"), parse_point("t"))
@@ -233,7 +234,7 @@ def test_escaped_heights_keep_the_budget_text():
     with pytest.raises(OrbitBudgetError, match="^orbit height 128 exceeds budget 100 at iterate 8$"):
         orbit.height(9)
     with pytest.raises(OrbitBudgetError, match="^orbit height 128 exceeds budget 100 at iterate 8$"):
-        count_S_integral(quad, one, parse_places("inf"), 12, 100)
+        count_S_integral(Orbit(quad, one, 100), parse_places("inf"), 12)
     assert classify_preperiodic(quad, one, height_budget=100) == Wandering(
         Fraction(1, 8), 3
     )
@@ -297,6 +298,6 @@ def test_hole_free_orbit_needs_no_finite_part(monkeypatch):
     assert orbit.escape_index(0) == 0 and orbit._increment == 2
     expected = [GlobalOrbit(phi, P, 1 << 14)[n].height for n in range(7)]
     assert [orbit.height(n) for n in range(7)] == expected
-    report = count_S_integral(phi, P, parse_places("inf"), 38, 10**12)
+    report = count_S_integral(Orbit(phi, P, 10**12), parse_places("inf"), 38)
     assert report.hits == tuple(range(1, 39))
     assert calls == []

@@ -225,7 +225,7 @@ def scan_cases():
 def test_orbit_scan_memberships_only_get_decided(monkeypatch):
     compared = decided = 0
     for phi, S, A, P, eps, depth in scan_cases():
-        scan = lambda: gamma_set(phi, S, A, P, eps, 4, depth, True, BUDGET)
+        scan = lambda: gamma_set(Orbit(phi, P, BUDGET), S, A, eps, 4, depth, True)
         try:
             new = scan()
             with monkeypatch.context() as m:
@@ -247,9 +247,10 @@ def test_orbit_scan_memberships_only_get_decided(monkeypatch):
 @pytest.mark.parametrize("depth", [10, 16, 24])
 def test_orbit_scan_tie_stays_undecided(depth):
     # proximity 1 against eps * hhat(phi^2 t) = 2 hhat(t), and hhat(t) = 1/2
-    report = gamma_set(parse_rational_map("(z^2-t)/z"), parse_places("inf"),
-                       parse_point("inf"), parse_point("t"), Fraction(1, 2), 4, depth,
-                       height_budget=1 << 24)
+    orbit = Orbit(parse_rational_map("(z^2-t)/z"), parse_point("t"), 1 << 24)
+    report = gamma_set(
+        orbit, parse_places("inf"), parse_point("inf"), Fraction(1, 2), 4, depth
+    )
     assert report.undecided_indices == (2,)
     assert report.records[0].hhat.contains(Fraction(1, 2))
 

@@ -56,20 +56,20 @@ S_T_INF = frozenset([Place.finite(Poly.t()), Place.infinity()])
 
 def test_unit_hits_monomial(monomial_map):
     # t z^2 at alpha = 1: iterates t, t^3, t^7, ... all {t, inf}-units
-    assert unit_hits(monomial_map, pt("1"), S_T_INF, 5) == [1, 2, 3, 4, 5]
+    assert unit_hits(Orbit(monomial_map, pt("1")), S_T_INF, 5) == [1, 2, 3, 4, 5]
 
 
 def test_unit_hits_generic(quad_poly_map, S_inf):
     # z^2 + t at 0: iterates t, t^2+t, ... only n = 1 is a unit for {inf}
     # (a polynomial is an {inf}-unit iff it is a nonzero constant) -> none
-    assert unit_hits(quad_poly_map, pt("0"), S_inf, 5) == []
+    assert unit_hits(Orbit(quad_poly_map, pt("0")), S_inf, 5) == []
     # with (t) added, n = 1 (value t) qualifies but t^2 + t = t(t+1) does not
-    assert unit_hits(quad_poly_map, pt("0"), S_T_INF, 5) == [1]
+    assert unit_hits(Orbit(quad_poly_map, pt("0")), S_T_INF, 5) == [1]
 
 
 def test_unit_hits_validates(quad_poly_map, S_inf):
     with pytest.raises(DomainError):
-        unit_hits(quad_poly_map, pt("0"), S_inf, 0)
+        unit_hits(Orbit(quad_poly_map, pt("0")), S_inf, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -77,16 +77,18 @@ def test_unit_hits_validates(quad_poly_map, S_inf):
 # ---------------------------------------------------------------------------
 
 
-def test_query_validation(S_inf):
-    with pytest.raises(DomainError):
-        DependenceQuery(pt("inf"), S_inf, 1, 1, 1, 1)
-    with pytest.raises(DomainError):
-        DependenceQuery(pt("0"), S_inf, 0, 1, 1, 1)
+def test_query_validation(quad_poly_map, S_inf):
+    with pytest.raises(DomainError, match="base point must be affine"):
+        dependence_search(
+            Orbit(quad_poly_map, pt("inf")), DependenceQuery(S_inf, 1, 1, 1, 1)
+        )
+    with pytest.raises(DomainError, match="all search bounds must be at least 1"):
+        DependenceQuery(S_inf, 0, 1, 1, 1)
 
 
 def test_search_generic_box_is_empty(quad_poly_map, S_inf):
-    q = DependenceQuery(pt("0"), S_inf, n_max=3, k_max=3, r_max=3, s_max=3)
-    report = dependence_search(quad_poly_map, q)
+    q = DependenceQuery(S_inf, n_max=3, k_max=3, r_max=3, s_max=3)
+    report = dependence_search(Orbit(quad_poly_map, pt("0")), q)
     assert report.solutions == ()
     assert report.wandering_certified
 
@@ -94,8 +96,8 @@ def test_search_generic_box_is_empty(quad_poly_map, S_inf):
 def test_search_monomial_box_is_full(monomial_map):
     # t z^2 at alpha = t: every iterate is a power of t, so every (n, k)
     # admits a dependence over S = {(t), inf}
-    q = DependenceQuery(pt("t"), S_T_INF, n_max=3, k_max=3, r_max=4, s_max=9)
-    report = dependence_search(monomial_map, q)
+    q = DependenceQuery(S_T_INF, n_max=3, k_max=3, r_max=4, s_max=9)
+    report = dependence_search(Orbit(monomial_map, pt("t")), q)
     covered = {(sol.n, sol.k) for sol in report.solutions}
     assert covered == {(n, k) for n in (1, 2, 3) for k in (1, 2, 3)}
     # phi(t) = t^3, phi^2(t) = t^7: r = 1, s = 1 already witnesses (1, 1)
@@ -104,8 +106,8 @@ def test_search_monomial_box_is_full(monomial_map):
 
 
 def test_solutions_independently_reverified(monomial_map):
-    q = DependenceQuery(pt("t"), S_T_INF, n_max=2, k_max=2, r_max=3, s_max=5)
-    report = dependence_search(monomial_map, q)
+    q = DependenceQuery(S_T_INF, n_max=2, k_max=2, r_max=3, s_max=5)
+    report = dependence_search(Orbit(monomial_map, pt("t")), q)
     assert report.solutions
     orbit = affine_orbit(monomial_map, pt("t"), 4)
     for sol in report.solutions:
@@ -119,14 +121,14 @@ def test_solutions_independently_reverified(monomial_map):
 def test_diagonal_r_s_one_needs_special_structure(quad_poly_map, S_inf):
     # for z^2 + t the heights of phi^{n+k} and phi^k differ, so u = f/g has
     # positive height and cannot be an S-unit for S = {inf}
-    q = DependenceQuery(pt("0"), S_inf, n_max=2, k_max=2, r_max=1, s_max=1)
-    assert dependence_search(quad_poly_map, q).solutions == ()
+    q = DependenceQuery(S_inf, n_max=2, k_max=2, r_max=1, s_max=1)
+    assert dependence_search(Orbit(quad_poly_map, pt("0")), q).solutions == ()
 
 
 def test_search_matches_brute_force(monomial_map):
     # independent brute force over the same box
-    q = DependenceQuery(pt("1"), S_T_INF, n_max=2, k_max=2, r_max=2, s_max=3)
-    report = dependence_search(monomial_map, q)
+    q = DependenceQuery(S_T_INF, n_max=2, k_max=2, r_max=2, s_max=3)
+    report = dependence_search(Orbit(monomial_map, pt("1")), q)
     orbit = affine_orbit(monomial_map, pt("1"), 4)
     expected = set()
     for n in (1, 2):
@@ -143,11 +145,11 @@ def test_search_matches_brute_force(monomial_map):
 
 def test_search_rejects_preperiodic(S_inf):
     sq = parse_rational_map("z^2")
-    q = DependenceQuery(pt("1"), S_inf, 1, 1, 1, 1)
+    q = DependenceQuery(S_inf, 1, 1, 1, 1)
     with pytest.raises(DomainError, match="preperiodic"):
-        dependence_search(sq, q)
+        dependence_search(Orbit(sq, pt("1")), q)
     # attestation overrides the wandering check
-    report = dependence_search(sq, q, wandering_attested=True)
+    report = dependence_search(Orbit(sq, pt("1")), q, wandering_attested=True)
     assert not report.wandering_certified
 
 
@@ -197,8 +199,8 @@ PREFILTER_CASES = [
 
 
 def _check_against_quotient_oracle(phi, alpha, S, box):
-    q = DependenceQuery(alpha, S, *box)
-    report = dependence_search(phi, q, wandering_attested=True)
+    q = DependenceQuery(S, *box)
+    report = dependence_search(Orbit(phi, alpha), q, wandering_attested=True)
     orbit = affine_orbit(phi, alpha, box[0] + box[1])
     expected = quotient_dependence_search(orbit, S, *box)
     assert [(s.n, s.k, s.r, s.s, s.u) for s in report.solutions] == expected
@@ -222,8 +224,9 @@ def test_search_matches_quotient_oracle_prefilter_cases(case):
 
 
 def _report(text, point, places, box):
-    q = DependenceQuery(pt(point), parse_places(places), *box)
-    return dependence_search(parse_rational_map(text), q, wandering_attested=True)
+    q = DependenceQuery(parse_places(places), *box)
+    orbit = Orbit(parse_rational_map(text), pt(point))
+    return dependence_search(orbit, q, wandering_attested=True)
 
 
 def test_oracle_cases_reach_every_branch_of_the_lattice(monkeypatch):
@@ -261,8 +264,7 @@ def test_quotient_oracle_cases_reach_every_branch():
     found = []
     skipped = []
     for text, point, places, box in ORACLE_CASES:
-        q = DependenceQuery(pt(point), parse_places(places), *box)
-        report = dependence_search(parse_rational_map(text), q, wandering_attested=True)
+        report = _report(text, point, places, box)
         found += report.solutions
         skipped += report.skipped
     assert any(sol.s < 0 for sol in found)
@@ -292,8 +294,9 @@ def test_degree_prefilter_builds_no_powers(monkeypatch):
         return power(self, n)
 
     monkeypatch.setattr(Poly, "__pow__", recording)
-    q = DependenceQuery(pt("t"), S_T_INF, n_max=5, k_max=5, r_max=10, s_max=10)
-    report = dependence_search(parse_rational_map("(z^2-t)/z"), q, wandering_attested=True)
+    q = DependenceQuery(S_T_INF, n_max=5, k_max=5, r_max=10, s_max=10)
+    orbit = Orbit(parse_rational_map("(z^2-t)/z"), pt("t"))
+    report = dependence_search(orbit, q, wandering_attested=True)
     assert report.solutions == ()
     assert powers == []
 
@@ -308,12 +311,12 @@ def test_search_builds_u_only_for_solutions(monkeypatch, quad_poly_map, monomial
 
     monkeypatch.setattr(FieldElement, "__truediv__", counting)
     S_inf = frozenset([Place.infinity()])
-    q = DependenceQuery(pt("0"), S_inf, n_max=3, k_max=3, r_max=3, s_max=3)
-    assert dependence_search(quad_poly_map, q).solutions == ()
+    q = DependenceQuery(S_inf, n_max=3, k_max=3, r_max=3, s_max=3)
+    assert dependence_search(Orbit(quad_poly_map, pt("0")), q).solutions == ()
     assert calls == []
     # each u is read from leading coefficients and valuations: no division
-    q = DependenceQuery(pt("t"), S_T_INF, n_max=2, k_max=2, r_max=3, s_max=3)
-    report = dependence_search(monomial_map, q)
+    q = DependenceQuery(S_T_INF, n_max=2, k_max=2, r_max=3, s_max=3)
+    report = dependence_search(Orbit(monomial_map, pt("t")), q)
     assert len(report.solutions) > 0
     assert calls == []
 
@@ -383,11 +386,11 @@ def test_witness_powers_take_log_e_products(monkeypatch, point, places, box):
 
 
 def test_zero_not_periodic_flag(quad_poly_map, monomial_map, S_inf):
-    q = DependenceQuery(pt("0"), S_inf, 1, 1, 1, 1)
-    assert dependence_search(quad_poly_map, q).zero_not_periodic
+    q = DependenceQuery(S_inf, 1, 1, 1, 1)
+    assert dependence_search(Orbit(quad_poly_map, pt("0")), q).zero_not_periodic
     # t z^2 fixes 0, so zero IS periodic
-    q2 = DependenceQuery(pt("t"), S_T_INF, 1, 1, 1, 1)
-    assert not dependence_search(monomial_map, q2).zero_not_periodic
+    q2 = DependenceQuery(S_T_INF, 1, 1, 1, 1)
+    assert not dependence_search(Orbit(monomial_map, pt("t")), q2).zero_not_periodic
 
 
 def test_zero_periodic_at_large_height():
@@ -408,22 +411,22 @@ def test_zero_periodic_at_large_height():
 
 def test_classifier_cases_A(monomial_map):
     # alpha = t is integral away from S_phi, so only the exponent shape matters
-    q = DependenceQuery(pt("t"), S_T_INF, n_max=2, k_max=2, r_max=3, s_max=4)
-    report = dependence_search(monomial_map, q)
-    case_split = poly_case_split(report.orbit, S_T_INF)
+    q = DependenceQuery(S_T_INF, n_max=2, k_max=2, r_max=3, s_max=4)
+    orbit = Orbit(monomial_map, pt("t"))
+    report = dependence_search(orbit, q)
+    case_split = poly_case_split(orbit, S_T_INF)
     seen = {}
     for sol in report.solutions:
-        ev = case_split(sol)
-        assert ev.alpha_integral
+        label = case_split(sol)
         if sol.s < 0:
-            assert ev.label == "A.1"
+            assert label == "A.1"
         elif sol.s >= 2:
-            assert ev.label == "A.2"
+            assert label == "A.2"
         elif sol.r >= 2:
-            assert ev.label == "A.3"
+            assert label == "A.3"
         else:
-            assert ev.label == "A.4"
-        seen[ev.label] = seen.get(ev.label, 0) + 1
+            assert label == "A.4"
+        seen[label] = seen.get(label, 0) + 1
     assert {"A.1", "A.4"} <= set(seen)
 
 
@@ -431,28 +434,22 @@ def test_classifier_case_B(quad_poly_map, S_inf):
     # alpha = 1/t has a pole at (t), a good-reduction place outside S = {inf};
     # under z^2 + t the pole order doubles every step
     alpha = pt("1/t")
-    q = DependenceQuery(alpha, S_inf, n_max=1, k_max=1, r_max=1, s_max=2)
-    report = dependence_search(quad_poly_map, q, wandering_attested=True)
+    q = DependenceQuery(S_inf, n_max=1, k_max=1, r_max=1, s_max=2)
+    orbit = Orbit(quad_poly_map, alpha)
+    report = dependence_search(orbit, q, wandering_attested=True)
     # classify a synthetic solution to exercise the branch even if the box
     # found none
     from ffdyn.mult_dependence import DependenceSolution
 
-    orbit = affine_orbit(quad_poly_map, alpha, 2)
-    sol = DependenceSolution(
-        n=1, k=1, r=1, s=2, u=orbit[2] / orbit[1] ** 2, alpha=alpha, rho=2.0
-    )
-    case_split = poly_case_split(Orbit(quad_poly_map, alpha), S_inf)
-    ev = case_split(sol)
-    assert ev.label == "B"
-    assert not ev.alpha_integral
-    assert ev.witness_place == Place.finite(Poly.t())
-    assert ev.valuation_pattern_ok  # ord doubles: -1, -2, -4
-    assert ev.shape_ok  # r = 1, s = d^n = 2
+    values = affine_orbit(quad_poly_map, alpha, 2)
     v = Place.finite(Poly.t())
-    assert [ord_at(x, v) for x in orbit] == [-1, -2, -4]
+    assert [ord_at(x, v) for x in values] == [-1, -2, -4]
+    sol = DependenceSolution(n=1, k=1, r=1, s=2, u=values[2] / values[1] ** 2, rho=2.0)
+    case_split = poly_case_split(orbit, S_inf)
+    assert case_split(sol) == "B"
     # usable directly on any found solutions too
     for found in report.solutions:
-        assert case_split(found).label == "B"
+        assert case_split(found) == "B"
 
 
 def test_classifier_case_B_with_pole_at_infinity():
@@ -460,15 +457,11 @@ def test_classifier_case_B_with_pole_at_infinity():
     # the only pole outside S_phi is at infinity, and it doubles every step
     sq = parse_rational_map("z^2")
     S = parse_places("t")
-    q = DependenceQuery(pt("t"), S, n_max=1, k_max=1, r_max=1, s_max=2)
-    report = dependence_search(sq, q)
+    q = DependenceQuery(S, n_max=1, k_max=1, r_max=1, s_max=2)
+    orbit = Orbit(sq, pt("t"))
+    report = dependence_search(orbit, q)
     assert [(sol.r, sol.s) for sol in report.solutions] == [(1, 2)]
-    ev = poly_case_split(report.orbit, S)(report.solutions[0])
-    assert ev.label == "B"
-    assert not ev.alpha_integral
-    assert ev.witness_place == Place.infinity()
-    assert ev.valuation_pattern_ok and ev.shape_ok
-    assert ev.detail == "pole at witness place with ord -1"
+    assert poly_case_split(orbit, S)(report.solutions[0]) == "B"
 
 
 def test_classifier_requires_polynomial(quad_quotient_map, S_inf):
@@ -478,12 +471,12 @@ def test_classifier_requires_polynomial(quad_quotient_map, S_inf):
 
 def test_classifier_total_on_monomial_box(monomial_map):
     # every solution in the box receives exactly one label
-    q = DependenceQuery(pt("t"), S_T_INF, n_max=2, k_max=2, r_max=2, s_max=4)
-    report = dependence_search(monomial_map, q)
-    case_split = poly_case_split(report.orbit, S_T_INF)
+    q = DependenceQuery(S_T_INF, n_max=2, k_max=2, r_max=2, s_max=4)
+    orbit = Orbit(monomial_map, pt("t"))
+    report = dependence_search(orbit, q)
+    case_split = poly_case_split(orbit, S_T_INF)
     for sol in report.solutions:
-        ev = case_split(sol)
-        assert ev.label in {"A.1", "A.2", "A.3", "A.4", "B"}
+        assert case_split(sol) in {"A.1", "A.2", "A.3", "A.4", "B"}
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +517,7 @@ def test_form_evaluate():
 def test_zero_scan_simple_hit(quad_poly_map):
     # T1 - t vanishes exactly where the orbit of 0 visits t, i.e. n = 1
     form = parse_split_form("T1 - t")
-    report = split_multilinear_zero_scan(form, quad_poly_map, pt("0"), 4)
+    report = split_multilinear_zero_scan(form, Orbit(quad_poly_map, pt("0")), 4)
     assert report.zero_tuples == ((1,),)
     assert report.scanned == 5
     assert report.skipped == ()
@@ -534,7 +527,7 @@ def test_zero_scan_bilinear(monomial_map):
     # orbit of 1 under t z^2: 1, t, t^3, t^7; T1 - t^2*T2 vanishes at
     # (n1, n2) = (2, 1): t^3 = t^2 * t
     form = parse_split_form("T1 - t^2*T2")
-    report = split_multilinear_zero_scan(form, monomial_map, pt("1"), 3)
+    report = split_multilinear_zero_scan(form, Orbit(monomial_map, pt("1")), 3)
     assert (2, 1) in report.zero_tuples
     for combo in report.zero_tuples:
         assert combo[0] > combo[1]  # strictly decreasing tuples only
@@ -542,7 +535,7 @@ def test_zero_scan_bilinear(monomial_map):
 
 def test_zero_scan_no_hits(quad_poly_map):
     form = parse_split_form("T1*T2 + 1")
-    report = split_multilinear_zero_scan(form, quad_poly_map, pt("0"), 4)
+    report = split_multilinear_zero_scan(form, Orbit(quad_poly_map, pt("0")), 4)
     assert report.zero_tuples == ()
     assert report.scanned == 10  # C(5, 2)
 
@@ -550,13 +543,13 @@ def test_zero_scan_no_hits(quad_poly_map):
 def test_zero_scan_skips_infinity(quad_quotient_map):
     # orbit of 0 under (z^2 - t)/z passes through infinity at n = 1
     form = parse_split_form("T1 - t")
-    report = split_multilinear_zero_scan(form, quad_quotient_map, pt("0"), 2)
+    report = split_multilinear_zero_scan(form, Orbit(quad_quotient_map, pt("0")), 2)
     assert (1,) in report.skipped
 
 
 def test_zero_scan_validates(quad_poly_map):
     form = parse_split_form("T1 - t")
     with pytest.raises(DomainError):
-        split_multilinear_zero_scan(form, quad_poly_map, pt("inf"), 3)
+        split_multilinear_zero_scan(form, Orbit(quad_poly_map, pt("inf")), 3)
     with pytest.raises(DomainError):
-        split_multilinear_zero_scan(form, quad_poly_map, pt("0"), 0)
+        split_multilinear_zero_scan(form, Orbit(quad_poly_map, pt("0")), 0)

@@ -1,6 +1,6 @@
 """The budgeted orbit: agreement with plain iteration, memoization, and the
-height-budget rule at every public entry point that takes a budget, for
-iterates and for Orbit.height."""
+height-budget rule at every public entry point that takes a budget or an
+orbit built with one, for iterates and for Orbit.height."""
 
 import contextlib
 import io
@@ -23,18 +23,15 @@ from ffdyn import (
     gamma_set,
     gamma_set_bound_rhs,
     integral_count_bound_rhs,
-    parse_field_elem,
     parse_places,
     parse_point,
     parse_rational_map,
     parse_split_form,
-    poly_case_split,
     split_multilinear_zero_scan,
     unit_hits,
 )
 from ffdyn.errors import DomainError, OrbitBudgetError
 from ffdyn.heights import HeightInterval, Preperiodic
-from ffdyn.mult_dependence import DependenceSolution
 from ffdyn.randgen import rand_map, rand_point
 
 from ffdyn.cli import main as cli_main
@@ -133,6 +130,46 @@ def test_a_command_steps_each_point_once(argv, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli_main(argv) == 0
     assert steps and max(steps.values()) == 1, argv
+
+
+# (argv, base points of the orbits it builds, in order): one Orbit for the
+# command's base point; multdep adds the orbit of 0 when alpha != 0, and
+# --params adds the target's orbit for hhat(A)
+ONE_ORBIT_COMMANDS = [
+    (WALK_ONCE_COMMANDS[0], ["t"]),
+    (WALK_ONCE_COMMANDS[0] + ["--params", "{params}"], ["t", "inf"]),
+    (WALK_ONCE_COMMANDS[2], ["t"]),
+    (WALK_ONCE_COMMANDS[2] + ["--params", "{params}"], ["t"]),
+    (["units-in-orbit", "--map", "t*z^2", "--point", "1", "--places", "t,inf",
+      "--max-n", "5"], ["1"]),
+    # a polynomial map with solutions: the case labels read the same orbit
+    (WALK_ONCE_COMMANDS[4], ["t", "0"]),
+    (WALK_ONCE_COMMANDS[6], ["0"]),
+    (["split-form-scan", "--map", "z^2+t", "--point", "0", "--form", "T1 - t",
+      "--max-n", "4"], ["0"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, bases", ONE_ORBIT_COMMANDS,
+    ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(ONE_ORBIT_COMMANDS)],
+)
+def test_a_command_builds_one_orbit_per_base_point(argv, bases, tmp_path, monkeypatch):
+    params = tmp_path / "params.txt"
+    params.write_text("gamma1 = 1\n")
+    built = []
+    init = Orbit.__init__
+
+    def recording(orbit, phi, P, *args, **kwargs):
+        built.append(P)
+        init(orbit, phi, P, *args, **kwargs)
+
+    monkeypatch.setattr(Orbit, "__init__", recording)
+    argv = [arg.replace("{params}", str(params)) for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli_main(argv) == 0
+    assert built == [pt(text) for text in bases]
+    assert ('"case_label"' in out.getvalue()) == (argv == WALK_ONCE_COMMANDS[4])
 
 
 def test_a_fixed_iterate_is_stepped_once(tmp_path, monkeypatch):
@@ -242,10 +279,10 @@ def test_budget_boundary_canonical_height(quad_poly_map):
 
 
 def test_budget_boundary_integral_count(quad_poly_map, S_inf):
-    report = count_S_integral(quad_poly_map, pt("0"), S_inf, 4, height_budget=7)
+    report = count_S_integral(Orbit(quad_poly_map, pt("0"), 7), S_inf, 4)
     assert report.hits == (1, 2, 3, 4) and report.certificate is None
     with pytest.raises(OrbitBudgetError, match="exceeds budget 7 at iterate 4"):
-        count_S_integral(quad_poly_map, pt("0"), S_inf, 5, height_budget=7)
+        count_S_integral(Orbit(quad_poly_map, pt("0"), 7), S_inf, 5)
 
 
 def test_budget_applies_to_the_base_point(quad_poly_map):
@@ -266,19 +303,13 @@ def test_budget_boundaries_of_height(quad_poly_map):
         orbit.height(1)
 
 
-def _case_b_solution():
-    # z^2 has good reduction everywhere; alpha = 1/(t+1) has a pole outside S
-    return DependenceSolution(
-        n=1, k=1, r=1, s=2, u=parse_field_elem("1"), alpha=pt("1/(t+1)"), rho=0.0
-    )
-
-
 S_INF = parse_places("inf")
 QUAD = parse_rational_map("z^2+t")
 QUOT = parse_rational_map("(z^2-t)/z")
 GAMMA1 = Fraction(1)
 
-# (entry point, call with the given budget, budget, expected message)
+# (entry point, call with the given budget or on an orbit built with it,
+# budget, expected message)
 BUDGET_CASES = [
     (
         "canonical_height",
@@ -294,15 +325,15 @@ BUDGET_CASES = [
     ),
     (
         "count_S_integral",
-        lambda b: count_S_integral(QUAD, pt("0"), S_INF, 6, height_budget=b),
+        lambda b: count_S_integral(Orbit(QUAD, pt("0"), b), S_INF, 6),
         3,
         "orbit height 4 exceeds budget 3 at iterate 3",
     ),
     (
         "gamma_set",
         lambda b: gamma_set(
-            QUOT, S_INF, pt("inf"), pt("t"), Fraction(1, 2), 6, depth=2,
-            wandering_attested=True, height_budget=b,
+            Orbit(QUOT, pt("t"), b), S_INF, pt("inf"), Fraction(1, 2), 6, depth=2,
+            wandering_attested=True,
         ),
         4,
         "orbit height 8 exceeds budget 4 at iterate 4",
@@ -323,31 +354,23 @@ BUDGET_CASES = [
     ),
     (
         "unit_hits",
-        lambda b: unit_hits(QUAD, pt("0"), S_INF, 6, height_budget=b),
+        lambda b: unit_hits(Orbit(QUAD, pt("0"), b), S_INF, 6),
         3,
         "orbit height 4 exceeds budget 3 at iterate 3",
     ),
     (
         "dependence_search",
         lambda b: dependence_search(
-            QUAD, DependenceQuery(pt("t"), S_INF, 2, 2, 1, 1),
-            wandering_attested=True, height_budget=b,
+            Orbit(QUAD, pt("t"), b), DependenceQuery(S_INF, 2, 2, 1, 1),
+            wandering_attested=True,
         ),
         3,
         "orbit height 4 exceeds budget 3 at iterate 2",
     ),
     (
-        "poly_case_split",
-        lambda b: poly_case_split(
-            Orbit(parse_rational_map("z^2"), pt("1/(t+1)"), b), S_INF
-        )(_case_b_solution()),
-        1,
-        "orbit height 2 exceeds budget 1 at iterate 1",
-    ),
-    (
         "split_multilinear_zero_scan",
         lambda b: split_multilinear_zero_scan(
-            parse_split_form("T1 - t"), QUAD, pt("0"), 6, height_budget=b
+            parse_split_form("T1 - t"), Orbit(QUAD, pt("0"), b), 6
         ),
         3,
         "orbit height 4 exceeds budget 3 at iterate 3",

@@ -77,9 +77,8 @@ def test_ceil_log_plus_brute_force():
 
 
 def test_count_S_integral_long_range(quad_quotient_map, S_inf):
-    report = count_S_integral(quad_quotient_map, pt("t"), S_inf, 30)
+    report = count_S_integral(Orbit(quad_quotient_map, pt("t")), S_inf, 30)
     assert report.hits == (1,)
-    assert report.scanned_to == 30
     cert = report.certificate
     assert cert is not None
     assert cert.start == 2
@@ -101,14 +100,14 @@ def test_certificate_really_persists(quad_quotient_map, S_inf):
 
 def test_count_polynomial_map_warns(quad_poly_map, S_inf):
     # z^2 + t with S = {inf}: every iterate is a polynomial, hence S-integral
-    report = count_S_integral(quad_poly_map, pt("0"), S_inf, 10)
+    report = count_S_integral(Orbit(quad_poly_map, pt("0")), S_inf, 10)
     assert report.hits == tuple(range(1, 11))
     assert any("polynomial" in w for w in report.warnings)
 
 
 def test_count_preperiodic_warns(S_inf):
     sq = parse_rational_map("z^2")
-    report = count_S_integral(sq, pt("1"), S_inf, 5)
+    report = count_S_integral(Orbit(sq, pt("1")), S_inf, 5)
     assert any("preperiodic" in w for w in report.warnings)
     assert report.hits == (1, 2, 3, 4, 5)
 
@@ -117,12 +116,12 @@ def test_count_budget_error(quad_poly_map):
     # empty S, polynomial map: no certificate at any pole-free iterate,
     # so the scan must walk the orbit and hit the budget
     with pytest.raises(OrbitBudgetError):
-        count_S_integral(quad_poly_map, pt("0"), frozenset(), 30, height_budget=64)
+        count_S_integral(Orbit(quad_poly_map, pt("0"), 64), frozenset(), 30)
 
 
 def test_count_validates_range(quad_quotient_map, S_inf):
     with pytest.raises(DomainError):
-        count_S_integral(quad_quotient_map, pt("t"), S_inf, -1)
+        count_S_integral(Orbit(quad_quotient_map, pt("t")), S_inf, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +131,7 @@ def test_count_validates_range(quad_quotient_map, S_inf):
 
 def test_gamma_set_example(quad_quotient_map, S_inf, half):
     report = gamma_set(
-        quad_quotient_map, S_inf, pt("inf"), pt("t"), half, 4, depth=10
+        Orbit(quad_quotient_map, pt("t")), S_inf, pt("inf"), half, 4, depth=10
     )
     assert report.in_indices == (0, 1)
     # at n = 2 the proximity (1) equals eps * hhat exactly, so no finite
@@ -145,25 +144,25 @@ def test_gamma_set_example(quad_quotient_map, S_inf, half):
 
 def test_gamma_set_rejects_exceptional(quad_poly_map, S_inf, half):
     with pytest.raises(DomainError, match="exceptional"):
-        gamma_set(quad_poly_map, S_inf, pt("inf"), pt("0"), half, 3)
+        gamma_set(Orbit(quad_poly_map, pt("0")), S_inf, pt("inf"), half, 3)
 
 
 def test_gamma_set_rejects_preperiodic(S_inf, half):
     sq = parse_rational_map("z^2")
     with pytest.raises(DomainError, match="preperiodic"):
-        gamma_set(sq, S_inf, pt("t"), pt("1"), half, 3)
+        gamma_set(Orbit(sq, pt("1")), S_inf, pt("t"), half, 3)
 
 
 def test_gamma_set_eps_validation(quad_quotient_map, S_inf):
     for eps in (Fraction(0), Fraction(3, 2), Fraction(-1, 2)):
         with pytest.raises(DomainError):
-            gamma_set(quad_quotient_map, S_inf, pt("inf"), pt("t"), eps, 3)
+            gamma_set(Orbit(quad_quotient_map, pt("t")), S_inf, pt("inf"), eps, 3)
 
 
 def test_gamma_set_empty_S(quad_quotient_map, half):
     # no places means zero proximity everywhere: nothing is in
     report = gamma_set(
-        quad_quotient_map, frozenset(), pt("inf"), pt("t"), half, 3, depth=10
+        Orbit(quad_quotient_map, pt("t")), frozenset(), pt("inf"), half, 3, depth=10
     )
     assert report.in_indices == ()
     assert report.undecided_indices == ()
@@ -171,7 +170,7 @@ def test_gamma_set_empty_S(quad_quotient_map, half):
 
 def test_gamma_set_direct_hit_is_in(quad_poly_map, S_inf, half):
     # phi(0) = t, so n = 1 has infinite proximity to A = t
-    report = gamma_set(quad_poly_map, S_inf, pt("t"), pt("0"), half, 2, depth=10)
+    report = gamma_set(Orbit(quad_poly_map, pt("0")), S_inf, pt("t"), half, 2, depth=10)
     assert 1 in report.in_indices
     assert report.records[1].proximity is None
 
@@ -179,10 +178,10 @@ def test_gamma_set_direct_hit_is_in(quad_poly_map, S_inf, half):
 def test_gamma_set_eps_monotone(quad_quotient_map, S_inf):
     # shrinking eps can only grow the decided in-set
     small = gamma_set(
-        quad_quotient_map, S_inf, pt("inf"), pt("t"), Fraction(1, 4), 4, depth=10
+        Orbit(quad_quotient_map, pt("t")), S_inf, pt("inf"), Fraction(1, 4), 4, depth=10
     )
     large = gamma_set(
-        quad_quotient_map, S_inf, pt("inf"), pt("t"), Fraction(3, 4), 4, depth=10
+        Orbit(quad_quotient_map, pt("t")), S_inf, pt("inf"), Fraction(3, 4), 4, depth=10
     )
     assert set(large.in_indices) <= set(small.in_indices)
 
@@ -190,7 +189,7 @@ def test_gamma_set_eps_monotone(quad_quotient_map, S_inf):
 def test_gamma_set_matches_exact_envelope(quad_quotient_map, S_inf, half):
     # independently recompute proximity integers from lambda sums
     report = gamma_set(
-        quad_quotient_map, S_inf, pt("inf"), pt("t"), half, 4, depth=10
+        Orbit(quad_quotient_map, pt("t")), S_inf, pt("inf"), half, 4, depth=10
     )
     orbit = Orbit(quad_quotient_map, pt("t")).prefix(4)
     for rec, P in zip(report.records, orbit):
@@ -232,12 +231,11 @@ def test_bound_rhs_rejects_preperiodic(quad_poly_map):
 def test_hits_within_gamma_for_small_eps(quad_quotient_map, S_inf):
     # S-integral iterates are quasi-integral, so for small eps the scan's
     # hit set embeds in the in-set of the Gamma scan over the same range
-    scan = count_S_integral(quad_quotient_map, pt("t"), S_inf, 6)
+    scan = count_S_integral(Orbit(quad_quotient_map, pt("t")), S_inf, 6)
     gs = gamma_set(
-        quad_quotient_map,
+        Orbit(quad_quotient_map, pt("t")),
         S_inf,
         pt("inf"),
-        pt("t"),
         Fraction(1, 8),
         6,
         depth=10,
@@ -284,7 +282,7 @@ def test_proximity_fraction_of_height_decays(quad_quotient_map, S_inf):
     # along the orbit, proximity / d^n stays bounded while hhat grows like
     # d^n, so membership eventually locks to "out"
     report = gamma_set(
-        quad_quotient_map, S_inf, pt("inf"), pt("t"), Fraction(1, 2), 6, depth=10
+        Orbit(quad_quotient_map, pt("t")), S_inf, pt("inf"), Fraction(1, 2), 6, depth=10
     )
     tail = [r.membership for r in report.records[3:]]
     assert tail == ["out"] * len(tail)
