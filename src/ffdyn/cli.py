@@ -15,15 +15,12 @@ parser itself is built once per process."""
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError, DomainError, ParseError
@@ -61,7 +58,6 @@ from .orbit_integrality import (
     gamma_set_bound_rhs,
     integral_count_bound_rhs,
 )
-from .suites import SUITE_NAMES, run_suite
 
 SCHEMA = "ffdyn.report/1"
 
@@ -109,7 +105,8 @@ def _read_gamma1(path: str) -> Fraction:
     gamma1 is the only name a bound reads. A handler reads it before it
     builds the orbit, so a bad file fails before the scan."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
         raise ConfigError(f"cannot read bound-parameter file {path}: {reason}") from exc
@@ -319,6 +316,8 @@ def _emit(args, records: list[dict]) -> None:
     if args.format == "json":
         text = "".join(_JSON_ENCODER.encode(r) + "\n" for r in records)
     else:
+        import csv
+
         keys = sorted({k for r in records for k in r})
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=keys, lineterminator="\n")
@@ -415,8 +414,8 @@ def _run_orbit_scan(args) -> list[dict]:
     ]
     summary = {
         "summary": True,
-        "epsilon": report.eps,
-        "depth": report.depth,
+        "epsilon": args.epsilon,
+        "depth": args.depth,
         "in_indices": report.in_indices,
         "undecided_indices": report.undecided_indices,
         "max_in_index": report.max_in_index,
@@ -573,11 +572,16 @@ def _run_estimate_gamma(args) -> list[dict]:
 
 
 def _run_verify(args) -> list[dict]:
+    # only verify needs the suites and the random generators they draw from
+    from dataclasses import asdict
+
+    from . import suites
+
     try:
-        result = run_suite(args.suite, args.samples, args.seed)
+        result = suites.run_suite(args.suite, args.samples, args.seed)
     except KeyError:
         raise ConfigError(
-            f"unknown suite {args.suite!r}; known: {', '.join(SUITE_NAMES)}"
+            f"unknown suite {args.suite!r}; known: {', '.join(suites.SUITE_NAMES)}"
         )
     return [{**asdict(result), "passed": result.passed}]
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the guard of its
+immutable value types.
 
 Domain errors (bad mathematical input: exceptional target, preperiodic point
 where a wandering one is required, zero where nonzero is required) map to CLI
@@ -38,3 +39,12 @@ class ParseError(FFDynError):
 
 class ConfigError(FFDynError):
     """Malformed configuration file or CLI flag combination."""
+
+
+# An immutable value type sets each field once, in __init__, with set_field
+set_field = object.__setattr__
+
+
+def frozen(self, name, *value):
+    """__setattr__ and __delattr__ of the package's immutable value types."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")

@@ -8,20 +8,32 @@ sum_v ord_v(x) * deg(v) = 0 then holds on the nose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Optional
 
-from .errors import DomainError
+from .errors import DomainError, frozen, set_field
 from .polynomials import Poly, factor_tpoly, is_irreducible_tpoly, poly_gcd
 
 
-@dataclass(frozen=True)
 class FieldElement:
     """Element of Q(t) as a reduced fraction num/den with den monic."""
 
-    num: Poly
-    den: Poly
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, num: Poly, den: Poly):
+        set_field(self, "num", num)
+        set_field(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        return f"FieldElement(num={self.num!r}, den={self.den!r})"
 
     @staticmethod
     def make(num: Poly, den: Poly) -> "FieldElement":
@@ -109,11 +121,24 @@ class FieldElement:
         return field_elem_text(self)
 
 
-@dataclass(frozen=True)
 class Place:
     """A place of Q(t): a monic irreducible polynomial, or infinity (poly None)."""
 
-    poly: Optional[Poly]
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, poly: Optional[Poly]):
+        set_field(self, "poly", poly)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.poly == other.poly
+
+    def __hash__(self):
+        return hash((self.poly,))
+
+    def __repr__(self):
+        return f"Place(poly={self.poly!r})"
 
     @staticmethod
     def finite(poly: Poly) -> "Place":

@@ -10,12 +10,11 @@ and the true value always lies inside.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .errors import DomainError, OrbitBudgetError
+from .errors import DomainError, OrbitBudgetError, frozen, set_field
 from .maps import (
     ProjectivePoint,
     RationalMap,
@@ -42,16 +41,27 @@ DEFAULT_HEIGHT_BUDGET = 1 << 14
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class HeightInterval:
     """Closed rational interval certified to contain a canonical height."""
 
-    lo: Fraction
-    hi: Fraction
+    __setattr__ = __delattr__ = frozen
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise DomainError("empty height interval")
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"HeightInterval(lo={self.lo!r}, hi={self.hi!r})"
 
     @property
     def width(self) -> Fraction:
@@ -61,20 +71,49 @@ class HeightInterval:
         return self.lo <= Fraction(x) <= self.hi
 
 
-@dataclass(frozen=True)
 class Preperiodic:
     """Certified preperiodicity: phi^(tail + cycle) P = phi^tail P."""
 
-    tail: int
-    cycle: int
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, tail: int, cycle: int):
+        set_field(self, "tail", tail)
+        set_field(self, "cycle", cycle)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tail == other.tail and self.cycle == other.cycle
+
+    def __hash__(self):
+        return hash((self.tail, self.cycle))
+
+    def __repr__(self):
+        return f"Preperiodic(tail={self.tail!r}, cycle={self.cycle!r})"
 
 
-@dataclass(frozen=True)
 class Wandering:
     """Certified positive canonical height with the witnessing lower bound."""
 
-    canonical_lower: Fraction
-    depth: int
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, canonical_lower: Fraction, depth: int):
+        set_field(self, "canonical_lower", canonical_lower)
+        set_field(self, "depth", depth)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.canonical_lower == other.canonical_lower and self.depth == other.depth
+        )
+
+    def __hash__(self):
+        return hash((self.canonical_lower, self.depth))
+
+    def __repr__(self):
+        return (f"Wandering(canonical_lower={self.canonical_lower!r}, "
+                f"depth={self.depth!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +146,7 @@ def displacement_bound(phi: RationalMap) -> int:
     return (2 * phi.d - 1) * phi.coefficient_height()
 
 
-@dataclass(frozen=True)
-class IterateHeightRecord:
+class IterateHeightRecord(NamedTuple):
     """h(phi^n) against the sharp geometric-series bound."""
 
     n: int

@@ -11,9 +11,8 @@ places it recovers the naive height: sum_v lambda_v(P, infinity) = h(P).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .function_field import (
@@ -71,8 +70,7 @@ def lambda_sum(P: ProjectivePoint, Q: ProjectivePoint, S: PlaceSet) -> Optional[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContactComparisonRecord:
+class ContactComparisonRecord(NamedTuple):
     """At a place where x is closer to y than y is to infinity, the proximity
     of y to infinity is pinched: lower <= middle <= upper with
     lower = lambda_v(y, inf), middle = lambda_v(x, y) + log|x - y|_v,
@@ -111,8 +109,7 @@ def contact_comparison(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberPullbackRecord:
+class FiberPullbackRecord(NamedTuple):
     """S-sums of both sides of the local pullback comparison for the fiber
     of phi^m over A: the weighted proximity of P to the closest fiber point
     against the proximity of phi^m(P) to A, plus the normalized defect."""

@@ -8,13 +8,12 @@ positive, so equal maps have identical representations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .errors import DomainError
+from .errors import DomainError, frozen, set_field
 from .function_field import FieldElement, Place, PlaceSet
 from .polynomials import (
     Poly,
@@ -33,7 +32,6 @@ from .sympybridge import factor_zpoly_over_k, sqf_zpoly_over_k, zpoly_gcd_over_k
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ProjectivePoint:
     """Point of P^1(K) with coprime polynomial coordinates [x0 : x1].
 
@@ -42,8 +40,22 @@ class ProjectivePoint:
     points compare equal, and the height is max(deg x0, deg x1).
     """
 
-    x0: Poly
-    x1: Poly
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, x0: Poly, x1: Poly):
+        set_field(self, "x0", x0)
+        set_field(self, "x1", x1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.x0 == other.x0 and self.x1 == other.x1
+
+    def __hash__(self):
+        return hash((self.x0, self.x1))
+
+    def __repr__(self):
+        return f"ProjectivePoint(x0={self.x0!r}, x1={self.x1!r})"
 
     @staticmethod
     def make(x0: Poly, x1: Poly) -> "ProjectivePoint":
@@ -90,13 +102,26 @@ class ProjectivePoint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RationalMap:
     """Normalized rational map F(z)/G(z) of degree d = max(deg F, deg G)."""
 
-    F: ZPoly
-    G: ZPoly
-    d: int
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, F: ZPoly, G: ZPoly, d: int):
+        set_field(self, "F", F)
+        set_field(self, "G", G)
+        set_field(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.d == other.d and self.F == other.F and self.G == other.G
+
+    def __hash__(self):
+        return hash((self.F, self.G, self.d))
+
+    def __repr__(self):
+        return f"RationalMap(F={self.F!r}, G={self.G!r}, d={self.d!r})"
 
     @property
     def is_polynomial(self) -> bool:
@@ -322,8 +347,7 @@ def power(phi: RationalMap, n: int) -> RationalMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberDecomposition:
+class FiberDecomposition(NamedTuple):
     """Fiber of a map over a point, as K[z]-irreducibles with multiplicities
     plus the multiplicity at infinity; degree-weighted multiplicities sum to d.
     """
@@ -491,8 +515,7 @@ class IsotrivialityVerdict(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class IsotrivialityResult:
+class IsotrivialityResult(NamedTuple):
     verdict: IsotrivialityVerdict
     witness: Optional[RationalMap] = None  # Moebius change of variable
 

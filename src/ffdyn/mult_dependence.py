@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import DomainError, OrbitBudgetError
+from .errors import DomainError, OrbitBudgetError, frozen, set_field
 from .function_field import (
     FieldElement,
     PlaceSet,
@@ -48,23 +47,40 @@ def unit_hits(orbit: Orbit, S: PlaceSet, N: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DependenceQuery:
     """Search box for phi^{n+k}(alpha)^r = u * phi^k(alpha)^s with u an S-unit."""
 
-    S: PlaceSet
-    n_max: int
-    k_max: int
-    r_max: int
-    s_max: int
+    __setattr__ = __delattr__ = frozen
 
-    def __post_init__(self):
-        if min(self.n_max, self.k_max, self.r_max, self.s_max) < 1:
+    def __init__(self, S: PlaceSet, n_max: int, k_max: int, r_max: int, s_max: int):
+        if min(n_max, k_max, r_max, s_max) < 1:
             raise DomainError("all search bounds must be at least 1")
+        set_field(self, "S", S)
+        set_field(self, "n_max", n_max)
+        set_field(self, "k_max", k_max)
+        set_field(self, "r_max", r_max)
+        set_field(self, "s_max", s_max)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.S == other.S
+            and self.n_max == other.n_max
+            and self.k_max == other.k_max
+            and self.r_max == other.r_max
+            and self.s_max == other.s_max
+        )
+
+    def __hash__(self):
+        return hash((self.S, self.n_max, self.k_max, self.r_max, self.s_max))
+
+    def __repr__(self):
+        return (f"DependenceQuery(S={self.S!r}, n_max={self.n_max!r}, "
+                f"k_max={self.k_max!r}, r_max={self.r_max!r}, s_max={self.s_max!r})")
 
 
-@dataclass(frozen=True)
-class DependenceSolution:
+class DependenceSolution(NamedTuple):
     n: int
     k: int
     r: int
@@ -72,12 +88,8 @@ class DependenceSolution:
     u: FieldElement
     rho: float  # log(|s|/|r|)/log d + 1 for the witnessing pair
 
-    def verify(self, S: PlaceSet) -> bool:
-        return is_S_unit(self.u, S)
 
-
-@dataclass(frozen=True)
-class DependenceSearchReport:
+class DependenceSearchReport(NamedTuple):
     solutions: tuple[DependenceSolution, ...]
     skipped: tuple[str, ...]
     zero_not_periodic: bool
@@ -295,36 +307,57 @@ def _integral_case(solution: DependenceSolution) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SplitMultilinearForm:
     """sum_i c_i * prod_{j in J_i} T_j with the blocks J_i disjoint subsets of
     {1..arity} covering it jointly; an empty block contributes the constant
     term c_i."""
 
-    arity: int
-    blocks: tuple[tuple[int, ...], ...]
-    coefficients: tuple[FieldElement, ...]
+    __setattr__ = __delattr__ = frozen
 
-    def __post_init__(self):
-        if self.arity < 1:
+    def __init__(
+        self,
+        arity: int,
+        blocks: tuple[tuple[int, ...], ...],
+        coefficients: tuple[FieldElement, ...],
+    ):
+        if arity < 1:
             raise DomainError("arity must be positive")
-        if len(self.blocks) != len(self.coefficients):
+        if len(blocks) != len(coefficients):
             raise DomainError("one coefficient per block required")
-        if not self.blocks:
+        if not blocks:
             raise DomainError("form must have at least one block")
         seen = set()
-        for block in self.blocks:
+        for block in blocks:
             for j in block:
                 if j in seen:
                     raise DomainError(f"variable T{j} appears in two blocks")
-                if not 1 <= j <= self.arity:
+                if not 1 <= j <= arity:
                     raise DomainError(f"variable index {j} out of range")
                 seen.add(j)
-        if seen != set(range(1, self.arity + 1)):
-            missing = sorted(set(range(1, self.arity + 1)) - seen)
+        if seen != set(range(1, arity + 1)):
+            missing = sorted(set(range(1, arity + 1)) - seen)
             raise DomainError(f"blocks do not cover variables {missing}")
-        if any(c.is_zero for c in self.coefficients):
+        if any(c.is_zero for c in coefficients):
             raise DomainError("zero coefficient in split form")
+        set_field(self, "arity", arity)
+        set_field(self, "blocks", blocks)
+        set_field(self, "coefficients", coefficients)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.arity == other.arity
+            and self.blocks == other.blocks
+            and self.coefficients == other.coefficients
+        )
+
+    def __hash__(self):
+        return hash((self.arity, self.blocks, self.coefficients))
+
+    def __repr__(self):
+        return (f"SplitMultilinearForm(arity={self.arity!r}, blocks={self.blocks!r}, "
+                f"coefficients={self.coefficients!r})")
 
     def evaluate(self, values: Sequence[FieldElement]) -> FieldElement:
         if len(values) != self.arity:
@@ -338,8 +371,7 @@ class SplitMultilinearForm:
         return total
 
 
-@dataclass(frozen=True)
-class ZeroScanReport:
+class ZeroScanReport(NamedTuple):
     zero_tuples: tuple[tuple[int, ...], ...]
     skipped: tuple[tuple[int, ...], ...]  # tuples touching an infinite iterate
     scanned: int

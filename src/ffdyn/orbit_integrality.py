@@ -12,9 +12,8 @@ iterate can be S-integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, OrbitBudgetError
 from .function_field import FieldElement, Place, PlaceSet, is_S_integer
@@ -69,8 +68,7 @@ def ceil_log_plus(d: int, x: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PersistenceCertificate:
+class PersistenceCertificate(NamedTuple):
     """A pole at the finite place v from iterate `start` onward: v is outside
     S, does not divide the resultant, and the reduction of the map mod v
     fixes infinity, so every later iterate also has a pole at v."""
@@ -79,8 +77,7 @@ class PersistenceCertificate:
     place: Place
 
 
-@dataclass(frozen=True)
-class IntegralScanReport:
+class IntegralScanReport(NamedTuple):
     hits: tuple[int, ...]
     certificate: Optional[PersistenceCertificate]
     warnings: tuple[str, ...]
@@ -165,8 +162,7 @@ def count_S_integral(orbit: Orbit, S: PlaceSet, N: int) -> IntegralScanReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaRecord:
+class GammaRecord(NamedTuple):
     n: int
     proximity: Optional[int]  # sum over S of lambda_v(phi^n P, A); None = infinite
     hhat: HeightInterval  # certified interval for hhat(phi^n P)
@@ -174,11 +170,8 @@ class GammaRecord:
     s_integral: bool
 
 
-@dataclass(frozen=True)
-class GammaSetReport:
+class GammaSetReport(NamedTuple):
     records: tuple[GammaRecord, ...]
-    eps: Fraction
-    depth: int
     in_indices: tuple[int, ...]
     undecided_indices: tuple[int, ...]
 
@@ -247,8 +240,6 @@ def gamma_set(
         )
     return GammaSetReport(
         records=tuple(records),
-        eps=eps,
-        depth=depth,
         in_indices=tuple(in_idx),
         undecided_indices=tuple(undecided_idx),
     )
@@ -318,8 +309,7 @@ def integral_count_bound_rhs(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaEstimateRecord:
+class GammaEstimateRecord(NamedTuple):
     index: int
     max_in_index: Optional[int]
     log_term_lower: int
@@ -327,8 +317,7 @@ class GammaEstimateRecord:
     excluded: bool
 
 
-@dataclass(frozen=True)
-class GammaEstimateReport:
+class GammaEstimateReport(NamedTuple):
     gamma_hat: int
     records: tuple[GammaEstimateRecord, ...]
     witnesses: tuple[int, ...]

@@ -67,7 +67,6 @@ still use it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations
@@ -75,7 +74,7 @@ from math import gcd, isqrt, lcm
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, frozen, set_field
 
 # Shortest operand length (number of coefficients) from which a product runs
 # through Kronecker substitution: _KRONECKER_MIN_LEN, or _KRONECKER_BIG_LEN
@@ -276,14 +275,32 @@ def primitive_pair(a: "Poly", b: "Poly") -> tuple["Poly", "Poly"]:
     return tuple(Poly(tuple(c // g * (m // p.den) for c in p.ints), 1) for p in (a, b))
 
 
-@dataclass(frozen=True, slots=True)
 class Poly:
     """Univariate polynomial in t over Q: integer numerators lowest degree
     first over one positive denominator, in canonical form (module
     docstring)."""
 
-    ints: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("ints", "den")
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, ints: tuple[int, ...], den: int = 1):
+        set_field(self, "ints", ints)
+        set_field(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ints == other.ints and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.ints, self.den))
+
+    def __repr__(self):
+        return f"Poly(ints={self.ints!r}, den={self.den!r})"
+
+    def __reduce__(self):
+        # pickle and copy would restore the slots through the frozen __setattr__
+        return Poly, (self.ints, self.den)
 
     # -- construction -----------------------------------------------------
 
@@ -1109,11 +1126,24 @@ def _ztrim(coeffs: Sequence[Poly]) -> tuple[Poly, ...]:
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True)
 class ZPoly:
     """Polynomial in z over Q[t], z-coefficients lowest degree first."""
 
-    coeffs: tuple[Poly, ...]
+    __setattr__ = __delattr__ = frozen
+
+    def __init__(self, coeffs: tuple[Poly, ...]):
+        set_field(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __repr__(self):
+        return f"ZPoly(coeffs={self.coeffs!r})"
 
     @cached_property
     def integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -1121,7 +1151,7 @@ class ZPoly:
         row per power of z, lowest first, with m the lcm of the
         denominators. The one place where a ZPoly's denominators are
         cleared; computed once per ZPoly (the cache sits in the instance
-        dict, outside the dataclass fields, so == and hash ignore it)."""
+        dict, outside the fields, so == and hash ignore it)."""
         m = lcm(*(c.den for c in self.coeffs))
         rows = tuple(c.ints if c.den == m else tuple(x * (m // c.den) for x in c.ints)
                      for c in self.coeffs)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ffdyn import cli
+from ffdyn import cli, suites
 from ffdyn.suites import SuiteResult
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -245,7 +245,7 @@ def test_commands_run_without_sympy(clean_env):
 
 def test_failed_verify_prints_its_record_and_exits_1(monkeypatch, clean_env):
     failed = SuiteResult("rh", 3, 7, checked=3, failures=["sample 2: off by one"])
-    monkeypatch.setattr(cli, "run_suite", lambda suite, samples, seed: failed)
+    monkeypatch.setattr(suites, "run_suite", lambda suite, samples, seed: failed)
     result = run_case(["verify", "--suite", "rh", "--samples", "3", "--seed", "7"])
     assert result == {
         "code": 1,
