@@ -309,17 +309,8 @@ def integral_count_bound_rhs(
 # ---------------------------------------------------------------------------
 
 
-class GammaEstimateRecord(NamedTuple):
-    index: int
-    max_in_index: Optional[int]
-    log_term_lower: int
-    contribution: int
-    excluded: bool
-
-
 class GammaEstimateReport(NamedTuple):
     gamma_hat: int
-    records: tuple[GammaEstimateRecord, ...]
     witnesses: tuple[int, ...]
     warnings: tuple[str, ...]
 
@@ -349,7 +340,6 @@ def estimate_gamma(
         raise DomainError("scan bound must be nonnegative")
     if height_budget < 0:
         raise DomainError("height budget must be nonnegative")
-    records = []
     warnings = []
     gamma_hat = 0
     witnesses = []
@@ -364,15 +354,12 @@ def estimate_gamma(
                 )
             m_star = report.max_in_index
             if m_star is None:
-                records.append(GammaEstimateRecord(i, None, 0, 0, False))
                 continue
             log_lower = int(gamma_set_bound_rhs(Fraction(0), orbit, A, depth)[0])
         except DomainError as exc:  # OrbitBudgetError included
             warnings.append(f"instance {i} excluded: {exc}")
-            records.append(GammaEstimateRecord(i, None, 0, 0, True))
             continue
         contribution = max(0, m_star - log_lower)
-        records.append(GammaEstimateRecord(i, m_star, log_lower, contribution, False))
         if contribution > gamma_hat:
             gamma_hat = contribution
             witnesses = [i]
@@ -380,7 +367,6 @@ def estimate_gamma(
             witnesses.append(i)
     return GammaEstimateReport(
         gamma_hat=gamma_hat,
-        records=tuple(records),
         witnesses=tuple(witnesses),
         warnings=tuple(warnings),
     )

@@ -27,11 +27,12 @@ Kernels, all on the integer numerators:
   ``_KRONECKER_MIN_LEN`` for the measurement.
 - binary-form evaluation (``binary_form_values``): the degree-d
   homogenizations of several forms at one pair (a, b), both in Q[t] or both
-  in Q[t][z], on integer lists. The forms share the powers of a and b;
-  rational coordinates become integers by homogeneity, and a pair in
-  Q[t][z] is flattened by z -> t^L, so a composition of maps is one
-  evaluation in Q[t] and its long products take Kronecker substitution.
-  A product in Q[t][z] (``ZPoly.__mul__``) is one such flattened product.
+  in Q[t][z]. The forms share the powers of a and b; rational coordinates
+  become integers by homogeneity, and a pair in Q[t][z] is flattened by
+  z -> t^L, so a composition of maps is one evaluation in Q[t]. Long pairs
+  of narrow coefficients run as single integers between one pack and one
+  unpack (``_PACKED_MIN_SIZE``), the others on integer lists. A product in
+  Q[t][z] (``ZPoly.__mul__``) is one flattened product.
 - exact division: integer long division against the primitive integer form
   of the divisor, stopping at the first quotient coefficient that is not
   an integer. Gauss's lemma makes the early exit sound: let P in Z[t] be
@@ -53,8 +54,8 @@ Kernels, all on the integer numerators:
   the Landau-Mignotte bound and recombination by exact division (von zur
   Gathen and Gerhard, "Modern Computer Algebra", Chapters 14 and 15).
 - resultant in z (``resultant_z``): a fraction-free Bareiss determinant
-  of the Sylvester matrix over Z[t] (the same book, Chapter 6);
-  ``form_resultant`` corrects it to the resultant of two binary forms.
+  of the Sylvester matrix over Z[t] (the same book, Chapter 6) on packed
+  integers; ``form_resultant`` corrects it to the resultant of two forms.
 - content, primitive part and monic associate: one pass each.
 
 A ``ZPoly`` in Q[t][z] holds Poly z-coefficients, lowest first; the
@@ -102,6 +103,25 @@ from .errors import DomainError, frozen, set_field
 _KRONECKER_MIN_LEN = 20
 _KRONECKER_BIG_LEN = 16
 _KRONECKER_BIG_BITS = 4096
+
+# binary_form_values takes the packed kernel when d * max(len A, len B)
+# reaches _PACKED_MIN_SIZE and every coefficient of A and B has fewer than
+# _PACKED_MAX_BITS bits. Measured as above: packed time / list time for the
+# two forms of a map at (A, B) of random signed coefficients, by d * len;
+# "dense" maps have all coefficients of t-degree <= 2 (fresh-maps), "sparse"
+# ones are z^2 + t and (z^3 - t)/z:
+#   dense  d=2 bits    8: 12 0.74, 20 0.66, 32 0.51, 60 0.46
+#   dense  d=3 bits    8: 12 0.58, 21 0.42, 33 0.34, 60 0.28
+#   dense  d=3 bits  127: 12 0.79, 21 0.77, 33 0.79, 60 0.68
+#   dense  d=3 bits  256: 12 1.22, 21 1.13, 33 1.08, 60 0.84
+#   dense  d=3 bits 1024: 12 1.54, 21 1.35, 33 1.28, 60 1.03
+#   sparse d=2 bits    8: 12 1.19, 20 1.21, 32 0.94, 60 0.85
+#   sparse d=3 bits  127: 12 1.03, 21 0.98, 33 0.90, 60 0.76
+# A slot holds a value, about d times the bits of A and B, so wide operands
+# lose; from 60 on both routes read 0.95-1.03 at any width. The windows of
+# Orbit.height (10^4-10^5 bits) stay on lists.
+_PACKED_MIN_SIZE = 20
+_PACKED_MAX_BITS = 128
 
 
 def _as_fraction(c) -> Fraction:
@@ -159,7 +179,13 @@ def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _pack(p: Sequence[int], k: int) -> int:
     """p(2^(8k)) for |p[i]| < 2^(8k), in linear time: p packs as (positive
-    part) - (negative part), two byte strings of non-negative k-byte slots."""
+    part) - (negative part), two byte strings of non-negative k-byte slots.
+    Fewer than 8 coefficients take Horner's rule, which is faster there."""
+    if len(p) < 8:
+        x = 0
+        for c in reversed(p):
+            x = (x << 8 * k) + c
+        return x
     zero = bytes(k)
     pos = b"".join(c.to_bytes(k, "little") if c > 0 else zero for c in p)
     neg = b"".join((-c).to_bytes(k, "little") if c < 0 else zero for c in p)
@@ -1290,9 +1316,22 @@ def resultant_z(f: ZPoly, g: ZPoly) -> Poly:
     denominators of the z-coefficients of f and g. The determinant is
     homogeneous of degree b in the coefficients of f and of degree a in
     those of g, so Res(m_f*f, m_g*g) = m_f^b * m_g^a * Res(f, g). The left
-    side has entries in Z[t] and is computed fraction-free
-    (``_bareiss_det``); the scale is divided back out. Res(f, g) = f^b when
-    a = 0 and g^a when b = 0.
+    side has entries in Z[t]; the scale is divided back out. Res(f, g) = f^b
+    when a = 0 and g^a when b = 0.
+
+    The determinant over Z[t] is taken on packed entries: t -> 2^(8k) is a
+    ring map Z[t] -> Z, so it carries the determinant of the matrix to the
+    determinant of the packed integers (``_packed_det``), and one
+    ``_unpack`` returns it. The slot width k is exact. Every minor of the
+    Sylvester matrix takes at most b rows of f and a rows of g, and the l1
+    norm of a determinant is at most the product of its rows' l1 norms (it
+    is bounded by the permanent of the matrix of entry norms), so each
+    coefficient of each minor is at most n_f^b * n_g^a, with n_f and n_g
+    the l1 norms of the integer rows of f and g, both >= 1. With 2^(8k-1)
+    above that bound, a minor is the balanced base-2^(8k) expansion of its
+    image: the image is 0 exactly when the minor is, and the determinant,
+    of t-degree at most b*deg_t f + a*deg_t g, unpacks exactly. The
+    entries themselves, at most n_f or n_g, fit ``_pack``.
     """
     if f.is_zero or g.is_zero:
         raise DomainError("resultant of zero polynomial")
@@ -1304,14 +1343,18 @@ def resultant_z(f: ZPoly, g: ZPoly) -> Poly:
     if a < b:
         f, g, a, b = g, f, b, a
     (F, mf), (G, mg) = f.integer_rows, g.integer_rows
-    F, G = [list(r) for r in reversed(F)], [list(r) for r in reversed(G)]
+    nf = sum(abs(c) for r in F for c in r)
+    ng = sum(abs(c) for r in G for c in r)
+    k = ((nf**b * ng**a).bit_length() + 8) // 8
+    X, Y = [_pack(r, k) for r in reversed(F)], [_pack(r, k) for r in reversed(G)]
     n = a + b
-    M = [[[]] * n for _ in range(n)]
+    M = [[0] * n for _ in range(n)]
     for r in range(b):
-        M[r][r : r + a + 1] = F
+        M[r][r : r + a + 1] = X
     for r in range(a):
-        M[b + r][r : r + b + 1] = G
-    return _canon(_bareiss_det(M), mf**b * mg**a)
+        M[b + r][r : r + b + 1] = Y
+    tdeg = b * max(map(len, F)) + a * max(map(len, G)) - n
+    return _canon(_unpack(_packed_det(M), k, tdeg + 1), mf**b * mg**a)
 
 
 def form_resultant(f: ZPoly, g: ZPoly, d: int) -> Poly:
@@ -1336,39 +1379,34 @@ def form_resultant(f: ZPoly, g: ZPoly, d: int) -> Poly:
     return resultant_z(f, g) * corr
 
 
-def _bareiss_det(M: list[list[list[int]]]) -> list[int]:
-    """Determinant of a square matrix over Z[t] by Bareiss's fraction-free
+def _packed_det(M: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
     elimination (von zur Gathen-Gerhard, Section 6.2 and Exercise 6.14).
 
     After step k every entry (i, j) with i, j > k is the (k+2)-minor of
-    rows 0..k, i and columns 0..k, j (Sylvester's identity), so the division
-    by the previous pivot is exact in Z[t] and ``_int_exact_quotient`` finds
-    the quotient, a divisor that is not primitive included. A zero pivot is
-    replaced by a lower row, with a sign change; a zero column gives 0.
+    rows 0..k, i and columns 0..k, j (Sylvester's identity), so each
+    division by the previous pivot is exact; for packed entries it is the
+    image of the exact division in Z[t], and the products before it are
+    never unpacked. A zero pivot is replaced by a lower row, with a sign
+    change; a zero column gives 0.
     """
     n = len(M)
     sign = 1
-    prev = [1]
+    prev = 1
     for k in range(n - 1):
         if not M[k][k]:
             i = next((i for i in range(k + 1, n) if M[i][k]), None)
             if i is None:
-                return []
+                return 0
             M[k], M[i] = M[i], M[k]
             sign = -sign
         pivot, top = M[k][k], M[k]
         for row in M[k + 1 :]:
             lead = row[k]
             for j in range(k + 1, n):
-                x = _int_mul(row[j], pivot) if row[j] else []
-                if lead and top[j]:
-                    x = _int_sub(x, _int_mul(lead, top[j]))
-                if x and prev != [1]:
-                    x = _int_exact_quotient(x, prev)
-                row[j] = x
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
         prev = pivot
-    det = M[n - 1][n - 1]
-    return det if sign > 0 else [-c for c in det]
+    return sign * M[n - 1][n - 1]
 
 
 def binary_form_values(forms: Sequence[ZPoly], a, b, d: int) -> list:
@@ -1386,9 +1424,12 @@ def binary_form_values(forms: Sequence[ZPoly], a, b, d: int) -> list:
       max(deg_t a, deg_t b), the z-coefficients of a value are the
       length-L slices of its image (``_unflatten``), so a composition is
       one evaluation in Q[t];
-    - the powers of a and b and each monomial a^i b^(d-i) are computed once,
-      on first use, and shared by the forms; every product goes through
-      ``_int_mul``;
+    - the powers of A and B and each monomial A^i B^(d-i) are computed
+      once, on first use, and shared by the forms: on integer lists, every
+      product through ``_int_mul``, or, from d * max(len A, len B) =
+      ``_PACKED_MIN_SIZE`` on while every coefficient of A and B has fewer
+      than ``_PACKED_MAX_BITS`` bits, on packed integers
+      (``_packed_values``);
     - each value, or each z-coefficient of a ZPoly value, is put in
       canonical form once.
     """
@@ -1408,6 +1449,12 @@ def binary_form_values(forms: Sequence[ZPoly], a, b, d: int) -> list:
         A = [c * (m // alpha) for c in A]
     if m != beta:
         B = [c * (m // beta) for c in B]
+    md = m**d
+    if (d * max(len(A), len(B)) >= _PACKED_MIN_SIZE
+            and max(map(abs, chain(A, B))).bit_length() < _PACKED_MAX_BITS):
+        rows = [f.integer_rows for f in forms]
+        return [_unflatten(acc, L, den * md) if flat else _canon(acc, den * md)
+                for acc, (_, den) in zip(_packed_values(rows, A, B, d), rows)]
     pa, pb = [[1], A], [[1], B]  # the powers of A and B computed so far
     mons: dict[int, list[int]] = {}
     values = []
@@ -1430,9 +1477,52 @@ def binary_form_values(forms: Sequence[ZPoly], a, b, d: int) -> list:
             if len(acc) < len(term):
                 acc.extend([0] * (len(term) - len(acc)))
             acc[: len(term)] = map(add, acc, term)
-        den *= m**d
+        den *= md
         values.append(_unflatten(acc, L, den) if flat else _canon(acc, den))
     return values
+
+
+def _packed_values(rows, A: Sequence[int], B: Sequence[int], d: int) -> list[list[int]]:
+    """sum c_i A^i B^(d-i) in Z[t] for the integer rows c of each form, by
+    Kronecker substitution t -> 2^(8k) on the whole expression: a ring map
+    Z[t] -> Z, so each value is sum_ij c_ij (X^i Y^(d-i) << 8kj) with
+    X = A(2^(8k)) and Y = B(2^(8k)), packed once, and one ``_unpack``
+    returns it.
+
+    The slot width k is exact: the l1 norm is submultiplicative, so every
+    coefficient of a value is at most its l1 norm, and that is at most
+    sum_i |c_i|_1 |A|_1^i |B|_1^(d-i). Taking 2^(8k-1) above that bound and
+    above |A|_1 and |B|_1 (so that both pack, a form that leaves one
+    operand's powers unused included), each value unpacks into its balanced
+    base-2^(8k) digits, and every A_i and B_i fits a slot.
+    """
+    terms = [[(i, ci) for i, ci in enumerate(form) if ci and (A or not i) and (B or i == d)]
+             for form, _ in rows]
+    na, nb = sum(map(abs, A)), sum(map(abs, B))
+    bound = max(na, nb, *(sum(sum(map(abs, ci)) * na**i * nb ** (d - i) for i, ci in form)
+                          for form in terms))
+    k = (bound.bit_length() + 8) // 8
+    s = 8 * k
+    px, py = [1, _pack(A, k)], [1, _pack(B, k)]
+    la, lb = len(A) - 1, len(B) - 1
+    mons: dict[int, int] = {}
+    accs = []
+    for form in terms:
+        acc = n = 0
+        for i, ci in form:
+            mon = mons.get(i)
+            if mon is None:
+                while len(px) <= i:
+                    px.append(px[-1] * px[1])
+                while len(py) <= d - i:
+                    py.append(py[-1] * py[1])
+                mon = mons[i] = px[i] * py[d - i]
+            for j, c in enumerate(ci):
+                if c:
+                    acc += c * (mon << s * j)
+            n = max(n, len(ci) + i * la + (d - i) * lb)
+        accs.append(_unpack(acc, k, n) if n else [])
+    return accs
 
 
 def _flatten(f: ZPoly, L: int) -> tuple[list[int], int]:

@@ -255,9 +255,10 @@ def test_estimate_gamma_example(quad_quotient_map, S_inf):
     # eps = 1/4, N = 2 keeps every index strictly off the decision boundary
     instances = [(quad_quotient_map, pt("inf"), pt("t"))]
     report = estimate_gamma(instances, S_inf, Fraction(1, 4), 2, depth=10)
-    assert report.gamma_hat >= 0
-    assert not report.records[0].excluded
-    assert report.records[0].max_in_index == 2
+    # max in-index 2 less the certified log term 0
+    orbit = Orbit(quad_quotient_map, pt("t"))
+    assert gamma_set_bound_rhs(Fraction(0), orbit, pt("inf"), 10)[0] == 0
+    assert (report.gamma_hat, report.witnesses, report.warnings) == (2, (0,), ())
 
 
 def test_estimate_gamma_excludes_bad_instances(quad_poly_map, S_inf, half):
@@ -267,10 +268,13 @@ def test_estimate_gamma_excludes_bad_instances(quad_poly_map, S_inf, half):
         (quad_poly_map, pt("t"), pt("0")),
     ]
     report = estimate_gamma(instances, S_inf, half, 1, depth=10)
-    assert report.records[0].excluded
-    assert any("instance 0" in w for w in report.warnings)
-    assert not report.records[1].excluded
-    assert report.records[1].max_in_index == 1  # phi(0) = t hits A exactly
+    assert report.warnings == ("instance 0 excluded: exceptional target",)
+    # instance 1 is kept: phi(0) = t hits A exactly, so its max in-index is
+    # 1, and 1 less its certified log term 1 contributes 0
+    orbit = Orbit(quad_poly_map, pt("0"))
+    assert gamma_set(orbit, S_inf, pt("t"), half, 1, depth=10).max_in_index == 1
+    assert gamma_set_bound_rhs(Fraction(0), orbit, pt("t"), 10)[0] == 1
+    assert (report.gamma_hat, report.witnesses) == (0, ())
 
 
 def test_estimate_gamma_requires_instances(S_inf, half):

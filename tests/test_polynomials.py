@@ -484,6 +484,120 @@ def test_binary_form_values_match_the_monomial_table(data):
     assert forms[0].homogeneous_eval(a, b, d) == expected[0]
 
 
+def _random_tpoly(rng, n, bits, den=1):
+    """A Poly with n signed coefficients of up to ``bits`` bits over den."""
+    return Poly.from_list(
+        [Fraction(rng.getrandbits(bits) * rng.choice((1, -1)), den) for _ in range(n)]
+    )
+
+
+def _route_spy():
+    """Count the calls to the packed binary-form kernel."""
+    return mock.patch.object(
+        polynomials, "_packed_values", wraps=polynomials._packed_values
+    )
+
+
+def test_binary_form_values_on_both_sides_of_the_crossover_and_the_bit_limit():
+    # d = 1..4, coordinate lengths 0..40, coefficients on both sides of
+    # _PACKED_MAX_BITS, rational denominators, zero coordinates; every value
+    # against the monomial table
+    rng = Random(28)
+    limit = polynomials._PACKED_MAX_BITS
+    routes = set()
+    with _route_spy() as spy:
+        for case in range(260):
+            d = 1 + case % 4
+            n = rng.randrange(41)
+            bits = rng.choice((1, 8, 60, limit - 1, limit, limit + 1, 3 * limit))
+            den = rng.choice((1, 1, 6, 35))
+            a = _random_tpoly(rng, n, bits, den)
+            b = _random_tpoly(rng, rng.randrange(n + 1), rng.choice((2, bits)))
+            if case % 9 == 0:
+                a, b = (Poly.zero(), a) if case % 2 else (a, Poly.zero())
+            if a.is_zero and b.is_zero:
+                continue
+            forms = [
+                ZPoly.from_list([_random_tpoly(rng, rng.randrange(4), 6, rng.choice((1, 4)))
+                                 for _ in range(rng.randrange(1, d + 2))])
+                for _ in range(2)
+            ]
+            calls = spy.call_count
+            assert binary_form_values(forms, a, b, d) == [
+                monomial_table_eval(f, a, b, d) for f in forms
+            ]
+            routes.add(spy.call_count > calls)
+    assert routes == {False, True}
+
+
+def test_binary_form_values_dispatch_at_the_crossover_and_the_bit_limit():
+    # the packed kernel takes d * max(len A, len B) >= _PACKED_MIN_SIZE with
+    # every coefficient below _PACKED_MAX_BITS bits; both routes agree
+    size, limit = polynomials._PACKED_MIN_SIZE, polynomials._PACKED_MAX_BITS
+    f = ZPoly.of(Poly.of(1, -2), Poly.of(3, 0, 1), 5)
+    one = Poly.one()
+    for d, n, bits, packed in [
+        (2, size // 2, limit - 1, True),
+        (2, size // 2 - 1, limit - 1, False),
+        (4, -(-size // 4), 2, True),
+        (4, -(-size // 4) - 1, 2, False),
+        (2, size // 2, limit, False),
+    ]:
+        a = Poly((1 << (bits - 1),) * n, 1)
+        with _route_spy() as spy:
+            assert binary_form_values((f,), a, one, d) == [monomial_table_eval(f, a, one, d)]
+        assert spy.call_count == packed
+
+
+def test_binary_form_values_with_the_l1_bound_attained():
+    # a form z at a = N t^(n-1) leaves N itself as the one coefficient of
+    # its value, and N, every coefficient of a, b = 1 and the bound of the
+    # slot are equal, so a slot one byte narrower cannot hold it
+    for bits in range(1, polynomials._PACKED_MAX_BITS):
+        for N in (1 << (bits - 1), (1 << bits) - 1, -((1 << bits) - 1)):
+            a = Poly((0,) * (polynomials._PACKED_MIN_SIZE - 1) + (N,), 1)
+            assert ZPoly.z().homogeneous_eval(a, Poly.one(), 1) == a
+            assert ZPoly.of(0, 0, 1).homogeneous_eval(a, Poly.one(), 2) == a * a
+
+
+def test_binary_form_values_with_one_operand_unused():
+    # the form z^2 reads only A^2, so the slot must also hold B's
+    # coefficients for B to pack: z^2 / t^2 at a point with a small x0
+    # and a long x1 of wide coefficients
+    rng = Random(2)
+    for n in (polynomials._PACKED_MIN_SIZE // 2, 24):
+        b = _random_tpoly(rng, n, polynomials._PACKED_MAX_BITS - 1)
+        for a in (Poly.of(1), Poly.of(-3, 1), Poly.zero()):
+            for form in (ZPoly.of(0, 0, 1), ZPoly.of(Poly.of(0, 0, 1))):
+                with _route_spy() as spy:
+                    assert form.homogeneous_eval(a, b, 2) == monomial_table_eval(form, a, b, 2)
+                assert spy.call_count == 1
+
+
+def test_binary_form_values_on_flat_zpoly_pairs():
+    # ZPoly coordinates flatten by z -> t^L; long flattened pairs of small
+    # coefficients take the packed kernel, wide ones the lists
+    rng = Random(5)
+    routes = set()
+    with _route_spy() as spy:
+        for case in range(40):
+            d = 1 + case % 3
+            bits = rng.choice((3, 40, 2 * polynomials._PACKED_MAX_BITS))
+            a, b = (
+                ZPoly.from_list([_random_tpoly(rng, rng.randrange(5), bits, rng.choice((1, 3)))
+                                 for _ in range(rng.randrange(1, 5))])
+                for _ in range(2)
+            )
+            rows = [Poly.of(1, 2), Poly.of(-1, 0, 3), Poly.of(7)]
+            forms = [ZPoly.from_list(rows[: d + 1]), ZPoly.of(Poly.t(), 1)]
+            calls = spy.call_count
+            assert binary_form_values(forms, a, b, d) == [
+                monomial_table_eval(f, a, b, d) for f in forms
+            ]
+            routes.add(spy.call_count > calls)
+    assert routes == {False, True}
+
+
 # z-coefficients with zeros among them (gaps in degree), constants in z,
 # rationals and wide integers
 mul_zpolys = st.lists(st.one_of(st.just(Poly.zero()), kernel_polys), max_size=5).map(
@@ -738,6 +852,52 @@ def test_resultant_of_a_shared_factor_is_zero(f, g, h):
     assert resultant_z(f * h, g * h).is_zero
 
 
+def test_resultant_on_packed_entries_matches_both_oracles():
+    # random pairs with negative and rational coefficients, zero
+    # z-coefficients and t-degrees up to 4, against sympy and the Bareiss
+    # oracle over Q[t] (whose homogenized resultant equals resultant_z up
+    # to sign when both sides reach z-degree d)
+    rng = Random(7)
+    for _ in range(60):
+        f, g = (
+            ZPoly.from_list([_random_tpoly(rng, rng.randrange(5), rng.choice((2, 9, 70)),
+                                           rng.choice((1, 2, 15)))
+                             for _ in range(rng.randrange(1, 6))])
+            for _ in range(2)
+        )
+        if f.is_zero or g.is_zero:
+            continue
+        res = resultant_z(f, g)
+        assert res == sympy_resultant_z(f, g)
+        if f.degree == g.degree:
+            assert form_resultant_sylvester(f, g, f.degree) in (res, -res)
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200])
+def test_resultant_with_the_slot_bound_nearly_attained(bits):
+    # Res(c z, z + N) = c N against the slot bound c (N + 1): a slot one
+    # byte narrower cannot hold the determinant; Res(z^2 + z + 1, z + 1) has
+    # a zero second pivot f2 g0 - f1 g1 and swaps rows
+    for c, N in [(1, (1 << bits) - 1), ((1 << bits) - 1, 1), (-(1 << bits) + 1, 1 << bits)]:
+        f, g = ZPoly.of(0, c), ZPoly.of(N, 1)
+        assert resultant_z(f, g) == Poly.of(c * N) == sympy_resultant_z(f, g)
+    big = (1 << bits) + 1
+    f, g = ZPoly.of(big, big, big), ZPoly.of(1, 1)
+    assert resultant_z(f, g) == Poly.of(big) == sympy_resultant_z(f, g)
+
+
+def test_resultant_shortcuts_and_a_zero_determinant():
+    t = Poly.t()
+    f = ZPoly.of(Poly.of(Fraction(-3, 4), 1), 2, -t)
+    # a = 0 and b = 0 return a power of the constant side
+    c = ZPoly.of(Poly.of(-2, Fraction(1, 3)))
+    assert resultant_z(c, f) == resultant_z(f, c) == Poly.of(-2, Fraction(1, 3)) ** 2
+    assert resultant_z(c, c) == Poly.one()
+    # a common root z = t / 2 makes the determinant 0
+    shared = ZPoly.of(Poly.of(0, Fraction(-1, 2)), 1)
+    assert resultant_z(f * shared, ZPoly.of(Poly.of(5, -1), 3) * shared).is_zero
+
+
 def test_resultant_special_shapes():
     t = Poly.t()
     f = ZPoly.of(Poly.of(1, Fraction(1, 2)), 0, t)  # t z^2 + t/2 + 1
@@ -756,13 +916,20 @@ def test_resultant_special_shapes():
         resultant_z(ZPoly.zero(), f)
 
 
+def _det_over_zt(M, k=1):
+    """The determinant of a matrix over Z[t] through the packed Bareiss
+    kernel with k-byte slots, as len(M) + 1 coefficients."""
+    det = polynomials._packed_det([[polynomials._pack(e, k) for e in row] for row in M])
+    return polynomials._unpack(det, k, len(M) + 1)
+
+
 def test_bareiss_pivots_and_zero_columns():
     one, two, t = [1], [2], [0, 1]
     # a zero first pivot swaps rows and flips the sign
-    assert polynomials._bareiss_det([[[], one], [one, []]]) == [-1]
-    assert polynomials._bareiss_det([[[], two, []], [one, [], t], [[], [], one]]) == [-2]
+    assert _det_over_zt([[[], one], [one, []]]) == [-1, 0, 0]
+    assert _det_over_zt([[[], two, []], [one, [], t], [[], [], one]]) == [-2, 0, 0, 0]
     # a zero column below the pivot gives 0
-    assert polynomials._bareiss_det([[one, t, two], [two, [0, 2], [1, 1]], [[], [], t]]) == []
+    assert _det_over_zt([[one, t, two], [two, [0, 2], [1, 1]], [[], [], t]]) == [0] * 4
 
 
 @pytest.mark.parametrize(
