@@ -231,21 +231,6 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _schoolbook(a, b)
 
 
-def _int_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """a - b in Z[t], trimmed."""
-    if len(a) >= len(b):
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] -= c
-    else:
-        out = [-c for c in b]
-        for i, c in enumerate(a):
-            out[i] += c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def _int_exact_quotient(a: Sequence[int], p: Sequence[int]) -> Optional[list[int]]:
     """a / p in Z[t] for nonzero a and primitive p, or None if p does not
     divide a. The early exits are sound by Gauss's lemma (module docstring).
