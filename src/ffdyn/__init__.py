@@ -32,9 +32,8 @@ _EXPORTS = {
     "maps": (
         "FiberDecomposition", "ProjectivePoint", "RationalMap", "apply_map",
         "bad_reduction_places", "choose_m", "compose", "fiber", "is_exceptional",
-        "is_polynomial_iterate", "isotriviality_heuristic", "max_fiber_ram",
-        "normalize_map", "power", "ramification_index", "ramification_totals",
-        "resultant", "wronskian",
+        "is_polynomial_iterate", "max_fiber_ram", "normalize_map", "power",
+        "ramification_index", "ramification_totals", "resultant", "wronskian",
     ),
     "mult_dependence": (
         "DependenceQuery", "SplitMultilinearForm", "dependence_search",

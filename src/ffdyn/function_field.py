@@ -11,14 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import FrozenSet, Optional
 
-from .errors import DomainError, frozen, set_field
+from .errors import DomainError, Value, set_field
 from .polynomials import Poly, factor_tpoly, is_irreducible_tpoly, poly_gcd
 
 
-class FieldElement:
+class FieldElement(Value):
     """Element of Q(t) as a reduced fraction num/den with den monic."""
 
-    __setattr__ = __delattr__ = frozen
+    __match_args__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
         set_field(self, "num", num)
@@ -31,9 +31,6 @@ class FieldElement:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"FieldElement(num={self.num!r}, den={self.den!r})"
 
     @staticmethod
     def make(num: Poly, den: Poly) -> "FieldElement":
@@ -121,10 +118,10 @@ class FieldElement:
         return field_elem_text(self)
 
 
-class Place:
+class Place(Value):
     """A place of Q(t): a monic irreducible polynomial, or infinity (poly None)."""
 
-    __setattr__ = __delattr__ = frozen
+    __match_args__ = ("poly",)
 
     def __init__(self, poly: Optional[Poly]):
         set_field(self, "poly", poly)
@@ -136,9 +133,6 @@ class Place:
 
     def __hash__(self):
         return hash((self.poly,))
-
-    def __repr__(self):
-        return f"Place(poly={self.poly!r})"
 
     @staticmethod
     def finite(poly: Poly) -> "Place":

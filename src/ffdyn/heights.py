@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
-from .errors import DomainError, OrbitBudgetError, frozen, set_field
+from .errors import DomainError, OrbitBudgetError, Value, set_field
 from .maps import (
     ProjectivePoint,
     RationalMap,
@@ -41,27 +41,16 @@ DEFAULT_HEIGHT_BUDGET = 1 << 14
 # ---------------------------------------------------------------------------
 
 
-class HeightInterval:
+class HeightInterval(Value):
     """Closed rational interval certified to contain a canonical height."""
 
-    __setattr__ = __delattr__ = frozen
+    __match_args__ = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
             raise DomainError("empty height interval")
         set_field(self, "lo", lo)
         set_field(self, "hi", hi)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
-    def __repr__(self):
-        return f"HeightInterval(lo={self.lo!r}, hi={self.hi!r})"
 
     @property
     def width(self) -> Fraction:
@@ -71,49 +60,24 @@ class HeightInterval:
         return self.lo <= Fraction(x) <= self.hi
 
 
-class Preperiodic:
+class Preperiodic(Value):
     """Certified preperiodicity: phi^(tail + cycle) P = phi^tail P."""
 
-    __setattr__ = __delattr__ = frozen
+    __match_args__ = ("tail", "cycle")
 
     def __init__(self, tail: int, cycle: int):
         set_field(self, "tail", tail)
         set_field(self, "cycle", cycle)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.tail == other.tail and self.cycle == other.cycle
 
-    def __hash__(self):
-        return hash((self.tail, self.cycle))
-
-    def __repr__(self):
-        return f"Preperiodic(tail={self.tail!r}, cycle={self.cycle!r})"
-
-
-class Wandering:
+class Wandering(Value):
     """Certified positive canonical height with the witnessing lower bound."""
 
-    __setattr__ = __delattr__ = frozen
+    __match_args__ = ("canonical_lower", "depth")
 
     def __init__(self, canonical_lower: Fraction, depth: int):
         set_field(self, "canonical_lower", canonical_lower)
         set_field(self, "depth", depth)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.canonical_lower == other.canonical_lower and self.depth == other.depth
-        )
-
-    def __hash__(self):
-        return hash((self.canonical_lower, self.depth))
-
-    def __repr__(self):
-        return (f"Wandering(canonical_lower={self.canonical_lower!r}, "
-                f"depth={self.depth!r})")
 
 
 # ---------------------------------------------------------------------------

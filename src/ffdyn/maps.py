@@ -7,13 +7,11 @@ positive, so equal maps have identical representations.
 
 from __future__ import annotations
 
-import itertools
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .errors import DomainError, frozen, set_field
+from .errors import DomainError, Value, set_field
 from .function_field import FieldElement, Place, PlaceSet
 from .polynomials import (
     Poly,
@@ -32,7 +30,7 @@ from .sympybridge import factor_zpoly_over_k, sqf_zpoly_over_k, zpoly_gcd_over_k
 # ---------------------------------------------------------------------------
 
 
-class ProjectivePoint:
+class ProjectivePoint(Value):
     """Point of P^1(K) with coprime polynomial coordinates [x0 : x1].
 
     In the normal form of ``primitive_pair``: integer coefficients of gcd 1,
@@ -40,7 +38,7 @@ class ProjectivePoint:
     points compare equal, and the height is max(deg x0, deg x1).
     """
 
-    __setattr__ = __delattr__ = frozen
+    __match_args__ = ("x0", "x1")
 
     def __init__(self, x0: Poly, x1: Poly):
         set_field(self, "x0", x0)
@@ -53,9 +51,6 @@ class ProjectivePoint:
 
     def __hash__(self):
         return hash((self.x0, self.x1))
-
-    def __repr__(self):
-        return f"ProjectivePoint(x0={self.x0!r}, x1={self.x1!r})"
 
     @staticmethod
     def make(x0: Poly, x1: Poly) -> "ProjectivePoint":
@@ -102,10 +97,10 @@ class ProjectivePoint:
 # ---------------------------------------------------------------------------
 
 
-class RationalMap:
+class RationalMap(Value):
     """Normalized rational map F(z)/G(z) of degree d = max(deg F, deg G)."""
 
-    __setattr__ = __delattr__ = frozen
+    __match_args__ = ("F", "G", "d")
 
     def __init__(self, F: ZPoly, G: ZPoly, d: int):
         set_field(self, "F", F)
@@ -119,9 +114,6 @@ class RationalMap:
 
     def __hash__(self):
         return hash((self.F, self.G, self.d))
-
-    def __repr__(self):
-        return f"RationalMap(F={self.F!r}, G={self.G!r}, d={self.d!r})"
 
     @property
     def is_polynomial(self) -> bool:
@@ -354,7 +346,6 @@ class FiberDecomposition(NamedTuple):
 
     factors: tuple[tuple[ZPoly, int], ...]
     infinity_multiplicity: int
-    map_degree: int
 
     def degree_sum(self) -> int:
         return (
@@ -375,7 +366,7 @@ def fiber(phi: RationalMap, A: ProjectivePoint) -> FiberDecomposition:
         raise DomainError("fiber requires degree >= 1")
     W = fiber_polynomial(phi, A)
     factors = tuple(factor_zpoly_over_k(W))
-    fd = FiberDecomposition(factors, phi.d - W.degree, phi.d)
+    fd = FiberDecomposition(factors, phi.d - W.degree)
     assert fd.degree_sum() == phi.d
     return fd
 
@@ -507,58 +498,6 @@ def is_polynomial_iterate(phi: RationalMap, j: int) -> bool:
     if phi.is_polynomial:
         return True
     return j % 2 == 0 and is_exceptional(phi, ProjectivePoint.infinity())
-
-
-class IsotrivialityVerdict(Enum):
-    CONSTANT_COEFFICIENTS = "ConstantCoefficients"
-    ISOTRIVIAL_WITNESS = "IsotrivialWitness"
-    UNKNOWN = "Unknown"
-
-
-class IsotrivialityResult(NamedTuple):
-    verdict: IsotrivialityVerdict
-    witness: Optional[RationalMap] = None  # Moebius change of variable
-
-
-def mobius_inverse(M: RationalMap) -> RationalMap:
-    if M.d != 1:
-        raise DomainError("not a Moebius map")
-    a = M.F.coeff(1)
-    b = M.F.coeff(0)
-    c = M.G.coeff(1)
-    e = M.G.coeff(0)
-    return normalize_map(ZPoly.of(-b, e), ZPoly.of(a, -c))
-
-
-def conjugate(phi: RationalMap, M: RationalMap) -> RationalMap:
-    """M^{-1} o phi o M."""
-    return compose(mobius_inverse(M), compose(phi, M))
-
-
-def isotriviality_heuristic(
-    phi: RationalMap, search_degree_bound: int = 2
-) -> IsotrivialityResult:
-    """Best-effort isotriviality detection; never claims non-isotriviality."""
-    require_dynamical(phi)
-    if phi.coefficient_height() == 0:
-        return IsotrivialityResult(IsotrivialityVerdict.CONSTANT_COEFFICIENTS)
-    entries = [Poly.zero()] + [Poly.t() ** j for j in range(search_degree_bound + 1)]
-    for a, b, c, e in itertools.product(entries, repeat=4):
-        det = a * e - b * c
-        if det.is_zero:
-            continue
-        M = normalize_map(ZPoly.of(b, a), ZPoly.of(e, c))
-        if M.d != 1:
-            continue
-        try:
-            conj = conjugate(phi, M)
-        except DomainError:
-            continue
-        if conj.coefficient_height() == 0:
-            return IsotrivialityResult(
-                IsotrivialityVerdict.ISOTRIVIAL_WITNESS, witness=M
-            )
-    return IsotrivialityResult(IsotrivialityVerdict.UNKNOWN)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 from math import gcd
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import DomainError, OrbitBudgetError, frozen, set_field
+from .errors import DomainError, OrbitBudgetError, Value, set_field
 from .function_field import (
     FieldElement,
     PlaceSet,
@@ -47,10 +47,10 @@ def unit_hits(orbit: Orbit, S: PlaceSet, N: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-class DependenceQuery:
+class DependenceQuery(Value):
     """Search box for phi^{n+k}(alpha)^r = u * phi^k(alpha)^s with u an S-unit."""
 
-    __setattr__ = __delattr__ = frozen
+    __match_args__ = ("S", "n_max", "k_max", "r_max", "s_max")
 
     def __init__(self, S: PlaceSet, n_max: int, k_max: int, r_max: int, s_max: int):
         if min(n_max, k_max, r_max, s_max) < 1:
@@ -60,24 +60,6 @@ class DependenceQuery:
         set_field(self, "k_max", k_max)
         set_field(self, "r_max", r_max)
         set_field(self, "s_max", s_max)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.S == other.S
-            and self.n_max == other.n_max
-            and self.k_max == other.k_max
-            and self.r_max == other.r_max
-            and self.s_max == other.s_max
-        )
-
-    def __hash__(self):
-        return hash((self.S, self.n_max, self.k_max, self.r_max, self.s_max))
-
-    def __repr__(self):
-        return (f"DependenceQuery(S={self.S!r}, n_max={self.n_max!r}, "
-                f"k_max={self.k_max!r}, r_max={self.r_max!r}, s_max={self.s_max!r})")
 
 
 class DependenceSolution(NamedTuple):
@@ -307,12 +289,12 @@ def _integral_case(solution: DependenceSolution) -> str:
 # ---------------------------------------------------------------------------
 
 
-class SplitMultilinearForm:
+class SplitMultilinearForm(Value):
     """sum_i c_i * prod_{j in J_i} T_j with the blocks J_i disjoint subsets of
     {1..arity} covering it jointly; an empty block contributes the constant
     term c_i."""
 
-    __setattr__ = __delattr__ = frozen
+    __match_args__ = ("arity", "blocks", "coefficients")
 
     def __init__(
         self,
@@ -342,22 +324,6 @@ class SplitMultilinearForm:
         set_field(self, "arity", arity)
         set_field(self, "blocks", blocks)
         set_field(self, "coefficients", coefficients)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.arity == other.arity
-            and self.blocks == other.blocks
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self):
-        return hash((self.arity, self.blocks, self.coefficients))
-
-    def __repr__(self):
-        return (f"SplitMultilinearForm(arity={self.arity!r}, blocks={self.blocks!r}, "
-                f"coefficients={self.coefficients!r})")
 
     def evaluate(self, values: Sequence[FieldElement]) -> FieldElement:
         if len(values) != self.arity:

@@ -75,7 +75,7 @@ from math import gcd, isqrt, lcm
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DomainError, frozen, set_field
+from .errors import DomainError, Value, set_field
 
 # Shortest operand length (number of coefficients) from which a product runs
 # through Kronecker substitution: _KRONECKER_MIN_LEN, or _KRONECKER_BIG_LEN
@@ -286,13 +286,13 @@ def primitive_pair(a: "Poly", b: "Poly") -> tuple["Poly", "Poly"]:
     return tuple(Poly(tuple(c // g * (m // p.den) for c in p.ints), 1) for p in (a, b))
 
 
-class Poly:
+class Poly(Value):
     """Univariate polynomial in t over Q: integer numerators lowest degree
     first over one positive denominator, in canonical form (module
     docstring)."""
 
     __slots__ = ("ints", "den")
-    __setattr__ = __delattr__ = frozen
+    __match_args__ = ("ints", "den")
 
     def __init__(self, ints: tuple[int, ...], den: int = 1):
         set_field(self, "ints", ints)
@@ -305,13 +305,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.ints, self.den))
-
-    def __repr__(self):
-        return f"Poly(ints={self.ints!r}, den={self.den!r})"
-
-    def __reduce__(self):
-        # pickle and copy would restore the slots through the frozen __setattr__
-        return Poly, (self.ints, self.den)
 
     # -- construction -----------------------------------------------------
 
@@ -1137,10 +1130,10 @@ def _ztrim(coeffs: Sequence[Poly]) -> tuple[Poly, ...]:
     return tuple(coeffs[:n])
 
 
-class ZPoly:
+class ZPoly(Value):
     """Polynomial in z over Q[t], z-coefficients lowest degree first."""
 
-    __setattr__ = __delattr__ = frozen
+    __match_args__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Poly, ...]):
         set_field(self, "coeffs", coeffs)
@@ -1152,9 +1145,6 @@ class ZPoly:
 
     def __hash__(self):
         return hash((self.coeffs,))
-
-    def __repr__(self):
-        return f"ZPoly(coeffs={self.coeffs!r})"
 
     @cached_property
     def integer_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -1,5 +1,6 @@
 """The K[z] fallbacks through sympy's dense integer routines, and the names
-of the native Q[t] kernels that the tracer and older callers look up here.
+of the native Q[t] kernels that the tracer and ``tests/test_sympybridge.py``
+look up here.
 
 Factorization and the resultant are native: ``factor_tpoly``,
 ``is_irreducible_tpoly`` and ``resultant_z`` live in ``polynomials`` and are

@@ -51,6 +51,9 @@
   point is exceptional, from the fiber of phi^2 over it, and whether phi^j
   is a polynomial, from phi^j itself, against maps.is_exceptional and
   maps.is_polynomial_iterate, which read two fibers of phi.
+- mobius_inverse, conjugate: the inverse of a Moebius map M, and the
+  conjugate M^-1 o phi o M built by compose, with which tests make maps of
+  a known conjugacy class.
 - plain_orbit: the orbit prefix by repeated apply_map with no budget,
   against heights.Orbit.
 - GlobalOrbit, global_classify_preperiodic, global_count_S_integral: the
@@ -103,7 +106,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.euclidtools import dup_gcd
 from sympy.polys.factortools import dup_factor_list
 
-from ffdyn.errors import OrbitBudgetError, ParseError
+from ffdyn.errors import DomainError, OrbitBudgetError, ParseError
 from ffdyn.exprs import _DivisionError, _FormVal
 from ffdyn.function_field import FieldElement, Place, PlaceSet, is_S_integer, log_abs
 from ffdyn.heights import (
@@ -119,9 +122,11 @@ from ffdyn.maps import (
     RationalMap,
     _normalize_coprime,
     apply_map,
+    compose,
     coprime_by_specialization,
     fiber_polynomial,
     is_polynomial_iterate,
+    normalize_map,
     power,
     resultant,
 )
@@ -449,6 +454,21 @@ def exceptional_by_second_iterate(phi: RationalMap, A: ProjectivePoint) -> bool:
 def polynomial_iterate_by_power(phi: RationalMap, j: int) -> bool:
     """True iff phi^j, built by composition, has a constant denominator."""
     return power(phi, j).G.degree == 0
+
+
+def mobius_inverse(M: RationalMap) -> RationalMap:
+    if M.d != 1:
+        raise DomainError("not a Moebius map")
+    a = M.F.coeff(1)
+    b = M.F.coeff(0)
+    c = M.G.coeff(1)
+    e = M.G.coeff(0)
+    return normalize_map(ZPoly.of(-b, e), ZPoly.of(a, -c))
+
+
+def conjugate(phi: RationalMap, M: RationalMap) -> RationalMap:
+    """M^{-1} o phi o M."""
+    return compose(mobius_inverse(M), compose(phi, M))
 
 
 def plain_orbit(phi: RationalMap, P: ProjectivePoint, n: int) -> list[ProjectivePoint]:

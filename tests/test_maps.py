@@ -26,7 +26,6 @@ from ffdyn import (
     fiber,
     is_exceptional,
     is_polynomial_iterate,
-    isotriviality_heuristic,
     max_fiber_ram,
     normalize_map,
     parse_point,
@@ -39,13 +38,7 @@ from ffdyn import (
 from ffdyn.errors import DomainError
 from ffdyn.exprs import _Parser, field_elem_text, map_text
 from ffdyn.function_field import FieldElement
-from ffdyn.maps import (
-    ProjectivePoint,
-    IsotrivialityVerdict,
-    common_factor,
-    conjugate,
-    mobius_inverse,
-)
+from ffdyn.maps import ProjectivePoint, common_factor
 from ffdyn import maps
 from ffdyn.polynomials import Poly, ZPoly, poly_gcd
 from ffdyn.randgen import (
@@ -59,8 +52,10 @@ from ffdyn.randgen import (
 from ffdyn.sympybridge import sqf_zpoly_over_k, zpoly_gcd_over_k
 from oracles import (
     CharParser,
+    conjugate,
     exceptional_by_second_iterate,
     linear_root_multiplicity,
+    mobius_inverse,
     monomial_table_eval,
     polynomial_iterate_by_power,
     resultant_sylvester,
@@ -846,22 +841,6 @@ def test_is_polynomial_iterate(quad_poly_map, quad_quotient_map):
     assert is_polynomial_iterate(quad_poly_map, 2)
     assert not is_polynomial_iterate(quad_quotient_map, 1)
     assert not is_polynomial_iterate(quad_quotient_map, 2)
-
-
-def test_isotriviality_heuristic(quad_poly_map, monomial_map):
-    const = parse_rational_map("z^2+1")
-    assert (
-        isotriviality_heuristic(const).verdict
-        == IsotrivialityVerdict.CONSTANT_COEFFICIENTS
-    )
-    res = isotriviality_heuristic(monomial_map, search_degree_bound=1)
-    assert res.verdict == IsotrivialityVerdict.ISOTRIVIAL_WITNESS
-    # the witness actually conjugates to constant coefficients
-    assert conjugate(monomial_map, res.witness).coefficient_height() == 0
-    assert (
-        isotriviality_heuristic(quad_poly_map, search_degree_bound=1).verdict
-        == IsotrivialityVerdict.UNKNOWN
-    )
 
 
 def test_mobius_inverse():

@@ -29,12 +29,12 @@ import ffdyn.function_field as function_field
 import ffdyn.mult_dependence as mult_dependence
 from ffdyn.errors import DomainError
 from ffdyn.heights import Preperiodic, classify_preperiodic
-from ffdyn.maps import ProjectivePoint, apply_map, conjugate
+from ffdyn.maps import ProjectivePoint, apply_map
 from ffdyn.mult_dependence import _zero_is_periodic
 from ffdyn.polynomials import Poly
 from ffdyn.randgen import rand_field_elem, rand_map, rand_place
 
-from oracles import plain_orbit, quotient_dependence_search
+from oracles import conjugate, plain_orbit, quotient_dependence_search
 
 
 def pt(text):

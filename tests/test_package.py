@@ -1,7 +1,7 @@
 """The package's public names: every row of ffdyn._EXPORTS resolves, so a
 stale row fails here and not on its first access. Also the value types'
-equality, hashing, immutability, pickling and repr, the result records'
-tuple form, and the modules that ``import ffdyn.cli`` loads."""
+shared base, equality, hashing, immutability, pickling and repr, the result
+records' tuple form, and the modules that ``import ffdyn.cli`` loads."""
 
 import copy
 import os
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import ffdyn
-from ffdyn.errors import DomainError
+from ffdyn.errors import DomainError, Value
 from ffdyn.function_field import FieldElement, Place
 from ffdyn.heights import HeightInterval, IterateHeightRecord, Preperiodic, Wandering
 from ffdyn.maps import ProjectivePoint, RationalMap
@@ -56,6 +56,20 @@ VALUE_TYPES = {
     ),
 }
 
+# Compared or hashed on hot paths: each keeps its own __eq__ and __hash__,
+# measured faster than the generic ones of errors.Value
+HOT_VALUE_TYPES = (
+    "Poly", "ZPoly", "FieldElement", "Place", "ProjectivePoint", "RationalMap",
+)
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_share_one_base(name):
+    cls = type(VALUE_TYPES[name]())
+    assert cls.__name__ == name and issubclass(cls, Value)
+    if name in HOT_VALUE_TYPES:
+        assert "__eq__" in vars(cls) and "__hash__" in vars(cls)
+
 
 @pytest.mark.parametrize("name", VALUE_TYPES)
 def test_equal_fields_compare_and_hash_equal(name):
@@ -64,20 +78,23 @@ def test_equal_fields_compare_and_hash_equal(name):
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    # the iteration order of a set of places, and so the order in which the
+    # scans read them, follows these hashes
+    assert hash(a) == hash(tuple(getattr(a, f) for f in type(a).__match_args__))
 
 
 @pytest.mark.parametrize("name", VALUE_TYPES)
 def test_fields_can_be_neither_set_nor_deleted(name):
     value = VALUE_TYPES[name]()
-    field = next(iter(vars(value))) if hasattr(value, "__dict__") else "ints"
-    before = getattr(value, field)
-    with pytest.raises(AttributeError):
-        setattr(value, field, before)
-    with pytest.raises(AttributeError):
-        delattr(value, field)
+    for field in type(value).__match_args__:
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before
     with pytest.raises(AttributeError):
         value.extra = 1
-    assert getattr(value, field) is before
 
 
 @pytest.mark.parametrize("name", VALUE_TYPES)
@@ -95,12 +112,24 @@ def test_instances_of_different_types_with_equal_fields_differ():
 
 
 def test_repr_names_every_field():
+    for build in VALUE_TYPES.values():
+        value = build()
+        fields = (f"{f}={getattr(value, f)!r}" for f in type(value).__match_args__)
+        assert repr(value) == f"{type(value).__name__}({', '.join(fields)})"
     assert repr(Poly((1, 2), 3)) == "Poly(ints=(1, 2), den=3)"
     assert repr(Preperiodic(1, 2)) == "Preperiodic(tail=1, cycle=2)"
     assert repr(HeightInterval(Fraction(0), Fraction(1, 2))) == (
         "HeightInterval(lo=Fraction(0, 1), hi=Fraction(1, 2))"
     )
     assert repr(Place(None)) == "Place(poly=None)"
+
+
+def test_value_types_match_by_position():
+    match Wandering(Fraction(1, 4), 3):
+        case Wandering(lower, depth):
+            assert (lower, depth) == (Fraction(1, 4), 3)
+        case _:
+            pytest.fail("no match")
 
 
 def test_constructors_take_keywords_and_defaults():
